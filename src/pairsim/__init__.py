@@ -57,12 +57,9 @@ from .evaluation import (
     evaluate,
     report_to_dict,
     report_to_json,
-    report_csv_header,
-    report_csv_row,
 )
 from .baselines import (
     ProxyBank,
-    TripletConfig,
     init_proxy_bank,
     softmax_ce,
     proxy_gip_ce,
@@ -82,6 +79,6 @@ from .trainer import (
 )
 from .gradcheck import component_checks
 from .plotting import render_roc_svg
-from .numkit import Rng, softplus, sigmoid, norm2, matmul
+from .numkit import Rng, softplus, sigmoid
 
 __version__ = "0.1.0"

@@ -11,15 +11,14 @@ non-target cosine when margin > 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ShapeError
-from .numkit import as_matrix, check_finite
-from .similarity import SimilarityKind, score, score_grad
 from .losses import PairBatch
+from .numkit import as_matrix, check_finite, unit_rows, unit_rows_grad
 
 
 @dataclass
@@ -63,103 +62,89 @@ class CeGrads(NamedTuple):
     d_btheta: float
 
 
-def _check_example(bank: ProxyBank, feature, label):
-    feature = np.asarray(feature, dtype=np.float64).ravel()
-    check_finite(feature, "feature")
-    if feature.size != bank.d_feat:
-        raise ShapeError(f"feature dim {feature.size} != proxy dim {bank.d_feat}")
-    label = int(label)
-    if not 0 <= label < bank.num_classes:
-        raise ConfigError(f"label {label} out of range [0, {bank.num_classes})")
-    return feature, label
+def _check_batch(bank: ProxyBank, features, labels):
+    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    check_finite(x, "features")
+    if x.ndim != 2 or x.shape[1] != bank.d_feat:
+        raise ShapeError(f"features of shape {x.shape} do not match proxy dim {bank.d_feat}")
+    y = np.atleast_1d(np.asarray(labels)).astype(np.int64)
+    if y.shape != (x.shape[0],):
+        raise ShapeError(f"{x.shape[0]} feature rows but labels of shape {y.shape}")
+    if np.any((y < 0) | (y >= bank.num_classes)):
+        raise ConfigError(f"labels {y.tolist()} out of range [0, {bank.num_classes})")
+    return x, y
 
 
-def _softmax_over_diffs(diffs: np.ndarray):
-    """loss = log(1 + sum exp(diffs)) and p = exp(diffs)/(1 + sum exp(diffs)).
+def softmax_ce(bank: ProxyBank, features, labels):
+    """Mean cross entropy over raw inner-product logits; (loss, CeGrads).
 
-    The implicit zero logit keeps the result finite for any diffs.
+    The bank's b_theta and margin do not apply, so d_btheta is 0.
     """
-    m = max(0.0, float(diffs.max())) if diffs.size else 0.0
-    terms = np.exp(diffs - m)
-    z = np.exp(-m) + terms.sum()
-    loss = m + np.log(z)
-    return float(loss), terms / z
+    x, y = _check_batch(bank, features, labels)
+    loss, g = _gip_ce(bank, x, y, 0.0, 0.0)
+    return loss, g._replace(d_btheta=0.0)
 
 
-def softmax_ce(bank: ProxyBank, feature, label):
-    """Cross entropy over raw inner-product logits; (loss, CeGrads)."""
-    feature, label = _check_example(bank, feature, label)
-    w = bank.proxies
+def _gip_ce(bank: ProxyBank, x, y, b_theta: float, margin: float):
+    """Mean CE of a batch over logits ||w|| ||x|| (cos - b_theta [- margin off target]).
+
+    ``x`` is (m, d) and ``y`` (m,); each row's loss is
+    log(1 + sum_{c != y} exp(z_c - z_y)), and the gradients are those of the
+    mean over the rows.
+    """
+    m = x.shape[0]
+    rows = np.arange(m)
     if bank.normalize_proxies:
-        return _gip_ce(bank, feature, label, b_theta=0.0, margin=0.0)
-    logits = w @ feature
-    others = np.arange(bank.num_classes) != label
-    loss, p = _softmax_over_diffs(logits[others] - logits[label])
-    d_w = np.zeros_like(w)
-    d_w[others] = p[:, None] * feature
-    d_w[label] = -p.sum() * feature
-    d_x = p @ w[others] - p.sum() * w[label]
-    return loss, CeGrads(d_x, d_w, 0.0)
-
-
-def _unit_rows(w: np.ndarray):
-    norms = np.linalg.norm(w, axis=1)
-    if np.any(norms == 0.0):
-        raise DegenerateInputError("cannot normalize a zero proxy")
-    return w / norms[:, None], norms
-
-
-def _gip_ce(bank: ProxyBank, feature, label, b_theta: float, margin: float):
-    """Shared kernel: logits ||w|| ||x|| (cos - b_theta [- margin off target])."""
-    w = bank.proxies
-    if bank.normalize_proxies:
-        u, raw_norms = _unit_rows(w)
-        w_eff, w_norm = u, np.ones(bank.num_classes)
+        w_eff, raw_norms = unit_rows(bank.proxies, "proxy")
+        w_norm = np.ones(bank.num_classes)
     else:
-        w_eff = w
-        w_norm = np.linalg.norm(w, axis=1)
-    x_norm = float(np.linalg.norm(feature))
-    if x_norm == 0.0 and (b_theta != 0.0 or margin != 0.0):
+        w_eff = bank.proxies
+        w_norm = np.linalg.norm(w_eff, axis=1)
+    x_norm = np.linalg.norm(x, axis=1)
+    if (b_theta != 0.0 or margin != 0.0) and np.any(x_norm == 0.0):
         raise DegenerateInputError(
             "zero feature has no direction for the b_theta/margin term"
         )
-    others = np.arange(bank.num_classes) != label
-    bias = np.where(others, b_theta + margin, b_theta)
-    logits = w_eff @ feature - bias * w_norm * x_norm
-    loss, p = _softmax_over_diffs(logits[others] - logits[label])
+    bias = np.full((m, bank.num_classes), b_theta + margin)
+    bias[rows, y] = b_theta
+    logits = x @ w_eff.T - bias * np.outer(x_norm, w_norm)
+    diffs = logits - logits[rows, y][:, None]
+    # the target's own diff is 0, so the shift keeps every exponent <= 0
+    top = diffs.max(axis=1)
+    terms = np.exp(diffs - top[:, None])
+    total = terms.sum(axis=1)
+    loss = float(np.mean(top + np.log(total)))
 
-    coef = np.zeros(bank.num_classes)  # dL/d logit_i
-    coef[others] = p
-    coef[label] = -p.sum()
-    # d logit_i / dx = w_i - bias_i ||w_i|| x/||x||
-    d_x = coef @ w_eff
-    if x_norm > 0.0:
-        d_x -= float(coef @ (bias * w_norm)) / x_norm * feature
-    # d logit_i / dw_i = x - bias_i ||x|| w_i/||w_i||
-    d_weff = coef[:, None] * feature[None, :]
-    if not bank.normalize_proxies:
-        safe = w_norm > 0.0
-        d_weff[safe] -= (
-            (coef * bias * x_norm)[safe] / w_norm[safe]
-        )[:, None] * w_eff[safe]
-        d_w = d_weff
+    coef = terms / (m * total[:, None])  # d(mean loss) / d logit
+    # the target's coefficient is minus the others' sum, not p_y - 1, which
+    # would round to 0 once p_y is within an ulp of 1
+    coef[rows, y] = 0.0
+    coef[rows, y] = -coef.sum(axis=1)
+    # d logit_ic / dx_i = w_c - bias_ic ||w_c|| x_i/||x_i||
+    inv_x = np.divide(1.0, x_norm, out=np.zeros(m), where=x_norm > 0.0)
+    d_x = coef @ w_eff - ((coef * bias) @ w_norm * inv_x)[:, None] * x
+    # d logit_ic / dw_c = x_i - bias_ic ||x_i|| w_c/||w_c||
+    d_weff = coef.T @ x
+    if bank.normalize_proxies:
+        # normalized logits do not depend on ||w_c||; the cos term backprops
+        # through u = w/||w||
+        d_w = unit_rows_grad(w_eff, raw_norms, d_weff)
     else:
-        # normalized logits do not depend on ||w_i||; bias term is constant
-        # in w_i, and the cos term backprops through u = w/||w||
-        d_w = (d_weff - (d_weff * w_eff).sum(axis=1)[:, None] * w_eff)
-        d_w /= raw_norms[:, None]
-    d_btheta = -float(coef @ w_norm) * x_norm
+        inv_w = np.divide(1.0, w_norm, out=np.zeros_like(w_norm), where=w_norm > 0.0)
+        d_w = d_weff - ((coef * bias).T @ x_norm * inv_w)[:, None] * w_eff
+    d_btheta = -float(x_norm @ coef @ w_norm)
     return loss, CeGrads(d_x, d_w, d_btheta)
 
 
-def proxy_gip_ce(bank: ProxyBank, feature, label):
-    """CE over generalized-inner logits, with the bank's b_theta and margin.
+def proxy_gip_ce(bank: ProxyBank, features, labels):
+    """Mean CE over generalized-inner logits, with the bank's b_theta and margin.
 
-    margin = 0 gives the plain generalized-inner CE; b_theta = 0 and
-    margin = 0 reduce to `softmax_ce` exactly.
+    ``features`` is (m, d) (one vector counts as a batch of one) and
+    ``labels`` (m,).  margin = 0 gives the plain generalized-inner CE;
+    b_theta = 0 and margin = 0 reduce to `softmax_ce` exactly.
     """
-    feature, label = _check_example(bank, feature, label)
-    return _gip_ce(bank, feature, label, bank.b_theta, bank.margin)
+    x, y = _check_batch(bank, features, labels)
+    return _gip_ce(bank, x, y, bank.b_theta, bank.margin)
 
 
 def contrastive_loss(pairs: PairBatch, margin: float):
@@ -182,39 +167,38 @@ def contrastive_loss(pairs: PairBatch, margin: float):
     return loss, d_scores
 
 
-@dataclass
-class TripletConfig:
-    margin: float = 0.2
-    similarity: SimilarityKind = field(default_factory=SimilarityKind)
+def triplet_loss(pairs: PairBatch, anchors: int, margin: float, rng):
+    """Per-anchor triplet hinge in score space; (loss, d_scores, used).
 
-    def __post_init__(self):
-        if not self.margin > 0:
-            raise ConfigError(f"margin must be positive, got {self.margin}")
-
-
-class TripletGrads(NamedTuple):
-    d_anchor: np.ndarray
-    d_positive: np.ndarray
-    d_negative: np.ndarray
-
-
-def triplet_loss(anchor, positive, negative, cfg: TripletConfig):
-    """(margin + S(a,n) - S(a,p))+ with gradients; (loss, TripletGrads)."""
-    a = np.asarray(anchor, dtype=np.float64).ravel()
-    p = np.asarray(positive, dtype=np.float64).ravel()
-    n = np.asarray(negative, dtype=np.float64).ravel()
-    if not a.size == p.size == n.size:
-        raise ShapeError(
-            f"triplet dims differ: {a.size}, {p.size}, {n.size}"
-        )
-    sim = cfg.similarity
-    gap = cfg.margin + score(sim, a, n) - score(sim, a, p)
-    if gap <= 0.0:
-        z = np.zeros_like(a)
-        return 0.0, TripletGrads(z, z.copy(), z.copy())
-    d_a_n, d_n, _ = score_grad(sim, a, n)
-    d_a_p, d_p, _ = score_grad(sim, a, p)
-    return float(gap), TripletGrads(d_a_n - d_a_p, -d_p, d_n)
+    ``pairs`` holds ``anchors`` batch rows times the queue in row-major
+    order.  Each anchor whose row has both a positive and a negative slot
+    draws one of each from ``rng`` (positive first) and pays
+    (margin + s_an - s_ap)+; the loss is the mean over the ``used`` anchors.
+    Exactly at the hinge the loss is 0 with subgradient 0.
+    """
+    if not margin > 0:
+        raise ConfigError(f"margin must be positive, got {margin}")
+    s = pairs.scores.reshape(anchors, -1)
+    pos = pairs.labels.reshape(anchors, -1) == 1
+    d_scores = np.zeros_like(s)
+    loss_sum = 0.0
+    used = 0
+    for i in range(anchors):
+        same = np.flatnonzero(pos[i])
+        diff = np.flatnonzero(~pos[i])
+        if same.size == 0 or diff.size == 0:
+            continue
+        p = same[int(rng.integers(0, same.size))]
+        n = diff[int(rng.integers(0, diff.size))]
+        gap = margin + float(s[i, n]) - float(s[i, p])
+        used += 1
+        if gap > 0.0:
+            loss_sum += gap
+            d_scores[i, n] = 1.0
+            d_scores[i, p] = -1.0
+    if used == 0:
+        raise DegenerateInputError("queue offers no (positive, negative) draws")
+    return loss_sum / used, d_scores.ravel() / used, used
 
 
 def norm_blowup_probe(run) -> np.ndarray:

@@ -343,15 +343,3 @@ def report_to_dict(report: EvalReport) -> dict:
 def report_to_json(report: EvalReport) -> str:
     return json.dumps(report_to_dict(report), sort_keys=True, indent=2)
 
-
-def report_csv_header(report: EvalReport) -> str:
-    cols = ["eer", "eer_threshold", "desideratum_margin", "clustering_accuracy"]
-    cols += [f"tpr_at_far_{t:g}" for t in sorted(report.tpr_at_far)]
-    return ",".join(cols)
-
-
-def report_csv_row(report: EvalReport) -> str:
-    vals = [report.eer, report.eer_threshold, report.desideratum_margin,
-            report.clustering_accuracy]
-    vals += [report.tpr_at_far[t] for t in sorted(report.tpr_at_far)]
-    return ",".join("%.17g" % v for v in vals)

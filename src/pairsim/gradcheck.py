@@ -80,7 +80,6 @@ def component_checks(seed: int = 0) -> list:
     """
     from .baselines import (
         ProxyBank,
-        TripletConfig,
         contrastive_loss,
         init_proxy_bank,
         proxy_gip_ce,
@@ -216,7 +215,7 @@ def component_checks(seed: int = 0) -> list:
         _load_params(pnet, flat0)
         out.append((f"composition_{kind}", err, 1e-4))
 
-    # proxy cross entropies: feature, proxies and b_theta
+    # proxy cross entropies over a 3-row batch: features, proxies and b_theta
     for name, normalize, b_theta, margin in (
         ("softmax_ce", False, 0.0, 0.0),
         ("proxy_gip_ce", True, 0.3, 0.2),
@@ -226,8 +225,8 @@ def component_checks(seed: int = 0) -> list:
             prng.stream("bank"), 4, 5,
             normalize_proxies=normalize, b_theta=b_theta, margin=margin,
         )
-        feat = prng.normal(size=5)
-        label = 2
+        feat = prng.normal(size=(3, 5))
+        label = np.array([2, 0, 2])
         ce = softmax_ce if name == "softmax_ce" else proxy_gip_ce
         _, g = ce(bank, feat, label)
         n_x = numerical_grad(lambda v: ce(bank, v, label)[0], feat.copy())
@@ -268,24 +267,21 @@ def component_checks(seed: int = 0) -> list:
         ("contrastive_loss", max_rel_err(d_scores, n_scores, floor=1e-3), 1e-6)
     )
 
-    # triplet with an active margin (re-draw until clear of the hinge)
+    # triplet through the score matrix onto the anchors; a wide margin keeps
+    # most hinges active, and each evaluation re-derives the same draws
     trng = rng.stream("triplet")
-    tcfg = TripletConfig(margin=5.0, similarity=SimilarityKind("generalized_inner", 0.3))
-    for attempt in range(32):
-        arng = trng.stream(("attempt", attempt))
-        a = arng.normal(size=4)
-        p = arng.normal(size=4)
-        n = arng.normal(size=4)
-        loss, g = triplet_loss(a, p, n, tcfg)
-        if loss > 0.05:
-            break
-    n_a = numerical_grad(lambda v: triplet_loss(v, p, n, tcfg)[0], a.copy())
-    n_p = numerical_grad(lambda v: triplet_loss(a, v, n, tcfg)[0], p.copy())
-    n_n = numerical_grad(lambda v: triplet_loss(a, p, v, tcfg)[0], n.copy())
-    err = max(
-        max_rel_err(g.d_anchor, n_a, floor=1e-3),
-        max_rel_err(g.d_positive, n_p, floor=1e-3),
-        max_rel_err(g.d_negative, n_n, floor=1e-3),
-    )
+    sim = SimilarityKind("generalized_inner", 0.3)
+    a = trng.normal(size=(3, 4))
+    qfeat = trng.normal(size=(6, 4))
+    y = np.array([[1, 0, 0, 1, 0, 1]] * 3)
+
+    def f_trip(v):
+        pairs = PairBatch(score_matrix(sim, v, qfeat), y)
+        return triplet_loss(pairs, 3, 5.0, trng.stream("draws"))
+
+    _, d_scores, _ = f_trip(a)
+    d_a, _ = score_matrix_grad_left(sim, a, qfeat, d_scores.reshape(3, 6))
+    n_a = numerical_grad(lambda v: f_trip(v)[0], a.copy())
+    err = max_rel_err(d_a, n_a, floor=1e-3)
     out.append(("triplet_loss", err, 1e-6))
     return out

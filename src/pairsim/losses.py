@@ -54,17 +54,10 @@ class LossConfig:
 
 @dataclass
 class PairBatch:
-    """Scores and binary labels for a batch of pairs.
-
-    ``batch_index`` / ``queue_index`` record where each pair came from
-    (mini-batch row, queue slot); they ride along for logging and gradient
-    routing but do not affect the loss.
-    """
+    """Scores and binary labels for a batch of pairs."""
 
     scores: np.ndarray
     labels: np.ndarray
-    batch_index: np.ndarray | None = None
-    queue_index: np.ndarray | None = None
 
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=np.float64).ravel()

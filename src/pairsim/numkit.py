@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import DegenerateInputError, ShapeError
 
 __all__ = [
     "as_matrix",
     "check_finite",
-    "matmul",
+    "unit_rows",
+    "unit_rows_grad",
     "softplus",
     "sigmoid",
-    "norm2",
     "Rng",
 ]
 
@@ -38,16 +38,18 @@ def check_finite(a: np.ndarray, what: str = "array") -> np.ndarray:
     return a
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with explicit shape checking.
+def unit_rows(a: np.ndarray, what: str = "row"):
+    """(a / ||a_i||, ||a_i||) for the rows of a 2-D array."""
+    norms = np.linalg.norm(a, axis=1)
+    if np.any(norms == 0.0):
+        raise DegenerateInputError(f"cannot normalize a zero {what}")
+    return a / norms[:, None], norms
 
-    Raises ShapeError when a.cols != b.rows; the result is checked finite.
-    """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return check_finite(a @ b, "matmul result")
+
+def unit_rows_grad(unit: np.ndarray, norms: np.ndarray, d_unit: np.ndarray) -> np.ndarray:
+    """Backprop d_unit through `unit_rows`: drop the radial part, divide by the norm."""
+    radial = np.einsum("ij,ij->i", d_unit, unit)
+    return (d_unit - radial[:, None] * unit) / norms[:, None]
 
 
 # Branch points for the stable softplus evaluation: above 30 the log1p term is
@@ -80,14 +82,6 @@ def sigmoid(t):
     if np.isscalar(t) or t_arr.ndim == 0:
         return float(out)
     return out
-
-
-def norm2(v) -> float:
-    """Euclidean norm of a non-empty vector."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.size == 0:
-        raise ShapeError("norm2 of an empty vector")
-    return float(np.linalg.norm(v))
 
 
 class Rng:

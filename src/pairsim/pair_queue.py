@@ -104,15 +104,7 @@ def form_pairs(
     if m != batch_labels.size:
         raise ShapeError(f"{m} feature rows but {batch_labels.size} labels")
     scores = score_matrix(sim, batch_features, queue._feat)
-    batch_index = np.repeat(np.arange(m, dtype=np.int64), queue.size)
-    queue_index = np.tile(np.arange(queue.size, dtype=np.int64), m)
-    y = (batch_labels[batch_index] == queue._label[queue_index]).astype(np.int64)
-    return PairBatch(
-        scores=scores.ravel(),
-        labels=y,
-        batch_index=batch_index,
-        queue_index=queue_index,
-    )
+    return PairBatch(scores=scores, labels=batch_labels[:, None] == queue._label[None, :])
 
 
 def pos_neg_ratio(pairs: PairBatch) -> float:

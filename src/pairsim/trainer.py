@@ -8,13 +8,19 @@ then re-encode the batch with the momentum encoder and enqueue it.  The queue
 is filled from EMA features before the first update so every step sees a full
 complement of pairs.
 
-`method` selects what happens between encode and backprop:
+`method` selects what happens between encode and backprop.  The queue
+methods score the batch against the queue, take a loss on those pair scores
+and backprop it through the batch side of the score matrix:
 
-* simple       -- weighted softplus pair loss against the queue
-* contrastive  -- two-sided score hinge against the queue
-* triplet      -- per-anchor (pos, neg) draws from the queue
-* softmax_ce   -- proxy cross entropy over raw inner products (no queue)
-* proxy_gip_ce -- proxy cross entropy over generalized-inner logits (no queue)
+* simple       -- weighted softplus pair loss
+* contrastive  -- two-sided score hinge
+* triplet      -- per-anchor (pos, neg) draws from the queue, score hinge
+
+The proxy methods take one batched cross entropy against a learned proxy
+bank (no queue, no EMA):
+
+* softmax_ce   -- over raw inner products
+* proxy_gip_ce -- over generalized-inner logits
 
 Everything downstream of the seed is deterministic: two runs with the same
 config and dataset produce byte-identical logs and checkpoints.
@@ -31,7 +37,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .baselines import (
-    TripletConfig,
     contrastive_loss,
     init_proxy_bank,
     proxy_gip_ce,
@@ -66,12 +71,13 @@ from .evaluation import (
     tpr_at_far,
 )
 from .losses import LossConfig, batch_loss
-from .numkit import Rng, as_matrix
+from .numkit import Rng, as_matrix, unit_rows, unit_rows_grad
 from .pair_queue import FeatureQueue, enqueue_batch, form_pairs, pos_neg_ratio
 from .similarity import score_matrix_grad_left
 
 METHODS = ("simple", "contrastive", "triplet", "softmax_ce", "proxy_gip_ce")
 _QUEUE_METHODS = ("simple", "contrastive", "triplet")
+_BT_MAX = float(np.nextafter(1.0, 0.0))  # b_theta must stay below 1
 
 
 @dataclass
@@ -175,24 +181,11 @@ def lr_at(cfg: TrainConfig, step: int, total_steps: int) -> float:
     return lr
 
 
-def _unit_rows_fwd(feats: np.ndarray):
-    norms = np.linalg.norm(feats, axis=1)
-    if np.any(norms == 0.0):
-        raise DegenerateInputError("zero feature vector cannot be normalized")
-    return feats / norms[:, None], norms
-
-
-def _unit_rows_bwd(unit: np.ndarray, norms: np.ndarray, d_unit: np.ndarray) -> np.ndarray:
-    # d/dz of z/||z||: remove the radial component, then divide by the norm
-    radial = np.einsum("ij,ij->i", d_unit, unit)
-    return (d_unit - radial[:, None] * unit) / norms[:, None]
-
-
 def encode(net: EncoderNet, inputs, normalize: bool = False) -> np.ndarray:
     """Features for a batch of inputs (no gradient bookkeeping)."""
     feats, _ = forward(net, as_matrix(inputs))
     if normalize:
-        feats, _ = _unit_rows_fwd(feats)
+        feats, _ = unit_rows(feats, "feature vector")
     return feats
 
 
@@ -298,74 +291,41 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
             y = train_ds.labels[rows]
             feats_raw, cache = forward(enc, x)
             if cfg.normalize_features:
-                feats, fnorms = _unit_rows_fwd(feats_raw)
+                feats, fnorms = unit_rows(feats_raw, "feature vector")
             else:
                 feats = feats_raw
             lr_now = lr_at(cfg, gstep, total_steps)
             sgd_now = replace(cfg.sgd, lr=lr_now)
             rec = {"step": gstep, "epoch": epoch, "lr": lr_now}
             d_b = 0.0
-            d_bt = 0.0
 
-            if cfg.method == "simple":
+            if queue is not None:
+                # pair the batch with the queue, take a score-space loss, and
+                # backprop it through the batch side of the scores
                 sim_now = replace(sim0, b_theta=bt_now)
                 pairs = form_pairs(queue, feats, y, sim_now)
-                loss_now = replace(cfg.loss, b=b_now, similarity=sim_now)
-                loss, d_scores, d_b = batch_loss(loss_now, pairs)
+                if cfg.method == "simple":
+                    loss_now = replace(cfg.loss, b=b_now, similarity=sim_now)
+                    loss, d_scores, d_b = batch_loss(loss_now, pairs)
+                elif cfg.method == "contrastive":
+                    loss, d_scores = contrastive_loss(pairs, cfg.contrastive_margin)
+                else:
+                    trng = rng.stream(("triplet", gstep))
+                    loss, d_scores, rec["triplets"] = triplet_loss(
+                        pairs, m, cfg.triplet_margin, trng
+                    )
                 d_feats, d_bt = score_matrix_grad_left(
                     sim_now, feats, queue.features(), d_scores.reshape(m, queue.size)
                 )
                 rec["pos_ratio"] = pos_neg_ratio(pairs)
-            elif cfg.method == "contrastive":
-                sim_now = replace(sim0, b_theta=bt_now)
-                pairs = form_pairs(queue, feats, y, sim_now)
-                loss, d_scores = contrastive_loss(pairs, cfg.contrastive_margin)
-                d_feats, d_bt = score_matrix_grad_left(
-                    sim_now, feats, queue.features(), d_scores.reshape(m, queue.size)
-                )
-                rec["pos_ratio"] = pos_neg_ratio(pairs)
-            elif cfg.method == "triplet":
-                sim_now = replace(sim0, b_theta=bt_now)
-                tcfg = TripletConfig(cfg.triplet_margin, sim_now)
-                trng = rng.stream(("triplet", gstep))
-                q_labels = queue.labels()
-                q_feats = queue.features()
-                d_feats = np.zeros_like(feats)
-                loss_sum = 0.0
-                used = 0
-                for i in range(m):
-                    same = np.flatnonzero(q_labels == y[i])
-                    diff = np.flatnonzero(q_labels != y[i])
-                    if same.size == 0 or diff.size == 0:
-                        continue
-                    pi = same[int(trng.integers(0, same.size))]
-                    ni = diff[int(trng.integers(0, diff.size))]
-                    li, gi = triplet_loss(feats[i], q_feats[pi], q_feats[ni], tcfg)
-                    loss_sum += li
-                    d_feats[i] += gi.d_anchor
-                    used += 1
-                if used == 0:
-                    raise DegenerateInputError("queue offers no (positive, negative) draws")
-                loss = loss_sum / used
-                d_feats /= used
-                rec["triplets"] = used
             else:
                 ce = softmax_ce if cfg.method == "softmax_ce" else proxy_gip_ce
-                d_feats = np.zeros_like(feats)
-                d_w = np.zeros_like(bank.proxies)
-                loss_sum = 0.0
-                for i in range(m):
-                    li, gi = ce(bank, feats[i], int(y[i]))
-                    loss_sum += li
-                    d_feats[i] = np.asarray(gi.d_feature) / m
-                    d_w += np.asarray(gi.d_proxies) / m
-                    d_bt += float(gi.d_btheta) / m
-                loss = loss_sum / m
+                loss, (d_feats, d_w, d_bt) = ce(bank, feats, y)
                 correct += int(np.sum(_proxy_predict(cfg, bank, feats) == y))
                 seen += m
 
             if cfg.normalize_features:
-                d_raw = _unit_rows_bwd(feats, fnorms, d_feats)
+                d_raw = unit_rows_grad(feats, fnorms, d_feats)
             else:
                 d_raw = d_feats
             grads = backward(enc, cache, d_raw)
@@ -380,7 +340,8 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
                 b_now -= lr_now * v_b
             if sim0.b_theta_learnable and cfg.method != "softmax_ce":
                 v_bt = cfg.sgd.momentum * v_bt + d_bt
-                bt_now -= lr_now * v_bt
+                # project back onto the range SimilarityKind accepts
+                bt_now = min(max(bt_now - lr_now * v_bt, 0.0), _BT_MAX)
                 if bank is not None:
                     bank.b_theta = bt_now
             if queue is not None:

@@ -6,11 +6,20 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pairsim import PairBatch, SimilarityKind, score
+from pairsim import (
+    FeatureQueue,
+    PairBatch,
+    Rng,
+    SimilarityKind,
+    enqueue_batch,
+    form_pairs,
+    score,
+    score_grad,
+    score_matrix,
+    score_matrix_grad_left,
+)
 from pairsim.baselines import (
-    CeGrads,
     ProxyBank,
-    TripletConfig,
     contrastive_loss,
     init_proxy_bank,
     proxy_gip_ce,
@@ -190,6 +199,29 @@ def test_gip_ce_zero_feature_needs_zero_bias():
         proxy_gip_ce(bank, [0.0, 0.0], 0)
 
 
+def test_ce_batch_equals_mean_of_one_row_calls():
+    rng = np.random.default_rng(7)
+    m = 5
+    for ce in (softmax_ce, proxy_gip_ce):
+        for normalize in (False, True):
+            for margin in (0.0, 0.2):
+                bank = ProxyBank(proxies=rng.normal(size=(4, 3)), b_theta=0.3,
+                                 margin=margin, normalize_proxies=normalize)
+                x = rng.normal(size=(m, 3))
+                y = rng.integers(0, 4, size=m)
+                loss, g = ce(bank, x, y)
+                rows = [ce(bank, x[i : i + 1], y[i : i + 1]) for i in range(m)]
+                assert_allclose(loss, np.mean([r[0] for r in rows]), rtol=1e-12)
+                assert_allclose(g.d_feature, np.vstack([r[1].d_feature for r in rows]) / m,
+                                rtol=1e-12, atol=1e-15)
+                assert_allclose(g.d_proxies, np.mean([r[1].d_proxies for r in rows], axis=0),
+                                rtol=1e-12, atol=1e-15)
+                assert_allclose(g.d_btheta, np.mean([r[1].d_btheta for r in rows]),
+                                rtol=1e-12, atol=1e-15)
+                if ce is softmax_ce:
+                    assert g.d_btheta == 0.0
+
+
 def test_init_proxy_bank_shapes():
     from pairsim import Rng
 
@@ -247,51 +279,102 @@ def test_contrastive_validates():
 # ----- triplet -----------------------------------------------------------
 
 
+def trip_pairs(sim, anchors, qfeat, qlabels, alabels):
+    q = FeatureQueue(capacity=len(qlabels), d_feat=qfeat.shape[1])
+    enqueue_batch(q, qfeat, qlabels)
+    return form_pairs(q, anchors, alabels, sim)
+
+
 def test_triplet_satisfied_is_zero_with_zero_grads():
-    cfg = TripletConfig(margin=0.2, similarity=SimilarityKind("cosine"))
-    a = np.array([1.0, 0.0])
-    p = np.array([1.0, 0.05])
-    n = np.array([-1.0, 0.0])
-    loss, g = triplet_loss(a, p, n, cfg)
+    pairs = PairBatch([[5.0, -5.0, 4.0], [-5.0, 3.0, -6.0]], [[1, 0, 1], [0, 1, 0]])
+    loss, d, used = triplet_loss(pairs, 2, 0.2, Rng(0))
     assert loss == 0.0
-    assert np.array_equal(g.d_anchor, [0.0, 0.0])
-    assert np.array_equal(g.d_positive, [0.0, 0.0])
-    assert np.array_equal(g.d_negative, [0.0, 0.0])
+    assert used == 2
+    assert np.array_equal(d, np.zeros(6))
 
 
 def test_triplet_anchor_equals_positive_plugin():
-    cfg = TripletConfig(margin=0.5, similarity=SimilarityKind("cosine"))
+    sim = SimilarityKind("cosine")
     a = np.array([1.0, 0.0])
     n = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    loss, _ = triplet_loss(a, a, n, cfg)
+    # one positive (a itself) and one negative slot, so the draws are forced
+    pairs = trip_pairs(sim, a[None, :], np.vstack([a, n]), [0, 1], [0])
+    loss, _, used = triplet_loss(pairs, 1, 0.5, Rng(0))
     # S(a,a) = 1 under cosine, so loss = margin - 1 + S(a,n)
+    assert used == 1
     assert_allclose(loss, 0.20710678118654757, rtol=1e-15)
-    assert_allclose(loss, 0.5 - 1.0 + score(cfg.similarity, a, n), rtol=1e-15)
+    assert_allclose(loss, 0.5 - 1.0 + score(sim, a, n), rtol=1e-15)
 
 
 def test_triplet_gradients_match_fd_away_from_kink():
+    # fixed draws: every call re-derives the same stream; no gap of these
+    # fixtures lies within a finite-difference step of its hinge
     rng = np.random.default_rng(6)
+    qlabels = np.array([0, 1, 0, 2, 1, 2])
+    alabels = np.array([0, 1, 2])
+    y = (alabels[:, None] == qlabels[None, :]).astype(int)
     for name in ("generalized_inner", "cosine", "inner"):
-        cfg = TripletConfig(margin=1.0, similarity=SimilarityKind(name))
-        for _ in range(4):
-            a = rng.normal(size=4)
-            p = rng.normal(size=4)
-            n = rng.normal(size=4)
-            loss, g = triplet_loss(a, p, n, cfg)
-            gap = cfg.margin + score(cfg.similarity, a, n) - score(cfg.similarity, a, p)
-            if abs(gap) < 1e-4:
-                continue
-            num_a = numerical_grad(lambda v: triplet_loss(v, p, n, cfg)[0], a.copy())
-            num_p = numerical_grad(lambda v: triplet_loss(a, v, n, cfg)[0], p.copy())
-            num_n = numerical_grad(lambda v: triplet_loss(a, p, v, cfg)[0], n.copy())
-            assert max_rel_err(g.d_anchor, num_a, floor=1e-2) < 1e-6
-            assert max_rel_err(g.d_positive, num_p, floor=1e-2) < 1e-6
-            assert max_rel_err(g.d_negative, num_n, floor=1e-2) < 1e-6
+        sim = SimilarityKind(name)
+        for trial in range(4):
+            anchors = rng.normal(size=(3, 4))
+            qfeat = rng.normal(size=(6, 4))
+
+            def loss_of_scores(s):
+                return triplet_loss(PairBatch(s, y), 3, 1.0, Rng(trial))
+
+            _, d_scores, _ = loss_of_scores(score_matrix(sim, anchors, qfeat))
+            num_s = numerical_grad(
+                lambda s: loss_of_scores(s)[0], score_matrix(sim, anchors, qfeat)
+            )
+            assert max_rel_err(d_scores, num_s, floor=1e-2) < 1e-6
+            d_a, _ = score_matrix_grad_left(sim, anchors, qfeat, d_scores.reshape(3, 6))
+            num_a = numerical_grad(
+                lambda v: loss_of_scores(score_matrix(sim, v, qfeat))[0], anchors.copy()
+            )
+            assert max_rel_err(d_a, num_a, floor=1e-2) < 1e-6
+
+
+def test_triplet_step_matches_per_anchor_score_grad_oracle():
+    # the trainer's triplet step (form_pairs, triplet_loss, one
+    # score_matrix_grad_left) against a per-anchor loop over score/score_grad
+    rng = np.random.default_rng(8)
+    sim = SimilarityKind("generalized_inner", b_theta=0.3)
+    qfeat = rng.normal(size=(12, 5))
+    qlabels = rng.integers(0, 3, size=12)
+    anchors = rng.normal(size=(6, 5))
+    alabels = np.array([0, 1, 2, 0, 1, 7])  # the last anchor has no positive
+    margin = 2.0
+    pairs = trip_pairs(sim, anchors, qfeat, qlabels, alabels)
+    loss, d_scores, used = triplet_loss(pairs, 6, margin, Rng(3).stream(("triplet", 0)))
+    d_feats, _ = score_matrix_grad_left(sim, anchors, qfeat, d_scores.reshape(6, 12))
+
+    draws = Rng(3).stream(("triplet", 0))
+    oracle = np.zeros_like(anchors)
+    loss_sum = 0.0
+    n_used = 0
+    for i in range(6):
+        same = np.flatnonzero(qlabels == alabels[i])
+        diff = np.flatnonzero(qlabels != alabels[i])
+        if same.size == 0 or diff.size == 0:
+            continue
+        p = same[int(draws.integers(0, same.size))]
+        n = diff[int(draws.integers(0, diff.size))]
+        gap = margin + score(sim, anchors[i], qfeat[n]) - score(sim, anchors[i], qfeat[p])
+        n_used += 1
+        if gap > 0.0:
+            loss_sum += gap
+            oracle[i] = score_grad(sim, anchors[i], qfeat[n])[0] - score_grad(
+                sim, anchors[i], qfeat[p]
+            )[0]
+    assert used == n_used == 5
+    assert_allclose(loss, loss_sum / n_used, rtol=1e-10)
+    assert np.count_nonzero(oracle.any(axis=1)) >= 2  # some hinges are active
+    assert_allclose(d_feats, oracle / n_used, rtol=1e-10, atol=1e-12)
 
 
 def test_triplet_validates():
+    pairs = PairBatch([0.1, -0.2], [1, 0])
     with pytest.raises(ConfigError):
-        TripletConfig(margin=0.0)
-    cfg = TripletConfig(margin=0.1)
-    with pytest.raises(ValueError):
-        triplet_loss(np.ones(3), np.ones(2), np.ones(3), cfg)
+        triplet_loss(pairs, 1, 0.0, Rng(0))
+    with pytest.raises(DegenerateInputError):
+        triplet_loss(PairBatch([0.1, 0.2], [1, 1]), 1, 0.1, Rng(0))

@@ -5,34 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from pairsim.errors import ShapeError
-from pairsim.numkit import Rng, matmul, norm2, sigmoid, softplus
-
-
-def test_matmul_identity():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert_array_equal(matmul(np.eye(2), a), a)
-
-
-def test_matmul_annihilator():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert_array_equal(matmul(a, np.zeros((2, 3))), np.zeros((2, 3)))
-
-
-def test_matmul_hand_example():
-    # [[1,2],[3,4]] x [[5],[6]] worked out by hand: rows dot the column.
-    out = matmul([[1.0, 2.0], [3.0, 4.0]], [[5.0], [6.0]])
-    assert_array_equal(out, [[17.0], [39.0]])
-
-
-def test_matmul_shape_mismatch():
-    with pytest.raises(ShapeError):
-        matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-
-def test_matmul_rejects_nonfinite():
-    with pytest.raises(FloatingPointError):
-        matmul(np.array([[np.nan, 0.0]]), np.ones((2, 1)))
+from pairsim.numkit import Rng, sigmoid, softplus
 
 
 def test_softplus_at_zero():
@@ -75,17 +48,6 @@ def test_sigmoid_saturation():
 @given(st.floats(-100.0, 100.0))
 def test_sigmoid_complement(t):
     assert sigmoid(t) + sigmoid(-t) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_norm2():
-    assert norm2([3.0, 4.0]) == 5.0
-    assert norm2(np.zeros(7)) == 0.0
-    assert norm2(np.eye(5)[2]) == 1.0
-
-
-def test_norm2_empty():
-    with pytest.raises(ShapeError):
-        norm2([])
 
 
 def test_rng_determinism():

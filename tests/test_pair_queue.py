@@ -85,11 +85,16 @@ def test_stored_features_are_a_snapshot():
 def test_form_pairs_count_and_index_layout():
     q = FeatureQueue(capacity=8, d_feat=3)
     rng = np.random.default_rng(1)
-    enqueue_batch(q, feats(rng, 4, 3), [0, 1, 2, 3])
-    pairs = form_pairs(q, feats(rng, 2, 3), [0, 9], SimilarityKind("inner"))
+    qf = feats(rng, 4, 3)
+    enqueue_batch(q, qf, [0, 1, 2, 3])
+    bf = feats(rng, 2, 3)
+    pairs = form_pairs(q, bf, [1, 9], SimilarityKind("inner"))
     assert len(pairs) == 8
-    assert np.array_equal(pairs.batch_index, [0, 0, 0, 0, 1, 1, 1, 1])
-    assert np.array_equal(pairs.queue_index, [0, 1, 2, 3, 0, 1, 2, 3])
+    # row-major: pair p is (batch row, queue slot) = divmod(p, queue size)
+    for p in range(8):
+        i, j = divmod(p, 4)
+        assert pairs.scores[p] == pytest.approx(bf[i] @ qf[j], rel=1e-12)
+    assert np.array_equal(pairs.labels, [0, 1, 0, 0, 0, 0, 0, 0])
 
 
 def test_form_pairs_scores_match_scalar_scores():
@@ -102,7 +107,7 @@ def test_form_pairs_scores_match_scalar_scores():
         bf = rng.normal(size=(3, 5))
         pairs = form_pairs(q, bf, [0, 1, 2], sim)
         for p in range(len(pairs)):
-            i, j = pairs.batch_index[p], pairs.queue_index[p]
+            i, j = divmod(p, q.size)
             assert_allclose(pairs.scores[p], score(sim, bf[i], qf[j]), rtol=1e-12)
 
 

@@ -8,6 +8,8 @@ from pairsim.data import GenSpec, generate
 from pairsim.baselines import norm_blowup_probe
 from pairsim.encoder import load_encoder
 from pairsim.errors import ConfigError
+from pairsim.losses import LossConfig
+from pairsim.similarity import SimilarityKind
 from pairsim.trainer import (
     TrainConfig,
     ablate,
@@ -146,6 +148,16 @@ def test_proxy_methods_learn_class_accuracy():
         assert all(0.0 <= a <= 1.0 for a in accs)
         assert accs[-1] > accs[0]
         assert log.ema is None
+
+
+def test_learnable_b_theta_stays_in_range():
+    # momentum can carry b_theta past 1; the update projects it back into
+    # [0, 1), where SimilarityKind accepts it
+    loss = LossConfig(similarity=SimilarityKind(b_theta_learnable=True))
+    for method in ("simple", "contrastive", "triplet", "proxy_gip_ce"):
+        log = train(quick_cfg(method=method, loss=loss), small_ds())
+        assert 0.0 <= log.b_theta < 1.0, method
+        assert log.b_theta != 0.3, method
 
 
 def test_norm_probe_reads_runlog():
