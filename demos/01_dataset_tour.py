@@ -49,6 +49,6 @@ for family in ("concentric_rings", "hypercube_corners"):
     alt = generate(GenSpec(family=family, num_classes=4, samples_per_class=50, input_dim=8))
     print(f"{family}: rows {len(alt)}, per-class {np.bincount(alt.labels)}")
 
-# datasets round-trip through a plain CSV
-save_csv(ds, "/tmp/desk_task.csv")
-print("wrote /tmp/desk_task.csv")
+# datasets round-trip through a plain CSV (written to the working directory)
+save_csv(ds, "desk_task.csv")
+print("wrote desk_task.csv")

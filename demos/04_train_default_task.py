@@ -68,11 +68,12 @@ print(f"clustering at the gap midpoint {mid:+.2f}: "
       f"accuracy {clustering_accuracy(clusters, va.labels):.3f}")
 
 # artifacts: runlog.jsonl + summary.json + checkpoint.bin, written
-# byte-deterministically so reruns diff clean
+# byte-deterministically so reruns diff clean, into desk_run/ under the
+# working directory
 from pairsim import save_runlog
 
-save_runlog(log, "/tmp/desk_run")
-print("\nwrote /tmp/desk_run/{runlog.jsonl,summary.json,checkpoint.bin}")
+save_runlog(log, "desk_run")
+print("\nwrote desk_run/{runlog.jsonl,summary.json,checkpoint.bin}")
 
 # before/after ROC on the same held-out pairs.  train() carves its val
 # split with the run seed, so the split above recovers exactly that set.
@@ -83,6 +84,6 @@ svg = render_roc_svg([
     ("raw inputs", roc_points(raw)),
     ("trained encoder", roc_points(learned)),
 ])
-with open("/tmp/desk_run/roc.svg", "w") as f:
+with open("desk_run/roc.svg", "w") as f:
     f.write(svg)
-print("wrote /tmp/desk_run/roc.svg")
+print("wrote desk_run/roc.svg")

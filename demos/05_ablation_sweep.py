@@ -28,8 +28,8 @@ by_r = {r: [row["eer"] for row in rows if row["r"] == r] for r in (1.0, 3.0)}
 print(f"\nmean EER  r=1: {sum(by_r[1.0]) / 4:.4f}   r=3: {sum(by_r[3.0]) / 4:.4f}")
 
 csv_text = ablate_csv(rows)
-with open("/tmp/ablation.csv", "w") as f:
+with open("ablation.csv", "w") as f:
     f.write(csv_text)
-print("wrote /tmp/ablation.csv:")
+print("wrote ablation.csv:")
 print(csv_text.splitlines()[0])
 print(csv_text.splitlines()[1])

@@ -35,7 +35,6 @@ from .pair_queue import FeatureQueue, enqueue_batch, form_pairs, pos_neg_ratio
 from .data import (
     Dataset,
     GenSpec,
-    default_genspec,
     generate,
     split,
     save_csv,

@@ -31,7 +31,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .config import (
     load_config,
@@ -166,39 +165,13 @@ def _cmd_eval(conf, out, args):
     return 0
 
 
-def _ablate_cell(task):
-    grid, cfg, ds = task
-    return ablate(grid, cfg, ds)[0]
-
-
 def _cmd_ablate(conf, out, args):
-    cfg = to_train_config(conf)
-    ds = _load_dataset(conf)
     grid = {
         axis: list(conf[f"grid.{axis}"])
         for axis in ("r", "alpha", "b_theta")
         if conf[f"grid.{axis}"] is not None
     }
-    jobs = getattr(args, "jobs", 1)
-    if jobs > 1:
-        # one task per cell in the same sorted order the serial sweep uses,
-        # so the CSV is identical regardless of --jobs
-        base = {
-            "r": [cfg.loss.r],
-            "alpha": [cfg.loss.alpha],
-            "b_theta": [cfg.loss.similarity.b_theta],
-        }
-        axes = {k: sorted(set(map(float, grid.get(k, base[k])))) for k in base}
-        tasks = [
-            ({"r": [r], "alpha": [a], "b_theta": [bt]}, cfg, ds)
-            for bt in axes["b_theta"]
-            for r in axes["r"]
-            for a in axes["alpha"]
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_ablate_cell, tasks))
-    else:
-        rows = ablate(grid, cfg, ds)
+    rows = ablate(grid, to_train_config(conf), _load_dataset(conf), jobs=args.jobs)
     path = os.path.join(out, "ablation.csv")
     with open(path, "w", newline="\n") as f:
         f.write(ablate_csv(rows))

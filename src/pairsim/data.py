@@ -24,7 +24,7 @@ error to zero, hard enough that training matters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,11 +109,6 @@ class GenSpec:
             raise ConfigError("input_dim must be >= 1")
         if not self.noise_scale >= 0:
             raise ConfigError(f"noise_scale must be >= 0, got {self.noise_scale}")
-
-
-def default_genspec(seed: int = 0) -> GenSpec:
-    """The frozen desk-scale task; see module docstring."""
-    return replace(GenSpec(), seed=seed)
 
 
 def _sphere_point(rng: Rng, dim: int) -> np.ndarray:

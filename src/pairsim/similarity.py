@@ -11,8 +11,9 @@ Four interchangeable score functions over feature vectors:
 * ``angular`` -- 1 - arccos(cosine)/pi, mapped to [0, 1].
 
 Scalar entry points (`score`, `score_grad`, `decision_boundary`) implement the
-per-pair contract; `score_matrix` / `score_matrix_grad_left` are the batched
-forms used in training, and the tests pin them to the scalar versions.
+per-pair contract; `score_matrix`, `score_rows` and `score_matrix_grad_left`
+are the batched forms used in training and evaluation (the two forward forms
+share one kind dispatch), and the tests pin them to the scalar versions.
 """
 
 from __future__ import annotations
@@ -110,25 +111,29 @@ def decision_boundary(sim: SimilarityKind, b: float, x1, x2) -> float:
     return score(sim, x1, x2) + b
 
 
+def _from_dots(sim: SimilarityKind, dots, n1, n2) -> np.ndarray:
+    """Scores from inner products and norms that broadcast against ``dots``."""
+    if sim.kind == "inner":
+        return dots
+    if sim.kind == "generalized_inner":
+        return dots - sim.b_theta * (n1 * n2)
+    if np.any(n1 == 0.0) or np.any(n2 == 0.0):
+        raise DegenerateInputError(f"{sim.kind} similarity of a zero vector")
+    cos = dots / (n1 * n2)
+    if sim.kind == "cosine":
+        return cos
+    return 1.0 - np.arccos(np.clip(cos, -1.0, 1.0)) / np.pi
+
+
 def score_matrix(sim: SimilarityKind, a, q) -> np.ndarray:
     """All pairwise scores between rows of ``a`` (m x d) and ``q`` (n x d)."""
     a = np.asarray(a, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if a.ndim != 2 or q.ndim != 2 or a.shape[1] != q.shape[1]:
         raise ShapeError(f"score_matrix expects (m,d) and (n,d), got {a.shape} and {q.shape}")
-    dots = a @ q.T
-    if sim.kind == "inner":
-        return dots
     na = np.linalg.norm(a, axis=1)
     nq = np.linalg.norm(q, axis=1)
-    if sim.kind == "generalized_inner":
-        return dots - sim.b_theta * np.outer(na, nq)
-    if np.any(na == 0.0) or np.any(nq == 0.0):
-        raise DegenerateInputError(f"{sim.kind} similarity of a zero vector")
-    cos = dots / np.outer(na, nq)
-    if sim.kind == "cosine":
-        return cos
-    return 1.0 - np.arccos(np.clip(cos, -1.0, 1.0)) / np.pi
+    return _from_dots(sim, a @ q.T, na[:, None], nq[None, :])
 
 
 def score_rows(sim: SimilarityKind, a, b) -> np.ndarray:
@@ -138,18 +143,7 @@ def score_rows(sim: SimilarityKind, a, b) -> np.ndarray:
     if a.ndim != 2 or a.shape != b.shape:
         raise ShapeError(f"score_rows expects equal (n,d) shapes, got {a.shape} and {b.shape}")
     dots = np.einsum("ij,ij->i", a, b)
-    if sim.kind == "inner":
-        return dots
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
-    if sim.kind == "generalized_inner":
-        return dots - sim.b_theta * (na * nb)
-    if np.any(na == 0.0) or np.any(nb == 0.0):
-        raise DegenerateInputError(f"{sim.kind} similarity of a zero vector")
-    cos = dots / (na * nb)
-    if sim.kind == "cosine":
-        return cos
-    return 1.0 - np.arccos(np.clip(cos, -1.0, 1.0)) / np.pi
+    return _from_dots(sim, dots, np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1))
 
 
 def score_matrix_grad_left(sim: SimilarityKind, a, q, d_scores):

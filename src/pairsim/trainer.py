@@ -32,6 +32,7 @@ import csv
 import io
 import json
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -57,23 +58,11 @@ from .encoder import (
     sgd_step,
 )
 from .errors import ConfigError, DegenerateInputError
-from .evaluation import (
-    EvalReport,
-    _pair_totals,
-    cluster_by_threshold,
-    clustering_accuracy,
-    compute_eer,
-    desideratum_audit,
-    report_to_dict,
-    roc_points,
-    sample_pair_indices,
-    score_pairs,
-    tpr_at_far,
-)
+from .evaluation import _pair_totals, evaluate, report_to_dict
 from .losses import LossConfig, batch_loss
 from .numkit import Rng, as_matrix, unit_rows, unit_rows_grad
 from .pair_queue import FeatureQueue, enqueue_batch, form_pairs, pos_neg_ratio
-from .similarity import score_matrix_grad_left
+from .similarity import SimilarityKind, score_matrix, score_matrix_grad_left
 
 METHODS = ("simple", "contrastive", "triplet", "softmax_ce", "proxy_gip_ce")
 _QUEUE_METHODS = ("simple", "contrastive", "triplet")
@@ -189,23 +178,20 @@ def encode(net: EncoderNet, inputs, normalize: bool = False) -> np.ndarray:
     return feats
 
 
-def _eval_on_pairs(cfg, enc, val_ds, sim, bias, pos_idx, neg_idx) -> EvalReport:
-    feats = encode(enc, val_ds.inputs, cfg.normalize_features)
-    sp = score_pairs(sim, feats, pos_idx, neg_idx)
-    eer, eer_thr = compute_eer(sp)
-    tprs = {t: entry.tpr for t, entry in tpr_at_far(sp, cfg.far_targets).items()}
-    margin = desideratum_audit(feats, val_ds.labels, sim)
+def _eval_on_pairs(cfg, enc, val_ds, sim, bias) -> dict:
     # simple learns its own decision boundary (-b); the baselines have no
-    # such parameter, so cluster them at the EER operating point instead
-    threshold = -bias if cfg.method == "simple" else eer_thr
-    acc = clustering_accuracy(cluster_by_threshold(feats, sim, threshold), val_ds.labels)
-    return EvalReport(
-        eer=eer,
-        eer_threshold=eer_thr,
-        tpr_at_far=tprs,
-        roc=roc_points(sp),
-        desideratum_margin=margin,
-        clustering_accuracy=acc,
+    # such parameter, so evaluate clusters them at the EER operating point
+    return report_to_dict(
+        evaluate(
+            encode(enc, val_ds.inputs, cfg.normalize_features),
+            val_ds.labels,
+            sim,
+            cfg.eval_num_pos,
+            cfg.eval_num_neg,
+            cfg.seed,
+            cfg.far_targets,
+            threshold=-bias if cfg.method == "simple" else None,
+        )
     )
 
 
@@ -213,10 +199,10 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
     """Run the full training loop on `ds` and return its RunLog.
 
     The dataset is split (1 - val_fraction, val_fraction) with the run seed;
-    validation pairs are sampled once and re-scored with the current encoder
-    at every evaluation epoch, so the metric series is comparable across
-    epochs.  Mini-batches are drawn without replacement within each epoch and
-    partial trailing batches are dropped.
+    validation pairs are drawn with the run seed, so every evaluation epoch
+    scores the same pairs with the current encoder and the metric series is
+    comparable across epochs.  Mini-batches are drawn without replacement
+    within each epoch and partial trailing batches are dropped.
     """
     ds.require_pairable()
     train_ds, val_ds, _ = split(ds, (1.0 - cfg.val_fraction, cfg.val_fraction, 0.0), seed=cfg.seed)
@@ -244,11 +230,8 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
     v_bt = 0.0
 
     intra, inter = _pair_totals(val_ds.labels)
-    n_pos = min(cfg.eval_num_pos, int(intra))
-    n_neg = min(cfg.eval_num_neg, int(inter))
-    if n_pos == 0 or n_neg == 0:
+    if intra == 0 or inter == 0:
         raise DegenerateInputError("validation split lacks same-class or cross-class pairs")
-    pos_idx, neg_idx = sample_pair_indices(val_ds.labels, n_pos, n_neg, seed=cfg.seed)
 
     queue = ema = bank = None
     v_proxies = None
@@ -321,7 +304,7 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
             else:
                 ce = softmax_ce if cfg.method == "softmax_ce" else proxy_gip_ce
                 loss, (d_feats, d_w, d_bt) = ce(bank, feats, y)
-                correct += int(np.sum(_proxy_predict(cfg, bank, feats) == y))
+                correct += int(np.sum(_proxy_predict(bank, feats) == y))
                 seen += m
 
             if cfg.normalize_features:
@@ -365,8 +348,7 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
             erec["train_accuracy"] = correct / seen
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
             sim_now = replace(sim0, b_theta=bt_now)
-            report = _eval_on_pairs(cfg, enc, val_ds, sim_now, b_now, pos_idx, neg_idx)
-            erec["eval"] = report_to_dict(report)
+            erec["eval"] = _eval_on_pairs(cfg, enc, val_ds, sim_now, b_now)
         log.epochs.append(erec)
 
     log.encoder = enc
@@ -376,17 +358,11 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
     return log
 
 
-def _proxy_predict(cfg: TrainConfig, bank, feats: np.ndarray) -> np.ndarray:
-    """Class predictions under the bank's margin-free scores."""
-    w = bank.proxies
-    if bank.normalize_proxies:
-        w = w / np.linalg.norm(w, axis=1)[:, None]
-    logits = feats @ w.T
-    if cfg.method == "proxy_gip_ce" and bank.b_theta != 0.0:
-        logits = logits - bank.b_theta * np.outer(
-            np.linalg.norm(feats, axis=1), np.linalg.norm(w, axis=1)
-        )
-    return np.argmax(logits, axis=1)
+def _proxy_predict(bank, feats: np.ndarray) -> np.ndarray:
+    """Class predictions under the bank's margin-free generalized-inner logits
+    (softmax_ce keeps b_theta = 0, so its logits are the raw inner product)."""
+    w = unit_rows(bank.proxies, "proxy")[0] if bank.normalize_proxies else bank.proxies
+    return np.argmax(score_matrix(SimilarityKind(b_theta=bank.b_theta), feats, w), axis=1)
 
 
 def final_report(log: RunLog) -> dict | None:
@@ -424,16 +400,39 @@ def save_runlog(log: RunLog, out_dir) -> None:
 _GRID_AXES = ("r", "alpha", "b_theta")
 
 
-def ablate(grid: dict, base_cfg: TrainConfig, ds: Dataset) -> list:
+def _ablate_cell(cell) -> dict:
+    """One sweep cell: train the base config at the row's (r, alpha, b_theta)
+    and add its EER/TPR, or its error, to the row."""
+    row, base_cfg, ds = cell
+    try:
+        sim = replace(base_cfg.loss.similarity, b_theta=row["b_theta"])
+        loss = replace(base_cfg.loss, r=row["r"], alpha=row["alpha"], similarity=sim)
+        rep = final_report(train(replace(base_cfg, loss=loss), ds))
+        if rep is None:
+            raise DegenerateInputError("run produced no evaluation")
+        row["eer"] = rep["eer"]
+        row["tpr_at_far"] = dict(rep["tpr_at_far"])
+        row["status"] = "ok"
+    except Exception as exc:  # a failed cell must not kill the sweep
+        row["eer"] = None
+        row["tpr_at_far"] = {}
+        row["status"] = f"{type(exc).__name__}: {exc}"
+    return row
+
+
+def ablate(grid: dict, base_cfg: TrainConfig, ds: Dataset, jobs: int = 1) -> list:
     """Sweep (r, alpha, b_theta) cells; one seeded run each.
 
-    Rows come back sorted by (b_theta, r, alpha).  A failing cell records its
-    error in "status" and the sweep continues; missing axes fall back to the
-    base config's value.
+    Rows come back sorted by (b_theta, r, alpha), whatever ``jobs`` (the
+    number of worker processes).  A failing cell records its error in
+    "status" and the sweep continues; missing axes fall back to the base
+    config's value.
     """
     unknown = set(grid) - set(_GRID_AXES)
     if unknown:
         raise ConfigError(f"unknown grid axes {sorted(unknown)}; expected {_GRID_AXES}")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     axes = {}
     base_vals = {
         "r": base_cfg.loss.r,
@@ -445,29 +444,16 @@ def ablate(grid: dict, base_cfg: TrainConfig, ds: Dataset) -> list:
         if not vals:
             raise ConfigError(f"grid axis {name!r} is empty")
         axes[name] = sorted(set(vals))
-    rows = []
-    for bt in axes["b_theta"]:
-        for r in axes["r"]:
-            for alpha in axes["alpha"]:
-                row = {"r": r, "alpha": alpha, "b_theta": bt}
-                try:
-                    sim = replace(base_cfg.loss.similarity, b_theta=bt)
-                    cell = replace(
-                        base_cfg,
-                        loss=replace(base_cfg.loss, r=r, alpha=alpha, similarity=sim),
-                    )
-                    rep = final_report(train(cell, ds))
-                    if rep is None:
-                        raise DegenerateInputError("run produced no evaluation")
-                    row["eer"] = rep["eer"]
-                    row["tpr_at_far"] = dict(rep["tpr_at_far"])
-                    row["status"] = "ok"
-                except Exception as exc:  # a failed cell must not kill the sweep
-                    row["eer"] = None
-                    row["tpr_at_far"] = {}
-                    row["status"] = f"{type(exc).__name__}: {exc}"
-                rows.append(row)
-    return rows
+    cells = [
+        ({"r": r, "alpha": alpha, "b_theta": bt}, base_cfg, ds)
+        for bt in axes["b_theta"]
+        for r in axes["r"]
+        for alpha in axes["alpha"]
+    ]
+    if jobs == 1:
+        return [_ablate_cell(cell) for cell in cells]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(_ablate_cell, cells))
 
 
 def ablate_csv(rows) -> str:

@@ -11,7 +11,9 @@ from pairsim.config import (
     to_genspec,
     to_train_config,
 )
+from pairsim.data import GenSpec
 from pairsim.errors import ConfigError, ParseError
+from pairsim.trainer import TrainConfig
 
 SAMPLE = """
 # ablation cell
@@ -127,6 +129,9 @@ def test_schema_defaults_are_self_consistent():
     assert cfg.loss.r == 3.0 and cfg.loss.similarity.b_theta == 0.3
     spec = to_genspec(conf)
     assert spec.num_classes * spec.samples_per_class == 3200
+    # the schema repeats the dataclass defaults; they must not drift apart
+    assert cfg == TrainConfig()
+    assert spec == GenSpec()
     # every schema key is typed with a known tag
     assert {kind for kind, _ in SCHEMA.values()} <= {
         "int", "float", "bool", "str", "floats", "ints", "strs",

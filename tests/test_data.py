@@ -10,7 +10,6 @@ from pairsim import (
     DegenerateInputError,
     GenSpec,
     ParseError,
-    default_genspec,
     generate,
     load_csv,
     save_csv,
@@ -98,13 +97,12 @@ def test_generate_validation_errors():
         generate(small_spec(family="hypercube_corners", num_classes=5, input_dim=2))
 
 
-def test_default_genspec_is_the_desk_task():
-    spec = default_genspec(seed=42)
+def test_genspec_defaults_are_the_desk_task():
+    spec = GenSpec()
     assert spec.num_classes == 16
     assert spec.samples_per_class == 200
     assert spec.input_dim == 32
     assert spec.noise_scale == 1.0
-    assert spec.seed == 42
 
 
 def test_split_sizes_and_stratification():

@@ -9,6 +9,15 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("[0-9]*.py"))
+# files each demo writes, relative to its working directory
+WRITES = {
+    "01_dataset_tour.py": ["desk_task.csv"],
+    "04_train_default_task.py": [
+        "desk_run/runlog.jsonl", "desk_run/summary.json",
+        "desk_run/checkpoint.bin", "desk_run/roc.svg",
+    ],
+    "05_ablation_sweep.py": ["ablation.csv"],
+}
 
 
 def test_demo_set_is_complete():
@@ -26,3 +35,5 @@ def test_demo_runs(demo, tmp_path):
         capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    for name in WRITES.get(demo.name, []):
+        assert (tmp_path / name).is_file(), name

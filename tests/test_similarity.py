@@ -14,6 +14,7 @@ from pairsim.similarity import (
     score_grad,
     score_matrix,
     score_matrix_grad_left,
+    score_rows,
 )
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -108,6 +109,14 @@ def test_zero_vector_rejected_for_normalized_kinds():
             score(kind(name), z, E1)
         with pytest.raises(DegenerateInputError):
             score_grad(kind(name), E1, z)
+        with pytest.raises(DegenerateInputError):
+            score_matrix(kind(name), np.stack([E1, z]), np.stack([E2]))
+        with pytest.raises(DegenerateInputError):
+            score_matrix(kind(name), np.stack([E1]), np.stack([E2, z]))
+        with pytest.raises(DegenerateInputError):
+            score_rows(kind(name), np.stack([E1, z]), np.stack([E2, E1]))
+        with pytest.raises(DegenerateInputError):
+            score_rows(kind(name), np.stack([E1, E2]), np.stack([E2, z]))
     # generalized_inner and inner accept zero vectors
     assert score(kind("generalized_inner"), z, E1) == 0.0
 
@@ -188,6 +197,10 @@ def test_score_matrix_matches_scalar(name):
     for i in range(4):
         for j in range(6):
             assert s[i, j] == pytest.approx(score(sim, a[i], q[j]), rel=1e-12, abs=1e-12)
+    rows = score_rows(sim, a, q[:4])
+    assert rows.shape == (4,)
+    for i in range(4):
+        assert rows[i] == pytest.approx(score(sim, a[i], q[i]), rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("name", KINDS)

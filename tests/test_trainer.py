@@ -4,16 +4,18 @@ import json
 import numpy as np
 import pytest
 
-from pairsim.data import GenSpec, generate
+from pairsim.data import GenSpec, generate, split
 from pairsim.baselines import norm_blowup_probe
 from pairsim.encoder import load_encoder
 from pairsim.errors import ConfigError
+from pairsim.evaluation import evaluate, report_to_dict
 from pairsim.losses import LossConfig
 from pairsim.similarity import SimilarityKind
 from pairsim.trainer import (
     TrainConfig,
     ablate,
     ablate_csv,
+    encode,
     final_report,
     lr_at,
     save_runlog,
@@ -71,6 +73,21 @@ def test_report_fields_present():
                         "desideratum_margin", "clustering_accuracy"}
     assert 0.0 <= rep["eer"] <= 1.0
     assert set(rep["tpr_at_far"]) == {"0.1", "0.01"}
+
+
+@pytest.mark.parametrize("method", ["simple", "contrastive"])
+def test_train_report_equals_evaluate_on_val_split(method):
+    # the in-training report is `evaluate` on the val split, cut at -b for
+    # simple and at the EER threshold for the baselines
+    cfg = quick_cfg(method=method)
+    log = train(cfg, small_ds())
+    vf = cfg.val_fraction
+    _, val, _ = split(small_ds(), (1.0 - vf, vf, 0.0), seed=cfg.seed)
+    sim = SimilarityKind(b_theta=log.b_theta)
+    rep = evaluate(encode(log.encoder, val.inputs), val.labels, sim,
+                   cfg.eval_num_pos, cfg.eval_num_neg, cfg.seed, cfg.far_targets,
+                   threshold=-log.bias if method == "simple" else None)
+    assert final_report(log) == report_to_dict(rep)
 
 
 def _zero_lr():
@@ -228,6 +245,10 @@ def test_ablate_tolerates_failed_cells():
     assert by_r[-1.0]["eer"] is None
     # the failed row renders as empty metric cells, not a crash
     assert ablate_csv(rows).count("\n") == 3
+    # worker processes return the same rows, failed cell included
+    assert ablate({"r": [1.0, -1.0]}, cfg, small_ds(), jobs=2) == rows
+    with pytest.raises(ConfigError):
+        ablate({"r": [1.0]}, cfg, small_ds(), jobs=0)
     with pytest.raises(ConfigError):
         ablate({"gamma": [1.0]}, cfg, small_ds())
     with pytest.raises(ConfigError):
