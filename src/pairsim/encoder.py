@@ -191,14 +191,25 @@ def save_encoder(net: EncoderNet, path) -> None:
 
 def load_encoder(path) -> EncoderNet:
     with open(path, "rb") as f:
-        header = json.loads(f.readline().decode())
-        if header.get("format") != _MAGIC:
+        try:
+            header = json.loads(f.readline().decode())
+        except ValueError:  # bad UTF-8 or JSON, e.g. a file cut inside its header
+            header = None
+        if not isinstance(header, dict) or header.get("format") != _MAGIC:
             raise ConfigError(f"{path} is not an encoder checkpoint")
         dims = [int(d) for d in header["layer_dims"]]
+
+        def block(*shape):
+            want = 8 * int(np.prod(shape))
+            buf = f.read(want)
+            if len(buf) != want:
+                raise ConfigError(f"{path} is truncated: {len(buf)} of {want} bytes of a block")
+            return np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+
         weights, biases = [], []
         for d_in, d_out in zip(dims[:-1], dims[1:]):
-            buf = f.read(8 * d_in * d_out)
-            weights.append(np.frombuffer(buf, dtype="<f8").reshape(d_in, d_out).copy())
-            buf = f.read(8 * d_out)
-            biases.append(np.frombuffer(buf, dtype="<f8").copy())
+            weights.append(block(d_in, d_out))
+            biases.append(block(d_out))
+        if f.read(1):
+            raise ConfigError(f"{path} has bytes left over after its last layer")
     return EncoderNet(dims, weights, biases, header["activation"])

@@ -112,17 +112,27 @@ def decision_boundary(sim: SimilarityKind, b: float, x1, x2) -> float:
 
 
 def _from_dots(sim: SimilarityKind, dots, n1, n2) -> np.ndarray:
-    """Scores from inner products and norms that broadcast against ``dots``."""
+    """Scores from inner products and norms that broadcast against ``dots``.
+
+    Works in place on ``dots``; each step matches the out-of-place formula
+    bit for bit.
+    """
     if sim.kind == "inner":
         return dots
+    scale = n1 * n2
     if sim.kind == "generalized_inner":
-        return dots - sim.b_theta * (n1 * n2)
+        scale *= sim.b_theta
+        dots -= scale
+        return dots
     if np.any(n1 == 0.0) or np.any(n2 == 0.0):
         raise DegenerateInputError(f"{sim.kind} similarity of a zero vector")
-    cos = dots / (n1 * n2)
+    dots /= scale  # cosine
     if sim.kind == "cosine":
-        return cos
-    return 1.0 - np.arccos(np.clip(cos, -1.0, 1.0)) / np.pi
+        return dots
+    np.clip(dots, -1.0, 1.0, out=dots)
+    np.arccos(dots, out=dots)
+    dots /= np.pi
+    return np.subtract(1.0, dots, out=dots)
 
 
 def score_matrix(sim: SimilarityKind, a, q) -> np.ndarray:

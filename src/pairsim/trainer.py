@@ -135,6 +135,10 @@ class TrainConfig:
             raise ConfigError(f"lr_decay_at fractions must lie in (0, 1), got {self.lr_decay_at}")
         if not 0.0 < self.lr_decay_factor <= 1.0:
             raise ConfigError(f"lr_decay_factor must lie in (0, 1], got {self.lr_decay_factor}")
+        # the proxy bank's logits use b_theta whatever similarity.kind says
+        b_theta = self.loss.similarity.b_theta
+        if self.method == "proxy_gip_ce" and not 0.0 <= b_theta < 1.0:
+            raise ConfigError(f"proxy_gip_ce needs b_theta in [0, 1), got {b_theta}")
 
 
 @dataclass

@@ -57,6 +57,18 @@ def test_invalid_config_key_is_validation_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_proxy_b_theta_out_of_range_is_validation_error(tmp_path, capsys):
+    # proxy_gip_ce uses b_theta in its logits even when the similarity kind
+    # ignores it, so [0, 1) is checked before the run starts
+    cfg = write_quick(
+        tmp_path,
+        "train.method = proxy_gip_ce\nsimilarity.kind = cosine\nsimilarity.b_theta = 1.5\n",
+    )
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "b_theta" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_gen_data_default_row_count(tmp_path, capsys):
     cfg = tmp_path / "empty.cfg"
     cfg.write_text("")

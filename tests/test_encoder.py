@@ -237,3 +237,22 @@ def test_checkpoint_rejects_other_files(tmp_path):
     p.write_bytes(b'{"format": "something-else"}\n')
     with pytest.raises(ConfigError):
         load_encoder(p)
+
+
+def test_checkpoint_truncated_or_padded_is_config_error(tmp_path):
+    net = init_encoder([5, 16, 8], Rng(11), activation="tanh")
+    path = tmp_path / "enc.bin"
+    save_encoder(net, path)
+    blob = path.read_bytes()
+    body = blob.index(b"\n") + 1
+    first_weights = body + 8 * 5 * 16
+    cut = tmp_path / "cut.bin"
+    # inside the header, at its end, inside and at the end of the first
+    # weight block, inside a bias block, one byte short
+    for size in (body // 2, body, body + 12, first_weights, first_weights + 8, len(blob) - 1):
+        cut.write_bytes(blob[:size])
+        with pytest.raises(ConfigError, match="cut.bin"):
+            load_encoder(cut)
+    cut.write_bytes(blob + b"\0")
+    with pytest.raises(ConfigError, match="left over"):
+        load_encoder(cut)

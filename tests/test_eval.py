@@ -6,10 +6,14 @@ deliberately independent of the library implementations.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from pairsim import (
     ConfigError,
@@ -29,6 +33,8 @@ from pairsim import (
     score_pairs,
     tpr_at_far,
 )
+from pairsim.evaluation import _BLOCK, _same_class_pairs, _upper_walk
+from pairsim.similarity import KINDS, score_matrix
 
 
 # ----- oracles ---------------------------------------------------------
@@ -73,6 +79,23 @@ def margin_oracle(features, labels, sim):
             else:
                 mx = max(mx, s)
     return mn - mx
+
+
+def dense_upper(features, sim):
+    """The full score matrix and the (i, j) indices of its i < j pairs
+    (``score_matrix`` is pinned to the scalar ``score`` in test_similarity)."""
+    full = score_matrix(sim, features, features)
+    ii, jj = np.triu_indices(len(features), 1)
+    return full, ii, jj
+
+
+def integer_features(rng, n, d=3):
+    """Small-integer rows: every dot product is exact, so a score does not
+    depend on how the pairs are blocked; the first coordinate is nonzero,
+    so cosine and angular are defined."""
+    feats = rng.integers(-3, 4, size=(n, d)).astype(np.float64)
+    feats[:, 0] = rng.choice([-2.0, -1.0, 1.0, 2.0], size=n)
+    return feats
 
 
 # ----- EER -------------------------------------------------------------
@@ -259,6 +282,28 @@ def test_sample_pair_indices_no_duplicates_and_uniformish():
     assert np.all(neg[:, 0] < neg[:, 1])
 
 
+@pytest.mark.parametrize(
+    "labels",
+    [
+        [0, 0, 0, 1, 1, 1],
+        [3, 1, 3, 3, 0, 1, 1],  # unsorted, with a gap in the class ids
+        [0, 1, 2],  # no same-class pair
+        [5],
+        np.random.default_rng(6).integers(0, 7, size=300),
+    ],
+)
+def test_same_class_pairs_match_triangle_enumeration(labels):
+    # the class-by-class enumeration must list exactly the pairs the full
+    # i < j triangle lists, in the same order, so a seeded permutation over
+    # it draws the same pairs
+    labels = np.asarray(labels, dtype=np.int64)
+    ii, jj = np.triu_indices(labels.size, k=1)
+    keep = labels[ii] == labels[jj]
+    got_i, got_j = _same_class_pairs(labels)
+    assert np.array_equal(got_i, ii[keep])
+    assert np.array_equal(got_j, jj[keep])
+
+
 def test_score_pairs_reuses_fixed_indices():
     rng = np.random.default_rng(7)
     feats = rng.normal(size=(12, 4))
@@ -286,6 +331,13 @@ def test_margin_zero_when_all_features_identical():
     feats = np.tile([1.0, 2.0], (6, 1))
     labels = [0, 0, 0, 1, 1, 1]
     assert desideratum_audit(feats, labels, SimilarityKind("cosine")) == 0.0
+
+
+def test_margin_ignores_self_pairs():
+    # under the plain inner product row 0 scores 1 with itself, below its
+    # same-class pair score 2; only i < j pairs enter the margin
+    feats = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
+    assert desideratum_audit(feats, [0, 0, 1], SimilarityKind("inner")) == 2.0
 
 
 def test_margin_matches_exhaustive_oracle():
@@ -324,15 +376,78 @@ def test_margin_requires_both_pair_kinds():
 
 
 def test_margin_blocking_matches_single_block():
-    # exercise the blocked reduction path explicitly
+    # several row blocks plus a ragged last one, against one dense matrix
     rng = np.random.default_rng(11)
     feats = rng.normal(size=(600, 3))
     labels = rng.integers(0, 4, size=600)
+    assert 600 > 4 * _BLOCK and 600 % _BLOCK
+    for name in KINDS:
+        sim = SimilarityKind(name)
+        full, ii, jj = dense_upper(feats, sim)
+        same = labels[ii] == labels[jj]
+        want = full[ii, jj][same].min() - full[ii, jj][~same].max()
+        assert_allclose(desideratum_audit(feats, labels, sim), want, rtol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    n=st.integers(1, 3 * _BLOCK + 17),
+    classes=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    cut=st.floats(0.0, 1.0),
+)
+@example(kind="generalized_inner", n=_BLOCK, classes=3, seed=0, cut=0.5)
+@example(kind="cosine", n=3 * _BLOCK, classes=4, seed=1, cut=0.9)
+@example(kind="angular", n=2 * _BLOCK + 1, classes=2, seed=2, cut=0.99)
+def test_block_walk_matches_dense_oracle(kind, n, classes, seed, cut):
+    # the walk scores each i < j pair once in row blocks; the oracle scores
+    # the whole dense matrix, takes the audit over its upper triangle and
+    # the components of its symmetric above-threshold adjacency
+    rng = np.random.default_rng(seed)
+    feats = integer_features(rng, n)
+    labels = rng.integers(0, classes, size=n)
+    sim = SimilarityKind(kind)
+    full, ii, jj = dense_upper(feats, sim)
+    upper = full[ii, jj]
+    # a threshold equal to an observed score pins the strict inequality
+    t = float(np.quantile(upper, cut, method="lower")) if upper.size else 0.0
+    adj = full > t
+    np.fill_diagonal(adj, False)
+    _, want_comp = connected_components(csr_matrix(adj), directed=False)
+    assert np.array_equal(cluster_by_threshold(feats, sim, t), want_comp)
+    same = labels[ii] == labels[jj]
+    if not (same.any() and (~same).any()):
+        with pytest.raises(DegenerateInputError):
+            desideratum_audit(feats, labels, sim)
+        return
+    want_margin = float(upper[same].min() - upper[~same].max())
+    assert desideratum_audit(feats, labels, sim) == want_margin
+    # evaluate's single walk yields both at once
+    margin, comp = _upper_walk(feats, sim, labels=labels, threshold=t)
+    assert margin == want_margin
+    assert np.array_equal(comp, want_comp)
+
+
+def test_audit_and_clustering_memory_stays_blockwise():
+    # One dense float64 score matrix for 4,000 rows is 128 MB.  The walk
+    # holds a few (block x n) arrays at a time and, in its first block, the
+    # edge list of block x n pairs: about 33 MB here, where the threshold
+    # makes every pair an edge.  48 MB leaves room for allocator and
+    # library differences while staying far below one dense matrix.
+    rng = np.random.default_rng(12)
+    feats = rng.normal(size=(4000, 8))
+    labels = rng.integers(0, 4, size=4000)
     sim = SimilarityKind()
-    full = desideratum_audit(feats, labels, sim)
-    sub = desideratum_audit(feats[:500], labels[:500], sim)
-    assert np.isfinite(full) and np.isfinite(sub)
-    assert full <= sub + 1e-12  # more pairs can only shrink the margin
+    tracemalloc.start()
+    try:
+        comp = cluster_by_threshold(feats, sim, -1e9)
+        desideratum_audit(feats, labels, sim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(comp == 0)
+    assert peak < 48 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 # ----- threshold clustering --------------------------------------------
