@@ -80,6 +80,12 @@ class Dataset:
         counts = self.class_counts()
         if len(self) == 0:
             raise DegenerateInputError("dataset has no rows")
+        absent = np.flatnonzero(counts == 0)
+        if absent.size:
+            raise DegenerateInputError(
+                f"class ids {absent.tolist()} do not appear in the labels; "
+                f"labels must run 0..K-1 without gaps (here K = {self.num_classes})"
+            )
         thin = np.flatnonzero(counts < 2)
         if thin.size:
             raise DegenerateInputError(

@@ -104,8 +104,11 @@ def batch_loss(cfg: LossConfig, pairs: PairBatch):
     w_pos, w_neg, r = cfg._resolved()
     t = pairs.scores + cfg.b
     pos = pairs.labels == 1
-    losses = np.where(pos, w_pos * softplus(-t / r), w_neg * softplus(r * t))
-    d = np.where(pos, -(w_pos / r) * sigmoid(-t / r), w_neg * r * sigmoid(r * t))
+    # each pair's own branch argument, so softplus and sigmoid run once per
+    # pair; every element gets exactly the value its branch formula gives
+    u = np.where(pos, -t / r, r * t)
+    losses = np.where(pos, w_pos, w_neg) * softplus(u)
+    d = np.where(pos, -(w_pos / r), w_neg * r) * sigmoid(u)
     d_scores = d / n
     return float(np.mean(losses)), d_scores, float(np.sum(d_scores))
 

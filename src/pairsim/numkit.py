@@ -74,11 +74,11 @@ def softplus(t):
 def sigmoid(t):
     """1 / (1 + exp(-t)) without overflow; accepts scalars or arrays."""
     t_arr = np.asarray(t, dtype=np.float64)
-    pos = t_arr >= 0
-    # Evaluate each branch on clamped input so exp never overflows.
-    ep = np.exp(-np.where(pos, t_arr, 0.0))
-    en = np.exp(np.where(pos, 0.0, t_arr))
-    out = np.where(pos, 1.0 / (1.0 + ep), en / (1.0 + en))
+    # exp(-|t|) is exp(-t) on the t >= 0 branch and exp(t) on the other, and
+    # never overflows: one exp and one division serve both branches,
+    # 1 / (1 + exp(-t)) and exp(t) / (1 + exp(t)).
+    e = np.exp(-np.abs(t_arr))
+    out = np.where(t_arr >= 0, 1.0, e) / (1.0 + e)
     if np.isscalar(t) or t_arr.ndim == 0:
         return float(out)
     return out

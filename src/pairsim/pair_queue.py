@@ -19,11 +19,20 @@ from .similarity import SimilarityKind, score_matrix
 
 
 class FeatureQueue:
-    """Ring of (feature, label, step_enqueued) entries, oldest first.
+    """FIFO of (feature, label, step_enqueued, norm) entries, oldest first.
 
     Entries are evicted strictly FIFO.  ``step_enqueued`` is a global
     per-entry counter, so buffer order always carries strictly increasing
-    step values.
+    step values: the live entries hold the last ``size`` of them.  Each
+    entry's Euclidean norm is computed once, when it is enqueued; a row's
+    norm does not depend on the rows stored with it.
+
+    The entries sit as one contiguous oldest-first block inside storage for
+    twice the capacity.  An enqueue writes the new rows just past the block;
+    only when the storage runs out are the surviving entries moved back to
+    its start, once every capacity/m enqueues of m rows.  The block never
+    wraps around, because its order fixes the order in which the pair terms
+    of a step are summed.
     """
 
     def __init__(self, capacity: int, d_feat: int):
@@ -35,9 +44,14 @@ class FeatureQueue:
             raise ConfigError(f"feature dimension must be >= 1, got {d_feat}")
         self.capacity = capacity
         self.d_feat = d_feat
-        self._feat = np.empty((0, d_feat), dtype=np.float64)
-        self._label = np.empty(0, dtype=np.int64)
-        self._step = np.empty(0, dtype=np.int64)
+        # (features, labels, norms) storage, and the live views of it
+        self._store = (
+            np.empty((2 * capacity, d_feat), dtype=np.float64),
+            np.empty(2 * capacity, dtype=np.int64),
+            np.empty(2 * capacity, dtype=np.float64),
+        )
+        self._feat, self._label, self._norm = (a[:0] for a in self._store)
+        self._end = 0  # storage index one past the newest entry
         self._next_step = 0
 
     @property
@@ -55,13 +69,13 @@ class FeatureQueue:
         return self._label.copy()
 
     def steps_enqueued(self) -> np.ndarray:
-        return self._step.copy()
+        return np.arange(self._next_step - self.size, self._next_step, dtype=np.int64)
 
 
 def enqueue_batch(queue: FeatureQueue, features, labels) -> None:
     """Append a batch, evicting the oldest entries past capacity."""
     features = as_matrix(features)
-    labels = np.asarray(labels).ravel().astype(np.int64)
+    labels = np.asarray(labels).ravel().astype(np.int64, copy=False)
     m = features.shape[0]
     if m != labels.size:
         raise ShapeError(f"{m} feature rows but {labels.size} labels")
@@ -73,15 +87,24 @@ def enqueue_batch(queue: FeatureQueue, features, labels) -> None:
         raise ConfigError(
             f"batch of {m} exceeds queue capacity {queue.capacity}"
         )
-    steps = queue._next_step + np.arange(m, dtype=np.int64)
+    keep = min(queue.size, queue.capacity - m)  # entries that stay
+    end = queue._end
+    if end + m > 2 * queue.capacity:
+        # storage used up: move the entries that stay to its start
+        for store in queue._store:
+            store[:keep] = store[end - keep : end]
+        end = keep
+    feat, label, norm = queue._store
+    new = slice(end, end + m)
+    feat[new] = features
+    label[new] = labels
+    # the rows' norms, as np.linalg.norm(features, axis=1) computes them
+    np.add.reduce(features * features, axis=1, out=norm[new])
+    np.sqrt(norm[new], out=norm[new])
     queue._next_step += m
-    feat = np.concatenate([queue._feat, features.copy()])
-    label = np.concatenate([queue._label, labels])
-    step = np.concatenate([queue._step, steps])
-    if feat.shape[0] > queue.capacity:
-        keep = feat.shape[0] - queue.capacity
-        feat, label, step = feat[keep:], label[keep:], step[keep:]
-    queue._feat, queue._label, queue._step = feat, label, step
+    queue._end = end = end + m
+    live = slice(end - keep - m, end)
+    queue._feat, queue._label, queue._norm = feat[live], label[live], norm[live]
 
 
 def form_pairs(
@@ -89,12 +112,15 @@ def form_pairs(
     batch_features,
     batch_labels,
     sim: SimilarityKind,
+    batch_norms=None,
 ) -> PairBatch:
     """Score every batch row against every queue entry.
 
     Returns a PairBatch of exactly m * queue.size pairs in row-major
     order (batch row varies slowest).  y_p = 1 iff the class ids match.
-    Does not mutate the queue.
+    The queue side uses the norms stored at enqueue; ``batch_norms``, when
+    given, are the batch rows' norms (as ``np.linalg.norm(.., axis=1)``
+    gives them).  Does not mutate the queue.
     """
     if queue.size == 0:
         raise DegenerateInputError("cannot form pairs against an empty queue")
@@ -103,7 +129,7 @@ def form_pairs(
     m = batch_features.shape[0]
     if m != batch_labels.size:
         raise ShapeError(f"{m} feature rows but {batch_labels.size} labels")
-    scores = score_matrix(sim, batch_features, queue._feat)
+    scores = score_matrix(sim, batch_features, queue._feat, na=batch_norms, nq=queue._norm)
     return PairBatch(scores=scores, labels=batch_labels[:, None] == queue._label[None, :])
 
 

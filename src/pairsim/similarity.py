@@ -135,15 +135,25 @@ def _from_dots(sim: SimilarityKind, dots, n1, n2) -> np.ndarray:
     return np.subtract(1.0, dots, out=dots)
 
 
-def score_matrix(sim: SimilarityKind, a, q) -> np.ndarray:
-    """All pairwise scores between rows of ``a`` (m x d) and ``q`` (n x d)."""
+def score_matrix(sim: SimilarityKind, a, q, na=None, nq=None) -> np.ndarray:
+    """All pairwise scores between rows of ``a`` (m x d) and ``q`` (n x d).
+
+    ``na`` and ``nq`` are the rows' Euclidean norms, if the caller has them
+    (as ``np.linalg.norm(.., axis=1)`` gives them); otherwise they are
+    computed here, when the kind needs them.
+    """
     a = np.asarray(a, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if a.ndim != 2 or q.ndim != 2 or a.shape[1] != q.shape[1]:
         raise ShapeError(f"score_matrix expects (m,d) and (n,d), got {a.shape} and {q.shape}")
-    na = np.linalg.norm(a, axis=1)
-    nq = np.linalg.norm(q, axis=1)
+    if sim.kind == "inner":
+        return a @ q.T
+    na, nq = _row_norms(a, na), _row_norms(q, nq)
     return _from_dots(sim, a @ q.T, na[:, None], nq[None, :])
+
+
+def _row_norms(a, norms):
+    return np.linalg.norm(a, axis=1) if norms is None else norms
 
 
 def score_rows(sim: SimilarityKind, a, b) -> np.ndarray:
@@ -156,12 +166,13 @@ def score_rows(sim: SimilarityKind, a, b) -> np.ndarray:
     return _from_dots(sim, dots, np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1))
 
 
-def score_matrix_grad_left(sim: SimilarityKind, a, q, d_scores):
+def score_matrix_grad_left(sim: SimilarityKind, a, q, d_scores, na=None, nq=None):
     """Backprop pairwise-score gradients onto the left argument only.
 
     Given d(loss)/d(scores) of shape (m, n), returns (d_a, d_btheta) where
     ``d_a`` has the shape of ``a``. The right side (queue features) is treated
-    as constant; use `score_grad` when both sides need gradients.
+    as constant; use `score_grad` when both sides need gradients.  ``na`` and
+    ``nq`` are optional precomputed row norms, as in `score_matrix`.
     """
     a = np.asarray(a, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -172,8 +183,7 @@ def score_matrix_grad_left(sim: SimilarityKind, a, q, d_scores):
         )
     if sim.kind == "inner":
         return d_scores @ q, 0.0
-    na = np.linalg.norm(a, axis=1)
-    nq = np.linalg.norm(q, axis=1)
+    na, nq = _row_norms(a, na), _row_norms(q, nq)
     if sim.kind == "generalized_inner":
         d_a = d_scores @ q
         # Bias-term gradient -b_theta * (sum_j dS_ij ||q_j||) * a_i/||a_i||,

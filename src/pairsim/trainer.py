@@ -227,9 +227,14 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
         if rms > 0.0:
             enc.weights[0] = enc.weights[0] / rms
     state = SgdState(enc)
-    sim0 = cfg.loss.similarity
     b_now = float(cfg.loss.b)
-    bt_now = float(sim0.b_theta)
+    bt_now = float(cfg.loss.similarity.b_theta)
+    # the run's own copies of the configs: the schedule's lr and the learned
+    # b and b_theta are written into them as they change, so the step loop
+    # neither rebuilds nor re-validates them
+    sim_now = replace(cfg.loss.similarity, b_theta=bt_now)
+    loss_now = replace(cfg.loss, b=b_now, similarity=sim_now)
+    sgd_now = replace(cfg.sgd)
     v_b = 0.0
     v_bt = 0.0
 
@@ -266,94 +271,106 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
 
     log = RunLog()
     gstep = 0
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng.stream(("epoch", epoch)).permutation(n_train)
-        losses = []
-        norms = []
-        correct = 0
-        seen = 0
-        for s in range(steps_per_epoch):
-            rows = order[s * m : (s + 1) * m]
-            x = train_ds.inputs[rows]
-            y = train_ds.labels[rows]
-            feats_raw, cache = forward(enc, x)
-            if cfg.normalize_features:
-                feats, fnorms = unit_rows(feats_raw, "feature vector")
-            else:
-                feats = feats_raw
-            lr_now = lr_at(cfg, gstep, total_steps)
-            sgd_now = replace(cfg.sgd, lr=lr_now)
-            rec = {"step": gstep, "epoch": epoch, "lr": lr_now}
-            d_b = 0.0
-
-            if queue is not None:
-                # pair the batch with the queue, take a score-space loss, and
-                # backprop it through the batch side of the scores
-                sim_now = replace(sim0, b_theta=bt_now)
-                pairs = form_pairs(queue, feats, y, sim_now)
-                if cfg.method == "simple":
-                    loss_now = replace(cfg.loss, b=b_now, similarity=sim_now)
-                    loss, d_scores, d_b = batch_loss(loss_now, pairs)
-                elif cfg.method == "contrastive":
-                    loss, d_scores = contrastive_loss(pairs, cfg.contrastive_margin)
+    try:
+        for epoch in range(1, cfg.epochs + 1):
+            order = rng.stream(("epoch", epoch)).permutation(n_train)
+            losses = []
+            norms = []
+            correct = 0
+            seen = 0
+            for s in range(steps_per_epoch):
+                rows = order[s * m : (s + 1) * m]
+                x = train_ds.inputs[rows]
+                y = train_ds.labels[rows]
+                feats_raw, cache = forward(enc, x)
+                if cfg.normalize_features:
+                    feats, raw_norms = unit_rows(feats_raw, "feature vector")
                 else:
-                    trng = rng.stream(("triplet", gstep))
-                    loss, d_scores, rec["triplets"] = triplet_loss(
-                        pairs, m, cfg.triplet_margin, trng
+                    feats, raw_norms = feats_raw, np.linalg.norm(feats_raw, axis=1)
+                lr_now = sgd_now.lr = lr_at(cfg, gstep, total_steps)
+                rec = {"step": gstep, "epoch": epoch, "lr": lr_now}
+                d_b = 0.0
+
+                if queue is not None:
+                    # pair the batch with the queue, take a score-space loss,
+                    # and backprop it through the batch side of the scores;
+                    # each side's row norms are computed once (the queue's
+                    # at enqueue) and serve both score passes
+                    if cfg.normalize_features:
+                        f_norms = np.linalg.norm(feats, axis=1)
+                    else:
+                        f_norms = raw_norms
+                    pairs = form_pairs(queue, feats, y, sim_now, batch_norms=f_norms)
+                    if cfg.method == "simple":
+                        loss, d_scores, d_b = batch_loss(loss_now, pairs)
+                    elif cfg.method == "contrastive":
+                        loss, d_scores = contrastive_loss(pairs, cfg.contrastive_margin)
+                    else:
+                        trng = rng.stream(("triplet", gstep))
+                        loss, d_scores, rec["triplets"] = triplet_loss(
+                            pairs, m, cfg.triplet_margin, trng
+                        )
+                    d_feats, d_bt = score_matrix_grad_left(
+                        sim_now, feats, queue._feat, d_scores.reshape(m, queue.size),
+                        na=f_norms, nq=queue._norm,
                     )
-                d_feats, d_bt = score_matrix_grad_left(
-                    sim_now, feats, queue.features(), d_scores.reshape(m, queue.size)
-                )
-                rec["pos_ratio"] = pos_neg_ratio(pairs)
-            else:
-                ce = softmax_ce if cfg.method == "softmax_ce" else proxy_gip_ce
-                loss, (d_feats, d_w, d_bt) = ce(bank, feats, y)
-                correct += int(np.sum(_proxy_predict(bank, feats) == y))
-                seen += m
+                    rec["pos_ratio"] = pos_neg_ratio(pairs)
+                else:
+                    ce = softmax_ce if cfg.method == "softmax_ce" else proxy_gip_ce
+                    loss, (d_feats, d_w, d_bt) = ce(bank, feats, y)
+                    correct += int(np.sum(_proxy_predict(bank, feats) == y))
+                    seen += m
 
-            if cfg.normalize_features:
-                d_raw = unit_rows_grad(feats, fnorms, d_feats)
-            else:
-                d_raw = d_feats
-            grads = backward(enc, cache, d_raw)
-            sgd_step(enc, grads, sgd_now, state)
-            if bank is not None:
-                # proxies follow the same momentum/decay rule as the encoder
-                v_proxies *= cfg.sgd.momentum
-                v_proxies += d_w + cfg.sgd.weight_decay * bank.proxies
-                bank.proxies -= lr_now * v_proxies
-            if cfg.method == "simple" and cfg.loss.b_learnable:
-                v_b = cfg.sgd.momentum * v_b + d_b
-                b_now -= lr_now * v_b
-            if sim0.b_theta_learnable and cfg.method != "softmax_ce":
-                v_bt = cfg.sgd.momentum * v_bt + d_bt
-                # project back onto the range SimilarityKind accepts
-                bt_now = min(max(bt_now - lr_now * v_bt, 0.0), _BT_MAX)
+                if cfg.normalize_features:
+                    d_raw = unit_rows_grad(feats, raw_norms, d_feats)
+                else:
+                    d_raw = d_feats
+                grads = backward(enc, cache, d_raw)
+                sgd_step(enc, grads, sgd_now, state)
                 if bank is not None:
-                    bank.b_theta = bt_now
-            if queue is not None:
-                ema_update(ema, enc)
-                enqueue_batch(
-                    queue, encode(ema.params, x, cfg.normalize_features), y
-                )
+                    # proxies follow the same momentum/decay rule as the encoder
+                    v_proxies *= cfg.sgd.momentum
+                    v_proxies += d_w + cfg.sgd.weight_decay * bank.proxies
+                    bank.proxies -= lr_now * v_proxies
+                if cfg.method == "simple" and cfg.loss.b_learnable:
+                    v_b = cfg.sgd.momentum * v_b + d_b
+                    b_now -= lr_now * v_b
+                    loss_now.b = b_now
+                if sim_now.b_theta_learnable and cfg.method != "softmax_ce":
+                    v_bt = cfg.sgd.momentum * v_bt + d_bt
+                    # project back onto the range SimilarityKind accepts
+                    bt_now = min(max(bt_now - lr_now * v_bt, 0.0), _BT_MAX)
+                    sim_now.b_theta = bt_now
+                    if bank is not None:
+                        bank.b_theta = bt_now
+                if queue is not None:
+                    ema_update(ema, enc)
+                    enqueue_batch(
+                        queue, encode(ema.params, x, cfg.normalize_features), y
+                    )
 
-            norms.append(float(np.mean(np.linalg.norm(feats_raw, axis=1))))
-            rec["loss"] = loss
-            log.steps.append(rec)
-            losses.append(loss)
-            gstep += 1
+                norms.append(float(np.mean(raw_norms)))
+                rec["loss"] = loss
+                log.steps.append(rec)
+                losses.append(loss)
+                gstep += 1
 
-        erec = {
-            "epoch": epoch,
-            "train_loss": float(np.mean(losses)),
-            "mean_feature_norm": float(np.mean(norms)),
-        }
-        if seen:
-            erec["train_accuracy"] = correct / seen
-        if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
-            sim_now = replace(sim0, b_theta=bt_now)
-            erec["eval"] = _eval_on_pairs(cfg, enc, val_ds, sim_now, b_now)
-        log.epochs.append(erec)
+            erec = {
+                "epoch": epoch,
+                "train_loss": float(np.mean(losses)),
+                "mean_feature_norm": float(np.mean(norms)),
+            }
+            if seen:
+                erec["train_accuracy"] = correct / seen
+            if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
+                erec["eval"] = _eval_on_pairs(cfg, enc, val_ds, sim_now, b_now)
+            log.epochs.append(erec)
+    except FloatingPointError as exc:
+        # name where the run diverged: a step, or the evaluation that follows
+        # the epoch's last step (gstep counts only the steps that finished)
+        evaluating = gstep == epoch * steps_per_epoch
+        where = f"evaluation after step {gstep - 1}" if evaluating else f"step {gstep}"
+        raise FloatingPointError(f"{where} (epoch {epoch}) of {cfg.method}: {exc}") from exc
 
     log.encoder = enc
     log.ema = ema.params if ema is not None else None

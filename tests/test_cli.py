@@ -131,6 +131,27 @@ def test_eval_roundtrip_and_missing_checkpoint_key(tmp_path, capsys):
     assert "eval.checkpoint" in capsys.readouterr().err
 
 
+def test_label_gaps_fail_train_but_not_eval(tmp_path, capsys):
+    cfg = write_quick(tmp_path)
+    run = tmp_path / "run"
+    assert main(["gen-data", "--config", cfg, "--out", str(run)]) == 0
+    assert main(["train", "--config", cfg, "--out", str(run)]) == 0
+    # drop class 1: the CSV's labels are {0, 2, 3}
+    lines = (run / "dataset.csv").read_text().splitlines()
+    gapped = tmp_path / "gapped.csv"
+    kept = [line for line in lines[1:] if not line.startswith("1,")]
+    gapped.write_text("\n".join([lines[0], *kept]) + "\n")
+    capsys.readouterr()
+    train_cfg = write_quick(tmp_path, f"data.csv = {gapped}\n")
+    assert main(["train", "--config", train_cfg, "--out", str(tmp_path / "t")]) == 2
+    err = capsys.readouterr().err
+    assert "class ids [1] do not appear" in err and "without gaps" in err
+    # eval never needs every class, so it keeps accepting gapped labels
+    evalcfg = tmp_path / "eval.cfg"
+    evalcfg.write_text(QUICK + f"data.csv = {gapped}\neval.checkpoint = {run / 'checkpoint.bin'}\n")
+    assert main(["eval", "--config", str(evalcfg), "--out", str(tmp_path / "e")]) == 0
+
+
 def test_eval_missing_checkpoint_file_is_runtime_error(tmp_path, capsys):
     evalcfg = tmp_path / "eval.cfg"
     evalcfg.write_text(QUICK + "eval.checkpoint = ghost.bin\n")

@@ -178,6 +178,16 @@ def test_dataset_validation():
         thin.require_pairable()
 
 
+def test_label_gaps_are_named_on_their_own():
+    # labels {0, 2, 3}: class 1 is absent, class 3 is thin; the gap is the
+    # error, and only the absent id is named
+    gapped = Dataset(inputs=np.ones((5, 2)), labels=[0, 0, 2, 2, 3], num_classes=4)
+    with pytest.raises(DegenerateInputError, match=r"class ids \[1\] do not appear") as err:
+        gapped.require_pairable()
+    assert "without gaps" in str(err.value)
+    assert "fewer than 2" not in str(err.value)
+
+
 def test_csv_round_trip_is_value_exact(tmp_path):
     ds = generate(small_spec(seed=21))
     path = tmp_path / "ds.csv"

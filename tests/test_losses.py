@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from pairsim.errors import ConfigError, ShapeError
 from pairsim.gradcheck import numerical_grad_scalar
 from pairsim.losses import LossConfig, PairBatch, batch_loss, mining_curves, pair_loss, pair_loss_grad
+from pairsim.numkit import sigmoid, softplus
 
 
 def cfg(variant="simple_final", r=3.0, alpha=0.001, b=0.0):
@@ -140,6 +141,52 @@ def test_batch_loss_hand_summed():
     loss, d_scores, d_b = batch_loss(c, PairBatch(scores=scores, labels=labels))
     assert loss == pytest.approx(expected, rel=1e-12)
     assert d_b == pytest.approx(sum(d_scores), rel=1e-12)
+
+
+def two_branch_batch_loss(c, pairs):
+    """The two-branch form: both softplus and both sigmoid branches on every
+    pair, then a select.  Oracle for the single-branch kernel."""
+    w_pos, w_neg, r = c._resolved()
+    t = pairs.scores + c.b
+    pos = pairs.labels == 1
+    losses = np.where(pos, w_pos * softplus(-t / r), w_neg * softplus(r * t))
+    d = np.where(pos, -(w_pos / r) * sigmoid(-t / r), w_neg * r * sigmoid(r * t))
+    d_scores = d / len(pairs)
+    return float(np.mean(losses)), d_scores, float(np.sum(d_scores))
+
+
+@given(
+    st.sampled_from(["naive", "balanced", "simple_final"]),
+    st.floats(0.05, 20.0),
+    st.floats(0.001, 0.999),
+    st.floats(-5.0, 5.0),
+    st.lists(
+        st.tuples(st.floats(-400.0, 400.0, allow_subnormal=True), st.integers(0, 1)),
+        min_size=1,
+        max_size=64,
+    ),
+)
+def test_batch_loss_bit_identical_to_two_branch_form(variant, r, alpha, b, pairs):
+    # scores up to 400 with r up to 20 put |u| well past softplus' +-30 cut
+    c = cfg(variant, r=r, alpha=alpha, b=b)
+    pb = PairBatch(scores=[p[0] for p in pairs], labels=[p[1] for p in pairs])
+    loss, d_scores, d_b = batch_loss(c, pb)
+    want_loss, want_d, want_db = two_branch_batch_loss(c, pb)
+    assert loss == want_loss and d_b == want_db
+    assert d_scores.tobytes() == want_d.tobytes()
+
+
+def test_batch_loss_bit_identical_past_the_softplus_cut():
+    # fixed grid straddling u = +-30 on both branches, every variant
+    scores = np.concatenate([np.linspace(-150.0, 150.0, 601), [-30.0, 30.0, -10.0, 10.0]])
+    labels = np.arange(scores.size) % 2
+    pb = PairBatch(scores=scores, labels=labels)
+    for variant in ("naive", "balanced", "simple_final"):
+        c = cfg(variant, r=3.0, alpha=0.2, b=0.1)
+        loss, d_scores, d_b = batch_loss(c, pb)
+        want_loss, want_d, want_db = two_branch_batch_loss(c, pb)
+        assert loss == want_loss and d_b == want_db
+        assert d_scores.tobytes() == want_d.tobytes()
 
 
 def test_empty_batch_rejected():

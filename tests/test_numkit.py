@@ -50,6 +50,41 @@ def test_sigmoid_complement(t):
     assert sigmoid(t) + sigmoid(-t) == pytest.approx(1.0, abs=1e-15)
 
 
+def two_exp_sigmoid(t):
+    """Each branch on its own clamped exp; oracle for the one-exp sigmoid."""
+    t = np.asarray(t, dtype=np.float64)
+    pos = t >= 0
+    ep = np.exp(-np.where(pos, t, 0.0))
+    en = np.exp(np.where(pos, 0.0, t))
+    return np.where(pos, 1.0 / (1.0 + ep), en / (1.0 + en))
+
+
+SIGMOID_EDGES = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1.0, -1.0, 36.7, -36.7,
+                 709.0, -709.0, 709.8, -709.8, 745.0, -745.0, 746.0, -746.0,
+                 1e308, -1e308, np.finfo(float).max, -np.finfo(float).max,
+                 np.inf, -np.inf]
+
+
+@pytest.mark.filterwarnings("error")
+def test_sigmoid_bit_identical_to_two_exp_form_on_edges():
+    t = np.array(SIGMOID_EDGES)
+    got = sigmoid(t)
+    assert got.tobytes() == two_exp_sigmoid(t).tobytes()
+    # the scalar path gives the same bits, signed zeros included
+    for x, want in zip(t, got):
+        assert np.float64(sigmoid(float(x))).tobytes() == want.tobytes()
+    sweep = np.concatenate([np.linspace(-800.0, 800.0, 16001), np.logspace(-320, 308, 500)])
+    sweep = np.concatenate([sweep, -sweep])
+    assert sigmoid(sweep).tobytes() == two_exp_sigmoid(sweep).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@given(st.floats(allow_nan=False, allow_subnormal=True))
+def test_sigmoid_bit_identical_to_two_exp_form(t):
+    assert np.float64(sigmoid(t)).tobytes() == two_exp_sigmoid(t).tobytes()
+
+
+
 def test_rng_determinism():
     a = Rng(123).normal(size=10_000)
     b = Rng(123).normal(size=10_000)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from pairsim import (
@@ -59,6 +60,36 @@ def test_steps_strictly_increasing_after_random_enqueues():
         steps = q.steps_enqueued()
         assert np.all(np.diff(steps) > 0)
         assert q.size <= q.capacity
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.sampled_from([1, 3, 8, 33]),
+    st.lists(st.integers(1, 12), min_size=1, max_size=30),
+    st.integers(0, 2**32 - 1),
+)
+def test_queue_matches_list_fifo_model(capacity, d, batch_sizes, seed):
+    # partial fills, batches of every size up to the capacity, and enough
+    # enqueues to move the block inside its storage several times
+    q = FeatureQueue(capacity=capacity, d_feat=d)
+    rng = np.random.default_rng(seed)
+    model = []  # (feature row, label, step), oldest first
+    step = 0
+    for m in batch_sizes:
+        m = min(m, capacity)
+        rows = rng.normal(size=(m, d)) * rng.uniform(0.1, 10.0, size=(m, 1))
+        labels = rng.integers(0, 5, size=m)
+        enqueue_batch(q, rows, labels)
+        model += [(rows[i], int(labels[i]), step + i) for i in range(m)]
+        model = model[-capacity:]
+        step += m
+        assert q.size == len(q) == len(model)
+        assert np.array_equal(q.features(), np.array([e[0] for e in model]))
+        assert np.array_equal(q.labels(), [e[1] for e in model])
+        assert np.array_equal(q.steps_enqueued(), [e[2] for e in model])
+        # norms cached at enqueue equal the norms of the whole block, bit for bit
+        assert q._norm.tobytes() == np.linalg.norm(q.features(), axis=1).tobytes()
 
 
 def test_batch_larger_than_capacity_rejected():

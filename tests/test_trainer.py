@@ -1,15 +1,17 @@
 import functools
 import json
+import re
 
 import numpy as np
 import pytest
 
 from pairsim.data import GenSpec, generate, split
 from pairsim.baselines import norm_blowup_probe
-from pairsim.encoder import load_encoder
+from pairsim.encoder import SgdConfig, load_encoder
 from pairsim.errors import ConfigError
 from pairsim.evaluation import evaluate, report_to_dict
 from pairsim.losses import LossConfig
+from pairsim import trainer as trainer_module
 from pairsim.similarity import SimilarityKind
 from pairsim.trainer import (
     TrainConfig,
@@ -175,6 +177,32 @@ def test_learnable_b_theta_stays_in_range():
         log = train(quick_cfg(method=method, loss=loss), small_ds())
         assert 0.0 <= log.b_theta < 1.0, method
         assert log.b_theta != 0.3, method
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_names_step_epoch_and_method():
+    # relu features overflow within a few steps at this learning rate
+    cfg = quick_cfg(activation="relu", sgd=SgdConfig(lr=1e6))
+    with pytest.raises(FloatingPointError) as err:
+        train(cfg, small_ds())
+    msg = str(err.value)
+    want = r"step \d+ \(epoch 1\) of simple: encoder features contains NaN or Inf"
+    assert re.fullmatch(want, msg), msg
+    assert isinstance(err.value.__cause__, FloatingPointError)
+    assert str(err.value.__cause__) == "encoder features contains NaN or Inf"
+    # the sweep keeps the named message in the cell's status
+    row = ablate({}, cfg, small_ds())[0]
+    assert row["status"] == f"FloatingPointError: {msg}"
+
+
+def test_divergence_in_evaluation_names_the_step_before(monkeypatch):
+    def diverged(*args):
+        raise FloatingPointError("encoder features contains NaN or Inf")
+
+    monkeypatch.setattr(trainer_module, "_eval_on_pairs", diverged)
+    with pytest.raises(FloatingPointError, match=r"^evaluation after step 7 \(epoch 1\) of "
+                       r"contrastive: encoder features contains NaN or Inf$"):
+        train(quick_cfg(method="contrastive"), small_ds())  # 8 steps per epoch
 
 
 def test_norm_probe_reads_runlog():
