@@ -16,7 +16,6 @@ from pairsim import (
     LossConfig,
     Rng,
     SgdConfig,
-    SgdState,
     SimilarityKind,
     backward,
     batch_loss,
@@ -69,9 +68,9 @@ print(f"batch loss {loss:.4f}, d_loss/d_b {d_b:+.4f}")
 # gradient; with the plain inner product that collapses to one matmul
 # over the queue (pairs are row-major: batch row i x queue slot j)
 d_feats = d_scores.reshape(m, queue.size) @ queue.features()
-grads = backward(enc, cache, d_feats)
-state = SgdState(enc)
-sgd_step(enc, grads, SgdConfig(lr=0.05), state)
+grads = backward(enc, cache, d_feats)  # one vector, laid out like enc.theta
+velocity = np.zeros_like(enc.theta)
+sgd_step(enc.theta, grads, SgdConfig(lr=0.05), velocity)
 
 # the momentum encoder trails by a factor eta per step, then the fresh
 # features join the queue and the oldest 32 fall off the far end
@@ -79,7 +78,7 @@ oldest_before = int(queue.steps_enqueued()[0])
 ema_update(ema, enc)
 enqueue_batch(queue, feats, labels)
 print(f"queue advanced: oldest entry step {oldest_before} -> {queue.steps_enqueued()[0]}")
-w_gap = max(np.abs(a - b).max() for a, b in zip(ema.params.weights, enc.weights))
+w_gap = np.abs(ema.params.theta - enc.theta).max()
 print(f"after the update the momentum copy still lags the live encoder "
       f"(max parameter gap {w_gap:.3f}); it closes 1% of that gap per step, "
       f"keeping queue features consistent across many steps")

@@ -22,7 +22,6 @@ from .encoder import (
     EncoderNet,
     EmaEncoder,
     SgdConfig,
-    SgdState,
     init_encoder,
     forward,
     backward,

@@ -1,14 +1,22 @@
 """Feedforward feature encoder with manual backprop.
 
 The encoder is a small MLP (hidden activations relu or tanh, linear output,
-deliberately no output normalization). `forward` caches what `backward`
-needs; `sgd_step` and `ema_update` mutate in place and are the only mutating
-entry points. Checkpoints round-trip bit-exactly.
+deliberately no output normalization). All of its parameters live in one
+contiguous float64 vector `theta`, in checkpoint order: w0, b0, w1, b1, ...,
+each weight matrix row-major. `weights[l]` (d_l x d_{l+1}) and `biases[l]`
+are views into `theta`, so writing a layer writes `theta`; update them in
+place and never rebind them or `theta`. `backward` returns a gradient vector
+of the same layout, so `sgd_step`, `ema_update` and the checkpoint each act
+on one vector. `forward` caches what `backward` needs; `sgd_step` and
+`ema_update` mutate in place and are the only mutating entry points.
+Checkpoints round-trip bit-exactly.
 """
 
 from __future__ import annotations
 
 import json
+import operator
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,29 +27,55 @@ from .numkit import Rng, check_finite
 ACTIVATIONS = ("relu", "tanh")
 
 
+def _architecture(layer_dims, activation) -> list[int]:
+    """The validated layer dims as ints: at least input and output, each >= 1."""
+    if activation not in ACTIVATIONS:
+        raise ConfigError(f"unknown activation {activation!r}")
+    try:
+        dims = [operator.index(d) for d in layer_dims]
+    except TypeError:
+        dims = []
+    if len(dims) < 2 or min(dims) < 1:
+        raise ConfigError(f"need at least input and output dims, each >= 1, got {layer_dims!r}")
+    return dims
+
+
+def _layers(dims, vec: np.ndarray):
+    """(weight views, bias views) of a flat vector in checkpoint order."""
+    weights, biases, i = [], [], 0
+    for d_in, d_out in zip(dims[:-1], dims[1:]):
+        weights.append(vec[i : i + d_in * d_out].reshape(d_in, d_out))
+        i += d_in * d_out
+        biases.append(vec[i : i + d_out])
+        i += d_out
+    return weights, biases
+
+
+def _num_params(dims) -> int:
+    return sum((d_in + 1) * d_out for d_in, d_out in zip(dims[:-1], dims[1:]))
+
+
 @dataclass
 class EncoderNet:
     layer_dims: list[int]
-    weights: list[np.ndarray]  # weights[l]: (layer_dims[l], layer_dims[l+1])
-    biases: list[np.ndarray]  # biases[l]: (layer_dims[l+1],)
+    theta: np.ndarray  # every parameter, in checkpoint order
     activation: str = "relu"
+    weights: list = field(init=False, repr=False)  # views: (layer_dims[l], layer_dims[l+1])
+    biases: list = field(init=False, repr=False)  # views: (layer_dims[l+1],)
+
+    def __post_init__(self):
+        self.theta = np.ascontiguousarray(self.theta, dtype=np.float64)
+        if self.theta.shape != (_num_params(self.layer_dims),):
+            raise ShapeError(
+                f"theta shape {self.theta.shape} does not match layer dims {self.layer_dims}"
+            )
+        self.weights, self.biases = _layers(self.layer_dims, self.theta)
 
     def num_layers(self) -> int:
         return len(self.weights)
 
     def copy(self) -> "EncoderNet":
-        return EncoderNet(
-            list(self.layer_dims),
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.activation,
-        )
-
-
-@dataclass
-class ParamGrads:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+        return EncoderNet(list(self.layer_dims), self.theta.copy(), self.activation)
 
 
 @dataclass
@@ -73,16 +107,11 @@ class SgdConfig:
 
 def init_encoder(layer_dims, rng: Rng, activation: str = "relu") -> EncoderNet:
     """He-style init: W ~ N(0, sqrt(2/fan_in)), biases zero."""
-    if activation not in ACTIVATIONS:
-        raise ConfigError(f"unknown activation {activation!r}")
-    if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
-        raise ConfigError(f"need at least input and output dims, got {layer_dims}")
-    weights, biases = [], []
-    for l, (d_in, d_out) in enumerate(zip(layer_dims[:-1], layer_dims[1:])):
-        scale = np.sqrt(2.0 / d_in)
-        weights.append(rng.stream(("w", l)).normal(size=(d_in, d_out), scale=scale))
-        biases.append(np.zeros(d_out))
-    return EncoderNet(list(layer_dims), weights, biases, activation)
+    dims = _architecture(layer_dims, activation)
+    net = EncoderNet(dims, np.zeros(_num_params(dims)), activation)
+    for l, w in enumerate(net.weights):
+        w[...] = rng.stream(("w", l)).normal(size=w.shape, scale=np.sqrt(2.0 / w.shape[0]))
+    return net
 
 
 def forward(net: EncoderNet, batch: np.ndarray):
@@ -111,14 +140,18 @@ def forward(net: EncoderNet, batch: np.ndarray):
     return h, (inputs, preacts)
 
 
-def backward(net: EncoderNet, cache, grad_features: np.ndarray) -> ParamGrads:
-    """Chain-rule d(loss)/d(params) from d(loss)/d(features); net unchanged."""
+def backward(net: EncoderNet, cache, grad_features: np.ndarray) -> np.ndarray:
+    """Chain-rule d(loss)/d(theta) from d(loss)/d(features); net unchanged.
+
+    The gradient vector has `theta`'s layout; each layer is written straight
+    into its slice.
+    """
     inputs, preacts = cache
     g = np.asarray(grad_features, dtype=np.float64)
     if g.shape != (inputs[0].shape[0], net.layer_dims[-1]):
         raise ShapeError(f"grad_features shape {g.shape} does not match forward output")
-    d_weights = [None] * net.num_layers()
-    d_biases = [None] * net.num_layers()
+    grad = np.empty_like(net.theta)
+    d_weights, d_biases = _layers(net.layer_dims, grad)
     last = net.num_layers() - 1
     for l in range(last, -1, -1):
         if l < last:
@@ -127,33 +160,24 @@ def backward(net: EncoderNet, cache, grad_features: np.ndarray) -> ParamGrads:
                 g = g * (z > 0.0)
             else:
                 g = g * (1.0 - np.tanh(z) ** 2)
-        d_weights[l] = inputs[l].T @ g
-        d_biases[l] = g.sum(axis=0)
+        np.matmul(inputs[l].T, g, out=d_weights[l])
+        g.sum(axis=0, out=d_biases[l])
         if l > 0:
             g = g @ net.weights[l].T
-    return ParamGrads(d_weights, d_biases)
+    return grad
 
 
-class SgdState:
-    """Momentum buffers for one encoder (created lazily, all zeros)."""
+def sgd_step(theta: np.ndarray, grad: np.ndarray, cfg: SgdConfig, v: np.ndarray) -> None:
+    """v <- momentum*v + grad + weight_decay*theta;  theta <- theta - lr*v.
 
-    def __init__(self, net: EncoderNet):
-        self.v_weights = [np.zeros_like(w) for w in net.weights]
-        self.v_biases = [np.zeros_like(b) for b in net.biases]
-
-
-def sgd_step(net: EncoderNet, grads: ParamGrads, cfg: SgdConfig, state: SgdState) -> None:
-    """v <- momentum*v + grad + weight_decay*theta;  theta <- theta - lr*v."""
-    for w, g, v in zip(net.weights, grads.weights, state.v_weights):
-        if w.shape != g.shape:
-            raise ShapeError(f"gradient shape {g.shape} does not match weight {w.shape}")
-        v *= cfg.momentum
-        v += g + cfg.weight_decay * w
-        w -= cfg.lr * v
-    for b, g, v in zip(net.biases, grads.biases, state.v_biases):
-        v *= cfg.momentum
-        v += g + cfg.weight_decay * b
-        b -= cfg.lr * v
+    Updates `theta` and the velocity `v` (start it at zeros) in place; any
+    parameter array serves, the encoder's `theta` or the proxy bank.
+    """
+    if grad.shape != theta.shape:
+        raise ShapeError(f"gradient shape {grad.shape} does not match parameters {theta.shape}")
+    v *= cfg.momentum
+    v += grad + cfg.weight_decay * theta
+    theta -= cfg.lr * v
 
 
 def ema_update(ema: EmaEncoder, net: EncoderNet) -> None:
@@ -162,17 +186,12 @@ def ema_update(ema: EmaEncoder, net: EncoderNet) -> None:
         raise ShapeError(
             f"EMA shape {ema.params.layer_dims} does not match encoder {net.layer_dims}"
         )
-    eta = ema.eta
-    for pq, p in zip(ema.params.weights, net.weights):
-        pq *= eta
-        pq += (1.0 - eta) * p
-    for pq, p in zip(ema.params.biases, net.biases):
-        pq *= eta
-        pq += (1.0 - eta) * p
+    ema.params.theta *= ema.eta
+    ema.params.theta += (1.0 - ema.eta) * net.theta
 
 
-# Checkpoint format: one JSON header line, then the raw little-endian float64
-# bytes of every weight matrix and bias vector in layer order, row-major.
+# Checkpoint format: one JSON header line, then `theta` as raw little-endian
+# float64 bytes: every weight matrix (row-major) and bias vector, layer by layer.
 _MAGIC = "pairsim-encoder-v1"
 
 
@@ -184,9 +203,7 @@ def save_encoder(net: EncoderNet, path) -> None:
     }
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        for w, b in zip(net.weights, net.biases):
-            f.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+        f.write(net.theta.astype("<f8", copy=False).tobytes())
 
 
 def load_encoder(path) -> EncoderNet:
@@ -197,19 +214,17 @@ def load_encoder(path) -> EncoderNet:
             header = None
         if not isinstance(header, dict) or header.get("format") != _MAGIC:
             raise ConfigError(f"{path} is not an encoder checkpoint")
-        dims = [int(d) for d in header["layer_dims"]]
-
-        def block(*shape):
-            want = 8 * int(np.prod(shape))
-            buf = f.read(want)
-            if len(buf) != want:
-                raise ConfigError(f"{path} is truncated: {len(buf)} of {want} bytes of a block")
-            return np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-
-        weights, biases = [], []
-        for d_in, d_out in zip(dims[:-1], dims[1:]):
-            weights.append(block(d_in, d_out))
-            biases.append(block(d_out))
-        if f.read(1):
+        try:
+            dims = _architecture(header.get("layer_dims"), header.get("activation"))
+        except ConfigError as exc:
+            raise ConfigError(f"{path} has a bad header: {exc}") from None
+        # size the body from the file, so a header promising more than the
+        # file holds fails here instead of allocating that much
+        want = 8 * _num_params(dims)
+        have = os.fstat(f.fileno()).st_size - f.tell()
+        if have < want:
+            raise ConfigError(f"{path} is truncated: {have} of {want} bytes of parameters")
+        if have > want:
             raise ConfigError(f"{path} has bytes left over after its last layer")
-    return EncoderNet(dims, weights, biases, header["activation"])
+        theta = np.frombuffer(f.read(want), dtype="<f8").astype(np.float64)
+    return EncoderNet(dims, theta, header["activation"])

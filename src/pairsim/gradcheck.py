@@ -17,7 +17,11 @@ def numerical_grad_scalar(f, x: float, step: float = 1e-6) -> float:
 
 
 def numerical_grad(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of scalar f w.r.t. every entry of x."""
+    """Central-difference gradient of scalar f w.r.t. every entry of x.
+
+    A float64 x is perturbed in place, one entry at a time, and each entry is
+    restored exactly, so f may read x through a view instead of its argument.
+    """
     x = np.asarray(x, dtype=np.float64)
     grad = np.zeros_like(x)
     flat = x.ravel()
@@ -44,18 +48,6 @@ def max_rel_err(analytic, numeric, floor: float = 1.0) -> float:
     n = np.asarray(numeric, dtype=np.float64).ravel()
     denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
     return float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
-
-
-def _flat_params(net):
-    return np.concatenate([a.ravel() for a in (*net.weights, *net.biases)])
-
-
-def _load_params(net, flat):
-    i = 0
-    for arrs in (net.weights, net.biases):
-        for a in arrs:
-            a[...] = flat[i : i + a.size].reshape(a.shape)
-            i += a.size
 
 
 def _score_fixture(rng, sim, d=5):
@@ -151,23 +143,20 @@ def component_checks(seed: int = 0) -> list:
         )
         out.append((f"batch_loss_{variant}", err, 1e-6))
 
-    # encoder backward against a fixed linear readout
+    # encoder backward against a fixed linear readout; numerical_grad
+    # perturbs the net's own theta entry by entry and restores each entry
     erng = rng.stream("encoder")
     net = init_encoder([4, 6, 3], erng.stream("init"), activation="tanh")
     x = erng.normal(size=(3, 4))
     readout = erng.normal(size=(3, 3))
 
-    def f_net(flat):
-        _load_params(net, flat)
+    def f_net(_theta):
         feats, _ = forward(net, x)
         return float(np.sum(readout * feats))
 
-    flat0 = _flat_params(net)
     feats, cache = forward(net, x)
-    grads = backward(net, cache, readout)
-    analytic = np.concatenate([a.ravel() for a in (*grads.weights, *grads.biases)])
-    numeric = numerical_grad(f_net, flat0.copy())
-    _load_params(net, flat0)
+    analytic = backward(net, cache, readout)
+    numeric = numerical_grad(f_net, net.theta)
     out.append(("encoder_backward", max_rel_err(analytic, numeric, floor=1e-3), 1e-4))
 
     # full pipeline: params -> features -> score matrix -> batch loss
@@ -188,8 +177,7 @@ def component_checks(seed: int = 0) -> list:
                 break
         y = (blabels[:, None] == qlabels[None, :]).astype(int).ravel()
 
-        def f_pipe(flat, b=None, b_theta=None):
-            _load_params(pnet, flat)
+        def f_pipe(_theta=None, b=None, b_theta=None):
             s = sim if b_theta is None else SimilarityKind(kind, b_theta=b_theta)
             c = cfg if b is None else LossConfig(cfg.variant, cfg.r, cfg.alpha, b, similarity=s)
             if b is None and b_theta is not None:
@@ -198,21 +186,18 @@ def component_checks(seed: int = 0) -> list:
             sc = score_matrix(s, feats, qfeat).ravel()
             return batch_loss(c, PairBatch(sc, y))[0]
 
-        flat0 = _flat_params(pnet)
         feats, cache = forward(pnet, px)
         sc = score_matrix(sim, feats, qfeat)
         _, d_scores, d_b = batch_loss(cfg, PairBatch(sc.ravel(), y))
         d_feats, d_btheta = score_matrix_grad_left(sim, feats, qfeat, d_scores.reshape(3, 6))
-        grads = backward(pnet, cache, d_feats)
-        analytic = np.concatenate([a.ravel() for a in (*grads.weights, *grads.biases)])
-        numeric = numerical_grad(f_pipe, flat0.copy())
+        analytic = backward(pnet, cache, d_feats)
+        numeric = numerical_grad(f_pipe, pnet.theta)
         err = max_rel_err(analytic, numeric, floor=1e-3)
-        n_b = numerical_grad_scalar(lambda b: f_pipe(flat0, b=b), cfg.b)
+        n_b = numerical_grad_scalar(lambda b: f_pipe(b=b), cfg.b)
         err = max(err, max_rel_err(np.array([d_b]), np.array([n_b]), floor=1e-3))
         if kind == "generalized_inner":
-            n_bt = numerical_grad_scalar(lambda t: f_pipe(flat0, b_theta=t), 0.3)
+            n_bt = numerical_grad_scalar(lambda t: f_pipe(b_theta=t), 0.3)
             err = max(err, max_rel_err(np.array([d_btheta]), np.array([n_bt]), floor=1e-3))
-        _load_params(pnet, flat0)
         out.append((f"composition_{kind}", err, 1e-4))
 
     # proxy cross entropies over a 3-row batch: features, proxies and b_theta

@@ -52,20 +52,12 @@ def unit_rows_grad(unit: np.ndarray, norms: np.ndarray, d_unit: np.ndarray) -> n
     return (d_unit - radial[:, None] * unit) / norms[:, None]
 
 
-# Branch points for the stable softplus evaluation: above 30 the log1p term is
-# below float64 resolution, below -30 log1p(x) == x to the same resolution.
-_SOFTPLUS_CUT = 30.0
-
-
 def softplus(t):
     """log(1 + exp(t)), stable for large |t|; accepts scalars or arrays."""
     t_arr = np.asarray(t, dtype=np.float64)
-    clipped = np.clip(t_arr, -_SOFTPLUS_CUT, _SOFTPLUS_CUT)
-    out = np.where(
-        t_arr > _SOFTPLUS_CUT,
-        t_arr,
-        np.where(t_arr < -_SOFTPLUS_CUT, np.exp(clipped), np.log1p(np.exp(clipped))),
-    )
+    # log(1 + exp(t)) = max(t, 0) + log(1 + exp(-|t|)): one exp, which never
+    # overflows, and far below zero the result is exp(t) to full precision
+    out = np.maximum(t_arr, 0.0) + np.log1p(np.exp(-np.abs(t_arr)))
     if np.isscalar(t) or t_arr.ndim == 0:
         return float(out)
     return out

@@ -49,7 +49,6 @@ from .encoder import (
     EmaEncoder,
     EncoderNet,
     SgdConfig,
-    SgdState,
     backward,
     ema_update,
     forward,
@@ -60,7 +59,7 @@ from .encoder import (
 from .errors import ConfigError, DegenerateInputError
 from .evaluation import _pair_totals, evaluate, report_to_dict
 from .losses import LossConfig, batch_loss
-from .numkit import Rng, as_matrix, unit_rows, unit_rows_grad
+from .numkit import Rng, as_matrix, check_finite, unit_rows, unit_rows_grad
 from .pair_queue import FeatureQueue, enqueue_batch, form_pairs, pos_neg_ratio
 from .similarity import SimilarityKind, score_matrix, score_matrix_grad_left
 
@@ -199,6 +198,9 @@ def _eval_on_pairs(cfg, enc, val_ds, sim, bias) -> dict:
     )
 
 
+# a diverging run stops at the first non-finite loss or features, with one
+# named error (see the FloatingPointError handler) and no numpy warnings
+@np.errstate(over="ignore", invalid="ignore")
 def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
     """Run the full training loop on `ds` and return its RunLog.
 
@@ -225,8 +227,8 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
         # regardless of the data's units; keeps checkpoints self-contained
         rms = float(np.sqrt(np.mean(np.sum(train_ds.inputs**2, axis=1))))
         if rms > 0.0:
-            enc.weights[0] = enc.weights[0] / rms
-    state = SgdState(enc)
+            enc.weights[0] /= rms
+    v_enc = np.zeros_like(enc.theta)
     b_now = float(cfg.loss.b)
     bt_now = float(cfg.loss.similarity.b_theta)
     # the run's own copies of the configs: the schedule's lr and the learned
@@ -242,8 +244,7 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
     if intra == 0 or inter == 0:
         raise DegenerateInputError("validation split lacks same-class or cross-class pairs")
 
-    queue = ema = bank = None
-    v_proxies = None
+    queue = ema = bank = v_proxies = None
     if cfg.method in _QUEUE_METHODS:
         queue = FeatureQueue(cfg.queue_capacity, cfg.feature_dim)
         ema = EmaEncoder(enc.copy(), cfg.eta)
@@ -320,18 +321,16 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
                     loss, (d_feats, d_w, d_bt) = ce(bank, feats, y)
                     correct += int(np.sum(_proxy_predict(bank, feats) == y))
                     seen += m
+                check_finite(loss, "loss")
 
                 if cfg.normalize_features:
                     d_raw = unit_rows_grad(feats, raw_norms, d_feats)
                 else:
                     d_raw = d_feats
-                grads = backward(enc, cache, d_raw)
-                sgd_step(enc, grads, sgd_now, state)
+                sgd_step(enc.theta, backward(enc, cache, d_raw), sgd_now, v_enc)
                 if bank is not None:
                     # proxies follow the same momentum/decay rule as the encoder
-                    v_proxies *= cfg.sgd.momentum
-                    v_proxies += d_w + cfg.sgd.weight_decay * bank.proxies
-                    bank.proxies -= lr_now * v_proxies
+                    sgd_step(bank.proxies, d_w, sgd_now, v_proxies)
                 if cfg.method == "simple" and cfg.loss.b_learnable:
                     v_b = cfg.sgd.momentum * v_b + d_b
                     b_now -= lr_now * v_b

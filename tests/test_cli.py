@@ -1,9 +1,14 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from pairsim.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 QUICK = """
 data.num_classes = 4
@@ -156,6 +161,43 @@ def test_eval_missing_checkpoint_file_is_runtime_error(tmp_path, capsys):
     evalcfg = tmp_path / "eval.cfg"
     evalcfg.write_text(QUICK + "eval.checkpoint = ghost.bin\n")
     assert main(["eval", "--config", str(evalcfg), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("header", [
+    '{"format": "pairsim-encoder-v1", "layer_dims": [3], "activation": "tanh"}',
+    '{"format": "pairsim-encoder-v1", "layer_dims": [8, 8], "activation": "gelu"}',
+    '{"format": "pairsim-encoder-v1", "activation": "tanh"}',
+], ids=["one-dim", "unknown-activation", "no-dims"])
+def test_eval_bad_checkpoint_header_is_runtime_error(tmp_path, capsys, header):
+    ckpt = tmp_path / "bad.bin"
+    ckpt.write_bytes(header.encode() + b"\n" + bytes(8 * 72))
+    evalcfg = tmp_path / "eval.cfg"
+    evalcfg.write_text(QUICK + f"eval.checkpoint = {ckpt}\n")
+    assert main(["eval", "--config", str(evalcfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"pairsim: error: {ckpt} has a bad header: "), err
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+def test_divergence_is_one_named_error_without_numpy_warnings(tmp_path):
+    # relu features overflow within a few steps at this learning rate; the
+    # run stops with one named error and numpy prints nothing on the way.
+    # A child process, so stderr is what a user sees (pytest would capture
+    # the warnings instead)
+    cfg = write_quick(tmp_path, "train.activation = relu\nsgd.lr = 1e6\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([SRC, *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run(
+        [sys.executable, "-m", "pairsim.cli", "train", "--config", cfg,
+         "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 2
+    err = proc.stderr
+    assert "RuntimeWarning" not in err and "encountered" not in err, err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("pairsim: error: step "), err
+    assert "(epoch 1) of simple: " in lines[0]
 
 
 def test_ablate_serial_equals_parallel(tmp_path):

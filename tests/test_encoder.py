@@ -1,15 +1,16 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from pairsim.encoder import (
+    ACTIVATIONS,
     EmaEncoder,
     EncoderNet,
-    ParamGrads,
     SgdConfig,
-    SgdState,
     backward,
     ema_update,
     forward,
@@ -24,12 +25,8 @@ from pairsim.numkit import Rng
 
 
 def zero_net(dims, activation="relu"):
-    return EncoderNet(
-        list(dims),
-        [np.zeros((a, b)) for a, b in zip(dims[:-1], dims[1:])],
-        [np.zeros(b) for b in dims[1:]],
-        activation,
-    )
+    size = sum((a + 1) * b for a, b in zip(dims[:-1], dims[1:]))
+    return EncoderNet(list(dims), np.zeros(size), activation)
 
 
 # --- forward -----------------------------------------------------------------
@@ -43,7 +40,7 @@ def test_forward_zero_net():
 
 def test_forward_identity_linear_layer():
     net = zero_net([3, 3])
-    net.weights[0] = np.eye(3)
+    net.weights[0][...] = np.eye(3)
     x = np.arange(12, dtype=float).reshape(4, 3)
     feats, _ = forward(net, x)
     assert_array_equal(feats, x)
@@ -86,8 +83,7 @@ def test_backward_zero_grad():
     x = Rng(4).normal(size=(5, 3))
     _, cache = forward(net, x)
     grads = backward(net, cache, np.zeros((5, 2)))
-    for g in grads.weights + grads.biases:
-        assert_array_equal(g, np.zeros_like(g))
+    assert_array_equal(grads, np.zeros_like(net.theta))
 
 
 def test_backward_scalar_closed_form():
@@ -97,7 +93,7 @@ def test_backward_scalar_closed_form():
     x = np.array([[2.0]])
     feats, cache = forward(net, x)
     grads = backward(net, cache, 2.0 * feats)
-    assert grads.weights[0][0, 0] == pytest.approx(8 * 0.7, rel=1e-14)
+    assert grads[0] == pytest.approx(8 * 0.7, rel=1e-14)  # theta[0] is W[0, 0]
 
 
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
@@ -115,11 +111,17 @@ def test_backward_matches_finite_differences(activation, dims):
     feats, cache = forward(net, x)
     grads = backward(net, cache, feats - target)
 
-    for l in range(net.num_layers()):
-        fd_w = numerical_grad(lambda w: loss_fn(net), net.weights[l])
-        fd_b = numerical_grad(lambda b: loss_fn(net), net.biases[l])
-        assert max_rel_err(grads.weights[l], fd_w) < 1e-5
-        assert max_rel_err(grads.biases[l], fd_b) < 1e-5
+    # each layer's slice of the gradient vector, against finite differences
+    # over that layer's views into theta
+    i = 0
+    for w, b in zip(net.weights, net.biases):
+        fd_w = numerical_grad(lambda _: loss_fn(net), w)
+        fd_b = numerical_grad(lambda _: loss_fn(net), b)
+        assert max_rel_err(grads[i : i + w.size].reshape(w.shape), fd_w) < 1e-5
+        i += w.size
+        assert max_rel_err(grads[i : i + b.size], fd_b) < 1e-5
+        i += b.size
+    assert i == grads.size
 
 
 # --- sgd_step ----------------------------------------------------------------
@@ -128,8 +130,8 @@ def test_backward_matches_finite_differences(activation, dims):
 def test_sgd_zero_lr_is_noop():
     net = init_encoder([2, 2], Rng(5))
     before = net.copy()
-    grads = ParamGrads([np.ones_like(w) for w in net.weights], [np.ones_like(b) for b in net.biases])
-    sgd_step(net, grads, SgdConfig(lr=0.0), SgdState(net))
+    grads = np.ones_like(net.theta)
+    sgd_step(net.theta, grads, SgdConfig(lr=0.0), np.zeros_like(net.theta))
     assert_array_equal(net.weights[0], before.weights[0])
     assert_array_equal(net.biases[0], before.biases[0])
 
@@ -137,8 +139,9 @@ def test_sgd_zero_lr_is_noop():
 def test_sgd_plain_gradient_descent():
     net = zero_net([1, 1])
     net.weights[0][0, 0] = 1.0
-    grads = ParamGrads([np.array([[0.5]])], [np.array([0.25])])
-    sgd_step(net, grads, SgdConfig(lr=0.1, momentum=0.0, weight_decay=0.0), SgdState(net))
+    grads = np.array([0.5, 0.25])  # (W[0, 0], b[0])
+    cfg = SgdConfig(lr=0.1, momentum=0.0, weight_decay=0.0)
+    sgd_step(net.theta, grads, cfg, np.zeros_like(net.theta))
     assert net.weights[0][0, 0] == pytest.approx(1.0 - 0.1 * 0.5)
     assert net.biases[0][0] == pytest.approx(-0.1 * 0.25)
 
@@ -147,19 +150,19 @@ def test_sgd_momentum_two_step_displacement():
     # Constant gradient g, momentum 0.9: v1 = g, v2 = 1.9g, total lr*g*2.9.
     net = zero_net([1, 1])
     g = 0.4
-    grads = ParamGrads([np.array([[g]])], [np.array([0.0])])
-    state = SgdState(net)
+    grads = np.array([g, 0.0])
+    velocity = np.zeros_like(net.theta)
     cfg = SgdConfig(lr=0.1, momentum=0.9, weight_decay=0.0)
-    sgd_step(net, grads, cfg, state)
-    sgd_step(net, grads, cfg, state)
+    sgd_step(net.theta, grads, cfg, velocity)
+    sgd_step(net.theta, grads, cfg, velocity)
     assert net.weights[0][0, 0] == pytest.approx(-0.1 * g * 2.9, rel=1e-14)
 
 
 def test_sgd_weight_decay_enters_velocity():
     net = zero_net([1, 1])
     net.weights[0][0, 0] = 2.0
-    grads = ParamGrads([np.array([[0.0]])], [np.array([0.0])])
-    sgd_step(net, grads, SgdConfig(lr=0.1, momentum=0.0, weight_decay=0.5), SgdState(net))
+    cfg = SgdConfig(lr=0.1, momentum=0.0, weight_decay=0.5)
+    sgd_step(net.theta, np.zeros(2), cfg, np.zeros_like(net.theta))
     assert net.weights[0][0, 0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
 
 
@@ -200,12 +203,10 @@ def test_ema_midpoint():
 def test_ema_contraction():
     net = init_encoder([3, 4, 2], Rng(8))
     ema = EmaEncoder(init_encoder([3, 4, 2], Rng(9)), eta=0.75)
-    gap0 = max(
-        np.max(np.abs(pq - p)) for pq, p in zip(ema.params.weights, net.weights)
-    )
+    gap0 = np.max(np.abs(ema.params.theta - net.theta))
     for k in range(1, 6):
         ema_update(ema, net)
-        gap = max(np.max(np.abs(pq - p)) for pq, p in zip(ema.params.weights, net.weights))
+        gap = np.max(np.abs(ema.params.theta - net.theta))
         assert gap == pytest.approx(gap0 * 0.75**k, rel=1e-10)
 
 
@@ -224,8 +225,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     loaded = load_encoder(path)
     assert loaded.layer_dims == net.layer_dims
     assert loaded.activation == net.activation
-    for a, b in zip(loaded.weights + loaded.biases, net.weights + net.biases):
-        assert_array_equal(a, b)
+    assert_array_equal(loaded.theta, net.theta)
     # saving the loaded net reproduces identical bytes
     path2 = tmp_path / "enc2.bin"
     save_encoder(loaded, path2)
@@ -256,3 +256,98 @@ def test_checkpoint_truncated_or_padded_is_config_error(tmp_path):
     cut.write_bytes(blob + b"\0")
     with pytest.raises(ConfigError, match="left over"):
         load_encoder(cut)
+
+
+def _v1_bytes(layer_dims, activation, weights, biases):
+    """The per-layer v1 writer, kept as the format oracle: the JSON header
+    line, then each layer's weight matrix and bias vector as little-endian
+    float64 bytes, layer by layer."""
+    header = {"format": "pairsim-encoder-v1", "layer_dims": layer_dims, "activation": activation}
+    blob = json.dumps(header, sort_keys=True).encode() + b"\n"
+    for w, b in zip(weights, biases):
+        blob += np.ascontiguousarray(w, dtype="<f8").tobytes()
+        blob += np.ascontiguousarray(b, dtype="<f8").tobytes()
+    return blob
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.lists(st.integers(1, 9), min_size=2, max_size=5),
+    st.sampled_from(ACTIVATIONS),
+    st.integers(0, 2**32 - 1),
+)
+def test_checkpoint_roundtrip_property(tmp_path_factory, layer_dims, activation, seed):
+    rng = Rng(seed)
+    weights = [rng.stream(("w", l)).normal(size=(a, b))
+               for l, (a, b) in enumerate(zip(layer_dims[:-1], layer_dims[1:]))]
+    biases = [rng.stream(("b", l)).normal(size=b) for l, b in enumerate(layer_dims[1:])]
+    blob = _v1_bytes(layer_dims, activation, weights, biases)
+    path = tmp_path_factory.mktemp("ckpt") / "enc.bin"
+    path.write_bytes(blob)
+
+    # a v1 file written layer by layer loads bit-exact into the views
+    net = load_encoder(path)
+    assert net.layer_dims == layer_dims and net.activation == activation
+    for got, want in zip(net.weights + net.biases, weights + biases):
+        assert got.tobytes() == want.tobytes()
+    # save writes the v1 bytes, and save -> load -> save is a fixed point
+    save_encoder(net, path)
+    assert path.read_bytes() == blob
+    again = load_encoder(path)
+    assert again.theta.tobytes() == net.theta.tobytes()
+    save_encoder(again, path)
+    assert path.read_bytes() == blob
+
+    # every cut, and any appended byte, is a named error
+    for size in range(len(blob)):
+        path.write_bytes(blob[:size])
+        with pytest.raises(ConfigError, match="enc.bin"):
+            load_encoder(path)
+    for tail in (b"\0", b"\n", blob[-8:]):
+        path.write_bytes(blob + tail)
+        with pytest.raises(ConfigError, match="enc.bin has bytes left over"):
+            load_encoder(path)
+
+
+def _good_header():
+    return {"format": "pairsim-encoder-v1", "layer_dims": [2, 3], "activation": "tanh"}
+
+
+def _drop(key):
+    def edit(h):
+        del h[key]
+    return edit
+
+
+def _set(key, value):
+    def edit(h):
+        h[key] = value
+    return edit
+
+
+# each bad header comes with a body of 8 bytes per parameter as the header's
+# dims count them (where they can be counted), so size checks alone pass
+@pytest.mark.parametrize("edit, body_floats", [
+    (_set("layer_dims", [3]), 0),  # one dim: no layer at all
+    (_set("layer_dims", [2, 0, 1]), 1),
+    (_set("layer_dims", [2, -1]), 0),
+    (_set("layer_dims", "ab"), 0),
+    (_set("layer_dims", [2.5, 3]), 9),
+    (_set("layer_dims", None), 0),
+    (_set("activation", "sigmoid"), 9),
+    (_drop("layer_dims"), 0),
+    (_drop("activation"), 9),
+], ids=["one-dim", "zero-dim", "negative-dim", "string-dims", "float-dim",
+        "null-dims", "unknown-activation", "no-dims", "no-activation"])
+def test_checkpoint_bad_header_is_named_config_error(tmp_path, edit, body_floats):
+    header = _good_header()
+    edit(header)
+    path = tmp_path / "enc.bin"
+    path.write_bytes(json.dumps(header).encode() + b"\n" + np.zeros(body_floats).tobytes())
+    with pytest.raises(ConfigError, match=r"enc\.bin has a bad header"):
+        load_encoder(path)
+
+
+def test_encoder_net_rejects_theta_of_the_wrong_size():
+    with pytest.raises(ShapeError):
+        EncoderNet([2, 3], np.zeros(8))

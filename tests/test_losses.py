@@ -167,7 +167,7 @@ def two_branch_batch_loss(c, pairs):
     ),
 )
 def test_batch_loss_bit_identical_to_two_branch_form(variant, r, alpha, b, pairs):
-    # scores up to 400 with r up to 20 put |u| well past softplus' +-30 cut
+    # scores up to 400 with r up to 20 put |u| far into both tails of softplus
     c = cfg(variant, r=r, alpha=alpha, b=b)
     pb = PairBatch(scores=[p[0] for p in pairs], labels=[p[1] for p in pairs])
     loss, d_scores, d_b = batch_loss(c, pb)

@@ -13,8 +13,11 @@ def test_softplus_at_zero():
 
 
 def test_softplus_large_argument():
-    assert softplus(100.0) == pytest.approx(100.0, rel=1e-12)
-    assert softplus(-100.0) == pytest.approx(math.exp(-100.0), rel=1e-12)
+    # relative, with no absolute floor: far below zero softplus(t) is exp(t)
+    # (3.7e-44 at -100), which an absolute tolerance would not see
+    for t in (-100.0, -40.0, 40.0, 100.0):
+        want = math.log1p(math.exp(t))
+        assert softplus(t) == pytest.approx(want, rel=1e-15, abs=0.0), t
 
 
 def test_softplus_array_matches_scalar():
