@@ -24,6 +24,8 @@ error to zero, hard enough that training matters.
 
 from __future__ import annotations
 
+import io
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -266,18 +268,59 @@ def split(ds: Dataset, fractions, seed: int):
     return tuple(parts)
 
 
+def _header(d: int) -> str:
+    return "label," + ",".join(f"f{i}" for i in range(d))
+
+
 def save_csv(ds: Dataset, path) -> None:
     """Write `label,f0,...` rows; 17 significant digits round-trip exactly."""
     with open(path, "w", encoding="utf-8") as fh:
-        header = "label," + ",".join(f"f{i}" for i in range(ds.input_dim))
-        fh.write(header + "\n")
+        fh.write(_header(ds.input_dim) + "\n")
         for y, row in zip(ds.labels, ds.inputs):
             fh.write("%d,%s\n" % (y, ",".join("%.17g" % v for v in row)))
 
 
-def load_csv(path) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+# Characters of the body `_parse_plain` hands to `np.loadtxt`: save_csv's
+# output alphabet.  Over it, loadtxt's int64 and float64 cells accept exactly
+# the strings `int()` and `float()` accept, with the same values, and its
+# rows are exactly the "\n"-separated lines `splitlines` finds.  Whitespace,
+# `#`, `_`, quotes, letters and non-ASCII text (where the two differ) send
+# the file to the line parser.
+_PLAIN = b"0123456789+-.eE,\n"
+_LABEL_MAX = int(np.iinfo(np.int64).max)
+
+
+def _parse_plain(head: str, body: str) -> Dataset | None:
+    """One vectorized pass over a body in the `_PLAIN` alphabet, or None.
+
+    None means the line parser must decide: the text is outside the
+    alphabet, a row does not parse, loadtxt warns, there are no rows, or a
+    label is negative.  So every error comes from `_parse_lines`, with its
+    line.  Warnings are errors here whatever the caller's filters, since
+    some numpy releases read a non-integer int64 cell (`1.5`, `9e18`) as a
+    float and cast it, with only a DeprecationWarning.
+    """
+    d = head.count(",")
+    if head != _header(d) or not body.isascii():
+        return None
+    if not body or body.isspace() or body.encode("ascii").translate(None, _PLAIN):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(
+                io.StringIO(body), delimiter=",", comments=None, ndmin=1,
+                dtype=[("label", np.int64), ("x", np.float64, (d,))],
+            )
+    except (ValueError, Warning):
+        return None
+    labels = rows["label"]
+    if labels.min() < 0:
+        return None
+    return Dataset(inputs=rows["x"], labels=labels, num_classes=int(labels.max()) + 1)
+
+
+def _parse_lines(lines) -> Dataset:
     if not lines:
         raise ParseError("empty file", line=0)
     header = lines[0].split(",")
@@ -304,6 +347,8 @@ def load_csv(path) -> Dataset:
             raise ParseError(str(exc), line=lineno) from None
         if label < 0:
             raise ParseError(f"negative label {label}", line=lineno)
+        if label > _LABEL_MAX:
+            raise ParseError(f"label {label} does not fit in int64", line=lineno)
         labels.append(label)
         rows.append(values)
     if not rows:
@@ -313,3 +358,17 @@ def load_csv(path) -> Dataset:
         labels=np.asarray(labels, dtype=np.int64),
         num_classes=max(labels) + 1,
     )
+
+
+def load_csv(path) -> Dataset:
+    """Read a `save_csv` file: header `label,f0,...`, then one row per line.
+
+    Blank lines are skipped; labels are integers in [0, 2**63).  A clean
+    file takes one vectorized pass; any other goes through the line parser,
+    which names the first bad line in its `ParseError`.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    head, _, body = text.partition("\n")
+    ds = _parse_plain(head, body)
+    return ds if ds is not None else _parse_lines(text.splitlines())

@@ -309,13 +309,16 @@ def _upper_walk(features, sim: SimilarityKind, labels=None, threshold=None):
     Memory is O(block * n) whatever the number of edges.
     """
     n = features.shape[0]
+    # a row's norm is the same in any block; "inner" scores read none
+    norms = None if sim.kind == "inner" else np.linalg.norm(features, axis=1)
     lower = np.tri(_BLOCK, dtype=bool)  # j <= i inside a leading square
     min_intra, max_inter = np.inf, -np.inf
     comp, k = np.arange(n), n  # component of each row, component count
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
         square = lower[: hi - lo, : hi - lo]
-        rows = score_matrix(sim, features[lo:hi], features[lo:])
+        na, nq = (None, None) if norms is None else (norms[lo:hi], norms[lo:])
+        rows = score_matrix(sim, features[lo:hi], features[lo:], na=na, nq=nq)
         rows[:, : hi - lo][square] = -np.inf
         if threshold is not None:
             cr, cc = comp[lo:hi], comp[lo:]
@@ -382,8 +385,10 @@ def evaluate(
     """Full report; pair requests are clamped to what the labels allow.
 
     ``threshold`` sets the clustering cut; default is the EER threshold.
+    Class ids may be gapped or sparse: they are ranked once, and ranks keep
+    both the order and the equalities that everything below reads.
     """
-    labels = np.asarray(labels).ravel().astype(np.int64)
+    labels = np.unique(np.ravel(labels).astype(np.int64), return_inverse=True)[1]
     intra, inter = _pair_totals(labels)
     sp = build_eval_pairs(
         features, labels, min(num_pos, intra), min(num_neg, inter), seed, sim

@@ -157,6 +157,38 @@ def test_label_gaps_fail_train_but_not_eval(tmp_path, capsys):
     assert main(["eval", "--config", str(evalcfg), "--out", str(tmp_path / "e")]) == 0
 
 
+def test_eval_with_sparse_class_ids_matches_dense_ids(tmp_path):
+    # ids (k + 1) * 10**15 in place of k: eval ranks ids instead of sizing
+    # arrays by the largest one, so the report keeps every byte
+    cfg = write_quick(tmp_path)
+    run = tmp_path / "run"
+    assert main(["gen-data", "--config", cfg, "--out", str(run)]) == 0
+    assert main(["train", "--config", cfg, "--out", str(run)]) == 0
+    lines = (run / "dataset.csv").read_text().splitlines()
+    sparse = tmp_path / "sparse.csv"
+    rows = [f"{(int(y) + 1) * 10**15},{rest}" for y, rest in (r.split(",", 1) for r in lines[1:])]
+    sparse.write_text("\n".join([lines[0], *rows]) + "\n")
+    reports = []
+    for name, csv in (("dense", run / "dataset.csv"), ("sparse", sparse)):
+        evalcfg = tmp_path / f"{name}.cfg"
+        evalcfg.write_text(QUICK + f"data.csv = {csv}\neval.checkpoint = {run / 'checkpoint.bin'}\n")
+        assert main(["eval", "--config", str(evalcfg), "--out", str(tmp_path / name)]) == 0
+        reports.append((tmp_path / name / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_eval_label_beyond_int64_exits_2_naming_the_line(tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(["train", "--config", write_quick(tmp_path), "--out", str(run)]) == 0
+    bad = tmp_path / "bad.csv"
+    bad.write_text("label,f0\n0,1.0\n99999999999999999999,2.0\n")
+    evalcfg = tmp_path / "eval.cfg"
+    evalcfg.write_text(QUICK + f"data.csv = {bad}\neval.checkpoint = {run / 'checkpoint.bin'}\n")
+    capsys.readouterr()
+    assert main(["eval", "--config", str(evalcfg), "--out", str(tmp_path / "e")]) == 2
+    assert "line 3: label 99999999999999999999 does not fit in int64" in capsys.readouterr().err
+
+
 def test_eval_missing_checkpoint_file_is_runtime_error(tmp_path, capsys):
     evalcfg = tmp_path / "eval.cfg"
     evalcfg.write_text(QUICK + "eval.checkpoint = ghost.bin\n")

@@ -1,9 +1,13 @@
 """Synthetic data generation, stratified splits, CSV round trips."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import pairsim.data
 from pairsim import (
     ConfigError,
     Dataset,
@@ -246,3 +250,234 @@ def test_csv_parse_errors(tmp_path):
     p.write_text("label,f0\n-1,1.0\n")
     with pytest.raises(ParseError):
         load_csv(p)
+
+    p.write_text("label,f0\n9223372036854775807,1.0\n")
+    assert load_csv(p).labels[0] == 2**63 - 1
+    p.write_text("label,f0\n0,1.0\n99999999999999999999,2.0\n")
+    with pytest.raises(ParseError, match="does not fit in int64") as err:
+        load_csv(p)
+    assert err.value.line == 3
+
+
+def oracle_load_csv(path):
+    """The line-by-line parser, kept as the reference the vectorized pass must match."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ParseError("empty file", line=0)
+    header = lines[0].split(",")
+    if header[0] != "label" or any(
+        name != f"f{i}" for i, name in enumerate(header[1:])
+    ):
+        raise ParseError("malformed header, expected label,f0,f1,...", line=1)
+    d = len(header) - 1
+    if d < 1:
+        raise ParseError("header names no feature columns", line=1)
+    rows, labels = [], []
+    for lineno, text in enumerate(lines[1:], start=2):
+        if not text:
+            continue
+        cells = text.split(",")
+        if len(cells) != d + 1:
+            raise ParseError(
+                f"expected {d + 1} columns, found {len(cells)}", line=lineno
+            )
+        try:
+            label = int(cells[0])
+            values = [float(c) for c in cells[1:]]
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from None
+        if label < 0:
+            raise ParseError(f"negative label {label}", line=lineno)
+        labels.append(label)
+        rows.append(values)
+    if not rows:
+        raise DegenerateInputError("file holds a header but no data rows")
+    return Dataset(
+        inputs=np.asarray(rows, dtype=np.float64),
+        labels=np.asarray(labels, dtype=np.int64),
+        num_classes=max(labels) + 1,
+    )
+
+
+def parse_outcome(load, path):
+    """What a loader makes of a file: the Dataset's bytes, or the error."""
+    try:
+        ds = load(path)
+    except Exception as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
+    return ds.inputs.shape, ds.inputs.tobytes(), ds.labels.tobytes(), ds.num_classes
+
+
+H2 = "label,f0,f1\n"
+
+PARITY_CASES = {
+    # rejected by the line parser, at a named line
+    "wrong-column-count": H2 + "0,1.0,2.0\n1,3.0\n",
+    "trailing-comma": H2 + "0,1.0,2.0,\n",
+    "quoted-cell": H2 + '0,"1.0",2.0\n',
+    "hash-line": H2 + "0,1.0,2.0\n# note\n1,3.0,4.0\n",
+    "hash-cell": H2 + "#0,1.0,2.0\n",
+    "whitespace-only-line": H2 + "0,1.0,2.0\n   \n1,3.0,4.0\n",
+    "empty-body": H2,
+    "blank-body": H2 + "\n\n",
+    "empty-cell": H2 + "0,,2.0\n",
+    "empty-label": H2 + ",1.0,2.0\n",
+    "label-1.5": H2 + "1.5,1.0,2.0\n",
+    "label-1e0": H2 + "1e0,1.0,2.0\n",
+    "label-1.0": H2 + "1.0,1.0,2.0\n",
+    "label-0-dot": H2 + "0.,1.0,2.0\n",
+    "label-9e18": H2 + "9e18,1.0,2.0\n",
+    "label-1e20": H2 + "1e20,1.0,2.0\n",
+    "label-minus-1": H2 + "0,1.0,2.0\n-1,1.0,2.0\n",
+    "value-hex": H2 + "0,0x1p3,2.0\n",
+    "value-dot": H2 + "0,.,2.0\n",
+    "bad-header": "label,f1,f0\n0,1.0,2.0\n",
+    "no-feature-columns": "label\n0\n",
+    "empty-file": "",
+    # a form feed ends a line for splitlines only
+    "form-feed-before-cell": H2 + "0,\x0c1.0,2.0\n",
+    "form-feed-after-row": H2 + "0,1.0,2.0\x0c1,3.0,4.0\n",
+    # parsed, then rejected as non-finite
+    "nan-value": H2 + "0,nan,2.0\n",
+    "inf-value": H2 + "0,1.0,-inf\n",
+    "overflowing-value": H2 + "0,1e999,2.0\n",
+    # accepted by int()/float(), perhaps not by the vectorized pass
+    "label-plus-1": H2 + "+1,1.0,2.0\n",
+    "label-space-1": H2 + " 1,1.0,2.0\n",
+    "label-1-space": H2 + "1 ,1.0,2.0\n",
+    "label-underscore": H2 + "1_0,1.0,2.0\n",
+    "label-arabic-indic-one": H2 + "\u0661,1.0,2.0\n",
+    "value-underscore": H2 + "0,1_0,2.0\n",
+    "value-spaces": H2 + "0, 1.5 ,2.0\n",
+    "value-words": H2 + "0,1.0,2.0\n1,Infinity,2.0\n",
+    "label-leading-zeros": H2 + "007,1.0,2.0\n0,1.0,2.0\n",
+    "label-minus-0": H2 + "-0,1.0,2.0\n",
+    "values-plain-forms": H2 + "0,+.5,-5.\n0,1E5,-0\n",
+    # layout
+    "crlf": H2.replace("\n", "\r\n") + "0,1.0,2.0\r\n1,3.0,4.0\r\n",
+    "blank-lines-between": H2 + "\n0,1.0,2.0\n\n\n1,3.0,4.0\n\n",
+    "no-final-newline": H2 + "0,1.0,2.0\n1,3.0,4.0",
+    "one-row": H2 + "3,1.0,2.0\n",
+    "d-equals-1": "label,f0\n0,1.5\n1,-2.5\n",
+    "header-only-no-newline": "label,f0,f1",
+}
+
+
+# The caller's warning filters must not change what load_csv accepts: a
+# loadtxt that casts `1.5` to an int with only a warning would pass under
+# "error" and load 1 under "default" or "ignore".
+@pytest.mark.parametrize("filters", ["default", "ignore", "error"])
+@pytest.mark.parametrize("text", PARITY_CASES.values(), ids=PARITY_CASES.keys())
+def test_load_csv_matches_line_parser_oracle(tmp_path, text, filters):
+    p = tmp_path / "case.csv"
+    p.write_bytes(text.encode("utf-8"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(filters)
+        got = parse_outcome(load_csv, p)
+    assert got == parse_outcome(oracle_load_csv, p)
+    assert caught == []
+
+
+# cells over the vectorized pass's alphabet, where loadtxt and int()/float()
+# could still disagree on what parses and to which value
+_plain_cell = st.text(alphabet="0123456789+-.eE", max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(
+        st.lists(st.one_of(_plain_cell, st.sampled_from(["0", "1", "1.5", "-2e-3"])),
+                 min_size=1, max_size=4),
+        max_size=4,
+    ),
+    d=st.integers(1, 3),
+)
+def test_load_csv_matches_oracle_over_plain_alphabet_property(tmp_path_factory, rows, d):
+    text = "label," + ",".join(f"f{i}" for i in range(d)) + "\n"
+    text += "".join(",".join(cells) + "\n" for cells in rows)
+    p = tmp_path_factory.mktemp("csv") / "case.csv"
+    p.write_bytes(text.encode("ascii"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        assert parse_outcome(load_csv, p) == parse_outcome(oracle_load_csv, p)
+
+
+def test_clean_csv_takes_the_vectorized_pass(tmp_path, monkeypatch):
+    ds = generate(small_spec(seed=5))
+    clean, odd = tmp_path / "clean.csv", tmp_path / "odd.csv"
+    save_csv(ds, clean)
+    odd.write_text(clean.read_text().replace("\n0,", "\n 0,", 1))
+
+    def no_line_parser(lines):
+        raise AssertionError("line parser called")
+
+    monkeypatch.setattr(pairsim.data, "_parse_lines", no_line_parser)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        back = load_csv(clean)
+    assert caught == []
+    assert back.inputs.tobytes() == ds.inputs.tobytes()
+    assert np.array_equal(back.labels, ds.labels)
+    # a cell with a space is outside the vectorized pass's alphabet
+    with pytest.raises(AssertionError, match="line parser called"):
+        load_csv(odd)
+
+
+@pytest.mark.parametrize("filters", ["default", "ignore"])
+def test_loadtxt_warning_sends_file_to_line_parser(tmp_path, monkeypatch, filters):
+    # some numpy releases cast an int64 cell such as `1.5` through a float
+    # with only a DeprecationWarning; any loadtxt warning must mean "fall
+    # back", even when the caller's filters hide warnings
+    p = tmp_path / "ds.csv"
+    save_csv(generate(small_spec(seed=6)), p)
+    real_loadtxt, parse_lines, calls = np.loadtxt, pairsim.data._parse_lines, []
+
+    def warning_loadtxt(*args, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        return real_loadtxt(*args, **kwargs)
+
+    def spy(lines):
+        calls.append(len(lines))
+        return parse_lines(lines)
+
+    monkeypatch.setattr(pairsim.data.np, "loadtxt", warning_loadtxt)
+    monkeypatch.setattr(pairsim.data, "_parse_lines", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter(filters)
+        got = parse_outcome(load_csv, p)
+    assert calls and got == parse_outcome(oracle_load_csv, p)
+
+
+_finite_bits = (
+    st.integers(0, 2**64 - 1)
+    .map(lambda u: float(np.uint64(u).view(np.float64)))
+    .filter(np.isfinite)
+)
+_EDGES = [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, -2.2250738585072014e-308,
+          1.7976931348623157e308, -1.7976931348623157e308, 1.0, -1.0 / 3.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(_finite_bits, st.floats(allow_nan=False, allow_infinity=False)),
+        min_size=1, max_size=24,
+    ),
+    d=st.integers(1, 4),
+    label_max=st.sampled_from([1, 3, 2**63 - 1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(values=_EDGES, d=2, label_max=1, seed=0)
+def test_csv_round_trip_is_bit_exact_property(tmp_path_factory, values, d, label_max, seed):
+    n = -(-len(values) // d)
+    vals = np.resize(np.asarray(values, dtype=np.float64), n * d).reshape(n, d)
+    labels = np.random.default_rng(seed).integers(0, label_max, size=n, endpoint=True)
+    ds = Dataset(inputs=vals, labels=labels, num_classes=int(labels.max()) + 1)
+    path = tmp_path_factory.mktemp("csv") / "ds.csv"
+    save_csv(ds, path)
+    back = load_csv(path)
+    assert back.inputs.view(np.int64).tobytes() == vals.view(np.int64).tobytes()
+    assert back.labels.tobytes() == ds.labels.tobytes()
+    assert back.num_classes == ds.num_classes

@@ -33,6 +33,7 @@ from pairsim import (
     score_pairs,
     tpr_at_far,
 )
+import pairsim.evaluation as ev
 from pairsim.evaluation import _BLOCK, _same_class_pairs, _upper_walk
 from pairsim.similarity import KINDS, score_matrix
 
@@ -429,6 +430,34 @@ def test_block_walk_matches_dense_oracle(kind, n, classes, seed, cut):
     assert np.array_equal(comp, want_comp)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_walk_row_norms_taken_once_equal_per_block_norms(monkeypatch, kind):
+    # the walk takes every row norm once and hands slices to score_matrix;
+    # each slice must equal the norms score_matrix would take of its block,
+    # so every score, the margin and the clusters keep their bits
+    rng = np.random.default_rng(5)
+    feats = rng.normal(size=(2 * _BLOCK + 9, 7)) * rng.uniform(0.1, 10, size=(1, 7))
+    labels = rng.integers(0, 3, size=feats.shape[0])
+    sim = SimilarityKind(kind)
+    calls = []
+
+    def per_block(s, a, q, na=None, nq=None):
+        if kind == "inner":  # its scores read no norms, so none are taken
+            assert na is None and nq is None
+        else:
+            assert na.tobytes() == np.linalg.norm(a, axis=1).tobytes()
+            assert nq.tobytes() == np.linalg.norm(q, axis=1).tobytes()
+        calls.append(a.shape[0])
+        return score_matrix(s, a, q)
+
+    margin, comp = _upper_walk(feats, sim, labels=labels, threshold=0.5)
+    monkeypatch.setattr(ev, "score_matrix", per_block)
+    block_margin, block_comp = _upper_walk(feats, sim, labels=labels, threshold=0.5)
+    assert repr(block_margin) == repr(margin)
+    assert np.array_equal(block_comp, comp)
+    assert calls == [_BLOCK, _BLOCK, 9]
+
+
 def test_audit_and_clustering_memory_stays_blockwise():
     # One dense float64 score matrix for 4,000 rows is 128 MB.  The walk
     # holds a few (block x n) arrays at a time and, in its first block, the
@@ -553,3 +582,15 @@ def test_evaluate_clamps_pair_request():
     labels = [0, 1, 0, 1]
     rep = evaluate(feats, labels, SimilarityKind(), num_pos=10**6, num_neg=10**6)
     assert 0.0 <= rep.eer <= 1.0
+
+
+def test_evaluate_ranks_sparse_class_ids():
+    # gapped ids far apart (as eval reads them from a CSV) give the report
+    # of ids 0..K-1; nothing is sized by the largest id
+    feats, labels = cluster_fixture()
+    labels = np.asarray(labels)
+    sparse = (labels + 1) * 10**15 + labels * 2**61  # same order, gaps ~2**61
+    for sim in (SimilarityKind("cosine"), SimilarityKind()):
+        dense_rep = evaluate(feats, labels, sim, num_pos=40, num_neg=80, seed=2)
+        sparse_rep = evaluate(feats, sparse, sim, num_pos=40, num_neg=80, seed=2)
+        assert report_to_json(sparse_rep) == report_to_json(dense_rep)
