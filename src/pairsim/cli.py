@@ -9,9 +9,13 @@ Subcommands::
     grad-check  finite-difference audit of every gradient path
     plot-roc    render evaluation ROCs as one static SVG
 
-Every command takes ``--config <path>`` (flat `key = value` text or JSON, see
-config.SCHEMA) and ``--out <dir>``, plus ``--seed`` to override the config
-seed and ``--jobs`` (ablate only) to fan grid cells out across processes.
+Every command takes ``--config <path>`` (flat `key = value` text or JSON)
+and ``--out <dir>``, plus ``--seed`` to override the config seed and
+``--jobs`` (ablate only) to fan grid cells out across processes.  The config
+dataclasses declare the settings: each ``data.*``, ``loss.*``,
+``similarity.*``, ``sgd.*`` and ``train.*`` key is the field of that name in
+``GenSpec``, ``LossConfig``, ``SimilarityKind``, ``SgdConfig`` or
+``TrainConfig``, with its default (see config.SCHEMA for the exceptions).
 Each run writes ``manifest.json`` with the fully resolved configuration into
 its output directory and writes nothing anywhere else; feeding a manifest
 back as ``--config`` reproduces the run bit for bit.
@@ -130,6 +134,11 @@ def _cmd_gen_data(conf, out, args):
     return 0
 
 
+def _write_report(out, rep) -> None:
+    with open(os.path.join(out, "report.json"), "w", newline="\n") as f:
+        f.write(report_to_json(rep) + "\n")
+
+
 def _cmd_train(conf, out, args):
     cfg = to_train_config(conf)
     ds = _load_dataset(conf)
@@ -137,8 +146,7 @@ def _cmd_train(conf, out, args):
     save_runlog(log, out)
     rep = final_report(log)
     if rep is not None:
-        with open(os.path.join(out, "report.json"), "w", newline="\n") as f:
-            f.write(json.dumps(rep, sort_keys=True, indent=2) + "\n")
+        _write_report(out, rep)
         print(f"trained {cfg.method} for {cfg.epochs} epochs: val eer {rep['eer']:.4f}")
     else:
         print(f"trained {cfg.method} for {cfg.epochs} epochs")
@@ -159,8 +167,7 @@ def _cmd_eval(conf, out, args):
         far_targets=tuple(conf["eval.far_targets"]),
         threshold=conf["eval.threshold"],
     )
-    with open(os.path.join(out, "report.json"), "w", newline="\n") as f:
-        f.write(report_to_json(rep) + "\n")
+    _write_report(out, rep)
     print(f"eer {rep.eer:.4f}, margin {rep.desideratum_margin:+.4f}")
     return 0
 

@@ -7,13 +7,16 @@ dotted keys or a manifest written by the command line front end (whose
 resolved config sits under its "config" key), so a manifest can be re-fed as
 the config of a new run and reproduces it exactly.
 
-`SCHEMA` is the single source of truth for keys, types and defaults; unknown
-keys and ill-typed values are rejected by name.
+The dataclasses behind a run (`GenSpec`, `LossConfig`, `SimilarityKind`,
+`SgdConfig`, `TrainConfig`) declare its settings: `SCHEMA` derives each of
+their keys, types and defaults from the fields, and adds the few keys no
+field declares.  Unknown keys and ill-typed values are rejected by name.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 from .data import GenSpec
 from .encoder import SgdConfig
@@ -22,50 +25,59 @@ from .losses import LossConfig
 from .similarity import SimilarityKind
 from .trainer import TrainConfig
 
+# Each field of these dataclasses is the config key `<section>.<field>`: its
+# annotation is the type tag (a tuple is "ints" or "floats" by its default's
+# items), and its default is the key's default.
+_SECTIONS = {
+    GenSpec: "data",
+    LossConfig: "loss",
+    SimilarityKind: "similarity",
+    SgdConfig: "sgd",
+    TrainConfig: "train",
+}
+
+# Fields outside that pattern: the key they read, or, for a nested config,
+# the class it is built from (not a key itself).
+_EXCEPTIONS = {
+    (TrainConfig, "seed"): "seed",
+    (TrainConfig, "eval_num_pos"): "eval.num_pos",
+    (TrainConfig, "eval_num_neg"): "eval.num_neg",
+    (TrainConfig, "far_targets"): "eval.far_targets",
+    (GenSpec, "seed"): "data.seed",
+    (TrainConfig, "loss"): LossConfig,
+    (TrainConfig, "sgd"): SgdConfig,
+    (LossConfig, "similarity"): SimilarityKind,
+}
+
+
+def _keyed_fields(cls):
+    """(field, key or nested class) for each field of a section's class."""
+    for f in fields(cls):
+        yield f, _EXCEPTIONS.get((cls, f.name), f"{_SECTIONS[cls]}.{f.name}")
+
+
+def _derived_schema() -> dict:
+    out = {}
+    for cls in _SECTIONS:
+        defaults = cls()
+        for f, key in _keyed_fields(cls):
+            if isinstance(key, str):
+                val = getattr(defaults, f.name)
+                tag = f.type
+                if tag == "tuple":
+                    tag = "ints" if all(isinstance(v, int) for v in val) else "floats"
+                out[key] = (tag, val)
+    return out
+
+
 # key -> (type tag, default). Tags: int, float, bool, str, floats, ints, strs.
-# A None default means "unset"; resolution may substitute another key's value
-# (data.seed falls back to seed) or leave it None for optional inputs.
+# The literal entries are keys no dataclass field declares, and data.seed,
+# whose None default (unset) falls back to seed on resolution; the other
+# None defaults leave optional inputs unset.
 SCHEMA = {
-    "seed": ("int", 0),
-    "data.family": ("str", "gaussian_blobs"),
-    "data.num_classes": ("int", 16),
-    "data.samples_per_class": ("int", 200),
-    "data.input_dim": ("int", 32),
-    "data.noise_scale": ("float", 1.0),
+    **_derived_schema(),
     "data.seed": ("int", None),
     "data.csv": ("str", None),
-    "loss.variant": ("str", "simple_final"),
-    "loss.r": ("float", 3.0),
-    "loss.alpha": ("float", 0.001),
-    "loss.b": ("float", 0.0),
-    "loss.b_learnable": ("bool", True),
-    "similarity.kind": ("str", "generalized_inner"),
-    "similarity.b_theta": ("float", 0.3),
-    "similarity.b_theta_learnable": ("bool", False),
-    "sgd.lr": ("float", 0.05),
-    "sgd.momentum": ("float", 0.9),
-    "sgd.weight_decay": ("float", 5e-4),
-    "train.method": ("str", "simple"),
-    "train.batch_size": ("int", 32),
-    "train.queue_capacity": ("int", 256),
-    "train.eta": ("float", 0.99),
-    "train.epochs": ("int", 100),
-    "train.eval_every": ("int", 10),
-    "train.feature_dim": ("int", 32),
-    "train.hidden_dims": ("ints", (64, 64)),
-    "train.activation": ("str", "tanh"),
-    "train.normalize_features": ("bool", False),
-    "train.lr_warmup_steps": ("int", 100),
-    "train.lr_decay_at": ("floats", (0.6, 0.8)),
-    "train.lr_decay_factor": ("float", 0.1),
-    "train.val_fraction": ("float", 0.2),
-    "train.contrastive_margin": ("float", 0.5),
-    "train.triplet_margin": ("float", 0.2),
-    "train.proxy_margin": ("float", 0.0),
-    "train.normalize_proxies": ("bool", False),
-    "eval.num_pos": ("int", 2000),
-    "eval.num_neg": ("int", 2000),
-    "eval.far_targets": ("floats", (0.1, 0.01)),
     "eval.checkpoint": ("str", None),
     "eval.threshold": ("float", None),
     "grid.r": ("floats", None),
@@ -193,65 +205,27 @@ def resolve(overrides: dict) -> dict:
     return conf
 
 
+def _build(cls, conf: dict):
+    """A section's dataclass from the resolved config, nested configs too."""
+    kwargs = {}
+    for f, key in _keyed_fields(cls):
+        if not isinstance(key, str):
+            kwargs[f.name] = _build(key, conf)
+        else:
+            kwargs[f.name] = tuple(conf[key]) if f.type == "tuple" else conf[key]
+    return cls(**kwargs)
+
+
 def to_genspec(conf: dict) -> GenSpec:
-    return GenSpec(
-        family=conf["data.family"],
-        num_classes=conf["data.num_classes"],
-        samples_per_class=conf["data.samples_per_class"],
-        input_dim=conf["data.input_dim"],
-        noise_scale=conf["data.noise_scale"],
-        seed=conf["data.seed"],
-    )
+    return _build(GenSpec, conf)
 
 
 def to_similarity(conf: dict) -> SimilarityKind:
-    return SimilarityKind(
-        kind=conf["similarity.kind"],
-        b_theta=conf["similarity.b_theta"],
-        b_theta_learnable=conf["similarity.b_theta_learnable"],
-    )
+    return _build(SimilarityKind, conf)
 
 
 def to_train_config(conf: dict) -> TrainConfig:
-    loss = LossConfig(
-        variant=conf["loss.variant"],
-        r=conf["loss.r"],
-        alpha=conf["loss.alpha"],
-        b=conf["loss.b"],
-        b_learnable=conf["loss.b_learnable"],
-        similarity=to_similarity(conf),
-    )
-    sgd = SgdConfig(
-        lr=conf["sgd.lr"],
-        momentum=conf["sgd.momentum"],
-        weight_decay=conf["sgd.weight_decay"],
-    )
-    return TrainConfig(
-        loss=loss,
-        sgd=sgd,
-        method=conf["train.method"],
-        batch_size=conf["train.batch_size"],
-        queue_capacity=conf["train.queue_capacity"],
-        eta=conf["train.eta"],
-        epochs=conf["train.epochs"],
-        eval_every=conf["train.eval_every"],
-        seed=conf["seed"],
-        feature_dim=conf["train.feature_dim"],
-        hidden_dims=tuple(conf["train.hidden_dims"]),
-        activation=conf["train.activation"],
-        normalize_features=conf["train.normalize_features"],
-        lr_warmup_steps=conf["train.lr_warmup_steps"],
-        lr_decay_at=tuple(conf["train.lr_decay_at"]),
-        lr_decay_factor=conf["train.lr_decay_factor"],
-        val_fraction=conf["train.val_fraction"],
-        eval_num_pos=conf["eval.num_pos"],
-        eval_num_neg=conf["eval.num_neg"],
-        far_targets=tuple(conf["eval.far_targets"]),
-        contrastive_margin=conf["train.contrastive_margin"],
-        triplet_margin=conf["train.triplet_margin"],
-        proxy_margin=conf["train.proxy_margin"],
-        normalize_proxies=conf["train.normalize_proxies"],
-    )
+    return _build(TrainConfig, conf)
 
 
 def manifest_json(command: str, conf: dict) -> str:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import io
 import warnings
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .errors import ConfigError, DegenerateInputError, ParseError, ShapeError
 from .numkit import Rng, as_matrix
 
 FAMILIES = ("gaussian_blobs", "concentric_rings", "hypercube_corners")
+_GAPS_SHOWN = 5  # missing class ids a label-gap error names
 
 
 @dataclass
@@ -43,7 +45,6 @@ class Dataset:
     inputs: np.ndarray
     labels: np.ndarray
     num_classes: int
-    tags: np.ndarray | None = None  # per-row split tag, None until split()
 
     def __post_init__(self):
         self.inputs = as_matrix(self.inputs)
@@ -62,10 +63,6 @@ class Dataset:
                 f"labels must lie in [0, {self.num_classes}), "
                 f"got range [{self.labels.min()}, {self.labels.max()}]"
             )
-        if self.tags is not None:
-            self.tags = np.asarray(self.tags)
-            if self.tags.shape != self.labels.shape:
-                raise ShapeError("tags must align with rows")
 
     def __len__(self):
         return self.labels.size
@@ -78,14 +75,22 @@ class Dataset:
         return np.bincount(self.labels, minlength=self.num_classes)
 
     def require_pairable(self):
-        """Every class needs >= 2 rows for same-class pairs to exist."""
-        counts = self.class_counts()
+        """Every class needs >= 2 rows for same-class pairs to exist.
+
+        Counts come from the ids present, so a sparse id allocates nothing
+        by its size; a gap names at most the first few missing ids.
+        """
         if len(self) == 0:
             raise DegenerateInputError("dataset has no rows")
-        absent = np.flatnonzero(counts == 0)
-        if absent.size:
+        present, counts = np.unique(self.labels, return_counts=True)
+        missing = self.num_classes - present.size
+        if missing:
+            edges = np.concatenate(([-1], present, [self.num_classes])).tolist()
+            runs = (range(lo + 1, hi) for lo, hi in zip(edges, edges[1:]))
+            shown = list(islice(chain.from_iterable(runs), _GAPS_SHOWN))
+            more = f" and {missing - len(shown)} more" if missing > len(shown) else ""
             raise DegenerateInputError(
-                f"class ids {absent.tolist()} do not appear in the labels; "
+                f"class ids {shown}{more} do not appear in the labels; "
                 f"labels must run 0..K-1 without gaps (here K = {self.num_classes})"
             )
         thin = np.flatnonzero(counts < 2)
@@ -253,16 +258,14 @@ def split(ds: Dataset, fractions, seed: int):
             part_rows[j].extend(perm[start:stop].tolist())
             start = stop
 
-    names = ("train", "val", "test")
     parts = []
-    for j, rows_j in enumerate(part_rows):
+    for rows_j in part_rows:
         order = np.sort(np.asarray(rows_j, dtype=np.int64))
         parts.append(
             Dataset(
                 inputs=ds.inputs[order].reshape(len(order), ds.input_dim),
                 labels=ds.labels[order],
                 num_classes=ds.num_classes,
-                tags=np.full(len(order), names[j]),
             )
         )
     return tuple(parts)

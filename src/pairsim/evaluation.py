@@ -86,9 +86,10 @@ class EvalReport:
             raise ConfigError("roc points must be monotone in both coordinates")
 
 
-def _pair_totals(labels: np.ndarray):
-    n = labels.size
-    counts = np.bincount(labels)
+def _pair_totals(labels):
+    """(same-class, cross-class) unordered pair counts; ids may be sparse."""
+    counts = np.unique(labels, return_counts=True)[1]
+    n = int(counts.sum())
     intra = int((counts * (counts - 1) // 2).sum())
     inter = n * (n - 1) // 2 - intra
     return intra, inter
@@ -103,7 +104,8 @@ def _same_class_pairs(labels: np.ndarray):
     order = np.argsort(labels, kind="stable")  # classes in turn, rows ascending
     pos = np.empty_like(order)
     pos[order] = np.arange(labels.size)  # where each row sits in ``order``
-    ends = np.cumsum(np.bincount(labels))[labels]  # end of each row's class
+    _, cls, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)[cls]  # end of each row's class
     after = ends - pos - 1  # same-class partners that follow each row
     ii = np.repeat(np.arange(labels.size), after)
     starts = np.cumsum(after) - after  # first slot of each row's partners
@@ -366,6 +368,9 @@ def clustering_accuracy(predicted, truth) -> float:
         raise ShapeError("predicted and truth label lengths differ")
     if predicted.size == 0:
         raise DegenerateInputError("no labels to score")
+    # rank both sides so the table is sized by the ids present, not the largest
+    predicted = np.unique(predicted, return_inverse=True)[1]
+    truth = np.unique(truth, return_inverse=True)[1]
     table = np.zeros((predicted.max() + 1, truth.max() + 1), dtype=np.int64)
     np.add.at(table, (predicted, truth), 1)
     rows, cols = linear_sum_assignment(table, maximize=True)
@@ -385,10 +390,8 @@ def evaluate(
     """Full report; pair requests are clamped to what the labels allow.
 
     ``threshold`` sets the clustering cut; default is the EER threshold.
-    Class ids may be gapped or sparse: they are ranked once, and ranks keep
-    both the order and the equalities that everything below reads.
+    Class ids may be gapped or sparse: nothing below sizes an array by them.
     """
-    labels = np.unique(np.ravel(labels).astype(np.int64), return_inverse=True)[1]
     intra, inter = _pair_totals(labels)
     sp = build_eval_pairs(
         features, labels, min(num_pos, intra), min(num_neg, inter), seed, sim
@@ -420,6 +423,8 @@ def report_to_dict(report: EvalReport) -> dict:
     }
 
 
-def report_to_json(report: EvalReport) -> str:
-    return json.dumps(report_to_dict(report), sort_keys=True, indent=2)
+def report_to_json(report) -> str:
+    """An EvalReport, or its `report_to_dict` form, as report.json text."""
+    doc = report if isinstance(report, dict) else report_to_dict(report)
+    return json.dumps(doc, sort_keys=True, indent=2)
 

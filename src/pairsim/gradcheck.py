@@ -8,6 +8,8 @@ holds them to their tolerances.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 
@@ -50,10 +52,8 @@ def max_rel_err(analytic, numeric, floor: float = 1.0) -> float:
     return float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
 
 
-def _score_fixture(rng, sim, d=5):
+def _score_fixture(rng, d=5):
     """A pair of vectors kept away from the angular endpoints."""
-    from .similarity import score
-
     while True:
         x1 = rng.normal(size=d)
         x2 = rng.normal(size=d)
@@ -96,7 +96,7 @@ def component_checks(seed: int = 0) -> list:
     # scalar score gradients, every kind
     for kind in KINDS:
         sim = SimilarityKind(kind, b_theta=0.3)
-        x1, x2 = _score_fixture(rng.stream(("score", kind)), sim)
+        x1, x2 = _score_fixture(rng.stream(("score", kind)))
         d1, d2, dbt = score_grad(sim, x1, x2)
         n1 = numerical_grad(lambda v: score(sim, v, x2), x1.copy())
         n2 = numerical_grad(lambda v: score(sim, x1, v), x2.copy())
@@ -132,9 +132,7 @@ def component_checks(seed: int = 0) -> list:
         _, d_scores, d_b = batch_loss(cfg, PairBatch(scores, labels))
         n_scores = numerical_grad(f_scores, scores.copy())
         n_b = numerical_grad_scalar(
-            lambda b, cfg=cfg: batch_loss(
-                LossConfig(cfg.variant, cfg.r, cfg.alpha, b), PairBatch(scores, labels)
-            )[0],
+            lambda b, cfg=cfg: batch_loss(replace(cfg, b=b), PairBatch(scores, labels))[0],
             cfg.b,
         )
         err = max(
@@ -179,9 +177,7 @@ def component_checks(seed: int = 0) -> list:
 
         def f_pipe(_theta=None, b=None, b_theta=None):
             s = sim if b_theta is None else SimilarityKind(kind, b_theta=b_theta)
-            c = cfg if b is None else LossConfig(cfg.variant, cfg.r, cfg.alpha, b, similarity=s)
-            if b is None and b_theta is not None:
-                c = LossConfig(cfg.variant, cfg.r, cfg.alpha, cfg.b, similarity=s)
+            c = replace(cfg, b=cfg.b if b is None else b, similarity=s)
             feats, _ = forward(pnet, px)
             sc = score_matrix(s, feats, qfeat).ravel()
             return batch_loss(c, PairBatch(sc, y))[0]

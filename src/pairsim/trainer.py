@@ -91,9 +91,6 @@ class TrainConfig:
     lr_warmup_steps: int = 100
     lr_decay_at: tuple = (0.6, 0.8)
     lr_decay_factor: float = 0.1
-    # divide the first layer by the train-set RMS input norm after init so
-    # raw similarity scores start O(1) instead of O(|x|^2)
-    input_scale_init: bool = True
     # validation protocol (the val split is carved out of the dataset here)
     val_fraction: float = 0.2
     eval_num_pos: int = 2000
@@ -222,12 +219,11 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
     rng = Rng(cfg.seed)
     dims = [int(ds.inputs.shape[1]), *map(int, cfg.hidden_dims), cfg.feature_dim]
     enc = init_encoder(dims, rng.stream("init"), cfg.activation)
-    if cfg.input_scale_init:
-        # fold the input scale into the first layer so raw scores start O(1)
-        # regardless of the data's units; keeps checkpoints self-contained
-        rms = float(np.sqrt(np.mean(np.sum(train_ds.inputs**2, axis=1))))
-        if rms > 0.0:
-            enc.weights[0] /= rms
+    # fold the train-set RMS input norm into the first layer so raw scores
+    # start O(1) regardless of the data's units; keeps checkpoints self-contained
+    rms = float(np.sqrt(np.mean(np.sum(train_ds.inputs**2, axis=1))))
+    if rms > 0.0:
+        enc.weights[0] /= rms
     v_enc = np.zeros_like(enc.theta)
     b_now = float(cfg.loss.b)
     bt_now = float(cfg.loss.similarity.b_theta)

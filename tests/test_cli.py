@@ -157,9 +157,23 @@ def test_label_gaps_fail_train_but_not_eval(tmp_path, capsys):
     assert main(["eval", "--config", str(evalcfg), "--out", str(tmp_path / "e")]) == 0
 
 
+def test_train_names_sparse_id_gaps_without_sizing_by_the_largest_id(tmp_path, capsys):
+    # ids {0, 10**15}: the gap error names the first missing ids and counts
+    # the rest, and nothing is allocated by the largest id
+    sparse = tmp_path / "sparse.csv"
+    rows = [f"{y},{k}.0,{-k}.5" for y in (0, 10**15) for k in range(6)]
+    sparse.write_text("\n".join(["label,f0,f1", *rows]) + "\n")
+    cfg = write_quick(tmp_path, f"data.csv = {sparse}\n")
+    capsys.readouterr()
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "t")]) == 2
+    err = capsys.readouterr().err
+    assert "class ids [1, 2, 3, 4, 5] and 999999999999994 more do not appear" in err
+    assert "without gaps" in err and "allocate" not in err
+
+
 def test_eval_with_sparse_class_ids_matches_dense_ids(tmp_path):
-    # ids (k + 1) * 10**15 in place of k: eval ranks ids instead of sizing
-    # arrays by the largest one, so the report keeps every byte
+    # ids (k + 1) * 10**15 in place of k: eval counts the ids present instead
+    # of sizing arrays by the largest one, so the report keeps every byte
     cfg = write_quick(tmp_path)
     run = tmp_path / "run"
     assert main(["gen-data", "--config", cfg, "--out", str(run)]) == 0

@@ -129,10 +129,37 @@ def test_schema_defaults_are_self_consistent():
     assert cfg.loss.r == 3.0 and cfg.loss.similarity.b_theta == 0.3
     spec = to_genspec(conf)
     assert spec.num_classes * spec.samples_per_class == 3200
-    # the schema repeats the dataclass defaults; they must not drift apart
+    # the schema derives its defaults from the dataclasses, and the builders
+    # read them back: the round trip gives the default-constructed configs
     assert cfg == TrainConfig()
     assert spec == GenSpec()
     # every schema key is typed with a known tag
     assert {kind for kind, _ in SCHEMA.values()} <= {
         "int", "float", "bool", "str", "floats", "ints", "strs",
     }
+
+
+def test_schema_keys_are_pinned():
+    # the dataclasses declare these keys; a new field is a new key, so it
+    # must show up here too
+    assert sorted(SCHEMA) == [
+        "data.csv", "data.family", "data.input_dim", "data.noise_scale",
+        "data.num_classes", "data.samples_per_class", "data.seed",
+        "eval.checkpoint", "eval.far_targets", "eval.num_neg", "eval.num_pos",
+        "eval.threshold",
+        "grid.alpha", "grid.b_theta", "grid.r",
+        "loss.alpha", "loss.b", "loss.b_learnable", "loss.r", "loss.variant",
+        "plot.names", "plot.reports",
+        "seed",
+        "sgd.lr", "sgd.momentum", "sgd.weight_decay",
+        "similarity.b_theta", "similarity.b_theta_learnable", "similarity.kind",
+        "train.activation", "train.batch_size", "train.contrastive_margin",
+        "train.epochs", "train.eta", "train.eval_every", "train.feature_dim",
+        "train.hidden_dims", "train.lr_decay_at", "train.lr_decay_factor",
+        "train.lr_warmup_steps", "train.method", "train.normalize_features",
+        "train.normalize_proxies", "train.proxy_margin", "train.queue_capacity",
+        "train.triplet_margin", "train.val_fraction",
+    ]
+    assert SCHEMA["train.hidden_dims"] == ("ints", (64, 64))
+    assert SCHEMA["train.lr_decay_at"] == ("floats", (0.6, 0.8))
+    assert SCHEMA["data.seed"] == ("int", None)

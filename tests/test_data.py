@@ -116,8 +116,6 @@ def test_split_sizes_and_stratification():
     assert np.array_equal(train.class_counts(), [80, 80, 80, 80])
     assert np.array_equal(val.class_counts(), [10, 10, 10, 10])
     assert np.array_equal(test.class_counts(), [10, 10, 10, 10])
-    assert list(np.unique(train.tags)) == ["train"]
-    assert list(np.unique(test.tags)) == ["test"]
 
 
 def test_split_partitions_the_rows():

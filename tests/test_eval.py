@@ -594,3 +594,20 @@ def test_evaluate_ranks_sparse_class_ids():
         dense_rep = evaluate(feats, labels, sim, num_pos=40, num_neg=80, seed=2)
         sparse_rep = evaluate(feats, sparse, sim, num_pos=40, num_neg=80, seed=2)
         assert report_to_json(sparse_rep) == report_to_json(dense_rep)
+
+
+def test_public_eval_functions_accept_sparse_class_ids():
+    # ids {0, 10**15, 2 * 10**15} give the results of ids {0, 1, 2}: counts
+    # and the accuracy table come from the ids present, not the largest one
+    feats, dense = cluster_fixture()
+    sparse = dense * 10**15
+    sim = SimilarityKind("cosine")
+    assert desideratum_audit(feats, sparse, sim) == desideratum_audit(feats, dense, sim)
+    pred = cluster_by_threshold(feats, sim, 0.5)
+    assert clustering_accuracy(pred, sparse) == clustering_accuracy(pred, dense)
+    assert clustering_accuracy(sparse, dense) == 1.0
+    intra = sum(c * (c - 1) // 2 for c in np.bincount(dense))
+    for num_pos, num_neg in ((5, 7), (intra, 7)):  # rejection, then enumeration
+        for got, want in zip(sample_pair_indices(sparse, num_pos, num_neg, 3),
+                             sample_pair_indices(dense, num_pos, num_neg, 3)):
+            assert np.array_equal(got, want)
