@@ -160,10 +160,10 @@ def contrastive_loss(pairs: PairBatch, margin: float):
         raise DegenerateInputError("empty pair batch")
     s = pairs.scores
     y = pairs.labels
-    gap = np.where(y == 1, margin - s, s + margin)
+    gap = np.where(y, margin - s, s + margin)
     active = gap > 0.0
     loss = float(np.where(active, gap, 0.0).mean())
-    d_scores = np.where(active, np.where(y == 1, -1.0, 1.0), 0.0) / len(pairs)
+    d_scores = np.where(active, np.where(y, -1.0, 1.0), 0.0) / len(pairs)
     return loss, d_scores
 
 
@@ -179,7 +179,7 @@ def triplet_loss(pairs: PairBatch, anchors: int, margin: float, rng):
     if not margin > 0:
         raise ConfigError(f"margin must be positive, got {margin}")
     s = pairs.scores.reshape(anchors, -1)
-    pos = pairs.labels.reshape(anchors, -1) == 1
+    pos = pairs.labels.reshape(anchors, -1)
     d_scores = np.zeros_like(s)
     loss_sum = 0.0
     used = 0

@@ -71,9 +71,6 @@ class Dataset:
     def input_dim(self) -> int:
         return self.inputs.shape[1]
 
-    def class_counts(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.num_classes)
-
     def require_pairable(self):
         """Every class needs >= 2 rows for same-class pairs to exist.
 
@@ -236,8 +233,10 @@ def split(ds: Dataset, fractions, seed: int):
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigError(f"fractions must sum to 1, got {sum(fractions)}")
     nonzero = sum(1 for f in fractions if f > 0)
-    counts = ds.class_counts()
-    thin = np.flatnonzero((counts > 0) & (counts < nonzero))
+    # work over the ids present, never range(num_classes): a sparse id
+    # allocates nothing by its size
+    present, counts = np.unique(ds.labels, return_counts=True)
+    thin = present[counts < nonzero]
     if thin.size:
         raise ConfigError(
             f"classes {thin.tolist()} have fewer rows than the "
@@ -247,10 +246,9 @@ def split(ds: Dataset, fractions, seed: int):
     rng = Rng(seed).stream("split")
     cum = np.cumsum(fractions)
     part_rows = ([], [], [])
-    for k in range(ds.num_classes):
-        idx = np.flatnonzero(ds.labels == k)
-        if idx.size == 0:
-            continue
+    # each class's rows in ascending order, classes by ascending id
+    by_class = np.split(np.argsort(ds.labels, kind="stable"), np.cumsum(counts)[:-1])
+    for k, idx in zip(present.tolist(), by_class):
         perm = idx[rng.stream(("class", k)).permutation(idx.size)]
         bounds = np.rint(cum * idx.size).astype(int)
         start = 0

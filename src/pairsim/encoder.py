@@ -117,8 +117,9 @@ def init_encoder(layer_dims, rng: Rng, activation: str = "relu") -> EncoderNet:
 def forward(net: EncoderNet, batch: np.ndarray):
     """Encode a batch (n x d0) into features (n x d_feat).
 
-    Returns (features, cache); the cache holds each layer's input and the
-    hidden pre-activations, which is exactly what `backward` consumes.
+    Returns (features, cache); the cache is the list of each layer's input,
+    which is exactly what `backward` consumes: a hidden layer's activation
+    is the next layer's input, and its derivative is taken from it.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != net.layer_dims[0]:
@@ -126,18 +127,15 @@ def forward(net: EncoderNet, batch: np.ndarray):
             f"batch shape {batch.shape} incompatible with input dim {net.layer_dims[0]}"
         )
     h = batch
-    inputs, preacts = [], []
+    inputs = []
     last = net.num_layers() - 1
     for l, (w, b) in enumerate(zip(net.weights, net.biases)):
         inputs.append(h)
-        z = h @ w + b
+        h = h @ w + b
         if l < last:
-            preacts.append(z)
-            h = np.maximum(z, 0.0) if net.activation == "relu" else np.tanh(z)
-        else:
-            h = z
+            h = np.maximum(h, 0.0, out=h) if net.activation == "relu" else np.tanh(h, out=h)
     check_finite(h, "encoder features")
-    return h, (inputs, preacts)
+    return h, inputs
 
 
 def backward(net: EncoderNet, cache, grad_features: np.ndarray) -> np.ndarray:
@@ -146,24 +144,24 @@ def backward(net: EncoderNet, cache, grad_features: np.ndarray) -> np.ndarray:
     The gradient vector has `theta`'s layout; each layer is written straight
     into its slice.
     """
-    inputs, preacts = cache
+    inputs = cache
     g = np.asarray(grad_features, dtype=np.float64)
     if g.shape != (inputs[0].shape[0], net.layer_dims[-1]):
         raise ShapeError(f"grad_features shape {g.shape} does not match forward output")
     grad = np.empty_like(net.theta)
     d_weights, d_biases = _layers(net.layer_dims, grad)
-    last = net.num_layers() - 1
-    for l in range(last, -1, -1):
-        if l < last:
-            z = preacts[l]
-            if net.activation == "relu":
-                g = g * (z > 0.0)
-            else:
-                g = g * (1.0 - np.tanh(z) ** 2)
+    for l in range(net.num_layers() - 1, -1, -1):
         np.matmul(inputs[l].T, g, out=d_weights[l])
         g.sum(axis=0, out=d_biases[l])
         if l > 0:
             g = g @ net.weights[l].T
+            # the activation derivative, from the layer's output h = inputs[l]:
+            # h > 0 for relu (as z > 0), 1 - h**2 for tanh (h is tanh(z))
+            h = inputs[l]
+            if net.activation == "relu":
+                g *= h > 0.0
+            else:
+                g *= 1.0 - h * h
     return grad
 
 

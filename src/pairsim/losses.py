@@ -11,6 +11,13 @@ Three variants of the same binary cross-entropy kernel on s + b:
 The reductions are definitional: simple_final at r=1 is balanced, and
 balanced at alpha=0.5 is naive halved. All exponentials go through the
 stable softplus/sigmoid forms; raw exp(r*(s+b)) never appears.
+
+`batch_loss` is the kernel of the queue step. Each pair gets its own branch
+argument u (r*t on the negatives, which are most pairs, then -t/r patched in
+at the positives), one e = exp(-|u|) serves both softplus(u) and sigmoid(u),
+and the branch weights go on the same way: the negative weight over the
+whole batch, the positive one patched in by index. Every value is the one
+`softplus`, `sigmoid` and the two-branch formulas give, bit for bit.
 """
 
 from __future__ import annotations
@@ -54,14 +61,25 @@ class LossConfig:
 
 @dataclass
 class PairBatch:
-    """Scores and binary labels for a batch of pairs."""
+    """Scores and labels of a batch of pairs, both flat; a label is True on a
+    same-class pair.
+
+    Boolean labels are kept as given (a view when already flat); any other
+    labels must all be 0 or 1.
+    """
 
     scores: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=np.float64).ravel()
-        self.labels = np.asarray(self.labels).ravel().astype(np.int64)
+        labels = np.asarray(self.labels).ravel()
+        if labels.dtype != np.bool_:
+            bad = labels[(labels != 0) & (labels != 1)]
+            if bad.size:
+                raise ShapeError(f"pair labels must be 0 or 1, got {bad[0].item()!r}")
+            labels = labels.astype(np.bool_)
+        self.labels = labels
         if self.scores.shape != self.labels.shape:
             raise ShapeError(
                 f"scores and labels differ in length: {self.scores.size} vs {self.labels.size}"
@@ -103,14 +121,32 @@ def batch_loss(cfg: LossConfig, pairs: PairBatch):
         raise ShapeError("batch_loss over an empty PairBatch")
     w_pos, w_neg, r = cfg._resolved()
     t = pairs.scores + cfg.b
-    pos = pairs.labels == 1
-    # each pair's own branch argument, so softplus and sigmoid run once per
-    # pair; every element gets exactly the value its branch formula gives
-    u = np.where(pos, -t / r, r * t)
-    losses = np.where(pos, w_pos, w_neg) * softplus(u)
-    d = np.where(pos, -(w_pos / r), w_neg * r) * sigmoid(u)
-    d_scores = d / n
-    return float(np.mean(losses)), d_scores, float(np.sum(d_scores))
+    pos = np.flatnonzero(pairs.labels)
+    # each step gives the bits of the two-branch formulas (see the module
+    # docstring); u is r*t over the batch, then -t/r at the positives
+    t_pos = t[pos]
+    u = np.multiply(t, r, out=t)
+    u[pos] = -t_pos / r
+    e = np.abs(u)
+    np.negative(e, out=e)
+    np.exp(e, out=e)  # exp(-|u|), shared by softplus and sigmoid
+    nonneg = u >= 0.0
+    # softplus(u) = max(u, 0) + log1p(e), times the branch weight
+    losses = np.log1p(e)
+    losses += np.maximum(u, 0.0, out=u)
+    losses_pos = losses[pos]
+    losses *= w_neg
+    losses[pos] = w_pos * losses_pos
+    # sigmoid(u) = (1 if u >= 0 else e) / (1 + e), times the branch slope
+    denom = e + 1.0
+    np.copyto(e, 1.0, where=nonneg)
+    d = np.divide(e, denom, out=e)
+    d_pos = d[pos]
+    d *= w_neg * r
+    d[pos] = -(w_pos / r) * d_pos
+    d /= n
+    # add.reduce sums as np.mean and np.sum do
+    return float(np.add.reduce(losses) / n), d, float(np.add.reduce(d))
 
 
 def mining_curves(r: float, t: float):

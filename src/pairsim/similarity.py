@@ -187,11 +187,12 @@ def score_matrix_grad_left(sim: SimilarityKind, a, q, d_scores, na=None, nq=None
     if sim.kind == "generalized_inner":
         d_a = d_scores @ q
         # Bias-term gradient -b_theta * (sum_j dS_ij ||q_j||) * a_i/||a_i||,
-        # dropped at zero-norm rows to match score_grad.
+        # dropped at zero-norm rows to match score_grad; with no such row,
+        # every row takes it without a boolean gather.
         coef = d_scores @ nq
         safe = na > 0.0
-        if np.any(safe):
-            d_a[safe] -= sim.b_theta * (coef[safe] / na[safe])[:, None] * a[safe]
+        rows = slice(None) if safe.all() else safe
+        d_a[rows] -= sim.b_theta * (coef[rows] / na[rows])[:, None] * a[rows]
         d_btheta = -float(na @ d_scores @ nq)
         return d_a, d_btheta
     if np.any(na == 0.0) or np.any(nq == 0.0):

@@ -14,6 +14,7 @@ from pairsim import (
     DegenerateInputError,
     GenSpec,
     ParseError,
+    Rng,
     generate,
     load_csv,
     save_csv,
@@ -38,7 +39,7 @@ def test_generate_row_counts():
     ds = generate(small_spec())
     assert len(ds) == 400
     assert ds.input_dim == 8
-    assert np.array_equal(ds.class_counts(), [100, 100, 100, 100])
+    assert np.array_equal(np.bincount(ds.labels), [100, 100, 100, 100])
 
 
 def test_generate_deterministic_per_family():
@@ -113,9 +114,9 @@ def test_split_sizes_and_stratification():
     ds = generate(small_spec())
     train, val, test = split(ds, (0.8, 0.1, 0.1), seed=0)
     assert (len(train), len(val), len(test)) == (320, 40, 40)
-    assert np.array_equal(train.class_counts(), [80, 80, 80, 80])
-    assert np.array_equal(val.class_counts(), [10, 10, 10, 10])
-    assert np.array_equal(test.class_counts(), [10, 10, 10, 10])
+    assert np.array_equal(np.bincount(train.labels), [80, 80, 80, 80])
+    assert np.array_equal(np.bincount(val.labels), [10, 10, 10, 10])
+    assert np.array_equal(np.bincount(test.labels), [10, 10, 10, 10])
 
 
 def test_split_partitions_the_rows():
@@ -140,7 +141,7 @@ def test_split_proportions_within_one_row():
     ds = generate(small_spec(num_classes=5, samples_per_class=13))
     train, val, test = split(ds, (0.7, 0.2, 0.1), seed=2)
     for part, f in ((train, 0.7), (val, 0.2), (test, 0.1)):
-        for c in part.class_counts():
+        for c in np.bincount(part.labels, minlength=5):
             assert abs(c - 13 * f) <= 1.0
 
 
@@ -168,6 +169,51 @@ def test_split_rejects_bad_fractions_and_thin_classes():
     # one nonzero split is fine even for the 1-sample class
     train, _, _ = split(tiny, (1.0, 0.0, 0.0), seed=0)
     assert len(train) == 3
+
+
+def split_by_class_range(ds, fractions, seed):
+    """The range(num_classes) form of split's row assignment, for dense ids."""
+    rng = Rng(seed).stream("split")
+    cum = np.cumsum(fractions)
+    part_rows = ([], [], [])
+    for k in range(ds.num_classes):
+        idx = np.flatnonzero(ds.labels == k)
+        if idx.size == 0:
+            continue
+        perm = idx[rng.stream(("class", k)).permutation(idx.size)]
+        start = 0
+        for j, stop in enumerate(np.rint(cum * idx.size).astype(int)):
+            part_rows[j].extend(perm[start:stop].tolist())
+            start = stop
+    return [np.sort(np.asarray(r, dtype=np.int64)) for r in part_rows]
+
+
+def test_split_rows_match_the_per_class_range_form():
+    # dense ids, one id absent, classes of uneven size
+    rng = np.random.default_rng(3)
+    labels = rng.choice([0, 1, 2, 4, 5], size=90, p=[0.1, 0.3, 0.2, 0.15, 0.25])
+    ds = Dataset(inputs=np.arange(180.0).reshape(90, 2), labels=labels, num_classes=6)
+    for seed in (0, 7):
+        parts = split(ds, (0.6, 0.25, 0.15), seed=seed)
+        for part, rows in zip(parts, split_by_class_range(ds, (0.6, 0.25, 0.15), seed)):
+            assert np.array_equal(part.inputs, ds.inputs[rows])
+            assert np.array_equal(part.labels, ds.labels[rows])
+
+
+def test_split_sparse_ids_size_nothing_by_the_largest_id():
+    # ids {0, 10**15}: split works over the ids present, so nothing is sized
+    # by num_classes (a bincount over it would need petabytes)
+    big = 10**15
+    labels = np.array([0, big] * 6)
+    ds = Dataset(inputs=np.arange(24.0).reshape(12, 2), labels=labels, num_classes=big + 1)
+    train, val, test = split(ds, (0.5, 0.5, 0.0), seed=0)
+    assert (len(train), len(val), len(test)) == (6, 6, 0)
+    for part in (train, val):
+        assert sorted(part.labels.tolist()) == [0, 0, 0, big, big, big]
+    # a thin class is named by its id
+    thin = Dataset(inputs=np.ones((3, 2)), labels=[0, 0, big], num_classes=big + 1)
+    with pytest.raises(ConfigError, match=rf"classes \[{big}\] have fewer rows"):
+        split(thin, (0.5, 0.5, 0.0), seed=0)
 
 
 def test_dataset_validation():

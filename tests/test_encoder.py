@@ -97,6 +97,46 @@ def test_backward_scalar_closed_form():
     assert grads[0] == pytest.approx(8 * 0.7, rel=1e-14)  # theta[0] is W[0, 0]
 
 
+def backward_from_preacts(net, x, grad_features):
+    """The pre-activation form of backward: forward again keeping each hidden
+    layer's z, then take the derivative from z (z > 0, 1 - tanh(z)**2)."""
+    inputs, preacts, h = [], [], x
+    last = net.num_layers() - 1
+    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+        inputs.append(h)
+        z = h @ w + b
+        if l < last:
+            preacts.append(z)
+            h = np.maximum(z, 0.0) if net.activation == "relu" else np.tanh(z)
+    grad = np.empty_like(net.theta)
+    i, g = grad.size, grad_features
+    for l in range(last, -1, -1):
+        if l < last:
+            z = preacts[l]
+            g = g * (z > 0.0) if net.activation == "relu" else g * (1.0 - np.tanh(z) ** 2)
+        w = net.weights[l]
+        i -= w.shape[1]
+        grad[i : i + w.shape[1]] = g.sum(axis=0)
+        i -= w.size
+        grad[i : i + w.size] = (inputs[l].T @ g).ravel()
+        g = g @ w.T
+    return grad
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("dims", [[3, 2], [32, 64, 64, 32], [5, 7, 6, 4, 3]])
+def test_backward_bit_equal_to_preactivation_form(activation, dims):
+    # backward takes each derivative from the cached activation; it must
+    # give the bits the pre-activation form gives, exact zeros of relu included
+    rng = Rng(len(dims) + 10 * dims[0])
+    net = init_encoder(dims, rng, activation)
+    net.biases[0][:] = rng.stream("b").normal(size=dims[1])  # some units dead
+    x = rng.stream("x").normal(size=(32, dims[0]))
+    feats, cache = forward(net, x)
+    g = rng.stream("g").normal(size=feats.shape)
+    assert backward(net, cache, g).tobytes() == backward_from_preacts(net, x, g).tobytes()
+
+
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
 @pytest.mark.parametrize("dims", [[2, 3], [3, 5, 2], [4, 8, 6, 3]])
 def test_backward_matches_finite_differences(activation, dims):

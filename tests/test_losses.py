@@ -7,7 +7,9 @@ from hypothesis import given, strategies as st
 from pairsim.errors import ConfigError, ShapeError
 from pairsim.gradcheck import numerical_grad_scalar
 from pairsim.losses import LossConfig, PairBatch, batch_loss, mining_curves, pair_loss, pair_loss_grad
-from pairsim.numkit import sigmoid, softplus
+from pairsim.numkit import Rng, sigmoid, softplus
+from pairsim.pair_queue import FeatureQueue, enqueue_batch, form_pairs
+from pairsim.similarity import SimilarityKind
 
 
 def cfg(variant="simple_final", r=3.0, alpha=0.001, b=0.0):
@@ -187,6 +189,49 @@ def test_batch_loss_bit_identical_past_the_softplus_cut():
         want_loss, want_d, want_db = two_branch_batch_loss(c, pb)
         assert loss == want_loss and d_b == want_db
         assert d_scores.tobytes() == want_d.tobytes()
+
+
+@pytest.mark.parametrize("variant", ["naive", "balanced", "simple_final"])
+def test_batch_loss_bit_identical_at_the_train_simple_shape(variant):
+    # 32 batch rows x a 256-entry queue over 16 classes, as train_simple pairs
+    # them: above 128 pairs numpy's pairwise summation changes the order in
+    # which the loss and d_b are summed, so the small hypothesis cases above
+    # do not reach it
+    rng = Rng(17)
+    m, q, classes = 32, 256, 16
+    queue = FeatureQueue(q, 8)
+    enqueue_batch(queue, rng.normal(size=(q, 8)), rng.integers(0, classes, size=q))
+    pairs = form_pairs(
+        queue, rng.normal(size=(m, 8)), rng.integers(0, classes, size=m), SimilarityKind()
+    )
+    # the tracer counts pairs with len(pairs.labels): one flat bool per pair
+    assert pairs.labels.dtype == np.bool_ and pairs.labels.shape == (m * q,)
+    assert 0.03 < np.count_nonzero(pairs.labels) / (m * q) < 0.1
+    # wide scores put u past +-30 (both tails of softplus) on both branches
+    pairs.scores[:] = rng.stream("scores").normal(scale=60.0, size=m * q)
+    c = cfg(variant, r=3.0, alpha=0.1, b=0.2)
+    w_pos, w_neg, r = c._resolved()
+    t = pairs.scores + c.b
+    for u in (-t[pairs.labels] / r, r * t[~pairs.labels]):
+        assert u.min() < -30.0 and u.max() > 30.0
+    loss, d_scores, d_b = batch_loss(c, pairs)
+    want_loss, want_d, want_db = two_branch_batch_loss(c, pairs)
+    assert loss == want_loss and d_b == want_db
+    assert d_scores.tobytes() == want_d.tobytes()
+
+
+@pytest.mark.parametrize("bad", [2, -1, 0.5])
+def test_pair_labels_must_be_binary(bad):
+    with pytest.raises(ShapeError, match=repr(bad)):
+        PairBatch(scores=[0.1, 0.2, 0.3], labels=[1, bad, 0])
+
+
+def test_pair_labels_bool_kept_and_binary_cast():
+    flags = np.array([[True, False], [False, True]])
+    pb = PairBatch(scores=np.zeros((2, 2)), labels=flags)
+    assert pb.labels.dtype == np.bool_ and np.shares_memory(pb.labels, flags)
+    pb = PairBatch(scores=np.zeros(3), labels=[1.0, 0, 1])
+    assert pb.labels.tolist() == [True, False, True]
 
 
 def test_empty_batch_rejected():

@@ -203,6 +203,18 @@ def test_score_matrix_matches_scalar(name):
         assert rows[i] == pytest.approx(score(sim, a[i], q[i]), rel=1e-12, abs=1e-12)
 
 
+def scalar_grad_left(sim, a, q, ds):
+    """(d_a, d_btheta) summed pair by pair from score_grad."""
+    d_a = np.zeros_like(a)
+    d_bt = 0.0
+    for i in range(a.shape[0]):
+        for j in range(q.shape[0]):
+            g1, _, gb = score_grad(sim, a[i], q[j])
+            d_a[i] += ds[i, j] * g1
+            d_bt += ds[i, j] * gb
+    return d_a, d_bt
+
+
 @pytest.mark.parametrize("name", KINDS)
 def test_score_matrix_grad_left_matches_scalar(name):
     rng = np.random.default_rng(8)
@@ -211,12 +223,22 @@ def test_score_matrix_grad_left_matches_scalar(name):
     q = rng.standard_normal((6, 5)) + 0.1
     ds = rng.standard_normal((4, 6))
     d_a, d_bt = score_matrix_grad_left(sim, a, q, ds)
-    expect = np.zeros_like(a)
-    expect_bt = 0.0
-    for i in range(4):
-        for j in range(6):
-            g1, _, gb = score_grad(sim, a[i], q[j])
-            expect[i] += ds[i, j] * g1
-            expect_bt += ds[i, j] * gb
+    expect, expect_bt = scalar_grad_left(sim, a, q, ds)
     assert_allclose(d_a, expect, rtol=1e-10, atol=1e-12)
+    assert d_bt == pytest.approx(expect_bt, rel=1e-10, abs=1e-12)
+
+
+def test_score_matrix_grad_left_zero_row_drops_its_bias_term():
+    # generalized_inner with one all-zero row of a among nonzero rows: that
+    # row's bias term is dropped, as score_grad drops it for a zero vector
+    rng = np.random.default_rng(9)
+    sim = kind("generalized_inner")
+    a = rng.standard_normal((4, 5)) + 0.1
+    a[2] = 0.0
+    q = rng.standard_normal((6, 5)) + 0.1
+    ds = rng.standard_normal((4, 6))
+    d_a, d_bt = score_matrix_grad_left(sim, a, q, ds)
+    expect, expect_bt = scalar_grad_left(sim, a, q, ds)
+    assert_allclose(d_a, expect, rtol=1e-10, atol=1e-12)
+    assert_allclose(d_a[2], ds[2] @ q, rtol=1e-12)  # the plain inner-product part
     assert d_bt == pytest.approx(expect_bt, rel=1e-10, abs=1e-12)
