@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ShapeError
 from .losses import PairBatch
-from .numkit import as_matrix, check_finite, unit_rows, unit_rows_grad
+from .numkit import as_matrix, check_finite, class_ids, unit_rows, unit_rows_grad
 
 
 @dataclass
@@ -67,9 +67,10 @@ def _check_batch(bank: ProxyBank, features, labels):
     check_finite(x, "features")
     if x.ndim != 2 or x.shape[1] != bank.d_feat:
         raise ShapeError(f"features of shape {x.shape} do not match proxy dim {bank.d_feat}")
-    y = np.atleast_1d(np.asarray(labels)).astype(np.int64)
+    y = np.atleast_1d(np.asarray(labels))
     if y.shape != (x.shape[0],):
         raise ShapeError(f"{x.shape[0]} feature rows but labels of shape {y.shape}")
+    y = class_ids(y)
     if np.any((y < 0) | (y >= bank.num_classes)):
         raise ConfigError(f"labels {y.tolist()} out of range [0, {bank.num_classes})")
     return x, y

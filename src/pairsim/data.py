@@ -32,7 +32,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ParseError, ShapeError
-from .numkit import Rng, as_matrix
+from .numkit import Rng, as_matrix, class_ids
 
 FAMILIES = ("gaussian_blobs", "concentric_rings", "hypercube_corners")
 _GAPS_SHOWN = 5  # missing class ids a label-gap error names
@@ -48,7 +48,7 @@ class Dataset:
 
     def __post_init__(self):
         self.inputs = as_matrix(self.inputs)
-        self.labels = np.asarray(self.labels).ravel().astype(np.int64)
+        self.labels = class_ids(self.labels)
         self.num_classes = int(self.num_classes)
         if self.inputs.shape[0] != self.labels.size:
             raise ShapeError(

@@ -19,8 +19,10 @@ classes exactly; `cluster_by_threshold` realizes that guarantee.
 
 Both run on one walk over the upper triangle (i < j) in row blocks of
 `_BLOCK` rows: each unordered pair is scored once, and memory stays
-O(block * n) however many pairs clear the threshold.  `evaluate` takes the
-margin and the clusters from a single walk.
+O(block * n) however many pairs clear the threshold.  With labels the rows
+are walked in class order, so a block's same-class pairs lie in one narrow
+column band; the clusters grow in a union-find forest, one block at a time.
+`evaluate` takes the margin and the clusters from a single walk.
 """
 
 from __future__ import annotations
@@ -31,11 +33,9 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigError, DegenerateInputError, ShapeError
-from .numkit import Rng
+from .numkit import Rng, class_ids
 from .similarity import SimilarityKind, score_matrix, score_rows
 
 
@@ -154,7 +154,7 @@ def _sample_side(rng: Rng, labels: np.ndarray, want: int, total: int, same: bool
 
 def sample_pair_indices(labels, num_pos: int, num_neg: int, seed: int):
     """(pos_pairs, neg_pairs) as (k, 2) index arrays, deterministic under seed."""
-    labels = np.asarray(labels).ravel().astype(np.int64)
+    labels = class_ids(labels)
     intra, inter = _pair_totals(labels)
     if num_pos > intra:
         raise ConfigError(f"{num_pos} same-class pairs requested, only {intra} exist")
@@ -268,16 +268,18 @@ def roc_points(sp: ScoredPairs) -> list:
     return pts
 
 
-# Rows per block of the upper-triangle walk.  Timed on 6,400 rows x 32
-# features (one BLAS thread, 2-core x86-64 VM): 64 to 128 rows per block
-# ran within noise of each other (about 0.2 s for the audit and the
-# clustering together), 256 about 15% slower and 512 about 45% slower.
+# Rows per block of the upper-triangle walk.  Timed with the class-ordered
+# union-find walk on 6,400 rows x 32 features in 16 classes, cut at a
+# trained model's learned -b (one BLAS thread, 2-core x86-64 VM, 16 runs
+# each): 64 and 128 rows per block ran within noise of each other (median
+# about 0.12 s for the audit and the clustering together), 256 about 17%
+# slower and 512 about twice as slow.
 _BLOCK = 128
 
 
 def _audit_inputs(features, labels):
     features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels).ravel().astype(np.int64)
+    labels = class_ids(labels)
     n = labels.size
     if features.ndim != 2 or features.shape[0] != n:
         raise ShapeError(f"features {features.shape} do not match {n} labels")
@@ -295,52 +297,119 @@ def _check_threshold(threshold) -> float:
     return float(threshold)
 
 
+def _roots(parent, rows):
+    """The root of each of ``rows`` in the forest ``parent``."""
+    r = parent[rows]
+    while True:
+        up = parent[r]
+        if np.array_equal(up, r):
+            return r
+        r = up
+
+
+def _union(parent, u, v):
+    """Join the trees of rows u[k] and v[k] for every k.
+
+    Every root is the smallest row of its tree.  Each round hooks the larger
+    root of every still-split pair under the smallest root it meets, so
+    pointers only ever go down and no cycle forms.
+    """
+    while u.size:
+        u, v = _roots(parent, u), _roots(parent, v)
+        split = u != v
+        u, v = np.minimum(u[split], v[split]), np.maximum(u[split], v[split])
+        np.minimum.at(parent, v, u)
+
+
+def _merge_block(parent, edges, lo):
+    """Union block rows [lo, lo + b) with their above-threshold columns.
+
+    ``parent`` is flat (every row points at its root) on entry and on exit;
+    ``edges`` is the block's (b, n - lo) above-threshold mask.  The leading
+    square's pairs go in first, less those already inside one tree.  After
+    that, rows sharing a root share their edges to later rows, so the rest
+    of the mask is OR-reduced over the rows of each root (rows with no such
+    edge left out), and each root adds at most one edge per later row.
+    """
+    b = edges.shape[0]
+    block = np.arange(lo, lo + b)
+    roots = parent[block]
+    if np.any(roots != roots[0]):
+        r, c = np.nonzero(edges[:, :b] & (roots[:, None] != roots[None, :]))
+        _union(parent, block[r], block[c])
+        roots = _roots(parent, block)
+    rest = edges[:, b:]
+    if np.all(roots == roots[0]):
+        heads, reach = roots[:1], rest.any(axis=0, keepdims=True)
+    else:
+        live = rest.any(axis=1)
+        heads = np.unique(roots[live])
+        reach = np.empty((heads.size, rest.shape[1]), dtype=bool)
+        for k, h in enumerate(heads):
+            rest[live & (roots == h)].any(axis=0, out=reach[k])
+    reach &= parent[lo + b :] != heads[:, None]  # later rows already in the tree
+    g, c = np.nonzero(reach)
+    _union(parent, heads[g], lo + b + c)
+    parent[:] = _roots(parent, parent)
+
+
 def _upper_walk(features, sim: SimilarityKind, labels=None, threshold=None):
     """Score every unordered pair (i < j) once, in row blocks.
 
-    Block [lo, hi) is scored against rows [lo, n), and the diagonal and
-    lower part of its leading square are masked out.  With ``labels`` the
-    walk tracks the min same-class and max cross-class score.  With
-    ``threshold`` it merges the block's above-threshold edges into running
-    component labels: edges between two current components become a small
-    graph over those components, whose `connected_components` are composed
-    with the current labels.  Returns (margin or None, component labels or
-    None).  `connected_components` numbers components in order of their
-    smallest node, and the current labels are ordered by smallest member
-    too, so the final labels are the ones it gives on the full graph.
-    Memory is O(block * n) whatever the number of edges.
+    With ``labels`` the rows are walked in stable class order (the input
+    order when it already is one), so the same-class partners of a block's
+    rows all lie in one column band: from the block's first row to the end
+    of its last row's class.  Block [lo, hi) is scored against rows [lo, n),
+    and the diagonal and lower part of its leading square are masked out.
+    Beyond its `score_matrix` call a block costs one compare with
+    ``threshold`` and one max over its scores, plus band-wide work:
+
+    * with ``labels``, the min same-class score is read inside the band,
+      the band's same-class scores are masked, and the max of what is left
+      of the block is its max cross-class score;
+    * with ``threshold``, `_merge_block` joins the above-threshold pairs in
+      a union-find forest whose roots are the smallest rows of their trees.
+
+    Returns (margin or None, component labels or None), the components
+    numbered in order of their smallest input row.  Memory is O(block * n)
+    whatever the number of edges.
     """
     n = features.shape[0]
+    order = None
+    if labels is not None and np.any(labels[1:] < labels[:-1]):
+        order = np.argsort(labels, kind="stable")
+        features, labels = features[order], labels[order]
     # a row's norm is the same in any block; "inner" scores read none
     norms = None if sim.kind == "inner" else np.linalg.norm(features, axis=1)
     lower = np.tri(_BLOCK, dtype=bool)  # j <= i inside a leading square
     min_intra, max_inter = np.inf, -np.inf
-    comp, k = np.arange(n), n  # component of each row, component count
+    parent = np.arange(n)  # union-find forest over walk positions
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
         square = lower[: hi - lo, : hi - lo]
         na, nq = (None, None) if norms is None else (norms[lo:hi], norms[lo:])
         rows = score_matrix(sim, features[lo:hi], features[lo:], na=na, nq=nq)
-        rows[:, : hi - lo][square] = -np.inf
+        np.copyto(rows[:, : hi - lo], -np.inf, where=square)
         if threshold is not None:
-            cr, cc = comp[lo:hi], comp[lo:]
-            # an edge inside one component changes nothing; dropping those
-            # keeps dense graphs cheap once their components have merged
-            edges = (rows > threshold) & (cr[:, None] != cc[None, :])
-            if edges.any():
-                r, c = np.divmod(np.flatnonzero(edges), n - lo)
-                graph = csr_matrix((np.ones(r.size), (cr[r], cc[c])), shape=(k, k))
-                k, merged = connected_components(graph, directed=False)
-                comp = merged[comp]
+            _merge_block(parent, rows > threshold, lo)
         if labels is not None:
-            same = labels[lo:hi, None] == labels[None, lo:]
+            end = int(np.searchsorted(labels, labels[hi - 1], side="right"))
+            band = rows[:, : end - lo]
+            same = labels[lo:hi, None] == labels[None, lo:end]
             same[:, : hi - lo] &= ~square
-            if same.any():
-                min_intra = min(min_intra, rows[same].min())
-            rows[same] = -np.inf  # the edges above were read first
+            min_intra = np.min(band, where=same, initial=min_intra)
+            np.copyto(band, -np.inf, where=same)  # the edges above were read first
             max_inter = max(max_inter, rows.max())
     margin = None if labels is None else float(min_intra - max_inter)
-    return margin, None if threshold is None else comp.astype(np.int64)
+    if threshold is None:
+        return margin, None
+    if order is not None:
+        parent[order] = parent.copy()  # back to input order
+    # number the components by their smallest input row
+    _, first, comp = np.unique(parent, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return margin, rank[comp]
 
 
 def desideratum_audit(features, labels, sim: SimilarityKind) -> float:
@@ -362,8 +431,7 @@ def cluster_by_threshold(features, sim: SimilarityKind, threshold: float) -> np.
 
 def clustering_accuracy(predicted, truth) -> float:
     """Accuracy under the optimal one-to-one cluster/class assignment."""
-    predicted = np.asarray(predicted).ravel().astype(np.int64)
-    truth = np.asarray(truth).ravel().astype(np.int64)
+    predicted, truth = class_ids(predicted), class_ids(truth)
     if predicted.shape != truth.shape:
         raise ShapeError("predicted and truth label lengths differ")
     if predicted.size == 0:
@@ -392,6 +460,7 @@ def evaluate(
     ``threshold`` sets the clustering cut; default is the EER threshold.
     Class ids may be gapped or sparse: nothing below sizes an array by them.
     """
+    labels = class_ids(labels)
     intra, inter = _pair_totals(labels)
     sp = build_eval_pairs(
         features, labels, min(num_pos, intra), min(num_neg, inter), seed, sim

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateInputError, ShapeError
+from .errors import ConfigError, DegenerateInputError, ShapeError
 
 __all__ = [
     "as_matrix",
+    "class_ids",
     "check_finite",
     "unit_rows",
     "unit_rows_grad",
@@ -30,6 +31,23 @@ def as_matrix(data) -> np.ndarray:
         raise ShapeError(f"expected a 2-D matrix, got ndim={a.ndim}")
     check_finite(a, "matrix")
     return a
+
+
+def class_ids(labels) -> np.ndarray:
+    """Class ids as a flat int64 array (no copy when they already are one).
+
+    Integer and boolean ids are taken as they are.  Any other value must be
+    a whole number in int64's range; the first one that is not raises
+    ConfigError, so 0.5 is never truncated to class 0.
+    """
+    ids = np.asarray(labels).ravel()
+    if ids.dtype.kind not in "biu":
+        f = ids.astype(np.float64)
+        whole = (f == np.floor(f)) & (f >= -(2.0**63)) & (f < 2.0**63)
+        if not whole.all():
+            bad = ids[np.argmin(whole)]
+            raise ConfigError(f"class ids must be int64 integers, got {bad.item()!r}")
+    return ids.astype(np.int64, copy=False)
 
 
 def check_finite(a: np.ndarray, what: str = "array") -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ShapeError
 from .losses import PairBatch
-from .numkit import as_matrix
+from .numkit import as_matrix, class_ids
 from .similarity import SimilarityKind, score_matrix
 
 
@@ -75,7 +75,7 @@ class FeatureQueue:
 def enqueue_batch(queue: FeatureQueue, features, labels) -> None:
     """Append a batch, evicting the oldest entries past capacity."""
     features = as_matrix(features)
-    labels = np.asarray(labels).ravel().astype(np.int64, copy=False)
+    labels = class_ids(labels)
     m = features.shape[0]
     if m != labels.size:
         raise ShapeError(f"{m} feature rows but {labels.size} labels")
@@ -125,7 +125,7 @@ def form_pairs(
     if queue.size == 0:
         raise DegenerateInputError("cannot form pairs against an empty queue")
     batch_features = as_matrix(batch_features)
-    batch_labels = np.asarray(batch_labels).ravel().astype(np.int64)
+    batch_labels = class_ids(batch_labels)
     m = batch_features.shape[0]
     if m != batch_labels.size:
         raise ShapeError(f"{m} feature rows but {batch_labels.size} labels")

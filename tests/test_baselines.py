@@ -110,6 +110,10 @@ def test_ce_validates_label_and_shape():
         softmax_ce(bank, np.ones(2), 0)
     with pytest.raises(ConfigError):
         ProxyBank(proxies=np.ones((1, 2)))
+    with pytest.raises(ConfigError, match=r"got 1.5"):
+        softmax_ce(bank, np.ones((2, 3)), [0, 1.5])
+    with pytest.raises(ConfigError, match=r"got 0.5"):
+        proxy_gip_ce(bank, np.ones((2, 3)), [0.5, 1])
 
 
 # ----- proxy_gip_ce ------------------------------------------------------

@@ -226,6 +226,12 @@ def test_dataset_validation():
         thin.require_pairable()
 
 
+def test_dataset_names_a_non_integer_class_id():
+    # 1.7 would otherwise be stored as class 1
+    with pytest.raises(ConfigError, match=r"class ids must be int64 integers, got 1.7"):
+        Dataset(inputs=np.ones((2, 2)), labels=[1.0, 1.7], num_classes=2)
+
+
 def test_label_gaps_are_named_on_their_own():
     # labels {0, 2, 3}: class 1 is absent, class 3 is thin; the gap is the
     # error, and only the absent id is named

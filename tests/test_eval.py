@@ -397,22 +397,36 @@ def test_margin_blocking_matches_single_block():
     classes=st.integers(1, 6),
     seed=st.integers(0, 2**32 - 1),
     cut=st.floats(0.0, 1.0),
+    layout=st.sampled_from(("shuffled", "sorted", "descending")),
 )
-@example(kind="generalized_inner", n=_BLOCK, classes=3, seed=0, cut=0.5)
-@example(kind="cosine", n=3 * _BLOCK, classes=4, seed=1, cut=0.9)
-@example(kind="angular", n=2 * _BLOCK + 1, classes=2, seed=2, cut=0.99)
-def test_block_walk_matches_dense_oracle(kind, n, classes, seed, cut):
+@example(kind="generalized_inner", n=_BLOCK, classes=3, seed=0, cut=0.5, layout="shuffled")
+@example(kind="cosine", n=3 * _BLOCK, classes=4, seed=1, cut=0.9, layout="shuffled")
+@example(kind="angular", n=2 * _BLOCK + 1, classes=2, seed=2, cut=0.99, layout="shuffled")
+# many small classes: a block spans dozens of class runs and several roots
+@example(kind="generalized_inner", n=3 * _BLOCK + 5, classes=90, seed=3, cut=0.8, layout="sorted")
+@example(kind="cosine", n=2 * _BLOCK + 3, classes=60, seed=4, cut=0.7, layout="shuffled")
+# the permutation path on labels walked in reverse class order
+@example(kind="angular", n=2 * _BLOCK + 7, classes=5, seed=5, cut=0.6, layout="descending")
+@example(kind="inner", n=3 * _BLOCK, classes=40, seed=6, cut=0.9, layout="descending")
+# cuts below every score (one component) and above every score (singletons)
+@example(kind="cosine", n=2 * _BLOCK + 11, classes=3, seed=7, cut=-1.0, layout="shuffled")
+@example(kind="generalized_inner", n=2 * _BLOCK + 11, classes=3, seed=8, cut=2.0, layout="sorted")
+def test_block_walk_matches_dense_oracle(kind, n, classes, seed, cut, layout):
     # the walk scores each i < j pair once in row blocks; the oracle scores
     # the whole dense matrix, takes the audit over its upper triangle and
     # the components of its symmetric above-threshold adjacency
     rng = np.random.default_rng(seed)
     feats = integer_features(rng, n)
     labels = rng.integers(0, classes, size=n)
+    if layout != "shuffled":
+        labels = np.sort(labels)[:: -1 if layout == "descending" else 1]
     sim = SimilarityKind(kind)
     full, ii, jj = dense_upper(feats, sim)
     upper = full[ii, jj]
-    # a threshold equal to an observed score pins the strict inequality
-    t = float(np.quantile(upper, cut, method="lower")) if upper.size else 0.0
+    # a threshold equal to an observed score pins the strict inequality;
+    # cut < 0 and cut > 1 put it below and above every score
+    t = float(np.quantile(upper, min(max(cut, 0.0), 1.0), method="lower")) if upper.size else 0.0
+    t += -1.0 if cut < 0 else 1.0 if cut > 1 else 0.0
     adj = full > t
     np.fill_diagonal(adj, False)
     _, want_comp = connected_components(csr_matrix(adj), directed=False)
@@ -428,6 +442,31 @@ def test_block_walk_matches_dense_oracle(kind, n, classes, seed, cut):
     margin, comp = _upper_walk(feats, sim, labels=labels, threshold=t)
     assert margin == want_margin
     assert np.array_equal(comp, want_comp)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_walk_gives_the_same_margin_and_partition_in_any_row_order(kind):
+    # float rows in class order, then a shuffled copy: the shuffled walk
+    # sorts its rows back into class order, so every score keeps its bits;
+    # the clusters are the same sets, numbered by their smallest input row
+    rng = np.random.default_rng(9)
+    n = 3 * _BLOCK + 21
+    feats = rng.normal(size=(n, 5)) + 2.0 * rng.normal(size=(7, 5))[np.arange(n) % 7]
+    labels = np.sort(np.arange(n) % 7)
+    sim = SimilarityKind(kind)
+    t = float(np.quantile(score_matrix(sim, feats[::9], feats[::9]), 0.95))
+    margin, comp = _upper_walk(feats, sim, labels=labels, threshold=t)
+    assert 1 < np.unique(comp).size < n
+    perm = rng.permutation(n)
+    got_margin, got = _upper_walk(feats[perm], sim, labels=labels[perm], threshold=t)
+    assert repr(got_margin) == repr(margin)
+    # same partition: the pairs (comp[perm][i], got[i]) match one to one
+    pairs = np.unique(np.stack([comp[perm], got]), axis=1)
+    assert pairs.shape[1] == np.unique(comp).size == np.unique(got).size
+    # numbered 0, 1, ... in order of each cluster's smallest row
+    ids, firsts = np.unique(got, return_index=True)
+    assert np.array_equal(ids, np.arange(ids.size)) and np.all(np.diff(firsts) > 0)
+    assert np.array_equal(got, cluster_by_threshold(feats[perm], sim, t))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -460,8 +499,10 @@ def test_walk_row_norms_taken_once_equal_per_block_norms(monkeypatch, kind):
 
 def test_audit_and_clustering_memory_stays_blockwise():
     # One dense float64 score matrix for 4,000 rows is 128 MB.  The walk
-    # holds a few (block x n) arrays at a time and, in its first block, the
-    # edge list of block x n pairs: about 33 MB here, where the threshold
+    # holds a few (block x n) arrays at a time: the block's scores and the
+    # temporaries `score_matrix` makes, 4 MB each, and a boolean mask; its
+    # union-find forest is O(n) and a block adds at most one edge per later
+    # row and root.  The peak is about 12 MB here, where the threshold
     # makes every pair an edge.  48 MB leaves room for allocator and
     # library differences while staying far below one dense matrix.
     rng = np.random.default_rng(12)
@@ -594,6 +635,22 @@ def test_evaluate_ranks_sparse_class_ids():
         dense_rep = evaluate(feats, labels, sim, num_pos=40, num_neg=80, seed=2)
         sparse_rep = evaluate(feats, sparse, sim, num_pos=40, num_neg=80, seed=2)
         assert report_to_json(sparse_rep) == report_to_json(dense_rep)
+
+
+@pytest.mark.parametrize("entry", ["audit", "accuracy_pred", "accuracy_truth", "sample", "evaluate"])
+def test_eval_entry_points_name_a_non_integer_class_id(entry):
+    # [0.1, 0.9, 1.2, 1.8] would otherwise be audited as classes [0, 0, 1, 1]
+    feats = np.array([[1.0, 0.0], [1.0, 0.1], [0.0, 1.0], [0.1, 1.0]])
+    ids = [0.1, 0.9, 1.2, 1.8]
+    calls = {
+        "audit": lambda: desideratum_audit(feats, ids, SimilarityKind()),
+        "accuracy_pred": lambda: clustering_accuracy(ids, [0, 0, 1, 1]),
+        "accuracy_truth": lambda: clustering_accuracy([0, 0, 1, 1], ids),
+        "sample": lambda: sample_pair_indices(ids, 1, 1, 0),
+        "evaluate": lambda: evaluate(feats, ids, SimilarityKind(), num_pos=1, num_neg=1),
+    }
+    with pytest.raises(ConfigError, match=r"class ids must be int64 integers, got 0.1"):
+        calls[entry]()
 
 
 def test_public_eval_functions_accept_sparse_class_ids():

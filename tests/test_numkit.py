@@ -1,11 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from pairsim.numkit import Rng, sigmoid, softplus
+from pairsim.errors import ConfigError
+from pairsim.numkit import Rng, class_ids, sigmoid, softplus
 
 
 def test_softplus_at_zero():
@@ -110,3 +112,18 @@ def test_rng_streams_distinct():
     b = base.stream(1).normal(size=100)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, Rng(7).normal(size=100))
+
+
+def test_class_ids_keep_integers_and_whole_floats():
+    ids = np.array([[3, 1], [2, 0]], dtype=np.int64)
+    assert np.shares_memory(class_ids(ids), ids)  # int64 input is not copied
+    assert class_ids(np.array([2, 7], dtype=np.uint8)).dtype == np.int64
+    assert class_ids([True, False]).tolist() == [1, 0]
+    assert class_ids([0.0, -2.0, 1e15]).tolist() == [0, -2, 10**15]
+    assert class_ids([]).dtype == np.int64
+
+
+@pytest.mark.parametrize("bad", [0.5, -1.7, float("nan"), float("inf"), 2.0**63, -(2.0**64)])
+def test_class_ids_name_the_first_non_integer(bad):
+    with pytest.raises(ConfigError, match=re.escape(f"must be int64 integers, got {bad!r}")):
+        class_ids([1.0, bad, 0.25])

@@ -104,6 +104,17 @@ def test_label_length_mismatch_rejected():
         enqueue_batch(q, np.zeros((2, 2)), [0])
 
 
+def test_non_integer_class_ids_rejected():
+    # 0.5 and 1.7 would otherwise be stored (or paired) as classes 0 and 1
+    q = FeatureQueue(capacity=4, d_feat=2)
+    with pytest.raises(ConfigError, match=r"got 0.5"):
+        enqueue_batch(q, np.zeros((2, 2)), [0.5, 1.7])
+    assert q.size == 0
+    enqueue_batch(q, np.ones((2, 2)), [0, 1])
+    with pytest.raises(ConfigError, match=r"got 0.2"):
+        form_pairs(q, np.ones((2, 2)), [0.2, 1.9], SimilarityKind())
+
+
 def test_stored_features_are_a_snapshot():
     q = FeatureQueue(capacity=4, d_feat=2)
     block = np.ones((2, 2))

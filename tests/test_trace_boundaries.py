@@ -59,3 +59,40 @@ def test_queue_step_boundaries_are_looked_up_at_call_time(tracing, tmp_path):
                  "encoder.sgd_step", "encoder.ema_update", "pair_queue.enqueue"):
         assert tracer.calls[name] >= steps, name
     assert tracer.counts["pair_queue.pairs"] == steps * 16 * 64
+
+
+def test_eval_boundaries_see_each_layer_and_every_row_block(tracing, tmp_path):
+    # `pairsim eval` on a CSV with the tracer's wrappers installed: the pair
+    # walk scores each row block through `evaluation.score_matrix`, so that
+    # span sees ceil(n / _BLOCK) calls; load, encode and pair sampling each
+    # see theirs
+    from pairsim.cli import main
+    from pairsim.evaluation import _BLOCK
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "data.num_classes = 4\ndata.samples_per_class = 70\ndata.input_dim = 8\n"
+        "train.epochs = 1\ntrain.batch_size = 16\ntrain.queue_capacity = 64\n"
+        "train.feature_dim = 8\neval.num_pos = 50\neval.num_neg = 50\n"
+    )
+    for cmd, out in (("gen-data", "data"), ("train", "run")):
+        assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / out)]) == 0
+    csv = tmp_path / "data" / "dataset.csv"
+    evalcfg = tmp_path / "eval.cfg"
+    evalcfg.write_text(
+        cfg.read_text()
+        + f"data.csv = {csv}\neval.checkpoint = {tmp_path / 'run' / 'checkpoint.bin'}\n"
+    )
+    rows = len(csv.read_text().splitlines()) - 1
+    assert rows > 2 * _BLOCK
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        rc, _ = tracer.run_op(0, lambda: main(["eval", "--config", str(evalcfg),
+                                               "--out", str(tmp_path / "ev")]))
+    finally:
+        tracer.restore()
+    assert rc == 0
+    assert tracer.calls["similarity.score_matrix"] == -(-rows // _BLOCK)
+    for name in ("data.load_csv", "encoder.encode", "evaluation.sample_pairs"):
+        assert tracer.calls[name] == 1, name
