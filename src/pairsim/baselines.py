@@ -77,13 +77,14 @@ def _check_batch(bank: ProxyBank, features, labels):
 
 
 def softmax_ce(bank: ProxyBank, features, labels):
-    """Mean cross entropy over raw inner-product logits; (loss, CeGrads).
+    """Mean cross entropy over raw inner-product logits; (loss, CeGrads,
+    predicted classes).
 
     The bank's b_theta and margin do not apply, so d_btheta is 0.
     """
     x, y = _check_batch(bank, features, labels)
-    loss, g = _gip_ce(bank, x, y, 0.0, 0.0)
-    return loss, g._replace(d_btheta=0.0)
+    loss, g, predicted = _gip_ce(bank, x, y, 0.0, 0.0)
+    return loss, g._replace(d_btheta=0.0), predicted
 
 
 def _gip_ce(bank: ProxyBank, x, y, b_theta: float, margin: float):
@@ -91,7 +92,9 @@ def _gip_ce(bank: ProxyBank, x, y, b_theta: float, margin: float):
 
     ``x`` is (m, d) and ``y`` (m,); each row's loss is
     log(1 + sum_{c != y} exp(z_c - z_y)), and the gradients are those of the
-    mean over the rows.
+    mean over the rows.  Returns (loss, CeGrads, predicted), ``predicted``
+    being each row's argmax over the margin-free logits
+    ||w|| ||x|| (cos - b_theta).
     """
     m = x.shape[0]
     rows = np.arange(m)
@@ -108,7 +111,10 @@ def _gip_ce(bank: ProxyBank, x, y, b_theta: float, margin: float):
         )
     bias = np.full((m, bank.num_classes), b_theta + margin)
     bias[rows, y] = b_theta
-    logits = x @ w_eff.T - bias * np.outer(x_norm, w_norm)
+    dots = x @ w_eff.T
+    scale = np.outer(x_norm, w_norm)
+    logits = dots - bias * scale
+    predicted = np.argmax(logits if margin == 0.0 else dots - b_theta * scale, axis=1)
     diffs = logits - logits[rows, y][:, None]
     # the target's own diff is 0, so the shift keeps every exponent <= 0
     top = diffs.max(axis=1)
@@ -134,7 +140,7 @@ def _gip_ce(bank: ProxyBank, x, y, b_theta: float, margin: float):
         inv_w = np.divide(1.0, w_norm, out=np.zeros_like(w_norm), where=w_norm > 0.0)
         d_w = d_weff - ((coef * bias).T @ x_norm * inv_w)[:, None] * w_eff
     d_btheta = -float(x_norm @ coef @ w_norm)
-    return loss, CeGrads(d_x, d_w, d_btheta)
+    return loss, CeGrads(d_x, d_w, d_btheta), predicted
 
 
 def proxy_gip_ce(bank: ProxyBank, features, labels):
@@ -142,7 +148,8 @@ def proxy_gip_ce(bank: ProxyBank, features, labels):
 
     ``features`` is (m, d) (one vector counts as a batch of one) and
     ``labels`` (m,).  margin = 0 gives the plain generalized-inner CE;
-    b_theta = 0 and margin = 0 reduce to `softmax_ce` exactly.
+    b_theta = 0 and margin = 0 reduce to `softmax_ce` exactly.  Returns
+    (loss, CeGrads, predicted classes), as `_gip_ce` does.
     """
     x, y = _check_batch(bank, features, labels)
     return _gip_ce(bank, x, y, bank.b_theta, bank.margin)

@@ -12,6 +12,10 @@ them:
 * Clustering is a single-linkage threshold cut: connect every pair that
   scores strictly above the threshold, components become clusters, and
   accuracy is scored under the optimal one-to-one cluster/class matching.
+* The error counts at that cut follow the same strict rule over all pairs:
+  a same-class pair scoring at or below it is a false reject, a cross-class
+  pair scoring above it a false accept.  The EER's sweep instead accepts a
+  score equal to its threshold (``>=``), so at an exact tie the two differ.
 
 A positive separation margin (min same-class score minus max cross-class
 score) certifies that any threshold inside the margin reproduces the
@@ -22,7 +26,8 @@ Both run on one walk over the upper triangle (i < j) in row blocks of
 O(block * n) however many pairs clear the threshold.  With labels the rows
 are walked in class order, so a block's same-class pairs lie in one narrow
 column band; the clusters grow in a union-find forest, one block at a time.
-`evaluate` takes the margin and the clusters from a single walk.
+`evaluate` takes the margin, the clusters and the error counts at the cut
+from a single walk.
 """
 
 from __future__ import annotations
@@ -72,6 +77,7 @@ class EvalReport:
     roc: list
     desideratum_margin: float
     clustering_accuracy: float
+    cut_errors: dict
 
     def __post_init__(self):
         if not 0.0 <= self.eer <= 1.0:
@@ -268,12 +274,12 @@ def roc_points(sp: ScoredPairs) -> list:
     return pts
 
 
-# Rows per block of the upper-triangle walk.  Timed with the class-ordered
-# union-find walk on 6,400 rows x 32 features in 16 classes, cut at a
-# trained model's learned -b (one BLAS thread, 2-core x86-64 VM, 16 runs
-# each): 64 and 128 rows per block ran within noise of each other (median
-# about 0.12 s for the audit and the clustering together), 256 about 17%
-# slower and 512 about twice as slow.
+# Rows per block of the upper-triangle walk.  Timed with one matmul per
+# score block on 6,400 rows x 32 features in 16 classes, cut at a trained
+# model's learned -b (the walk that yields the margin, the clusters and the
+# error counts; one BLAS thread, 2-core x86-64 VM, median of 15 interleaved
+# runs, two trained models): 128 rows per block took 49.4 and 49.7 ms, 64
+# rows 54.2 and 55.1 ms, 256 rows 52.0 and 52.4 ms.
 _BLOCK = 128
 
 
@@ -370,9 +376,13 @@ def _upper_walk(features, sim: SimilarityKind, labels=None, threshold=None):
     * with ``threshold``, `_merge_block` joins the above-threshold pairs in
       a union-find forest whose roots are the smallest rows of their trees.
 
-    Returns (margin or None, component labels or None), the components
-    numbered in order of their smallest input row.  Memory is O(block * n)
-    whatever the number of edges.
+    With both, each block also counts its false rejects (same-class pairs
+    at or below ``threshold``, all inside the band) and its false accepts
+    (its edges less its same-class edges).
+
+    Returns (margin or None, component labels or None, (false rejects,
+    false accepts) or None), the components numbered in order of their
+    smallest input row.  Memory is O(block * n) whatever the number of edges.
     """
     n = features.shape[0]
     order = None
@@ -383,6 +393,7 @@ def _upper_walk(features, sim: SimilarityKind, labels=None, threshold=None):
     norms = None if sim.kind == "inner" else np.linalg.norm(features, axis=1)
     lower = np.tri(_BLOCK, dtype=bool)  # j <= i inside a leading square
     min_intra, max_inter = np.inf, -np.inf
+    rejects = accepts = 0
     parent = np.arange(n)  # union-find forest over walk positions
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
@@ -391,25 +402,31 @@ def _upper_walk(features, sim: SimilarityKind, labels=None, threshold=None):
         rows = score_matrix(sim, features[lo:hi], features[lo:], na=na, nq=nq)
         np.copyto(rows[:, : hi - lo], -np.inf, where=square)
         if threshold is not None:
-            _merge_block(parent, rows > threshold, lo)
+            edges = rows > threshold
+            _merge_block(parent, edges, lo)
         if labels is not None:
             end = int(np.searchsorted(labels, labels[hi - 1], side="right"))
             band = rows[:, : end - lo]
             same = labels[lo:hi, None] == labels[None, lo:end]
             same[:, : hi - lo] &= ~square
             min_intra = np.min(band, where=same, initial=min_intra)
+            if threshold is not None:
+                low = np.count_nonzero(same & (band <= threshold))
+                rejects += low
+                accepts += np.count_nonzero(edges) - np.count_nonzero(same) + low
             np.copyto(band, -np.inf, where=same)  # the edges above were read first
             max_inter = max(max_inter, rows.max())
     margin = None if labels is None else float(min_intra - max_inter)
     if threshold is None:
-        return margin, None
+        return margin, None, None
     if order is not None:
         parent[order] = parent.copy()  # back to input order
     # number the components by their smallest input row
     _, first, comp = np.unique(parent, return_index=True, return_inverse=True)
     rank = np.empty(first.size, dtype=np.int64)
     rank[np.argsort(first)] = np.arange(first.size)
-    return margin, rank[comp]
+    counts = None if labels is None else (int(rejects), int(accepts))
+    return margin, rank[comp], counts
 
 
 def desideratum_audit(features, labels, sim: SimilarityKind) -> float:
@@ -466,11 +483,19 @@ def evaluate(
         features, labels, min(num_pos, intra), min(num_neg, inter), seed, sim
     )
     eer, t_eer = compute_eer(sp)
+    tied = float(sp.pos_scores[0])
+    if np.all(sp.pos_scores == tied) and np.all(sp.neg_scores == tied):
+        # the EER threshold is then -inf
+        raise DegenerateInputError(
+            f"every sampled pair has the same score, {tied!r}: no threshold tells them apart"
+        )
     tprs = tpr_at_far(sp, far_targets)
     cut = _check_threshold(t_eer if threshold is None else threshold)
-    # one walk over all pairs yields both the margin and the clusters
+    # one walk over all pairs yields the margin, the clusters and the counts
     features, labels = _audit_inputs(features, labels)
-    margin, comp = _upper_walk(features, sim, labels=labels, threshold=cut)
+    margin, comp, (rejects, accepts) = _upper_walk(
+        features, sim, labels=labels, threshold=cut
+    )
     return EvalReport(
         eer=eer,
         eer_threshold=t_eer,
@@ -478,6 +503,13 @@ def evaluate(
         roc=roc_points(sp),
         desideratum_margin=margin,
         clustering_accuracy=clustering_accuracy(comp, labels),
+        cut_errors={
+            "threshold": cut,
+            "false_rejects": rejects,
+            "same_class_pairs": intra,
+            "false_accepts": accepts,
+            "cross_class_pairs": inter,
+        },
     )
 
 
@@ -489,6 +521,7 @@ def report_to_dict(report: EvalReport) -> dict:
         "roc": [[f, t] for f, t in report.roc],
         "desideratum_margin": report.desideratum_margin,
         "clustering_accuracy": report.clustering_accuracy,
+        "cut_errors": dict(report.cut_errors),
     }
 
 

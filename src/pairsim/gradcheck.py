@@ -209,7 +209,7 @@ def component_checks(seed: int = 0) -> list:
         feat = prng.normal(size=(3, 5))
         label = np.array([2, 0, 2])
         ce = softmax_ce if name == "softmax_ce" else proxy_gip_ce
-        _, g = ce(bank, feat, label)
+        _, g, _ = ce(bank, feat, label)
         n_x = numerical_grad(lambda v: ce(bank, v, label)[0], feat.copy())
         n_w = numerical_grad(
             lambda w: ce(

@@ -2,18 +2,20 @@
 
 Four interchangeable score functions over feature vectors:
 
-* ``generalized_inner`` -- ||x1||*||x2||*(cos - b_theta), evaluated through the
-  algebraically identical dot-product form ``<x1,x2> - b_theta*||x1||*||x2||``
-  so no arccos/cos round trip (and none of its endpoint singularities) enters
-  the gradient path.
+* ``generalized_inner`` -- ||x1||*||x2||*(cos - b_theta), evaluated as
+  ``<x1,x2> - b_theta*||x1||*||x2||`` so no arccos/cos round trip (and none
+  of its endpoint singularities) enters the gradient path.
 * ``inner``   -- plain dot product.
 * ``cosine``  -- dot product of the normalized vectors.
 * ``angular`` -- 1 - arccos(cosine)/pi, mapped to [0, 1].
 
 Scalar entry points (`score`, `score_grad`, `decision_boundary`) implement the
-per-pair contract; `score_matrix`, `score_rows` and `score_matrix_grad_left`
-are the batched forms used in training and evaluation (the two forward forms
-share one kind dispatch), and the tests pin them to the scalar versions.
+per-pair contract and are the reference the tests pin the batched forms to.
+`score_matrix` and `score_rows` fold each kind into rows whose plain inner
+products are its scores, so a batch of scores is one matmul (one row-wise
+product for `score_rows`): ``generalized_inner`` appends a norm column,
+``[a, b_theta*||a||] . [q, -||q||]``, and ``cosine``/``angular`` normalize the
+rows first.  `score_matrix_grad_left` backprops the batched scores.
 """
 
 from __future__ import annotations
@@ -111,59 +113,62 @@ def decision_boundary(sim: SimilarityKind, b: float, x1, x2) -> float:
     return score(sim, x1, x2) + b
 
 
-def _from_dots(sim: SimilarityKind, dots, n1, n2) -> np.ndarray:
-    """Scores from inner products and norms that broadcast against ``dots``.
+def _row_norms(a, norms):
+    return np.linalg.norm(a, axis=1) if norms is None else norms
 
-    Works in place on ``dots``; each step matches the out-of-place formula
-    bit for bit.
-    """
+
+def _fold(sim: SimilarityKind, a, q, na=None, nq=None):
+    """Rows ``(left, right)`` whose inner products are the kind's scores
+    (angular's before its arccos map)."""
     if sim.kind == "inner":
-        return dots
-    scale = n1 * n2
+        return a, q
+    na, nq = _row_norms(a, na), _row_norms(q, nq)
     if sim.kind == "generalized_inner":
-        scale *= sim.b_theta
-        dots -= scale
-        return dots
-    if np.any(n1 == 0.0) or np.any(n2 == 0.0):
+        # <a,q> - b_theta |a||q| = [a, b_theta |a|] . [q, -|q|]; b_theta sits
+        # on the left, so the right side's fold does not depend on it
+        return np.column_stack((a, sim.b_theta * na)), np.column_stack((q, -nq))
+    if np.any(na == 0.0) or np.any(nq == 0.0):
         raise DegenerateInputError(f"{sim.kind} similarity of a zero vector")
-    dots /= scale  # cosine
-    if sim.kind == "cosine":
-        return dots
-    np.clip(dots, -1.0, 1.0, out=dots)
-    np.arccos(dots, out=dots)
-    dots /= np.pi
-    return np.subtract(1.0, dots, out=dots)
+    return a / na[:, None], q / nq[:, None]
+
+
+def _angular(cos) -> np.ndarray:
+    """1 - arccos(cos)/pi, in place; rounding can push |cos| past 1."""
+    np.clip(cos, -1.0, 1.0, out=cos)
+    np.arccos(cos, out=cos)
+    cos /= np.pi
+    return np.subtract(1.0, cos, out=cos)
 
 
 def score_matrix(sim: SimilarityKind, a, q, na=None, nq=None) -> np.ndarray:
     """All pairwise scores between rows of ``a`` (m x d) and ``q`` (n x d).
 
-    ``na`` and ``nq`` are the rows' Euclidean norms, if the caller has them
-    (as ``np.linalg.norm(.., axis=1)`` gives them); otherwise they are
-    computed here, when the kind needs them.
+    One matmul over the folded rows (see the module docstring).  ``na`` and
+    ``nq`` are the rows' Euclidean norms, if the caller has them (as
+    ``np.linalg.norm(.., axis=1)`` gives them); otherwise they are computed
+    here, when the kind needs them.
     """
     a = np.asarray(a, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if a.ndim != 2 or q.ndim != 2 or a.shape[1] != q.shape[1]:
         raise ShapeError(f"score_matrix expects (m,d) and (n,d), got {a.shape} and {q.shape}")
-    if sim.kind == "inner":
-        return a @ q.T
-    na, nq = _row_norms(a, na), _row_norms(q, nq)
-    return _from_dots(sim, a @ q.T, na[:, None], nq[None, :])
-
-
-def _row_norms(a, norms):
-    return np.linalg.norm(a, axis=1) if norms is None else norms
+    left, right = _fold(sim, a, q, na, nq)
+    scores = left @ right.T
+    return _angular(scores) if sim.kind == "angular" else scores
 
 
 def score_rows(sim: SimilarityKind, a, b) -> np.ndarray:
-    """Score corresponding rows of two (n x d) matrices; returns length n."""
+    """Score corresponding rows of two (n x d) matrices; returns length n.
+
+    One row-wise product over the same folded rows as `score_matrix`.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or a.shape != b.shape:
         raise ShapeError(f"score_rows expects equal (n,d) shapes, got {a.shape} and {b.shape}")
-    dots = np.einsum("ij,ij->i", a, b)
-    return _from_dots(sim, dots, np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1))
+    left, right = _fold(sim, a, b)
+    scores = np.einsum("ij,ij->i", left, right)
+    return _angular(scores) if sim.kind == "angular" else scores
 
 
 def score_matrix_grad_left(sim: SimilarityKind, a, q, d_scores, na=None, nq=None):

@@ -61,7 +61,7 @@ from .evaluation import _pair_totals, evaluate, report_to_dict
 from .losses import LossConfig, batch_loss
 from .numkit import Rng, as_matrix, check_finite, unit_rows, unit_rows_grad
 from .pair_queue import FeatureQueue, enqueue_batch, form_pairs, pos_neg_ratio
-from .similarity import SimilarityKind, score_matrix, score_matrix_grad_left
+from .similarity import score_matrix_grad_left
 
 METHODS = ("simple", "contrastive", "triplet", "softmax_ce", "proxy_gip_ce")
 _QUEUE_METHODS = ("simple", "contrastive", "triplet")
@@ -314,8 +314,8 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
                     rec["pos_ratio"] = pos_neg_ratio(pairs)
                 else:
                     ce = softmax_ce if cfg.method == "softmax_ce" else proxy_gip_ce
-                    loss, (d_feats, d_w, d_bt) = ce(bank, feats, y)
-                    correct += int(np.sum(_proxy_predict(bank, feats) == y))
+                    loss, (d_feats, d_w, d_bt), predicted = ce(bank, feats, y)
+                    correct += int(np.count_nonzero(predicted == y))
                     seen += m
                 check_finite(loss, "loss")
 
@@ -372,13 +372,6 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
     log.bias = b_now
     log.b_theta = bt_now
     return log
-
-
-def _proxy_predict(bank, feats: np.ndarray) -> np.ndarray:
-    """Class predictions under the bank's margin-free generalized-inner logits
-    (softmax_ce keeps b_theta = 0, so its logits are the raw inner product)."""
-    w = unit_rows(bank.proxies, "proxy")[0] if bank.normalize_proxies else bank.proxies
-    return np.argmax(score_matrix(SimilarityKind(b_theta=bank.b_theta), feats, w), axis=1)
 
 
 def final_report(log: RunLog) -> dict | None:

@@ -59,19 +59,19 @@ FIX_X = np.array([0.5, -0.25])
 def test_ce_uniform_logits_give_log_k():
     for k in (2, 3, 7):
         bank = ProxyBank(proxies=np.tile([0.4, -0.2, 0.1], (k, 1)))
-        loss, _ = softmax_ce(bank, [5.0, 1.0, -2.0], 0)
+        loss, _, _ = softmax_ce(bank, [5.0, 1.0, -2.0], 0)
         assert_allclose(loss, math.log(k), rtol=1e-15)
 
 
 def test_ce_two_class_tie_gives_log_two():
     bank = ProxyBank(proxies=np.array([[1.0, 0.0], [0.0, 1.0]]))
-    loss, _ = softmax_ce(bank, [1.0, 1.0], 1)
+    loss, _, _ = softmax_ce(bank, [1.0, 1.0], 1)
     assert_allclose(loss, math.log(2.0), rtol=1e-15)
 
 
 def test_ce_three_class_fixture_matches_oracle():
     bank = ProxyBank(proxies=FIX_W)
-    loss, _ = softmax_ce(bank, FIX_X, 0)
+    loss, _, _ = softmax_ce(bank, FIX_X, 0)
     assert_allclose(loss, 0.81144889759451366, rtol=1e-15)
     assert_allclose(loss, ce_oracle(FIX_W, FIX_X, 0), rtol=1e-15)
 
@@ -79,7 +79,7 @@ def test_ce_three_class_fixture_matches_oracle():
 def test_ce_stable_for_huge_logits():
     bank = ProxyBank(proxies=np.array([[1.0, 0.0], [0.0, 1.0]]))
     x = np.array([0.0, 1e4])
-    loss, grads = softmax_ce(bank, x, 0)
+    loss, grads, _ = softmax_ce(bank, x, 0)
     assert np.isfinite(loss)
     assert_allclose(loss, 1e4, rtol=1e-12)  # dominated by the one huge diff
     assert np.isfinite(grads.d_feature).all()
@@ -93,7 +93,7 @@ def test_ce_gradients_match_finite_differences():
         x = rng.normal(size=3)
         y = int(rng.integers(0, 4))
         bank = ProxyBank(proxies=W.copy())
-        _, grads = softmax_ce(bank, x, y)
+        _, grads, _ = softmax_ce(bank, x, y)
         num_x = numerical_grad(lambda v: softmax_ce(bank, v, y)[0], x.copy())
         assert max_rel_err(grads.d_feature, num_x) < 1e-5
         num_w = numerical_grad(
@@ -125,8 +125,8 @@ def test_gip_ce_reduces_to_softmax_ce():
         W = rng.normal(size=(5, 4))
         x = rng.normal(size=4)
         y = int(rng.integers(0, 5))
-        plain, pg = softmax_ce(ProxyBank(proxies=W), x, y)
-        gip, gg = proxy_gip_ce(ProxyBank(proxies=W, b_theta=0.0, margin=0.0), x, y)
+        plain, pg, _ = softmax_ce(ProxyBank(proxies=W), x, y)
+        gip, gg, _ = proxy_gip_ce(ProxyBank(proxies=W, b_theta=0.0, margin=0.0), x, y)
         assert_allclose(gip, plain, rtol=1e-12)
         assert_allclose(gg.d_feature, pg.d_feature, rtol=1e-12, atol=1e-12)
         assert_allclose(gg.d_proxies, pg.d_proxies, rtol=1e-12, atol=1e-12)
@@ -134,14 +134,14 @@ def test_gip_ce_reduces_to_softmax_ce():
 
 def test_gip_ce_fixture_matches_oracle():
     bank = ProxyBank(proxies=FIX_W, b_theta=0.3)
-    loss, _ = proxy_gip_ce(bank, FIX_X, 0)
+    loss, _, _ = proxy_gip_ce(bank, FIX_X, 0)
     assert_allclose(loss, 0.78795889791502016, rtol=1e-15)
     assert_allclose(loss, gip_ce_oracle(FIX_W, FIX_X, 0, 0.3, 0.0), rtol=1e-15)
 
 
 def test_gip_ce_margin_fixture_matches_oracle():
     bank = ProxyBank(proxies=FIX_W, b_theta=0.3, margin=0.2)
-    loss, _ = proxy_gip_ce(bank, FIX_X, 0)
+    loss, _, _ = proxy_gip_ce(bank, FIX_X, 0)
     assert_allclose(loss, 0.71426391628952579, rtol=1e-15)
     assert_allclose(loss, gip_ce_oracle(FIX_W, FIX_X, 0, 0.3, 0.2), rtol=1e-15)
 
@@ -150,8 +150,8 @@ def test_gip_ce_margin_zero_equals_plain_gip():
     rng = np.random.default_rng(2)
     W = rng.normal(size=(4, 3))
     x = rng.normal(size=3)
-    a, _ = proxy_gip_ce(ProxyBank(proxies=W, b_theta=0.2, margin=0.0), x, 1)
-    b, _ = proxy_gip_ce(ProxyBank(proxies=W, b_theta=0.2), x, 1)
+    a, _, _ = proxy_gip_ce(ProxyBank(proxies=W, b_theta=0.2, margin=0.0), x, 1)
+    b, _, _ = proxy_gip_ce(ProxyBank(proxies=W, b_theta=0.2), x, 1)
     assert a == b
 
 
@@ -166,7 +166,7 @@ def test_gip_ce_gradients_match_finite_differences():
                 proxies=W.copy(), b_theta=0.3, margin=margin,
                 normalize_proxies=normalize,
             )
-            _, grads = proxy_gip_ce(bank, x, y)
+            _, grads, _ = proxy_gip_ce(bank, x, y)
 
             def loss_of_x(v):
                 return proxy_gip_ce(bank, v, y)[0]
@@ -191,9 +191,9 @@ def test_gip_ce_normalized_is_scale_invariant_in_proxies():
     rng = np.random.default_rng(4)
     W = rng.normal(size=(3, 4))
     x = rng.normal(size=4)
-    a, _ = proxy_gip_ce(ProxyBank(proxies=W, b_theta=0.2, normalize_proxies=True), x, 0)
+    a, _, _ = proxy_gip_ce(ProxyBank(proxies=W, b_theta=0.2, normalize_proxies=True), x, 0)
     W2 = W * np.array([[7.0], [0.5], [3.0]])
-    b, _ = proxy_gip_ce(ProxyBank(proxies=W2, b_theta=0.2, normalize_proxies=True), x, 0)
+    b, _, _ = proxy_gip_ce(ProxyBank(proxies=W2, b_theta=0.2, normalize_proxies=True), x, 0)
     assert_allclose(a, b, rtol=1e-12)
 
 
@@ -213,7 +213,7 @@ def test_ce_batch_equals_mean_of_one_row_calls():
                                  margin=margin, normalize_proxies=normalize)
                 x = rng.normal(size=(m, 3))
                 y = rng.integers(0, 4, size=m)
-                loss, g = ce(bank, x, y)
+                loss, g, _ = ce(bank, x, y)
                 rows = [ce(bank, x[i : i + 1], y[i : i + 1]) for i in range(m)]
                 assert_allclose(loss, np.mean([r[0] for r in rows]), rtol=1e-12)
                 assert_allclose(g.d_feature, np.vstack([r[1].d_feature for r in rows]) / m,
@@ -224,6 +224,25 @@ def test_ce_batch_equals_mean_of_one_row_calls():
                                 rtol=1e-12, atol=1e-15)
                 if ce is softmax_ce:
                     assert g.d_btheta == 0.0
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_ce_predictions_are_the_margin_free_argmax(normalize):
+    # the predicted class is the argmax of the margin-free logits, here the
+    # scalar generalized-inner `score` against each (unit, if normalized)
+    # proxy; every label is a non-argmax class, so the margin, which spares
+    # only the target's logit, would pull a margin-inclusive argmax onto it
+    rng = np.random.default_rng(11)
+    W = rng.normal(size=(5, 4))
+    x = rng.normal(size=(40, 4))
+    w_eff = W / np.linalg.norm(W, axis=1, keepdims=True) if normalize else W
+    for ce, b_theta in ((softmax_ce, 0.0), (proxy_gip_ce, 0.3)):
+        sim = SimilarityKind(b_theta=b_theta)
+        want = np.array([np.argmax([score(sim, xi, w) for w in w_eff]) for xi in x])
+        y = (want + 1) % W.shape[0]
+        bank = ProxyBank(proxies=W, b_theta=0.3, margin=0.9, normalize_proxies=normalize)
+        _, _, predicted = ce(bank, x, y)
+        assert np.array_equal(predicted, want)
 
 
 def test_init_proxy_bank_shapes():

@@ -203,6 +203,25 @@ def test_eval_label_beyond_int64_exits_2_naming_the_line(tmp_path, capsys):
     assert "line 3: label 99999999999999999999 does not fit in int64" in capsys.readouterr().err
 
 
+def test_eval_of_identical_features_names_the_tied_score(tmp_path, capsys):
+    # all-zero inputs encode to one feature vector, so every sampled pair
+    # scores the same and the EER has no finite threshold
+    run = tmp_path / "run"
+    assert main(["train", "--config", write_quick(tmp_path), "--out", str(run)]) == 0
+    zeros = tmp_path / "zeros.csv"
+    rows = [f"{i % 4}," + ",".join(["0.0"] * 8) for i in range(80)]
+    zeros.write_text("\n".join(["label," + ",".join(f"f{k}" for k in range(8)), *rows]) + "\n")
+    evalcfg = tmp_path / "eval.cfg"
+    evalcfg.write_text(
+        QUICK + f"similarity.kind = cosine\ndata.csv = {zeros}\n"
+        f"eval.checkpoint = {run / 'checkpoint.bin'}\n"
+    )
+    capsys.readouterr()
+    assert main(["eval", "--config", str(evalcfg), "--out", str(tmp_path / "e")]) == 2
+    err = capsys.readouterr().err
+    assert "every sampled pair has the same score" in err and "threshold must be finite" not in err
+
+
 def test_eval_missing_checkpoint_file_is_runtime_error(tmp_path, capsys):
     evalcfg = tmp_path / "eval.cfg"
     evalcfg.write_text(QUICK + "eval.checkpoint = ghost.bin\n")

@@ -90,13 +90,24 @@ def dense_upper(features, sim):
     return full, ii, jj
 
 
-def integer_features(rng, n, d=3):
-    """Small-integer rows: every dot product is exact, so a score does not
-    depend on how the pairs are blocked; the first coordinate is nonzero,
-    so cosine and angular are defined."""
-    feats = rng.integers(-3, 4, size=(n, d)).astype(np.float64)
-    feats[:, 0] = rng.choice([-2.0, -1.0, 1.0, 2.0], size=n)
-    return feats
+# b_theta for exact scores: a power of two, like the rows' norms below
+EXACT_B_THETA = 0.25
+
+
+def exact_features(rng, n):
+    """Nonzero small-integer rows in 8 dimensions whose norms are 1, 2 or 4:
+    +-1, +-2 or +-4 on one axis, or +-1 or +-2 on four of the axes.
+
+    The scores fold the bias term and the norms into one matmul, whose
+    rounding depends on how BLAS tiles the rows.  Here every step is exact
+    (the dot products, the norms, the normalized rows of cosine and angular,
+    and the bias term under `EXACT_B_THETA`), so a pair's score does not
+    depend on its block or on which of its rows comes first."""
+    signs = rng.choice([-1.0, 1.0], size=(n, 8))
+    four = np.argsort(rng.random((n, 8)), axis=1) < 4
+    spread = np.where(four, rng.choice([1.0, 2.0], size=(n, 1)), 0.0)
+    axis = np.eye(8)[rng.integers(0, 8, size=n)] * rng.choice([1.0, 2.0, 4.0], size=(n, 1))
+    return signs * np.where(rng.random((n, 1)) < 0.5, spread, axis)
 
 
 # ----- EER -------------------------------------------------------------
@@ -416,11 +427,11 @@ def test_block_walk_matches_dense_oracle(kind, n, classes, seed, cut, layout):
     # the whole dense matrix, takes the audit over its upper triangle and
     # the components of its symmetric above-threshold adjacency
     rng = np.random.default_rng(seed)
-    feats = integer_features(rng, n)
+    feats = exact_features(rng, n)
     labels = rng.integers(0, classes, size=n)
     if layout != "shuffled":
         labels = np.sort(labels)[:: -1 if layout == "descending" else 1]
-    sim = SimilarityKind(kind)
+    sim = SimilarityKind(kind, b_theta=EXACT_B_THETA)
     full, ii, jj = dense_upper(feats, sim)
     upper = full[ii, jj]
     # a threshold equal to an observed score pins the strict inequality;
@@ -438,10 +449,13 @@ def test_block_walk_matches_dense_oracle(kind, n, classes, seed, cut, layout):
         return
     want_margin = float(upper[same].min() - upper[~same].max())
     assert desideratum_audit(feats, labels, sim) == want_margin
-    # evaluate's single walk yields both at once
-    margin, comp = _upper_walk(feats, sim, labels=labels, threshold=t)
+    # evaluate's single walk yields both at once, and the error counts at
+    # the cut under the clustering's strict rule
+    margin, comp, (rejects, accepts) = _upper_walk(feats, sim, labels=labels, threshold=t)
     assert margin == want_margin
     assert np.array_equal(comp, want_comp)
+    assert rejects == np.count_nonzero(upper[same] <= t)
+    assert accepts == np.count_nonzero(upper[~same] > t)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -455,11 +469,12 @@ def test_walk_gives_the_same_margin_and_partition_in_any_row_order(kind):
     labels = np.sort(np.arange(n) % 7)
     sim = SimilarityKind(kind)
     t = float(np.quantile(score_matrix(sim, feats[::9], feats[::9]), 0.95))
-    margin, comp = _upper_walk(feats, sim, labels=labels, threshold=t)
+    margin, comp, counts = _upper_walk(feats, sim, labels=labels, threshold=t)
     assert 1 < np.unique(comp).size < n
     perm = rng.permutation(n)
-    got_margin, got = _upper_walk(feats[perm], sim, labels=labels[perm], threshold=t)
+    got_margin, got, got_counts = _upper_walk(feats[perm], sim, labels=labels[perm], threshold=t)
     assert repr(got_margin) == repr(margin)
+    assert got_counts == counts
     # same partition: the pairs (comp[perm][i], got[i]) match one to one
     pairs = np.unique(np.stack([comp[perm], got]), axis=1)
     assert pairs.shape[1] == np.unique(comp).size == np.unique(got).size
@@ -489,9 +504,9 @@ def test_walk_row_norms_taken_once_equal_per_block_norms(monkeypatch, kind):
         calls.append(a.shape[0])
         return score_matrix(s, a, q)
 
-    margin, comp = _upper_walk(feats, sim, labels=labels, threshold=0.5)
+    margin, comp, _ = _upper_walk(feats, sim, labels=labels, threshold=0.5)
     monkeypatch.setattr(ev, "score_matrix", per_block)
-    block_margin, block_comp = _upper_walk(feats, sim, labels=labels, threshold=0.5)
+    block_margin, block_comp, _ = _upper_walk(feats, sim, labels=labels, threshold=0.5)
     assert repr(block_margin) == repr(margin)
     assert np.array_equal(block_comp, comp)
     assert calls == [_BLOCK, _BLOCK, 9]
@@ -608,7 +623,7 @@ def test_evaluate_report_round_trip():
     doc = json.loads(report_to_json(rep))
     assert set(doc) == {
         "eer", "eer_threshold", "tpr_at_far", "roc",
-        "desideratum_margin", "clustering_accuracy",
+        "desideratum_margin", "clustering_accuracy", "cut_errors",
     }
     assert doc["eer"] == rep.eer
     assert doc["tpr_at_far"]["0.1"] == rep.tpr_at_far[0.1]
@@ -616,6 +631,11 @@ def test_evaluate_report_round_trip():
     assert rep.eer == 0.0
     assert rep.desideratum_margin > 0
     assert rep.clustering_accuracy == 1.0
+    # 3 classes of 7 rows: 3 * 21 same-class and 210 - 63 cross-class pairs
+    assert doc["cut_errors"] == {
+        "threshold": rep.eer_threshold, "false_rejects": 0, "same_class_pairs": 63,
+        "false_accepts": 0, "cross_class_pairs": 147,
+    }
 
 
 def test_evaluate_clamps_pair_request():

@@ -70,7 +70,7 @@ def test_eval_cadence_and_forced_final():
 def test_report_fields_present():
     rep = final_report(train(quick_cfg(), small_ds()))
     assert set(rep) == {"eer", "eer_threshold", "tpr_at_far", "roc",
-                        "desideratum_margin", "clustering_accuracy"}
+                        "desideratum_margin", "clustering_accuracy", "cut_errors"}
     assert 0.0 <= rep["eer"] <= 1.0
     assert set(rep["tpr_at_far"]) == {"0.1", "0.01"}
 
