@@ -3,7 +3,7 @@
 Subcommands::
 
     gen-data    synthesize a labeled dataset CSV
-    train       run the training loop; writes runlog, summary, checkpoint
+    train       run the training loop; writes runlog, summary, checkpoint, report
     eval        score a checkpoint on a dataset; writes report.json
     ablate      sweep (r, alpha, b_theta) grid cells; writes ablation.csv
     grad-check  finite-difference audit of every gradient path
@@ -46,7 +46,7 @@ from .config import (
 )
 from .data import generate, load_csv, save_csv
 from .encoder import load_encoder
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, DegenerateInputError, ParseError
 from .evaluation import evaluate, report_to_json
 from .gradcheck import component_checks
 from .plotting import render_roc_svg
@@ -145,11 +145,8 @@ def _cmd_train(conf, out, args):
     log = train(cfg, ds)
     save_runlog(log, out)
     rep = final_report(log)
-    if rep is not None:
-        _write_report(out, rep)
-        print(f"trained {cfg.method} for {cfg.epochs} epochs: val eer {rep['eer']:.4f}")
-    else:
-        print(f"trained {cfg.method} for {cfg.epochs} epochs")
+    _write_report(out, rep)
+    print(f"trained {cfg.method} for {cfg.epochs} epochs: val eer {rep['eer']:.4f}")
     return 0
 
 
@@ -213,7 +210,11 @@ def _cmd_plot_roc(conf, out, args):
     for name, path in zip(names, paths):
         with open(path, "r") as f:
             doc = json.load(f)
-        roc = [(float(p[0]), float(p[1])) for p in doc.get("roc", [])]
+        if not isinstance(doc, dict) or "roc" not in doc:
+            raise DegenerateInputError(
+                f"{path} holds no ROC: plot-roc reads the report.json that train and eval write"
+            )
+        roc = [(float(p[0]), float(p[1])) for p in doc["roc"]]
         curves.append((name, roc))
     svg = render_roc_svg(curves)
     path = os.path.join(out, "roc.svg")

@@ -266,12 +266,9 @@ def roc_points(sp: ScoredPairs) -> list:
     sp.require_both_sides()
     uniq = np.unique(np.concatenate([sp.pos_scores, sp.neg_scores]))[::-1]
     frr, far = _frr_far(sp, uniq)
-    tpr = 1.0 - frr
-    pts = [(0.0, 0.0)]
-    for f, t in zip(far, tpr):
-        if (f, t) != pts[-1]:
-            pts.append((float(f), float(t)))
-    return pts
+    far, tpr = np.r_[0.0, far], np.r_[0.0, 1.0 - frr]
+    keep = np.r_[True, (far[1:] != far[:-1]) | (tpr[1:] != tpr[:-1])]  # drop repeats
+    return list(zip(far[keep].tolist(), tpr[keep].tolist()))
 
 
 # Rows per block of the upper-triangle walk.  Timed with one matmul per

@@ -144,9 +144,9 @@ class RunLog:
 
     Each step record carries at least {step, epoch, lr, loss}; each epoch
     record carries {epoch, train_loss, mean_feature_norm} plus an "eval" dict
-    on evaluation epochs and "train_accuracy" for the proxy methods.  The
-    parameter handles (encoder, ema, bias, b_theta) stay in memory; only the
-    records and the checkpoint go to disk.
+    on evaluation epochs (always the last) and "train_accuracy" for the proxy
+    methods.  The parameter handles (encoder, ema, bias, b_theta) stay in
+    memory; save_runlog writes the records without the evals' ROCs.
     """
 
     steps: list = field(default_factory=list)
@@ -374,19 +374,17 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
     return log
 
 
-def final_report(log: RunLog) -> dict | None:
-    """The last per-epoch eval dict, or None if the run never evaluated."""
-    for erec in reversed(log.epochs):
-        if "eval" in erec:
-            return erec["eval"]
-    return None
+def final_report(log: RunLog) -> dict:
+    """The last epoch's eval dict; `train` always evaluates its last epoch."""
+    return log.epochs[-1]["eval"]
 
 
 def save_runlog(log: RunLog, out_dir) -> None:
     """Write runlog.jsonl (one step per line), summary.json, checkpoint.bin.
 
-    Output is byte-deterministic: keys are sorted and floats use repr, so two
-    identical runs serialize identically.
+    summary.json keeps each eval's scalars; the last eval's ROC goes only to
+    report.json (`final_report`).  Output is byte-deterministic: keys are
+    sorted and floats use repr, so two identical runs serialize identically.
     """
     os.makedirs(out_dir, exist_ok=True)
     if log.encoder is not None:
@@ -395,8 +393,12 @@ def save_runlog(log: RunLog, out_dir) -> None:
     with open(os.path.join(out_dir, "runlog.jsonl"), "w", newline="\n") as f:
         for rec in log.steps:
             f.write(json.dumps(rec, sort_keys=True) + "\n")
+    epochs = [dict(erec) for erec in log.epochs]
+    for erec in epochs:
+        if "eval" in erec:
+            erec["eval"] = {k: v for k, v in erec["eval"].items() if k != "roc"}
     summary = {
-        "epochs": log.epochs,
+        "epochs": epochs,
         "checkpoint": log.checkpoint,
         "final_bias": log.bias,
         "final_b_theta": log.b_theta,
@@ -417,8 +419,6 @@ def _ablate_cell(cell) -> dict:
         sim = replace(base_cfg.loss.similarity, b_theta=row["b_theta"])
         loss = replace(base_cfg.loss, r=row["r"], alpha=row["alpha"], similarity=sim)
         rep = final_report(train(replace(base_cfg, loss=loss), ds))
-        if rep is None:
-            raise DegenerateInputError("run produced no evaluation")
         row["eer"] = rep["eer"]
         row["tpr_at_far"] = dict(rep["tpr_at_far"])
         row["status"] = "ok"

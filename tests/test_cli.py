@@ -97,6 +97,13 @@ def test_train_writes_artifacts(tmp_path, capsys):
     assert "val eer" in capsys.readouterr().out
     rep = json.loads((out / "report.json").read_text())
     assert 0.0 <= rep["eer"] <= 1.0
+    # the ROC is written once, to report.json; summary.json keeps the scalars
+    text = (out / "summary.json").read_text()
+    assert '"roc":' not in text
+    summary = json.loads(text)
+    assert all("eval" in erec for erec in summary["epochs"])  # eval_every = 1
+    assert len(rep.pop("roc")) >= 2
+    assert summary["epochs"][-1]["eval"] == rep
 
 
 def test_train_repeat_and_manifest_refeed_bit_identical(tmp_path):
@@ -321,6 +328,27 @@ def test_plot_roc_from_eval_reports(tmp_path, capsys):
     out2 = tmp_path / "plot2"
     assert main(["plot-roc", "--config", str(plotcfg), "--out", str(out2)]) == 0
     assert (out / "roc.svg").read_bytes() == (out2 / "roc.svg").read_bytes()
+    # the run's summary.json carries no ROC: a named runtime error
+    plotcfg.write_text(f"plot.reports = {run / 'summary.json'}\n")
+    capsys.readouterr()
+    assert main(["plot-roc", "--config", str(plotcfg), "--out", str(out2)]) == 2
+    assert "summary.json holds no ROC" in capsys.readouterr().err
+
+
+def test_plot_roc_names_a_file_without_roc(tmp_path, capsys):
+    gen = tmp_path / "gen"
+    assert main(["gen-data", "--config", write_quick(tmp_path), "--out", str(gen)]) == 0
+    listed = tmp_path / "list.json"
+    listed.write_text("[[0.0, 0.0], [1.0, 1.0]]\n")
+    for path in (gen / "manifest.json", listed):
+        plotcfg = tmp_path / "plot.cfg"
+        plotcfg.write_text(f"plot.reports = {path}\n")
+        capsys.readouterr()
+        assert main(["plot-roc", "--config", str(plotcfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{path} holds no ROC" in err
+        assert "reads the report.json that train and eval write" in err
+        assert not (tmp_path / "o" / "roc.svg").exists()
 
 
 def test_plot_roc_validation_and_runtime_errors(tmp_path, capsys):

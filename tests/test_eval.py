@@ -241,6 +241,47 @@ def test_roc_perfect_separation_hits_corner():
     assert (0.0, 1.0) in roc_points(sp)
 
 
+def roc_reference(sp):
+    """The per-point loop `roc_points` replaced: sweep the thresholds from
+    the strictest down and keep each (far, tpr) that differs from the last
+    point kept."""
+    uniq = np.unique(np.concatenate([sp.pos_scores, sp.neg_scores]))[::-1]
+    frr, far = ev._frr_far(sp, uniq)
+    tpr = 1.0 - frr
+    pts = [(0.0, 0.0)]
+    for f, t in zip(far, tpr):
+        if (f, t) != pts[-1]:
+            pts.append((float(f), float(t)))
+    return pts
+
+
+def test_roc_points_match_reference_loop():
+    rng = np.random.default_rng(3)
+    for case in range(400):
+        n_pos, n_neg = (int(k) for k in rng.integers(1, 40, size=2))
+        kind = case % 4
+        if kind == 0:
+            # a single score per side, tied across the sides a third of the time
+            pos, neg = rng.integers(0, 3, size=1), rng.integers(0, 3, size=1)
+        elif kind == 1:
+            # perfect separation
+            pos, neg = rng.normal(5, 1, n_pos), rng.normal(-5, 1, n_neg)
+        elif kind == 2:
+            # few distinct values: ties inside each side and across the sides
+            pos, neg = rng.integers(0, 4, n_pos), rng.integers(0, 4, n_neg)
+        else:
+            # overlapping continuous scores with a run of ties inside one side
+            pos, neg = rng.normal(1, 1, n_pos), rng.normal(0, 1, n_neg)
+            neg[: n_neg // 2] = neg[0]
+        sp = ScoredPairs(pos, neg)
+        got = roc_points(sp)
+        assert got == roc_reference(sp)
+        assert all(type(p) is tuple and len(p) == 2 for p in got)
+        assert all(type(x) is float for p in got for x in p)
+        if kind == 1:
+            assert (0.0, 1.0) in got
+
+
 # ----- pair sampling ---------------------------------------------------
 
 
