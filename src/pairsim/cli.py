@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -104,6 +105,10 @@ def _precheck(command: str, conf: dict, overrides: dict, args) -> None:
         to_similarity(conf)
         if not conf["eval.checkpoint"]:
             raise ConfigError("eval requires the eval.checkpoint config key")
+        if conf["eval.num_pos"] < 1 or conf["eval.num_neg"] < 1:
+            raise ConfigError("eval_num_pos and eval_num_neg must be >= 1")
+        if conf["eval.threshold"] is not None and not math.isfinite(conf["eval.threshold"]):
+            raise ConfigError(f"threshold must be finite, got {conf['eval.threshold']}")
     elif command == "plot-roc":
         if not conf["plot.reports"]:
             raise ConfigError("plot-roc requires at least one path in plot.reports")

@@ -22,10 +22,12 @@ score) certifies that any threshold inside the margin reproduces the
 classes exactly; `cluster_by_threshold` realizes that guarantee.
 
 Both run on one walk over the upper triangle (i < j) in row blocks of
-`_BLOCK` rows: each unordered pair is scored once, and memory stays
-O(block * n) however many pairs clear the threshold.  With labels the rows
-are walked in class order, so a block's same-class pairs lie in one narrow
-column band; the clusters grow in a union-find forest, one block at a time.
+`_BLOCK` rows: each unordered pair is scored once, from rows folded once per
+walk, and memory stays O(block * n) however many pairs clear the threshold.
+With labels the rows are walked in class order, so a block's same-class
+pairs lie in one narrow column band; right of it one column max per block
+gives the max cross-class score and the few columns with a pair above the
+cut.  The clusters grow in a union-find forest, one block at a time.
 `evaluate` takes the margin, the clusters and the error counts at the cut
 from a single walk.
 """
@@ -41,7 +43,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import ConfigError, DegenerateInputError, ShapeError
 from .numkit import Rng, class_ids
-from .similarity import SimilarityKind, score_matrix, score_rows
+from .similarity import SimilarityKind, _angular, _fold, score_matrix, score_rows
 
 
 @dataclass
@@ -162,6 +164,8 @@ def sample_pair_indices(labels, num_pos: int, num_neg: int, seed: int):
     """(pos_pairs, neg_pairs) as (k, 2) index arrays, deterministic under seed."""
     labels = class_ids(labels)
     intra, inter = _pair_totals(labels)
+    if num_pos < 0 or num_neg < 0:
+        raise ConfigError(f"pair requests must be >= 0, got {num_pos} and {num_neg}")
     if num_pos > intra:
         raise ConfigError(f"{num_pos} same-class pairs requested, only {intra} exist")
     if num_neg > inter:
@@ -271,12 +275,13 @@ def roc_points(sp: ScoredPairs) -> list:
     return list(zip(far[keep].tolist(), tpr[keep].tolist()))
 
 
-# Rows per block of the upper-triangle walk.  Timed with one matmul per
-# score block on 6,400 rows x 32 features in 16 classes, cut at a trained
-# model's learned -b (the walk that yields the margin, the clusters and the
-# error counts; one BLAS thread, 2-core x86-64 VM, median of 15 interleaved
-# runs, two trained models): 128 rows per block took 49.4 and 49.7 ms, 64
-# rows 54.2 and 55.1 ms, 256 rows 52.0 and 52.4 ms.
+# Rows per block of the upper-triangle walk.  Timed with rows folded once
+# and one column max right of each block's class band, on 6,400 rows x 32
+# features in 16 classes, cut at a trained model's learned -b (the walk that
+# yields the margin, the clusters and the error counts; one BLAS thread,
+# 2-core x86-64 VM, median of 15 interleaved runs, two trained models): 128
+# rows per block took 80.7 and 85.7 ms, 64 rows 90.1 and 93.0 ms, 256 rows
+# 89.6 and 93.4 ms.
 _BLOCK = 128
 
 
@@ -324,24 +329,25 @@ def _union(parent, u, v):
         np.minimum.at(parent, v, u)
 
 
-def _merge_block(parent, edges, lo):
-    """Union block rows [lo, lo + b) with their above-threshold columns.
+def _merge_block(parent, edges, cols):
+    """Union a block's rows with their above-threshold columns.
 
     ``parent`` is flat (every row points at its root) on entry and on exit;
-    ``edges`` is the block's (b, n - lo) above-threshold mask.  The leading
-    square's pairs go in first, less those already inside one tree.  After
-    that, rows sharing a root share their edges to later rows, so the rest
-    of the mask is OR-reduced over the rows of each root (rows with no such
-    edge left out), and each root adds at most one edge per later row.
+    ``edges`` is the block's (b, k) above-threshold mask over the walk
+    positions ``cols``, the first b of which are the block's own rows.  The
+    leading square's pairs go in first, less those already inside one tree.
+    After that, rows sharing a root share their edges to later rows, so the
+    rest of the mask is OR-reduced over the rows of each root (rows with no
+    such edge left out), and each root adds at most one edge per column.
     """
     b = edges.shape[0]
-    block = np.arange(lo, lo + b)
+    block = cols[:b]
     roots = parent[block]
     if np.any(roots != roots[0]):
         r, c = np.nonzero(edges[:, :b] & (roots[:, None] != roots[None, :]))
         _union(parent, block[r], block[c])
         roots = _roots(parent, block)
-    rest = edges[:, b:]
+    rest, cols = edges[:, b:], cols[b:]
     if np.all(roots == roots[0]):
         heads, reach = roots[:1], rest.any(axis=0, keepdims=True)
     else:
@@ -350,9 +356,9 @@ def _merge_block(parent, edges, lo):
         reach = np.empty((heads.size, rest.shape[1]), dtype=bool)
         for k, h in enumerate(heads):
             rest[live & (roots == h)].any(axis=0, out=reach[k])
-    reach &= parent[lo + b :] != heads[:, None]  # later rows already in the tree
+    reach &= parent[cols] != heads[:, None]  # columns already in the tree
     g, c = np.nonzero(reach)
-    _union(parent, heads[g], lo + b + c)
+    _union(parent, heads[g], cols[c])
     parent[:] = _roots(parent, parent)
 
 
@@ -362,16 +368,19 @@ def _upper_walk(features, sim: SimilarityKind, labels=None, threshold=None):
     With ``labels`` the rows are walked in stable class order (the input
     order when it already is one), so the same-class partners of a block's
     rows all lie in one column band: from the block's first row to the end
-    of its last row's class.  Block [lo, hi) is scored against rows [lo, n),
-    and the diagonal and lower part of its leading square are masked out.
-    Beyond its `score_matrix` call a block costs one compare with
-    ``threshold`` and one max over its scores, plus band-wide work:
+    of its last row's class (without labels the band is the leading square).
+    The rows are folded once (`similarity._fold`), and block [lo, hi) is one
+    `score_matrix` product of the folded rows [lo, hi) and [lo, n); the
+    diagonal and lower part of its leading square are masked out.  Every
+    pair right of the band is cross-class, so there a block costs one
+    column max, which gives its max cross-class score and the few "hot"
+    columns whose max clears ``threshold``; the rest of its work is narrow:
 
-    * with ``labels``, the min same-class score is read inside the band,
-      the band's same-class scores are masked, and the max of what is left
-      of the block is its max cross-class score;
-    * with ``threshold``, `_merge_block` joins the above-threshold pairs in
-      a union-find forest whose roots are the smallest rows of their trees.
+    * with ``labels``, the band's min same-class score, and the max of its
+      cross-class scores;
+    * with ``threshold``, the edges of the band and of the hot columns, which
+      `_merge_block` joins in a union-find forest whose roots are the
+      smallest rows of their trees.
 
     With both, each block also counts its false rejects (same-class pairs
     at or below ``threshold``, all inside the band) and its false accepts
@@ -386,8 +395,8 @@ def _upper_walk(features, sim: SimilarityKind, labels=None, threshold=None):
     if labels is not None and np.any(labels[1:] < labels[:-1]):
         order = np.argsort(labels, kind="stable")
         features, labels = features[order], labels[order]
-    # a row's norm is the same in any block; "inner" scores read none
-    norms = None if sim.kind == "inner" else np.linalg.norm(features, axis=1)
+    left, right = _fold(sim, features, features)  # their plain products are the scores
+    plain = SimilarityKind("inner")
     lower = np.tri(_BLOCK, dtype=bool)  # j <= i inside a leading square
     min_intra, max_inter = np.inf, -np.inf
     rejects = accepts = 0
@@ -395,15 +404,18 @@ def _upper_walk(features, sim: SimilarityKind, labels=None, threshold=None):
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
         square = lower[: hi - lo, : hi - lo]
-        na, nq = (None, None) if norms is None else (norms[lo:hi], norms[lo:])
-        rows = score_matrix(sim, features[lo:hi], features[lo:], na=na, nq=nq)
+        rows = score_matrix(plain, left[lo:hi], right[lo:])
+        if sim.kind == "angular":
+            _angular(rows)
         np.copyto(rows[:, : hi - lo], -np.inf, where=square)
+        end = hi if labels is None else int(np.searchsorted(labels, labels[hi - 1], side="right"))
+        band = rows[:, : end - lo]
+        top = rows[:, end - lo :].max(axis=0)  # one pass over the cross-class rest
         if threshold is not None:
-            edges = rows > threshold
-            _merge_block(parent, edges, lo)
+            hot = np.flatnonzero(top > threshold)
+            edges = np.hstack((band > threshold, rows[:, end - lo + hot] > threshold))
+            _merge_block(parent, edges, np.concatenate((np.arange(lo, end), end + hot)))
         if labels is not None:
-            end = int(np.searchsorted(labels, labels[hi - 1], side="right"))
-            band = rows[:, : end - lo]
             same = labels[lo:hi, None] == labels[None, lo:end]
             same[:, : hi - lo] &= ~square
             min_intra = np.min(band, where=same, initial=min_intra)
@@ -412,7 +424,7 @@ def _upper_walk(features, sim: SimilarityKind, labels=None, threshold=None):
                 rejects += low
                 accepts += np.count_nonzero(edges) - np.count_nonzero(same) + low
             np.copyto(band, -np.inf, where=same)  # the edges above were read first
-            max_inter = max(max_inter, rows.max())
+            max_inter = max(max_inter, band.max(), top.max(initial=-np.inf))
     margin = None if labels is None else float(min_intra - max_inter)
     if threshold is None:
         return margin, None, None
@@ -525,5 +537,10 @@ def report_to_dict(report: EvalReport) -> dict:
 def report_to_json(report) -> str:
     """An EvalReport, or its `report_to_dict` form, as report.json text."""
     doc = report if isinstance(report, dict) else report_to_dict(report)
-    return json.dumps(doc, sort_keys=True, indent=2)
+    # json's indent encoder is pure Python and slow on a long ROC, so the
+    # ROC goes in as one block, written as json.dumps(doc, ...) writes it
+    text = json.dumps({**doc, "roc": 0}, sort_keys=True, indent=2)
+    rows = ",".join(f"\n    [\n      {f!r},\n      {t!r}\n    ]" for f, t in doc["roc"])
+    roc = f"[{rows}\n  ]" if rows else "[]"
+    return text.replace('\n  "roc": 0', f'\n  "roc": {roc}', 1)
 

@@ -143,6 +143,24 @@ def test_eval_roundtrip_and_missing_checkpoint_key(tmp_path, capsys):
     assert "eval.checkpoint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "setting, words",
+    [
+        ("eval.num_pos = -5", "eval_num_pos and eval_num_neg must be >= 1"),
+        ("eval.num_neg = 0", "eval_num_pos and eval_num_neg must be >= 1"),
+        ("eval.threshold = nan", "threshold must be finite, got nan"),
+        ("eval.threshold = -inf", "threshold must be finite, got -inf"),
+    ],
+)
+def test_bad_eval_settings_are_validation_errors(tmp_path, capsys, setting, words):
+    # knowable before the run starts: exit 1 with the rule, and nothing written
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text(f"eval.checkpoint = {tmp_path / 'ckpt.bin'}\n{setting}\n")
+    assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert words in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_label_gaps_fail_train_but_not_eval(tmp_path, capsys):
     cfg = write_quick(tmp_path)
     run = tmp_path / "run"

@@ -35,7 +35,7 @@ from pairsim import (
 )
 import pairsim.evaluation as ev
 from pairsim.evaluation import _BLOCK, _same_class_pairs, _upper_walk
-from pairsim.similarity import KINDS, score_matrix
+from pairsim.similarity import KINDS, _angular, score_matrix
 
 
 # ----- oracles ---------------------------------------------------------
@@ -316,6 +316,12 @@ def test_sample_pair_indices_overrequest_rejected():
         sample_pair_indices(labels, 1, 5, seed=0)
 
 
+@pytest.mark.parametrize("num_pos, num_neg", [(-5, 1), (1, -1)])
+def test_sample_pair_indices_negative_request_rejected(num_pos, num_neg):
+    with pytest.raises(ConfigError, match=r"pair requests must be >= 0"):
+        sample_pair_indices([0, 0, 1, 1], num_pos, num_neg, seed=0)
+
+
 def test_sample_pair_indices_deterministic():
     labels = np.repeat(np.arange(5), 8)
     a = sample_pair_indices(labels, 30, 60, seed=9)
@@ -442,6 +448,66 @@ def test_margin_blocking_matches_single_block():
         assert_allclose(desideratum_audit(feats, labels, sim), want, rtol=1e-12)
 
 
+def walk_case(kind, n, classes, seed, cut, layout):
+    """Exact rows, labels in the given layout, the dense scores and a cut.
+
+    A threshold equal to an observed score pins the strict inequality;
+    cut < 0 and cut > 1 put it below and above every score."""
+    rng = np.random.default_rng(seed)
+    feats = exact_features(rng, n)
+    labels = rng.integers(0, classes, size=n)
+    if layout != "shuffled":
+        labels = np.sort(labels)[:: -1 if layout == "descending" else 1]
+    sim = SimilarityKind(kind, b_theta=EXACT_B_THETA)
+    full, ii, jj = dense_upper(feats, sim)
+    upper = full[ii, jj]
+    t = float(np.quantile(upper, min(max(cut, 0.0), 1.0), method="lower")) if upper.size else 0.0
+    t += -1.0 if cut < 0 else 1.0 if cut > 1 else 0.0
+    return feats, labels, sim, full, t
+
+
+def hot_columns(labels, full, t):
+    """(hot, outside): over the walk's blocks in class order, the columns
+    right of each block's class band, and those whose max clears ``t``."""
+    order = np.argsort(labels, kind="stable")
+    labels, full = labels[order], full[np.ix_(order, order)]
+    hot = outside = 0
+    for lo in range(0, labels.size, _BLOCK):
+        hi = min(lo + _BLOCK, labels.size)
+        end = int(np.searchsorted(labels, labels[hi - 1], side="right"))
+        outside += labels.size - end
+        hot += int(np.count_nonzero((full[lo:hi, end:] > t).any(axis=0)))
+    return hot, outside
+
+
+# cross-class pairs clear the cut right of the class bands (hot columns,
+# several roots), no column clears it, and every column clears it
+HOT_CASES = {
+    "some": dict(kind="generalized_inner", n=3 * _BLOCK + 9, classes=6, seed=11, cut=0.99,
+                 layout="sorted"),
+    "none": dict(kind="cosine", n=3 * _BLOCK + 9, classes=6, seed=12, cut=1.0,
+                 layout="shuffled"),
+    "all": dict(kind="angular", n=2 * _BLOCK + 40, classes=5, seed=13, cut=-1.0,
+                layout="descending"),
+}
+
+
+def test_hot_column_cases_take_their_paths():
+    feats, labels, sim, full, t = walk_case(**HOT_CASES["some"])
+    hot, outside = hot_columns(labels, full, t)
+    assert 0 < hot < outside
+    # labels sorted, so the walk order is the input order: the first
+    # block's rows fall in several clusters, so they have several roots
+    comp = cluster_by_threshold(feats, sim, t)
+    assert 1 < np.unique(comp[:_BLOCK]).size < _BLOCK
+    _, labels, _, full, t = walk_case(**HOT_CASES["none"])
+    hot, outside = hot_columns(labels, full, t)
+    assert hot == 0 < outside
+    _, labels, _, full, t = walk_case(**HOT_CASES["all"])
+    hot, outside = hot_columns(labels, full, t)
+    assert 0 < hot == outside
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     kind=st.sampled_from(KINDS),
@@ -463,22 +529,17 @@ def test_margin_blocking_matches_single_block():
 # cuts below every score (one component) and above every score (singletons)
 @example(kind="cosine", n=2 * _BLOCK + 11, classes=3, seed=7, cut=-1.0, layout="shuffled")
 @example(kind="generalized_inner", n=2 * _BLOCK + 11, classes=3, seed=8, cut=2.0, layout="sorted")
+# right of the class bands: some, no and every column clear the cut
+@example(**HOT_CASES["some"])
+@example(**HOT_CASES["none"])
+@example(**HOT_CASES["all"])
 def test_block_walk_matches_dense_oracle(kind, n, classes, seed, cut, layout):
     # the walk scores each i < j pair once in row blocks; the oracle scores
     # the whole dense matrix, takes the audit over its upper triangle and
     # the components of its symmetric above-threshold adjacency
-    rng = np.random.default_rng(seed)
-    feats = exact_features(rng, n)
-    labels = rng.integers(0, classes, size=n)
-    if layout != "shuffled":
-        labels = np.sort(labels)[:: -1 if layout == "descending" else 1]
-    sim = SimilarityKind(kind, b_theta=EXACT_B_THETA)
-    full, ii, jj = dense_upper(feats, sim)
+    feats, labels, sim, full, t = walk_case(kind, n, classes, seed, cut, layout)
+    ii, jj = np.triu_indices(n, 1)
     upper = full[ii, jj]
-    # a threshold equal to an observed score pins the strict inequality;
-    # cut < 0 and cut > 1 put it below and above every score
-    t = float(np.quantile(upper, min(max(cut, 0.0), 1.0), method="lower")) if upper.size else 0.0
-    t += -1.0 if cut < 0 else 1.0 if cut > 1 else 0.0
     adj = full > t
     np.fill_diagonal(adj, False)
     _, want_comp = connected_components(csr_matrix(adj), directed=False)
@@ -526,31 +587,30 @@ def test_walk_gives_the_same_margin_and_partition_in_any_row_order(kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_walk_row_norms_taken_once_equal_per_block_norms(monkeypatch, kind):
-    # the walk takes every row norm once and hands slices to score_matrix;
-    # each slice must equal the norms score_matrix would take of its block,
-    # so every score, the margin and the clusters keep their bits
+def test_walk_block_scores_equal_score_matrix_of_the_unfolded_rows(monkeypatch, kind):
+    # the walk folds its rows once and hands each block's score_matrix call
+    # slices of the folded rows; every block must keep the bits score_matrix
+    # gives for the block's own rows against rows [lo, n) in walk order
     rng = np.random.default_rng(5)
     feats = rng.normal(size=(2 * _BLOCK + 9, 7)) * rng.uniform(0.1, 10, size=(1, 7))
     labels = rng.integers(0, 3, size=feats.shape[0])
+    walked = feats[np.argsort(labels, kind="stable")]
     sim = SimilarityKind(kind)
-    calls = []
+    blocks = []
 
-    def per_block(s, a, q, na=None, nq=None):
-        if kind == "inner":  # its scores read no norms, so none are taken
-            assert na is None and nq is None
-        else:
-            assert na.tobytes() == np.linalg.norm(a, axis=1).tobytes()
-            assert nq.tobytes() == np.linalg.norm(q, axis=1).tobytes()
-        calls.append(a.shape[0])
-        return score_matrix(s, a, q)
+    def spy(*args, **kwargs):
+        out = score_matrix(*args, **kwargs)
+        blocks.append(out.copy())  # the walk masks its block in place
+        return out
 
-    margin, comp, _ = _upper_walk(feats, sim, labels=labels, threshold=0.5)
-    monkeypatch.setattr(ev, "score_matrix", per_block)
-    block_margin, block_comp, _ = _upper_walk(feats, sim, labels=labels, threshold=0.5)
-    assert repr(block_margin) == repr(margin)
-    assert np.array_equal(block_comp, comp)
-    assert calls == [_BLOCK, _BLOCK, 9]
+    monkeypatch.setattr(ev, "score_matrix", spy)
+    _upper_walk(feats, sim, labels=labels, threshold=0.5)
+    assert [b.shape for b in blocks] == [(_BLOCK, 2 * _BLOCK + 9), (_BLOCK, _BLOCK + 9), (9, 9)]
+    for lo, got in zip(range(0, walked.shape[0], _BLOCK), blocks):
+        if kind == "angular":  # the block's cosines; the walk maps them in place
+            _angular(got)
+        want = score_matrix(sim, walked[lo : lo + _BLOCK], walked[lo:])
+        assert got.tobytes() == want.tobytes()
 
 
 def test_audit_and_clustering_memory_stays_blockwise():
@@ -677,6 +737,39 @@ def test_evaluate_report_round_trip():
         "threshold": rep.eer_threshold, "false_rejects": 0, "same_class_pairs": 63,
         "false_accepts": 0, "cross_class_pairs": 147,
     }
+
+
+# floats whose json text is easy to get wrong: the ends, a short exponent,
+# the smallest subnormal, and a sum that needs all 17 digits
+AWKWARD = (0.0, 1.0, 1e-05, 5e-324, 0.1 + 0.2)
+
+
+def test_report_to_json_writes_what_json_dumps_writes():
+    # the ROC rows go in as one pre-formatted block; the text must stay the
+    # bytes of json.dumps(doc, sort_keys=True, indent=2), for an EvalReport
+    # and for its dict form (what train passes)
+    rng = np.random.default_rng(17)
+    for case in range(400):
+        size = (1, 0, int(rng.integers(2, 50)))[case % 3]  # one point, none, many
+        pool = np.r_[AWKWARD, rng.random(6), rng.random(3) * 1e-300]
+
+        def pick(k=None):
+            return rng.choice(pool, size=k).tolist()
+
+        rep = ev.EvalReport(
+            eer=pick(),
+            eer_threshold=float(rng.choice(np.r_[pool, -pool, rng.normal(size=3) * 10])),
+            tpr_at_far={0.1: pick(), 0.01: pick()},
+            roc=list(zip(sorted(pick(size)), sorted(pick(size)))),
+            desideratum_margin=float(rng.normal() * 10),
+            clustering_accuracy=pick(),
+            cut_errors={"threshold": pick(), "false_rejects": int(rng.integers(0, 9))},
+        )
+        doc = ev.report_to_dict(rep)
+        want = json.dumps(doc, sort_keys=True, indent=2)
+        assert report_to_json(rep) == want
+        assert report_to_json(doc) == want
+        assert json.loads(want)["roc"] == [list(p) for p in rep.roc]
 
 
 def test_evaluate_clamps_pair_request():
