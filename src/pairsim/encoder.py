@@ -174,7 +174,10 @@ def sgd_step(theta: np.ndarray, grad: np.ndarray, cfg: SgdConfig, v: np.ndarray)
     if grad.shape != theta.shape:
         raise ShapeError(f"gradient shape {grad.shape} does not match parameters {theta.shape}")
     v *= cfg.momentum
-    v += grad + cfg.weight_decay * theta
+    if cfg.weight_decay:
+        v += grad + cfg.weight_decay * theta
+    else:  # 0*theta would change nothing but the sign of an exact zero
+        v += grad
     theta -= cfg.lr * v
 
 

@@ -81,6 +81,7 @@ def component_checks(seed: int = 0) -> list:
     from .encoder import backward, forward, init_encoder
     from .losses import LossConfig, PairBatch, batch_loss, pair_loss, pair_loss_grad
     from .numkit import Rng
+    from .pair_queue import FeatureQueue, enqueue_batch, form_pairs
     from .similarity import (
         KINDS,
         SimilarityKind,
@@ -89,6 +90,7 @@ def component_checks(seed: int = 0) -> list:
         score_matrix,
         score_matrix_grad_left,
     )
+    from .trainer import _queue_grad
 
     rng = Rng(seed)
     out = []
@@ -157,7 +159,8 @@ def component_checks(seed: int = 0) -> list:
     numeric = numerical_grad(f_net, net.theta)
     out.append(("encoder_backward", max_rel_err(analytic, numeric, floor=1e-3), 1e-4))
 
-    # full pipeline: params -> features -> score matrix -> batch loss
+    # full pipeline: params -> features -> queue pairs -> batch loss, and
+    # back through the trainer's own queue-side gradient call
     for kind in KINDS:
         crng = rng.stream(("composition", kind))
         sim = SimilarityKind(kind, b_theta=0.3)
@@ -173,19 +176,20 @@ def component_checks(seed: int = 0) -> list:
             cos = score_matrix(SimilarityKind("cosine"), pf, qfeat)
             if np.max(np.abs(cos)) < 0.9:  # keep angular away from its endpoints
                 break
-        y = (blabels[:, None] == qlabels[None, :]).astype(int).ravel()
+        queue = FeatureQueue(6, 3)
+        enqueue_batch(queue, qfeat, qlabels)
 
         def f_pipe(_theta=None, b=None, b_theta=None):
             s = sim if b_theta is None else SimilarityKind(kind, b_theta=b_theta)
             c = replace(cfg, b=cfg.b if b is None else b, similarity=s)
             feats, _ = forward(pnet, px)
-            sc = score_matrix(s, feats, qfeat).ravel()
-            return batch_loss(c, PairBatch(sc, y))[0]
+            return batch_loss(c, form_pairs(queue, feats, blabels, s))[0]
 
         feats, cache = forward(pnet, px)
-        sc = score_matrix(sim, feats, qfeat)
-        _, d_scores, d_b = batch_loss(cfg, PairBatch(sc.ravel(), y))
-        d_feats, d_btheta = score_matrix_grad_left(sim, feats, qfeat, d_scores.reshape(3, 6))
+        f_norms = np.linalg.norm(feats, axis=1)
+        pairs = form_pairs(queue, feats, blabels, sim, batch_norms=f_norms)
+        _, d_scores, d_b = batch_loss(cfg, pairs)
+        d_feats, d_btheta = _queue_grad(sim, queue, feats, f_norms, d_scores)
         analytic = backward(pnet, cache, d_feats)
         numeric = numerical_grad(f_pipe, pnet.theta)
         err = max_rel_err(analytic, numeric, floor=1e-3)

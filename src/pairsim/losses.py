@@ -139,7 +139,7 @@ def batch_loss(cfg: LossConfig, pairs: PairBatch):
     losses[pos] = w_pos * losses_pos
     # sigmoid(u) = (1 if u >= 0 else e) / (1 + e), times the branch slope
     denom = e + 1.0
-    np.copyto(e, 1.0, where=nonneg)
+    np.maximum(e, nonneg, out=e)  # e lies in [0, 1]: 1 where u >= 0, else e
     d = np.divide(e, denom, out=e)
     d_pos = d[pos]
     d *= w_neg * r

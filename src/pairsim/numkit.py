@@ -8,6 +8,8 @@ reproducible streams can be derived by name regardless of call order.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ShapeError
@@ -50,8 +52,9 @@ def class_ids(labels) -> np.ndarray:
     return ids.astype(np.int64, copy=False)
 
 
-def check_finite(a: np.ndarray, what: str = "array") -> np.ndarray:
-    if not np.isfinite(a).all():
+def check_finite(a, what: str = "array"):
+    """``a``, an array or a float, if all of it is finite."""
+    if not (math.isfinite(a) if isinstance(a, float) else np.isfinite(a).all()):
         raise FloatingPointError(f"{what} contains NaN or Inf")
     return a
 

@@ -6,6 +6,12 @@ step scores every current-batch feature against every queued feature,
 giving m*q pairs per step.  Gradients flow only into the batch side; the
 queue side is a constant snapshot of an encoder that is not trained by
 backprop.
+
+The queue keeps each entry as one row ``[f, |f|]``: the feature and, as a
+last column, its Euclidean norm.  Those rows are the right side of the
+generalized inner product's fold (see `similarity`) as they stand, so a
+step's scores and their gradient are one product each against the stored
+rows, with no per-step copy of the queue.
 """
 
 from __future__ import annotations
@@ -27,12 +33,15 @@ class FeatureQueue:
     entry's Euclidean norm is computed once, when it is enqueued; a row's
     norm does not depend on the rows stored with it.
 
-    The entries sit as one contiguous oldest-first block inside storage for
-    twice the capacity.  An enqueue writes the new rows just past the block;
-    only when the storage runs out are the surviving entries moved back to
-    its start, once every capacity/m enqueues of m rows.  The block never
-    wraps around, because its order fixes the order in which the pair terms
-    of a step are summed.
+    Features and norms share one float64 storage of ``2 * capacity`` rows
+    of ``d_feat + 1`` columns, each row ``[f, |f|]``; the labels sit in a
+    parallel array.  The live entries are one contiguous oldest-first block
+    of rows, ``_rows``, and ``_feat`` is its view without the norm column.
+    An enqueue writes the new rows just past the block; only when the
+    storage runs out are the surviving entries moved back to its start,
+    once every capacity/m enqueues of m rows.  The block never wraps around,
+    because its order fixes the order in which the pair terms of a step are
+    summed.
     """
 
     def __init__(self, capacity: int, d_feat: int):
@@ -44,19 +53,24 @@ class FeatureQueue:
             raise ConfigError(f"feature dimension must be >= 1, got {d_feat}")
         self.capacity = capacity
         self.d_feat = d_feat
-        # (features, labels, norms) storage, and the live views of it
+        # ([f, |f|] rows, labels) storage, and the live views of it
         self._store = (
-            np.empty((2 * capacity, d_feat), dtype=np.float64),
+            np.empty((2 * capacity, d_feat + 1), dtype=np.float64),
             np.empty(2 * capacity, dtype=np.int64),
-            np.empty(2 * capacity, dtype=np.float64),
         )
-        self._feat, self._label, self._norm = (a[:0] for a in self._store)
-        self._end = 0  # storage index one past the newest entry
+        self._view(0, 0)
         self._next_step = 0
+
+    def _view(self, start: int, end: int) -> None:
+        """Make storage rows [start, end) the live entries."""
+        rows, label = self._store
+        self._rows, self._label = rows[start:end], label[start:end]
+        self._feat = self._rows[:, :-1]
+        self._end = end  # storage index one past the newest entry
 
     @property
     def size(self) -> int:
-        return self._feat.shape[0]
+        return self._label.shape[0]
 
     def __len__(self):
         return self.size
@@ -94,17 +108,16 @@ def enqueue_batch(queue: FeatureQueue, features, labels) -> None:
         for store in queue._store:
             store[:keep] = store[end - keep : end]
         end = keep
-    feat, label, norm = queue._store
+    rows, label = queue._store
     new = slice(end, end + m)
-    feat[new] = features
+    rows[new, :-1] = features
     label[new] = labels
     # the rows' norms, as np.linalg.norm(features, axis=1) computes them
-    np.add.reduce(features * features, axis=1, out=norm[new])
-    np.sqrt(norm[new], out=norm[new])
+    norm = rows[new, -1]
+    np.add.reduce(features * features, axis=1, out=norm)
+    np.sqrt(norm, out=norm)
     queue._next_step += m
-    queue._end = end = end + m
-    live = slice(end - keep - m, end)
-    queue._feat, queue._label, queue._norm = feat[live], label[live], norm[live]
+    queue._view(end - keep, end + m)
 
 
 def form_pairs(
@@ -118,7 +131,7 @@ def form_pairs(
 
     Returns a PairBatch of exactly m * queue.size pairs in row-major
     order (batch row varies slowest).  y_p = 1 iff the class ids match.
-    The queue side uses the norms stored at enqueue; ``batch_norms``, when
+    The queue side is its stored ``[f, |f|]`` rows; ``batch_norms``, when
     given, are the batch rows' norms (as ``np.linalg.norm(.., axis=1)``
     gives them).  Does not mutate the queue.
     """
@@ -129,7 +142,7 @@ def form_pairs(
     m = batch_features.shape[0]
     if m != batch_labels.size:
         raise ShapeError(f"{m} feature rows but {batch_labels.size} labels")
-    scores = score_matrix(sim, batch_features, queue._feat, na=batch_norms, nq=queue._norm)
+    scores = score_matrix(sim, batch_features, queue._feat, na=batch_norms, qn=queue._rows)
     return PairBatch(scores=scores, labels=batch_labels[:, None] == queue._label[None, :])
 
 

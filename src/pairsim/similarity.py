@@ -14,8 +14,12 @@ per-pair contract and are the reference the tests pin the batched forms to.
 `score_matrix` and `score_rows` fold each kind into rows whose plain inner
 products are its scores, so a batch of scores is one matmul (one row-wise
 product for `score_rows`): ``generalized_inner`` appends a norm column,
-``[a, b_theta*||a||] . [q, -||q||]``, and ``cosine``/``angular`` normalize the
-rows first.  `score_matrix_grad_left` backprops the batched scores.
+``[a, -b_theta*||a||] . [q, ||q||]``, and ``cosine``/``angular`` normalize the
+rows first.  The minus sign and b_theta sit on the left, so the right side
+``[q, ||q||]`` is the rows with their norms, which a caller that keeps its
+rows that way (the feature queue) hands over as it stands.
+`score_matrix_grad_left` backprops the batched scores; for
+``generalized_inner`` that is one product with the same ``[q, ||q||]``.
 """
 
 from __future__ import annotations
@@ -117,16 +121,22 @@ def _row_norms(a, norms):
     return np.linalg.norm(a, axis=1) if norms is None else norms
 
 
-def _fold(sim: SimilarityKind, a, q, na=None, nq=None):
+def _with_norms(q, qn):
+    """``[q, |q|]``: ``qn`` when the caller holds it, else built here."""
+    return np.column_stack((q, np.linalg.norm(q, axis=1))) if qn is None else qn
+
+
+def _fold(sim: SimilarityKind, a, q, na=None, qn=None):
     """Rows ``(left, right)`` whose inner products are the kind's scores
     (angular's before its arccos map)."""
     if sim.kind == "inner":
         return a, q
-    na, nq = _row_norms(a, na), _row_norms(q, nq)
+    na = _row_norms(a, na)
     if sim.kind == "generalized_inner":
-        # <a,q> - b_theta |a||q| = [a, b_theta |a|] . [q, -|q|]; b_theta sits
-        # on the left, so the right side's fold does not depend on it
-        return np.column_stack((a, sim.b_theta * na)), np.column_stack((q, -nq))
+        # <a,q> - b_theta |a||q| = [a, -b_theta |a|] . [q, |q|]; b_theta and
+        # the sign sit on the left, so the right side is [q, |q|] as it stands
+        return np.column_stack((a, -sim.b_theta * na)), _with_norms(q, qn)
+    nq = np.linalg.norm(q, axis=1) if qn is None else qn[:, -1]
     if np.any(na == 0.0) or np.any(nq == 0.0):
         raise DegenerateInputError(f"{sim.kind} similarity of a zero vector")
     return a / na[:, None], q / nq[:, None]
@@ -140,19 +150,20 @@ def _angular(cos) -> np.ndarray:
     return np.subtract(1.0, cos, out=cos)
 
 
-def score_matrix(sim: SimilarityKind, a, q, na=None, nq=None) -> np.ndarray:
+def score_matrix(sim: SimilarityKind, a, q, na=None, qn=None) -> np.ndarray:
     """All pairwise scores between rows of ``a`` (m x d) and ``q`` (n x d).
 
-    One matmul over the folded rows (see the module docstring).  ``na`` and
-    ``nq`` are the rows' Euclidean norms, if the caller has them (as
-    ``np.linalg.norm(.., axis=1)`` gives them); otherwise they are computed
-    here, when the kind needs them.
+    One matmul over the folded rows (see the module docstring).  ``na`` are
+    the rows' Euclidean norms (as ``np.linalg.norm(.., axis=1)`` gives them)
+    and ``qn`` is ``[q, |q|]``, each row of ``q`` followed by its norm, if the
+    caller has them; otherwise they are computed here, when the kind needs
+    them.
     """
     a = np.asarray(a, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if a.ndim != 2 or q.ndim != 2 or a.shape[1] != q.shape[1]:
         raise ShapeError(f"score_matrix expects (m,d) and (n,d), got {a.shape} and {q.shape}")
-    left, right = _fold(sim, a, q, na, nq)
+    left, right = _fold(sim, a, q, na, qn)
     scores = left @ right.T
     return _angular(scores) if sim.kind == "angular" else scores
 
@@ -171,13 +182,13 @@ def score_rows(sim: SimilarityKind, a, b) -> np.ndarray:
     return _angular(scores) if sim.kind == "angular" else scores
 
 
-def score_matrix_grad_left(sim: SimilarityKind, a, q, d_scores, na=None, nq=None):
+def score_matrix_grad_left(sim: SimilarityKind, a, q, d_scores, na=None, qn=None):
     """Backprop pairwise-score gradients onto the left argument only.
 
     Given d(loss)/d(scores) of shape (m, n), returns (d_a, d_btheta) where
     ``d_a`` has the shape of ``a``. The right side (queue features) is treated
     as constant; use `score_grad` when both sides need gradients.  ``na`` and
-    ``nq`` are optional precomputed row norms, as in `score_matrix`.
+    ``qn`` are optional, as in `score_matrix`.
     """
     a = np.asarray(a, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -188,18 +199,19 @@ def score_matrix_grad_left(sim: SimilarityKind, a, q, d_scores, na=None, nq=None
         )
     if sim.kind == "inner":
         return d_scores @ q, 0.0
-    na, nq = _row_norms(a, na), _row_norms(q, nq)
+    na = _row_norms(a, na)
     if sim.kind == "generalized_inner":
-        d_a = d_scores @ q
-        # Bias-term gradient -b_theta * (sum_j dS_ij ||q_j||) * a_i/||a_i||,
-        # dropped at zero-norm rows to match score_grad; with no such row,
-        # every row takes it without a boolean gather.
-        coef = d_scores @ nq
+        # one product gives d_scores @ q and, as its last column, each row's
+        # sum_j dS_ij ||q_j||: the bias term's gradient is -b_theta times that
+        # sum times a_i/||a_i||, dropped at zero-norm rows to match
+        # score_grad; with no such row, every row takes it without a gather
+        g = d_scores @ _with_norms(q, qn)
+        d_a, coef = g[:, :-1], g[:, -1]
         safe = na > 0.0
         rows = slice(None) if safe.all() else safe
         d_a[rows] -= sim.b_theta * (coef[rows] / na[rows])[:, None] * a[rows]
-        d_btheta = -float(na @ d_scores @ nq)
-        return d_a, d_btheta
+        return d_a, -float(na @ coef)
+    nq = np.linalg.norm(q, axis=1) if qn is None else qn[:, -1]
     if np.any(na == 0.0) or np.any(nq == 0.0):
         raise DegenerateInputError(f"{sim.kind} similarity of a zero vector")
     inv_outer = 1.0 / np.outer(na, nq)

@@ -195,6 +195,16 @@ def _eval_on_pairs(cfg, enc, val_ds, sim, bias) -> dict:
     )
 
 
+def _queue_grad(sim, queue, feats, f_norms, d_scores):
+    """(d_feats, d_btheta): a step's pair-score gradient backpropped onto the
+    batch side of the scores `form_pairs` gave, against the queue's stored
+    ``[f, |f|]`` rows."""
+    return score_matrix_grad_left(
+        sim, feats, queue._feat, d_scores.reshape(feats.shape[0], queue.size),
+        na=f_norms, qn=queue._rows,
+    )
+
+
 # a diverging run stops at the first non-finite loss or features, with one
 # named error (see the FloatingPointError handler) and no numpy warnings
 @np.errstate(over="ignore", invalid="ignore")
@@ -307,10 +317,7 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
                         loss, d_scores, rec["triplets"] = triplet_loss(
                             pairs, m, cfg.triplet_margin, trng
                         )
-                    d_feats, d_bt = score_matrix_grad_left(
-                        sim_now, feats, queue._feat, d_scores.reshape(m, queue.size),
-                        na=f_norms, nq=queue._norm,
-                    )
+                    d_feats, d_bt = _queue_grad(sim_now, queue, feats, f_norms, d_scores)
                     rec["pos_ratio"] = pos_neg_ratio(pairs)
                 else:
                     ce = softmax_ce if cfg.method == "softmax_ce" else proxy_gip_ce
@@ -344,7 +351,7 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
                         queue, encode(ema.params, x, cfg.normalize_features), y
                     )
 
-                norms.append(float(np.mean(raw_norms)))
+                norms.append(float(np.add.reduce(raw_norms) / m))  # np.mean's bits
                 rec["loss"] = loss
                 log.steps.append(rec)
                 losses.append(loss)
@@ -390,9 +397,10 @@ def save_runlog(log: RunLog, out_dir) -> None:
     if log.encoder is not None:
         save_encoder(log.encoder, os.path.join(out_dir, "checkpoint.bin"))
         log.checkpoint = "checkpoint.bin"
+    encoder = json.JSONEncoder(sort_keys=True)  # json.dumps would build one per line
     with open(os.path.join(out_dir, "runlog.jsonl"), "w", newline="\n") as f:
         for rec in log.steps:
-            f.write(json.dumps(rec, sort_keys=True) + "\n")
+            f.write(encoder.encode(rec) + "\n")
     epochs = [dict(erec) for erec in log.epochs]
     for erec in epochs:
         if "eval" in erec:

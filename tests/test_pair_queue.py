@@ -1,9 +1,13 @@
 """Queue mechanics and batch-times-queue pair construction."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+
+import pairsim.evaluation as ev
 
 from pairsim import (
     ConfigError,
@@ -16,6 +20,9 @@ from pairsim import (
     pos_neg_ratio,
     score,
 )
+from pairsim.evaluation import _upper_walk
+from pairsim.similarity import KINDS, _fold, score_matrix, score_rows
+from pairsim.trainer import _queue_grad
 
 
 def feats(rng, m, d=4):
@@ -89,7 +96,95 @@ def test_queue_matches_list_fifo_model(capacity, d, batch_sizes, seed):
         assert np.array_equal(q.labels(), [e[1] for e in model])
         assert np.array_equal(q.steps_enqueued(), [e[2] for e in model])
         # norms cached at enqueue equal the norms of the whole block, bit for bit
-        assert q._norm.tobytes() == np.linalg.norm(q.features(), axis=1).tobytes()
+        assert q._rows[:, -1].tobytes() == np.linalg.norm(q.features(), axis=1).tobytes()
+
+
+def old_fold(sim, a, q):
+    """The fold with its minus sign on the right, ``[a, b_theta|a|] .
+    [q, -|q|]``, as it was before the queue kept ``[q, |q|]`` rows; the
+    other kinds' folds did not change."""
+    if sim.kind != "generalized_inner":
+        return _fold(sim, a, q)
+    na, nq = np.linalg.norm(a, axis=1), np.linalg.norm(q, axis=1)
+    return np.column_stack((a, sim.b_theta * na)), np.column_stack((q, -nq))
+
+
+def old_grad_left(sim, a, q, ds):
+    """`score_matrix_grad_left` as it was before the queue kept ``[q, |q|]``
+    rows (for generalized_inner, one product for ds @ q and a second for the
+    bias term's ds @ |q|; no zero-norm rows here), and per row of ``a`` the
+    sum of the magnitudes of the terms its entries add up."""
+    na, nq = np.linalg.norm(a, axis=1), np.linalg.norm(q, axis=1)
+    if sim.kind in ("inner", "generalized_inner"):
+        scale = np.abs(ds) @ nq
+        if sim.kind == "inner":
+            return ds @ q, 0.0, scale
+        d_a = ds @ q
+        d_a -= sim.b_theta * ((ds @ nq) / na)[:, None] * a
+        return d_a, -float(na @ ds @ nq), scale
+    cos = (a @ q.T) * (1.0 / np.outer(na, nq))
+    if sim.kind == "angular":
+        c = np.clip(cos, -1.0, 1.0)
+        slope = np.zeros_like(c)
+        interior = np.abs(c) < 1.0
+        slope[interior] = 1.0 / (np.pi * np.sqrt(1.0 - c[interior] ** 2))
+        ds = ds * slope
+    d_a = (ds / nq[None, :]) @ q / na[:, None]
+    d_a -= ((ds * cos).sum(axis=1) / na**2)[:, None] * a
+    return d_a, 0.0, 2.0 * np.abs(ds).sum(axis=1) / na
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.sampled_from([1, 3, 8, 33]),
+    st.lists(st.integers(1, 12), min_size=1, max_size=20),
+    st.integers(1, 6),
+    st.floats(0.0, 0.99),
+    st.integers(0, 2**32 - 1),
+)
+def test_stored_rows_are_the_folded_right_side(capacity, d, batch_sizes, mb, b_theta, seed):
+    # after every enqueue (partial fills, then moves of the live block back
+    # to the start of its storage): the stored [f, |f|] rows hold the
+    # features and their norms bit for bit, form_pairs scores against them
+    # as score_matrix scores the plain features, the trainer's gradient call
+    # on them matches the two-product form it replaced, and moving the
+    # fold's minus sign to the left leaves score_rows and the eval walk as
+    # they were, bit for bit
+    q = FeatureQueue(capacity=capacity, d_feat=d)
+    rng = np.random.default_rng(seed)
+    for m in batch_sizes:
+        m = min(m, capacity)
+        rows = rng.normal(size=(m, d)) * rng.uniform(0.1, 10.0, size=(m, 1))
+        enqueue_batch(q, rows, rng.integers(0, 3, size=m))
+        stored = q.features()
+        assert q._rows[:, :-1].tobytes() == stored.tobytes()
+        assert q._rows[:, -1].tobytes() == np.linalg.norm(stored, axis=1).tobytes()
+        a = rng.normal(size=(mb, d)) * rng.uniform(0.1, 10.0, size=(mb, 1))
+        na = np.linalg.norm(a, axis=1)
+        ds = rng.normal(size=(mb, q.size))
+        for name in KINDS:
+            sim = SimilarityKind(name, b_theta=b_theta)
+            pairs = form_pairs(q, a, rng.integers(0, 3, size=mb), sim, batch_norms=na)
+            assert pairs.scores.tobytes() == score_matrix(sim, a, stored).ravel().tobytes()
+            d_a, d_bt = _queue_grad(sim, q, a, na, ds)
+            want, want_bt, scale = old_grad_left(sim, a, stored, ds)
+            assert np.all(np.abs(d_a - want) <= 1e-14 * scale[:, None])
+            assert abs(d_bt - want_bt) <= 1e-14 * float(na @ scale)
+        sim = SimilarityKind("generalized_inner", b_theta=b_theta)
+        k = min(mb, q.size)
+        left, right = old_fold(sim, a[:k], stored[:k])
+        assert (
+            score_rows(sim, a[:k], stored[:k]).tobytes()
+            == np.einsum("ij,ij->i", left, right).tobytes()
+        )
+        labels = q.labels()
+        t = float(np.median(score_matrix(sim, stored, stored)))
+        with mock.patch.object(ev, "_fold", old_fold):
+            want = _upper_walk(stored, sim, labels=labels, threshold=t)
+        got = _upper_walk(stored, sim, labels=labels, threshold=t)
+        assert repr(got[0]) == repr(want[0])
+        assert np.array_equal(got[1], want[1]) and got[2] == want[2]
 
 
 def test_batch_larger_than_capacity_rejected():

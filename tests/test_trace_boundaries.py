@@ -59,6 +59,13 @@ def test_queue_step_boundaries_are_looked_up_at_call_time(tracing, tmp_path):
                  "encoder.sgd_step", "encoder.ema_update", "pair_queue.enqueue"):
         assert tracer.calls[name] >= steps, name
     assert tracer.counts["pair_queue.pairs"] == steps * 16 * 64
+    # each step scores its pairs once, inside form_pairs, and backprops them
+    # once; the in-training eval's score_matrix calls get no span of their own
+    names = [span[0] for span in tracer.spans]
+    scores = [span for span in tracer.spans if span[0] == "similarity.score_matrix"]
+    assert len(scores) == names.count("pair_queue.form_pairs") == steps
+    assert all(names[span[3]] == "pair_queue.form_pairs" for span in scores)
+    assert names.count("similarity.grad_left") == tracer.calls["similarity.grad_left"] == steps
 
 
 def test_eval_boundaries_see_each_layer_and_every_row_block(tracing, tmp_path):
