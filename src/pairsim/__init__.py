@@ -41,7 +41,6 @@ from .data import (
 )
 from .evaluation import (
     ScoredPairs,
-    EvalReport,
     TprAtFar,
     build_eval_pairs,
     sample_pair_indices,
@@ -53,7 +52,6 @@ from .evaluation import (
     cluster_by_threshold,
     clustering_accuracy,
     evaluate,
-    report_to_dict,
     report_to_json,
 )
 from .baselines import (

@@ -102,11 +102,9 @@ def _precheck(command: str, conf: dict, overrides: dict, args) -> None:
     elif command in ("train", "ablate"):
         to_train_config(conf)
     elif command == "eval":
-        to_similarity(conf)
+        to_train_config(conf)  # the pair counts, FAR targets and similarity too
         if not conf["eval.checkpoint"]:
             raise ConfigError("eval requires the eval.checkpoint config key")
-        if conf["eval.num_pos"] < 1 or conf["eval.num_neg"] < 1:
-            raise ConfigError("eval_num_pos and eval_num_neg must be >= 1")
         if conf["eval.threshold"] is not None and not math.isfinite(conf["eval.threshold"]):
             raise ConfigError(f"threshold must be finite, got {conf['eval.threshold']}")
     elif command == "plot-roc":
@@ -170,7 +168,7 @@ def _cmd_eval(conf, out, args):
         threshold=conf["eval.threshold"],
     )
     _write_report(out, rep)
-    print(f"eer {rep.eer:.4f}, margin {rep.desideratum_margin:+.4f}")
+    print(f"eer {rep['eer']:.4f}, margin {rep['desideratum_margin']:+.4f}")
     return 0
 
 

@@ -119,7 +119,7 @@ def _coerce_json(key: str, kind: str, val):
     if kind == "int":
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             fail()
-        if float(val) != int(val):
+        if isinstance(val, float) and not val.is_integer():  # 2.5, NaN, inf
             fail()
         return int(val)
     if kind == "float":

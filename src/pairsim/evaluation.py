@@ -29,13 +29,15 @@ pairs lie in one narrow column band; right of it one column max per block
 gives the max cross-class score and the few columns with a pair above the
 cut.  The clusters grow in a union-find forest, one block at a time.
 `evaluate` takes the margin, the clusters and the error counts at the cut
-from a single walk.
+from a single walk, and returns the report as the report.json document: a
+dict of floats, ints, lists and str-keyed dicts that `report_to_json` writes
+and that train keeps per eval epoch.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -69,29 +71,6 @@ class TprAtFar(NamedTuple):
     threshold: float
     far_achieved: float
     clamped: bool
-
-
-@dataclass
-class EvalReport:
-    eer: float
-    eer_threshold: float
-    tpr_at_far: dict
-    roc: list
-    desideratum_margin: float
-    clustering_accuracy: float
-    cut_errors: dict
-
-    def __post_init__(self):
-        if not 0.0 <= self.eer <= 1.0:
-            raise ConfigError(f"eer must lie in [0,1], got {self.eer}")
-        if not 0.0 <= self.clustering_accuracy <= 1.0:
-            raise ConfigError(
-                f"clustering_accuracy must lie in [0,1], got {self.clustering_accuracy}"
-            )
-        fars = [p[0] for p in self.roc]
-        tprs = [p[1] for p in self.roc]
-        if sorted(fars) != fars or sorted(tprs) != tprs:
-            raise ConfigError("roc points must be monotone in both coordinates")
 
 
 def _pair_totals(labels):
@@ -192,11 +171,9 @@ def score_pairs(sim: SimilarityKind, features, pos_pairs, neg_pairs) -> ScoredPa
 
 
 def build_eval_pairs(
-    features, labels, num_pos: int, num_neg: int, seed: int,
-    sim: SimilarityKind | None = None,
+    features, labels, num_pos: int, num_neg: int, seed: int, sim: SimilarityKind
 ) -> ScoredPairs:
     """Sample and score verification pairs in one step."""
-    sim = sim if sim is not None else SimilarityKind()
     pos, neg = sample_pair_indices(labels, num_pos, num_neg, seed)
     return score_pairs(sim, features, pos, neg)
 
@@ -286,17 +263,16 @@ _BLOCK = 128
 
 
 def _audit_inputs(features, labels):
+    """(features, class ids, (same-class, cross-class) pair totals), checked."""
     features = np.asarray(features, dtype=np.float64)
     labels = class_ids(labels)
     n = labels.size
     if features.ndim != 2 or features.shape[0] != n:
         raise ShapeError(f"features {features.shape} do not match {n} labels")
-    intra, inter = _pair_totals(labels)
-    if intra == 0 or inter == 0:
-        raise DegenerateInputError(
-            "separation margin needs at least one same-class and one cross-class pair"
-        )
-    return features, labels
+    totals = _pair_totals(labels)
+    if 0 in totals:
+        raise DegenerateInputError("need at least one same-class and one cross-class pair")
+    return features, labels, totals
 
 
 def _check_threshold(threshold) -> float:
@@ -444,7 +420,7 @@ def desideratum_audit(features, labels, sim: SimilarityKind) -> float:
     Positive iff every same-class pair outscores every cross-class pair,
     i.e. one global threshold separates them.
     """
-    features, labels = _audit_inputs(features, labels)
+    features, labels, _ = _audit_inputs(features, labels)
     return _upper_walk(features, sim, labels=labels)[0]
 
 
@@ -480,17 +456,15 @@ def evaluate(
     seed: int = 0,
     far_targets=(0.1, 0.01),
     threshold: float | None = None,
-) -> EvalReport:
-    """Full report; pair requests are clamped to what the labels allow.
+) -> dict:
+    """The report.json document; pair requests are clamped to what the labels allow.
 
     ``threshold`` sets the clustering cut; default is the EER threshold.
     Class ids may be gapped or sparse: nothing below sizes an array by them.
+    The FAR targets are keyed by their ``str``, as JSON keys must be.
     """
-    labels = class_ids(labels)
-    intra, inter = _pair_totals(labels)
-    sp = build_eval_pairs(
-        features, labels, min(num_pos, intra), min(num_neg, inter), seed, sim
-    )
+    features, labels, (intra, inter) = _audit_inputs(features, labels)
+    sp = build_eval_pairs(features, labels, min(num_pos, intra), min(num_neg, inter), seed, sim)
     eer, t_eer = compute_eer(sp)
     tied = float(sp.pos_scores[0])
     if np.all(sp.pos_scores == tied) and np.all(sp.neg_scores == tied):
@@ -501,46 +475,31 @@ def evaluate(
     tprs = tpr_at_far(sp, far_targets)
     cut = _check_threshold(t_eer if threshold is None else threshold)
     # one walk over all pairs yields the margin, the clusters and the counts
-    features, labels = _audit_inputs(features, labels)
     margin, comp, (rejects, accepts) = _upper_walk(
         features, sim, labels=labels, threshold=cut
     )
-    return EvalReport(
-        eer=eer,
-        eer_threshold=t_eer,
-        tpr_at_far={t: r.tpr for t, r in tprs.items()},
-        roc=roc_points(sp),
-        desideratum_margin=margin,
-        clustering_accuracy=clustering_accuracy(comp, labels),
-        cut_errors={
+    return {
+        "eer": eer,
+        "eer_threshold": t_eer,
+        "tpr_at_far": {str(t): r.tpr for t, r in tprs.items()},
+        "roc": [[f, t] for f, t in roc_points(sp)],
+        "desideratum_margin": margin,
+        "clustering_accuracy": clustering_accuracy(comp, labels),
+        "cut_errors": {
             "threshold": cut,
             "false_rejects": rejects,
             "same_class_pairs": intra,
             "false_accepts": accepts,
             "cross_class_pairs": inter,
         },
-    )
-
-
-def report_to_dict(report: EvalReport) -> dict:
-    return {
-        "eer": report.eer,
-        "eer_threshold": report.eer_threshold,
-        "tpr_at_far": {str(k): v for k, v in report.tpr_at_far.items()},
-        "roc": [[f, t] for f, t in report.roc],
-        "desideratum_margin": report.desideratum_margin,
-        "clustering_accuracy": report.clustering_accuracy,
-        "cut_errors": dict(report.cut_errors),
     }
 
 
-def report_to_json(report) -> str:
-    """An EvalReport, or its `report_to_dict` form, as report.json text."""
-    doc = report if isinstance(report, dict) else report_to_dict(report)
+def report_to_json(doc: dict) -> str:
+    """An `evaluate` report as report.json text."""
     # json's indent encoder is pure Python and slow on a long ROC, so the
     # ROC goes in as one block, written as json.dumps(doc, ...) writes it
     text = json.dumps({**doc, "roc": 0}, sort_keys=True, indent=2)
     rows = ",".join(f"\n    [\n      {f!r},\n      {t!r}\n    ]" for f, t in doc["roc"])
     roc = f"[{rows}\n  ]" if rows else "[]"
     return text.replace('\n  "roc": 0', f'\n  "roc": {roc}', 1)
-

@@ -49,6 +49,8 @@ class LossConfig:
             raise ConfigError(f"r must be positive, got {self.r}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie strictly in (0, 1), got {self.alpha}")
+        if not np.isfinite(self.b):
+            raise ConfigError(f"b must be finite, got {self.b}")
 
     def _resolved(self):
         """(w_pos, w_neg, r) actually applied by this variant."""

@@ -18,17 +18,20 @@ product for `score_rows`): ``generalized_inner`` appends a norm column,
 rows first.  The minus sign and b_theta sit on the left, so the right side
 ``[q, ||q||]`` is the rows with their norms, which a caller that keeps its
 rows that way (the feature queue) hands over as it stands.
-`score_matrix_grad_left` backprops the batched scores; for
-``generalized_inner`` that is one product with the same ``[q, ||q||]``.
+`score_matrix_grad_left` backprops the batched scores through the same
+fold: one product with ``[q, ||q||]`` for ``generalized_inner``; for
+``cosine``/``angular`` one with the right unit rows, which
+`numkit.unit_rows_grad` carries back through the left rows' normalization.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ShapeError
+from .numkit import unit_rows_grad
 
 KINDS = ("generalized_inner", "inner", "cosine", "angular")
 
@@ -211,18 +214,14 @@ def score_matrix_grad_left(sim: SimilarityKind, a, q, d_scores, na=None, qn=None
         rows = slice(None) if safe.all() else safe
         d_a[rows] -= sim.b_theta * (coef[rows] / na[rows])[:, None] * a[rows]
         return d_a, -float(na @ coef)
-    nq = np.linalg.norm(q, axis=1) if qn is None else qn[:, -1]
-    if np.any(na == 0.0) or np.any(nq == 0.0):
-        raise DegenerateInputError(f"{sim.kind} similarity of a zero vector")
-    inv_outer = 1.0 / np.outer(na, nq)
-    cos = (a @ q.T) * inv_outer
+    # cosine and angular score the unit rows: backprop onto the left unit
+    # rows, then through their normalization
+    left, right = _fold(sim, a, q, na, qn)
     if sim.kind == "angular":
-        c = np.clip(cos, -1.0, 1.0)
-        scale = np.zeros_like(c)
-        interior = np.abs(c) < 1.0
-        scale[interior] = 1.0 / (np.pi * np.sqrt(1.0 - c[interior] ** 2))
-        d_scores = d_scores * scale
-    # d cos_ij / d a_i = q_j/(||a_i|| ||q_j||) - cos_ij * a_i/||a_i||^2
-    d_a = (d_scores / nq[None, :]) @ q / na[:, None]
-    d_a -= ((d_scores * cos).sum(axis=1) / na**2)[:, None] * a
-    return d_a, 0.0
+        # dS/dcos = 1/(pi*sqrt(1-cos^2)); flat (0) once the clamp engages
+        cos = np.clip(left @ right.T, -1.0, 1.0)
+        interior = np.abs(cos) < 1.0
+        slope = np.zeros_like(cos)
+        slope[interior] = 1.0 / (np.pi * np.sqrt(1.0 - cos[interior] ** 2))
+        d_scores = d_scores * slope
+    return unit_rows_grad(left, na, d_scores @ right), 0.0

@@ -49,6 +49,7 @@ from .encoder import (
     EmaEncoder,
     EncoderNet,
     SgdConfig,
+    _architecture,
     backward,
     ema_update,
     forward,
@@ -57,7 +58,7 @@ from .encoder import (
     sgd_step,
 )
 from .errors import ConfigError, DegenerateInputError
-from .evaluation import _pair_totals, evaluate, report_to_dict
+from .evaluation import _pair_totals, evaluate
 from .losses import LossConfig, batch_loss
 from .numkit import Rng, as_matrix, check_finite, unit_rows, unit_rows_grad
 from .pair_queue import FeatureQueue, enqueue_batch, form_pairs, pos_neg_ratio
@@ -119,18 +120,27 @@ class TrainConfig:
             raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
         if not 0.0 <= self.eta <= 1.0:
             raise ConfigError(f"eta must lie in [0, 1], got {self.eta}")
-        if self.feature_dim < 1:
-            raise ConfigError(f"feature_dim must be >= 1, got {self.feature_dim}")
+        # the input dim comes from the data; 1 stands in for it here
+        _architecture((1, *self.hidden_dims, self.feature_dim), self.activation)
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError(f"val_fraction must lie in (0, 1), got {self.val_fraction}")
         if self.eval_num_pos < 1 or self.eval_num_neg < 1:
             raise ConfigError("eval_num_pos and eval_num_neg must be >= 1")
+        if not all(0.0 <= t <= 1.0 for t in self.far_targets):
+            raise ConfigError(f"far_targets must lie in [0, 1], got {self.far_targets}")
         if self.lr_warmup_steps < 0:
             raise ConfigError(f"lr_warmup_steps must be >= 0, got {self.lr_warmup_steps}")
         if not all(0.0 < f < 1.0 for f in self.lr_decay_at):
             raise ConfigError(f"lr_decay_at fractions must lie in (0, 1), got {self.lr_decay_at}")
         if not 0.0 < self.lr_decay_factor <= 1.0:
             raise ConfigError(f"lr_decay_factor must lie in (0, 1], got {self.lr_decay_factor}")
+        if not (self.contrastive_margin > 0 and self.triplet_margin > 0):
+            raise ConfigError(
+                "contrastive_margin and triplet_margin must be > 0, got "
+                f"{self.contrastive_margin} and {self.triplet_margin}"
+            )
+        if not self.proxy_margin >= 0:
+            raise ConfigError(f"proxy_margin must be >= 0, got {self.proxy_margin}")
         # the proxy bank's logits use b_theta whatever similarity.kind says
         b_theta = self.loss.similarity.b_theta
         if self.method == "proxy_gip_ce" and not 0.0 <= b_theta < 1.0:
@@ -151,7 +161,6 @@ class RunLog:
 
     steps: list = field(default_factory=list)
     epochs: list = field(default_factory=list)
-    checkpoint: str | None = None
     encoder: EncoderNet | None = None
     ema: EncoderNet | None = None
     bias: float = 0.0
@@ -181,17 +190,15 @@ def encode(net: EncoderNet, inputs, normalize: bool = False) -> np.ndarray:
 def _eval_on_pairs(cfg, enc, val_ds, sim, bias) -> dict:
     # simple learns its own decision boundary (-b); the baselines have no
     # such parameter, so evaluate clusters them at the EER operating point
-    return report_to_dict(
-        evaluate(
-            encode(enc, val_ds.inputs, cfg.normalize_features),
-            val_ds.labels,
-            sim,
-            cfg.eval_num_pos,
-            cfg.eval_num_neg,
-            cfg.seed,
-            cfg.far_targets,
-            threshold=-bias if cfg.method == "simple" else None,
-        )
+    return evaluate(
+        encode(enc, val_ds.inputs, cfg.normalize_features),
+        val_ds.labels,
+        sim,
+        cfg.eval_num_pos,
+        cfg.eval_num_neg,
+        cfg.seed,
+        cfg.far_targets,
+        threshold=-bias if cfg.method == "simple" else None,
     )
 
 
@@ -394,9 +401,9 @@ def save_runlog(log: RunLog, out_dir) -> None:
     sorted and floats use repr, so two identical runs serialize identically.
     """
     os.makedirs(out_dir, exist_ok=True)
-    if log.encoder is not None:
-        save_encoder(log.encoder, os.path.join(out_dir, "checkpoint.bin"))
-        log.checkpoint = "checkpoint.bin"
+    checkpoint = None if log.encoder is None else "checkpoint.bin"
+    if checkpoint is not None:
+        save_encoder(log.encoder, os.path.join(out_dir, checkpoint))
     encoder = json.JSONEncoder(sort_keys=True)  # json.dumps would build one per line
     with open(os.path.join(out_dir, "runlog.jsonl"), "w", newline="\n") as f:
         for rec in log.steps:
@@ -407,7 +414,7 @@ def save_runlog(log: RunLog, out_dir) -> None:
             erec["eval"] = {k: v for k, v in erec["eval"].items() if k != "roc"}
     summary = {
         "epochs": epochs,
-        "checkpoint": log.checkpoint,
+        "checkpoint": checkpoint,
         "final_bias": log.bias,
         "final_b_theta": log.b_theta,
     }

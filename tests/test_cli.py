@@ -150,6 +150,7 @@ def test_eval_roundtrip_and_missing_checkpoint_key(tmp_path, capsys):
         ("eval.num_neg = 0", "eval_num_pos and eval_num_neg must be >= 1"),
         ("eval.threshold = nan", "threshold must be finite, got nan"),
         ("eval.threshold = -inf", "threshold must be finite, got -inf"),
+        ("eval.far_targets = 0.1, 2", "far_targets must lie in [0, 1], got (0.1, 2.0)"),
     ],
 )
 def test_bad_eval_settings_are_validation_errors(tmp_path, capsys, setting, words):
@@ -157,6 +158,29 @@ def test_bad_eval_settings_are_validation_errors(tmp_path, capsys, setting, word
     cfg = tmp_path / "eval.cfg"
     cfg.write_text(f"eval.checkpoint = {tmp_path / 'ckpt.bin'}\n{setting}\n")
     assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert words in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "setting, words",
+    [
+        ("eval.far_targets = 0.1, 2", "far_targets must lie in [0, 1], got (0.1, 2.0)"),
+        ("train.hidden_dims = 64, 0", "each >= 1, got (1, 64, 0, 8)"),
+        ("train.activation = gelu", "unknown activation 'gelu'"),
+        ("train.contrastive_margin = -1", "contrastive_margin and triplet_margin must be > 0"),
+        ("train.triplet_margin = 0", "contrastive_margin and triplet_margin must be > 0"),
+        ("train.proxy_margin = -0.5", "proxy_margin must be >= 0, got -0.5"),
+        ("train.proxy_margin = nan", "proxy_margin must be >= 0, got nan"),
+        ("sgd.weight_decay = nan", "weight_decay must be >= 0, got nan"),
+        ("loss.b = inf", "b must be finite, got inf"),
+    ],
+)
+def test_bad_train_settings_are_validation_errors(tmp_path, capsys, setting, words):
+    # each of these used to fail only once the run had started (exit 2)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(QUICK + setting + "\n")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert words in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 

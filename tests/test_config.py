@@ -96,6 +96,10 @@ def test_json_type_checks():
         resolve_loaded(bad)
     with pytest.raises(ConfigError, match="expects bool"):
         resolve_loaded({"loss.b_learnable": 1})
+    # json reads NaN and Infinity (and 1e999) as floats, none of them an int
+    for text in ('{"seed": NaN}', '{"seed": Infinity}', '{"seed": 1e999}'):
+        with pytest.raises(ConfigError, match="expects int"):
+            resolve_loaded(json.loads(text))
     with pytest.raises(ConfigError, match="unknown config key"):
         resolve_loaded({"loss.gamma": 1.0})
     # scalars promote to one-element lists for list-typed keys

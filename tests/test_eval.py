@@ -19,6 +19,7 @@ from pairsim import (
     ConfigError,
     DegenerateInputError,
     ScoredPairs,
+    ShapeError,
     SimilarityKind,
     build_eval_pairs,
     cluster_by_threshold,
@@ -726,15 +727,15 @@ def test_evaluate_report_round_trip():
         "eer", "eer_threshold", "tpr_at_far", "roc",
         "desideratum_margin", "clustering_accuracy", "cut_errors",
     }
-    assert doc["eer"] == rep.eer
-    assert doc["tpr_at_far"]["0.1"] == rep.tpr_at_far[0.1]
+    # the report is its own JSON document
+    assert doc == rep
     # tight clusters separate perfectly, and the EER threshold recovers them
-    assert rep.eer == 0.0
-    assert rep.desideratum_margin > 0
-    assert rep.clustering_accuracy == 1.0
+    assert rep["eer"] == 0.0
+    assert rep["desideratum_margin"] > 0
+    assert rep["clustering_accuracy"] == 1.0
     # 3 classes of 7 rows: 3 * 21 same-class and 210 - 63 cross-class pairs
     assert doc["cut_errors"] == {
-        "threshold": rep.eer_threshold, "false_rejects": 0, "same_class_pairs": 63,
+        "threshold": rep["eer_threshold"], "false_rejects": 0, "same_class_pairs": 63,
         "false_accepts": 0, "cross_class_pairs": 147,
     }
 
@@ -746,8 +747,7 @@ AWKWARD = (0.0, 1.0, 1e-05, 5e-324, 0.1 + 0.2)
 
 def test_report_to_json_writes_what_json_dumps_writes():
     # the ROC rows go in as one pre-formatted block; the text must stay the
-    # bytes of json.dumps(doc, sort_keys=True, indent=2), for an EvalReport
-    # and for its dict form (what train passes)
+    # bytes of json.dumps(doc, sort_keys=True, indent=2)
     rng = np.random.default_rng(17)
     for case in range(400):
         size = (1, 0, int(rng.integers(2, 50)))[case % 3]  # one point, none, many
@@ -756,27 +756,44 @@ def test_report_to_json_writes_what_json_dumps_writes():
         def pick(k=None):
             return rng.choice(pool, size=k).tolist()
 
-        rep = ev.EvalReport(
-            eer=pick(),
-            eer_threshold=float(rng.choice(np.r_[pool, -pool, rng.normal(size=3) * 10])),
-            tpr_at_far={0.1: pick(), 0.01: pick()},
-            roc=list(zip(sorted(pick(size)), sorted(pick(size)))),
-            desideratum_margin=float(rng.normal() * 10),
-            clustering_accuracy=pick(),
-            cut_errors={"threshold": pick(), "false_rejects": int(rng.integers(0, 9))},
-        )
-        doc = ev.report_to_dict(rep)
+        doc = {
+            "eer": pick(),
+            "eer_threshold": float(rng.choice(np.r_[pool, -pool, rng.normal(size=3) * 10])),
+            "tpr_at_far": {"0.1": pick(), "0.01": pick()},
+            "roc": [list(p) for p in zip(sorted(pick(size)), sorted(pick(size)))],
+            "desideratum_margin": float(rng.normal() * 10),
+            "clustering_accuracy": pick(),
+            "cut_errors": {"threshold": pick(), "false_rejects": int(rng.integers(0, 9))},
+        }
         want = json.dumps(doc, sort_keys=True, indent=2)
-        assert report_to_json(rep) == want
         assert report_to_json(doc) == want
-        assert json.loads(want)["roc"] == [list(p) for p in rep.roc]
+        assert json.loads(want) == doc
 
 
 def test_evaluate_clamps_pair_request():
     feats = np.vstack([np.eye(2) + 0.01 * k for k in range(2)])  # 4 rows
     labels = [0, 1, 0, 1]
     rep = evaluate(feats, labels, SimilarityKind(), num_pos=10**6, num_neg=10**6)
-    assert 0.0 <= rep.eer <= 1.0
+    assert 0.0 <= rep["eer"] <= 1.0
+
+
+@pytest.mark.parametrize(
+    "rows, labels, error",
+    [
+        (5, [0, 1] * 5, ShapeError),  # fewer rows than labels
+        (12, [0, 1] * 5, ShapeError),  # more rows than labels
+        (4, [0, 0, 0, 0], DegenerateInputError),  # no cross-class pair
+        (4, [0, 1, 2, 3], DegenerateInputError),  # no same-class pair
+    ],
+)
+def test_evaluate_checks_its_inputs_before_sampling(monkeypatch, rows, labels, error):
+    def sample(*args):
+        pytest.fail("pairs were sampled before the inputs were checked")
+
+    monkeypatch.setattr(ev, "sample_pair_indices", sample)
+    feats = np.random.default_rng(0).normal(size=(rows, 3))
+    with pytest.raises(error):
+        evaluate(feats, labels, SimilarityKind(), num_pos=3, num_neg=3)
 
 
 def test_evaluate_ranks_sparse_class_ids():

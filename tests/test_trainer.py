@@ -9,7 +9,7 @@ from pairsim.data import GenSpec, generate, split
 from pairsim.baselines import norm_blowup_probe
 from pairsim.encoder import SgdConfig, load_encoder
 from pairsim.errors import ConfigError
-from pairsim.evaluation import evaluate, report_to_dict
+from pairsim.evaluation import evaluate
 from pairsim.losses import LossConfig
 from pairsim import trainer as trainer_module
 from pairsim.similarity import SimilarityKind
@@ -87,7 +87,7 @@ def test_train_report_equals_evaluate_on_val_split(method):
     rep = evaluate(encode(log.encoder, val.inputs), val.labels, sim,
                    cfg.eval_num_pos, cfg.eval_num_neg, cfg.seed, cfg.far_targets,
                    threshold=-log.bias if method == "simple" else None)
-    assert final_report(log) == report_to_dict(rep)
+    assert final_report(log) == rep
 
 
 def _zero_lr():
