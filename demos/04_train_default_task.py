@@ -14,12 +14,13 @@ import numpy as np
 from pairsim import (
     GenSpec,
     TrainConfig,
-    build_eval_pairs,
     encode,
     final_report,
     generate,
     render_roc_svg,
     roc_points,
+    sample_pair_indices,
+    score_pairs,
     split,
     train,
 )
@@ -39,7 +40,7 @@ print("epoch    eer    tpr@far=0.01   margin")
 for rec in log.epochs:
     if "eval" in rec:
         e = rec["eval"]
-        print(f"{rec['epoch']:>5}   {e['eer']:.4f}   {e['tpr_at_far']['0.01']:>9.4f}"
+        print(f"{rec['epoch']:>5}   {e['eer']:.4f}   {e['tpr_at_far']['0.01']['tpr']:>9.4f}"
               f"   {e['desideratum_margin']:+.3f}")
 
 final = final_report(log)
@@ -77,12 +78,12 @@ print("\nwrote desk_run/{runlog.jsonl,summary.json,checkpoint.bin}")
 
 # before/after ROC on the same held-out pairs.  train() carves its val
 # split with the run seed, so the split above recovers exactly that set.
-raw = build_eval_pairs(va.inputs / np.linalg.norm(va.inputs, axis=1, keepdims=True),
-                       va.labels, 2000, 2000, seed=cfg.seed, sim=sim)
-learned = build_eval_pairs(feats, va.labels, 2000, 2000, seed=cfg.seed, sim=sim)
+pairs = sample_pair_indices(va.labels, 2000, 2000, seed=cfg.seed)
+raw = score_pairs(sim, va.inputs / np.linalg.norm(va.inputs, axis=1, keepdims=True), *pairs)
+learned = score_pairs(sim, feats, *pairs)
 svg = render_roc_svg([
-    ("raw inputs", roc_points(raw)),
-    ("trained encoder", roc_points(learned)),
+    ("raw inputs", roc_points(*raw)),
+    ("trained encoder", roc_points(*learned)),
 ])
 with open("desk_run/roc.svg", "w") as f:
     f.write(svg)

@@ -40,9 +40,6 @@ from .data import (
     load_csv,
 )
 from .evaluation import (
-    ScoredPairs,
-    TprAtFar,
-    build_eval_pairs,
     sample_pair_indices,
     score_pairs,
     compute_eer,

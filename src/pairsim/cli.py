@@ -24,7 +24,10 @@ Exit codes: 0 success, 1 flag/config validation error, 2 runtime failure.
 
 Without an explicit grid, ``ablate`` sweeps r in {1, 2, 3} crossed with
 alpha in {2e-4, 5e-4, 1e-3, 2e-3}, and defaults the report columns to
-TPR at FAR 1e-4 / 1e-3 / 1e-2.  ``plot-roc`` legend names default to the
+TPR at FAR 1e-4 / 1e-3 / 1e-2, drawn from 10,000 negative pairs (so the
+1e-4 column is reachable) unless the config sets ``eval.num_neg``.  A FAR
+stricter than the negatives reach is clamped, and its cells are left empty,
+as a failed cell's are.  ``plot-roc`` legend names default to the
 directory holding each report (evaluations all emit ``report.json``), and
 can be overridden with ``plot.names``.
 """
@@ -56,6 +59,7 @@ from .trainer import ablate, ablate_csv, encode, final_report, save_runlog, trai
 COMMANDS = ("gen-data", "train", "eval", "ablate", "grad-check", "plot-roc")
 TABLE_GRID = {"r": (1.0, 2.0, 3.0), "alpha": (0.0002, 0.0005, 0.001, 0.002)}
 TABLE_FARS = (0.0001, 0.001, 0.01)
+TABLE_NUM_NEG = 10_000  # 1 / min(TABLE_FARS): the strictest column is reachable
 GRAD_GATE = 1e-4
 
 
@@ -121,12 +125,15 @@ def _precheck(command: str, conf: dict, overrides: dict, args) -> None:
         if getattr(args, "jobs", 1) < 1:
             raise ConfigError("--jobs must be >= 1")
         # no explicit grid: sweep the standard (r, alpha) table, reporting
-        # TPR at the table's FAR columns unless the config chose its own
+        # TPR at the table's FAR columns from the table's negative count
+        # unless the config chose its own
         if all(conf[f"grid.{axis}"] is None for axis in ("r", "alpha", "b_theta")):
             conf["grid.r"] = TABLE_GRID["r"]
             conf["grid.alpha"] = TABLE_GRID["alpha"]
         if "eval.far_targets" not in overrides:
             conf["eval.far_targets"] = TABLE_FARS
+        if "eval.num_neg" not in overrides:
+            conf["eval.num_neg"] = TABLE_NUM_NEG
 
 
 def _cmd_gen_data(conf, out, args):

@@ -8,7 +8,10 @@ them:
   and linearly interpolates between the two bracketing candidates.
 * TPR@FAR puts candidate thresholds at the observed negative scores (the
   smallest threshold whose FAR is within target maximizes TPR); targets
-  below the strictest achievable FAR are clamped and flagged.
+  below the strictest achievable FAR are clamped and flagged.  Each target's
+  entry in the report's ``tpr_at_far`` (report.json, summary.json) is its
+  operating point: ``tpr``, the achieved ``far``, ``threshold`` and that
+  ``clamped`` flag; ablation.csv leaves a clamped cell empty.
 * Clustering is a single-linkage threshold cut: connect every pair that
   scores strictly above the threshold, components become clusters, and
   accuracy is scored under the optimal one-to-one cluster/class matching.
@@ -37,8 +40,6 @@ and that train keeps per eval epoch.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -46,31 +47,6 @@ from scipy.optimize import linear_sum_assignment
 from .errors import ConfigError, DegenerateInputError, ShapeError
 from .numkit import Rng, class_ids
 from .similarity import SimilarityKind, _angular, _fold, score_matrix, score_rows
-
-
-@dataclass
-class ScoredPairs:
-    """Scores of sampled same-class (pos) and cross-class (neg) pairs."""
-
-    pos_scores: np.ndarray
-    neg_scores: np.ndarray
-
-    def __post_init__(self):
-        self.pos_scores = np.asarray(self.pos_scores, dtype=np.float64).ravel()
-        self.neg_scores = np.asarray(self.neg_scores, dtype=np.float64).ravel()
-
-    def require_both_sides(self):
-        if self.pos_scores.size == 0 or self.neg_scores.size == 0:
-            raise DegenerateInputError(
-                "need at least one positive and one negative score"
-            )
-
-
-class TprAtFar(NamedTuple):
-    tpr: float
-    threshold: float
-    far_achieved: float
-    clamped: bool
 
 
 def _pair_totals(labels):
@@ -155,52 +131,43 @@ def sample_pair_indices(labels, num_pos: int, num_neg: int, seed: int):
     return pos, neg
 
 
-def score_pairs(sim: SimilarityKind, features, pos_pairs, neg_pairs) -> ScoredPairs:
-    """Score fixed pair indices against (possibly re-encoded) features."""
+def score_pairs(sim: SimilarityKind, features, pos_pairs, neg_pairs):
+    """(pos_scores, neg_scores) of fixed pair indices against (possibly
+    re-encoded) features."""
     features = np.asarray(features, dtype=np.float64)
-    pos_pairs = np.asarray(pos_pairs, dtype=np.int64).reshape(-1, 2)
-    neg_pairs = np.asarray(neg_pairs, dtype=np.int64).reshape(-1, 2)
-    return ScoredPairs(
-        pos_scores=score_rows(sim, features[pos_pairs[:, 0]], features[pos_pairs[:, 1]])
-        if pos_pairs.size
-        else np.empty(0),
-        neg_scores=score_rows(sim, features[neg_pairs[:, 0]], features[neg_pairs[:, 1]])
-        if neg_pairs.size
-        else np.empty(0),
+    pos, neg = (np.asarray(p, dtype=np.int64).reshape(-1, 2) for p in (pos_pairs, neg_pairs))
+    return (
+        score_rows(sim, features[pos[:, 0]], features[pos[:, 1]]),
+        score_rows(sim, features[neg[:, 0]], features[neg[:, 1]]),
     )
 
 
-def build_eval_pairs(
-    features, labels, num_pos: int, num_neg: int, seed: int, sim: SimilarityKind
-) -> ScoredPairs:
-    """Sample and score verification pairs in one step."""
-    pos, neg = sample_pair_indices(labels, num_pos, num_neg, seed)
-    return score_pairs(sim, features, pos, neg)
+def _sides(pos, neg):
+    """Both score arrays as sorted flat float64, each side non-empty."""
+    pos = np.sort(np.asarray(pos, dtype=np.float64).ravel())
+    neg = np.sort(np.asarray(neg, dtype=np.float64).ravel())
+    if pos.size == 0 or neg.size == 0:
+        raise DegenerateInputError("need at least one positive and one negative score")
+    return pos, neg
 
 
-def _candidates(sp: ScoredPairs) -> np.ndarray:
-    uniq = np.unique(np.concatenate([sp.pos_scores, sp.neg_scores]))
-    mids = (uniq[:-1] + uniq[1:]) / 2.0
-    return np.concatenate([[-np.inf], mids, [np.inf]])
-
-
-def _frr_far(sp: ScoredPairs, t: np.ndarray):
-    pos = np.sort(sp.pos_scores)
-    neg = np.sort(sp.neg_scores)
+def _frr_far(pos, neg, t: np.ndarray):
+    """FRR(t) = frac(pos < t) and FAR(t) = frac(neg >= t), over sorted sides."""
     frr = np.searchsorted(pos, t, side="left") / pos.size
     far = (neg.size - np.searchsorted(neg, t, side="left")) / neg.size
     return frr, far
 
 
-def compute_eer(sp: ScoredPairs):
+def compute_eer(pos, neg):
     """(eer, threshold) by threshold sweep with linear interpolation.
 
     FAR - FRR is monotone nonincreasing over the candidate sweep, from +1
     at -inf to -1 at +inf; the EER sits where it crosses zero.
     """
-    sp.require_both_sides()
-    t = _candidates(sp)
-    frr, far = _frr_far(sp, t)
+    pos, neg = _sides(pos, neg)
+    uniq = np.unique(np.concatenate([pos, neg]))
+    t = np.concatenate([[-np.inf], (uniq[:-1] + uniq[1:]) / 2.0, [np.inf]])
+    frr, far = _frr_far(pos, neg, t)
     diff = far - frr
     k = int(np.flatnonzero(diff >= 0)[-1])
     lam = diff[k] / (diff[k] - diff[k + 1])
@@ -214,39 +181,37 @@ def compute_eer(sp: ScoredPairs):
     return float(eer), float(threshold)
 
 
-def tpr_at_far(sp: ScoredPairs, far_targets) -> dict:
-    """Map each FAR target to a TprAtFar entry.
+def tpr_at_far(pos, neg, far_targets) -> dict:
+    """The operating point of each FAR target, keyed by the target's ``str``.
 
-    Thresholds sit at observed negative scores; the smallest threshold
-    with FAR(t) <= target maximizes TPR. Targets stricter than 1/|neg|
-    (more generally, than the strictest achievable FAR) fall back to the
-    strictest threshold and come back flagged.
+    Each is a dict of its ``tpr``, achieved ``far``, ``threshold`` and
+    ``clamped`` flag.  Thresholds sit at observed negative scores; the
+    smallest threshold with FAR(t) <= target maximizes TPR.  Targets
+    stricter than 1/|neg| (more generally, than the strictest achievable
+    FAR) fall back to the strictest threshold, with ``clamped`` true.
     """
-    sp.require_both_sides()
-    neg_cand = np.unique(sp.neg_scores)
-    _, far = _frr_far(sp, neg_cand)
-    pos = np.sort(sp.pos_scores)
+    pos, neg = _sides(pos, neg)
+    t = np.unique(neg)
+    _, far = _frr_far(pos, neg, t)
+    tpr = (pos.size - np.searchsorted(pos, t, side="left")) / pos.size
     out = {}
-    for target in far_targets:
-        target = float(target)
+    for target in map(float, far_targets):
         if not 0.0 <= target <= 1.0:
             raise ConfigError(f"FAR target must lie in [0,1], got {target}")
         hit = np.flatnonzero(far <= target)
-        if hit.size:
-            i, clamped = int(hit[0]), False
-        else:
-            i, clamped = neg_cand.size - 1, True
-        t = neg_cand[i]
-        tpr = (pos.size - np.searchsorted(pos, t, side="left")) / pos.size
-        out[target] = TprAtFar(float(tpr), float(t), float(far[i]), clamped)
+        i = int(hit[0]) if hit.size else t.size - 1
+        out[str(target)] = {
+            "tpr": float(tpr[i]), "far": float(far[i]), "threshold": float(t[i]),
+            "clamped": hit.size == 0,
+        }
     return out
 
 
-def roc_points(sp: ScoredPairs) -> list:
+def roc_points(pos, neg) -> list:
     """(far, tpr) staircase from strictest to loosest threshold."""
-    sp.require_both_sides()
-    uniq = np.unique(np.concatenate([sp.pos_scores, sp.neg_scores]))[::-1]
-    frr, far = _frr_far(sp, uniq)
+    pos, neg = _sides(pos, neg)
+    uniq = np.unique(np.concatenate([pos, neg]))[::-1]
+    frr, far = _frr_far(pos, neg, uniq)
     far, tpr = np.r_[0.0, far], np.r_[0.0, 1.0 - frr]
     keep = np.r_[True, (far[1:] != far[:-1]) | (tpr[1:] != tpr[:-1])]  # drop repeats
     return list(zip(far[keep].tolist(), tpr[keep].tolist()))
@@ -464,15 +429,16 @@ def evaluate(
     The FAR targets are keyed by their ``str``, as JSON keys must be.
     """
     features, labels, (intra, inter) = _audit_inputs(features, labels)
-    sp = build_eval_pairs(features, labels, min(num_pos, intra), min(num_neg, inter), seed, sim)
-    eer, t_eer = compute_eer(sp)
-    tied = float(sp.pos_scores[0])
-    if np.all(sp.pos_scores == tied) and np.all(sp.neg_scores == tied):
+    pairs = sample_pair_indices(labels, min(num_pos, intra), min(num_neg, inter), seed)
+    pos, neg = score_pairs(sim, features, *pairs)
+    eer, t_eer = compute_eer(pos, neg)
+    tied = float(pos[0])
+    if np.all(pos == tied) and np.all(neg == tied):
         # the EER threshold is then -inf
         raise DegenerateInputError(
             f"every sampled pair has the same score, {tied!r}: no threshold tells them apart"
         )
-    tprs = tpr_at_far(sp, far_targets)
+    tprs = tpr_at_far(pos, neg, far_targets)
     cut = _check_threshold(t_eer if threshold is None else threshold)
     # one walk over all pairs yields the margin, the clusters and the counts
     margin, comp, (rejects, accepts) = _upper_walk(
@@ -481,8 +447,8 @@ def evaluate(
     return {
         "eer": eer,
         "eer_threshold": t_eer,
-        "tpr_at_far": {str(t): r.tpr for t, r in tprs.items()},
-        "roc": [[f, t] for f, t in roc_points(sp)],
+        "tpr_at_far": tprs,
+        "roc": [[f, t] for f, t in roc_points(pos, neg)],
         "desideratum_margin": margin,
         "clustering_accuracy": clustering_accuracy(comp, labels),
         "cut_errors": {

@@ -14,17 +14,6 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ShapeError
 
-__all__ = [
-    "as_matrix",
-    "class_ids",
-    "check_finite",
-    "unit_rows",
-    "unit_rows_grad",
-    "softplus",
-    "sigmoid",
-    "Rng",
-]
-
 
 def as_matrix(data) -> np.ndarray:
     """Coerce to a 2-D float64 C-contiguous array, validating finiteness."""

@@ -481,7 +481,11 @@ def ablate(grid: dict, base_cfg: TrainConfig, ds: Dataset, jobs: int = 1) -> lis
 
 
 def ablate_csv(rows) -> str:
-    """Render sweep rows as CSV: r, alpha, b_theta, eer, tpr columns, status."""
+    """Render sweep rows as CSV: r, alpha, b_theta, eer, tpr columns, status.
+
+    A TPR cell is empty when its cell failed or its FAR target was clamped,
+    so no column shows a TPR taken at a looser FAR than its heading.
+    """
     targets = sorted({float(k) for row in rows for k in row.get("tpr_at_far", {})})
     cols = ["r", "alpha", "b_theta", "eer"]
     cols += [f"tpr_at_far_{t:g}" for t in targets]
@@ -493,8 +497,8 @@ def ablate_csv(rows) -> str:
         vals = ["%.17g" % row[k] for k in ("r", "alpha", "b_theta")]
         vals.append("" if row["eer"] is None else "%.17g" % row["eer"])
         for t in targets:
-            v = row["tpr_at_far"].get(str(t))
-            vals.append("" if v is None else "%.17g" % v)
+            op = row["tpr_at_far"].get(str(t))
+            vals.append("" if op is None or op["clamped"] else "%.17g" % op["tpr"])
         vals.append(row["status"])
         writer.writerow(vals)
     return buf.getvalue()

@@ -143,6 +143,28 @@ def test_eval_roundtrip_and_missing_checkpoint_key(tmp_path, capsys):
     assert "eval.checkpoint" in capsys.readouterr().err
 
 
+def test_eval_report_says_which_operating_point_each_tpr_is(tmp_path):
+    # 2,000 negatives cannot reach FAR 1e-4: that entry is the strictest
+    # point they do reach, and says so
+    cfg = write_quick(tmp_path)
+    run = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--out", str(run)]) == 0
+    evalcfg = tmp_path / "eval.cfg"
+    evalcfg.write_text(QUICK.replace("eval.num_neg = 50", "eval.num_neg = 2000")
+                       + f"eval.checkpoint = {run / 'checkpoint.bin'}\n"
+                       "eval.far_targets = 0.0001, 0.01\n")
+    out = tmp_path / "ev"
+    assert main(["eval", "--config", str(evalcfg), "--out", str(out)]) == 0
+    tprs = json.loads((out / "report.json").read_text())["tpr_at_far"]
+    assert set(tprs) == {"0.0001", "0.01"}
+    for entry in tprs.values():
+        assert set(entry) == {"tpr", "far", "threshold", "clamped"}
+    strict = tprs["0.0001"]
+    assert strict["clamped"] is True
+    assert strict["far"] >= 1 / 2000
+    assert not tprs["0.01"]["clamped"] and tprs["0.01"]["far"] <= 0.01
+
+
 @pytest.mark.parametrize(
     "setting, words",
     [
@@ -340,6 +362,29 @@ def test_ablate_defaults_to_table_grid(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["grid.r"] == [1.0, 2.0, 3.0]
     assert manifest["config"]["eval.far_targets"] == [0.0001, 0.001, 0.01]
+    # the config's own 50 negatives are kept; they reach no FAR column, so
+    # every TPR cell is left empty
+    assert manifest["config"]["eval.num_neg"] == 50
+    for line in lines[1:]:
+        assert line.split(",")[4:7] == ["", "", ""], line
+
+
+def test_ablate_defaults_to_table_negatives(tmp_path):
+    # without eval.num_neg the table draws 10,000 negatives, as many as the
+    # split allows: 384 cross-class pairs here, so FAR 0.01 is reachable
+    # and 1e-4 is clamped
+    cfg = tmp_path / "ab.cfg"
+    cfg.write_text(QUICK.replace("epochs = 2", "epochs = 1").replace("eval.num_neg = 50\n", "")
+                   + "grid.r = 1\n")
+    out = tmp_path / "ab"
+    assert main(["ablate", "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["eval.num_neg"] == 10_000
+    header, row = (out / "ablation.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["status"] == "ok"
+    assert cells["tpr_at_far_0.0001"] == ""
+    assert 0.0 <= float(cells["tpr_at_far_0.01"]) <= 1.0
 
 
 def test_grad_check_prints_components(tmp_path, capsys):

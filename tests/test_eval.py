@@ -18,10 +18,8 @@ from scipy.sparse.csgraph import connected_components
 from pairsim import (
     ConfigError,
     DegenerateInputError,
-    ScoredPairs,
     ShapeError,
     SimilarityKind,
-    build_eval_pairs,
     cluster_by_threshold,
     clustering_accuracy,
     compute_eer,
@@ -115,18 +113,18 @@ def exact_features(rng, n):
 
 
 def test_eer_perfect_separation():
-    eer, t = compute_eer(ScoredPairs([0.9, 0.8], [0.1, 0.2]))
+    eer, t = compute_eer([0.9, 0.8], [0.1, 0.2])
     assert eer == 0.0
     assert 0.2 < t < 0.8
 
 
 def test_eer_identical_sets_is_chance():
-    eer, _ = compute_eer(ScoredPairs([0.3, 0.7], [0.3, 0.7]))
+    eer, _ = compute_eer([0.3, 0.7], [0.3, 0.7])
     assert eer == 0.5
 
 
 def test_eer_interleaved_example():
-    eer, t = compute_eer(ScoredPairs([0.8, 0.2], [0.7, 0.1]))
+    eer, t = compute_eer([0.8, 0.2], [0.7, 0.1])
     assert eer == 0.5
     assert 0.2 < t <= 0.7
 
@@ -141,7 +139,7 @@ def test_eer_matches_oracle_on_random_inputs():
         if trial % 3 == 0:  # inject ties across and within sides
             pos = np.round(pos, 1)
             neg = np.round(neg, 1)
-        got, _ = compute_eer(ScoredPairs(pos, neg))
+        got, _ = compute_eer(pos, neg)
         assert got == eer_oracle(pos.tolist(), neg.tolist())
 
 
@@ -149,9 +147,9 @@ def test_eer_affine_invariance():
     rng = np.random.default_rng(4)
     pos = rng.uniform(size=50)
     neg = rng.uniform(-1, 0.5, size=70)
-    base, _ = compute_eer(ScoredPairs(pos, neg))
+    base, _ = compute_eer(pos, neg)
     for a, c in ((2.0, 0.0), (0.5, -3.0), (10.0, 7.0)):
-        got, _ = compute_eer(ScoredPairs(a * pos + c, a * neg + c))
+        got, _ = compute_eer(a * pos + c, a * neg + c)
         assert got == base
 
 
@@ -161,7 +159,7 @@ def test_eer_threshold_is_an_operating_point():
     rng = np.random.default_rng(9)
     pos = rng.normal(1.0, 1.0, size=200)
     neg = rng.normal(-1.0, 1.0, size=300)
-    eer, t = compute_eer(ScoredPairs(pos, neg))
+    eer, t = compute_eer(pos, neg)
     frr = np.mean(pos < t)
     far = np.mean(neg >= t)
     assert abs(frr - eer) <= 1.0 / 200 + 1e-12
@@ -169,39 +167,36 @@ def test_eer_threshold_is_an_operating_point():
 
 
 def test_eer_rejects_empty_side():
-    with pytest.raises(DegenerateInputError):
-        compute_eer(ScoredPairs([], [0.1]))
-    with pytest.raises(DegenerateInputError):
-        compute_eer(ScoredPairs([0.1], []))
+    # the EER, TPR@FAR and ROC share one check of their two score arrays
+    for metric in (compute_eer, roc_points, lambda pos, neg: tpr_at_far(pos, neg, [0.1])):
+        with pytest.raises(DegenerateInputError):
+            metric([], [0.1])
+        with pytest.raises(DegenerateInputError):
+            metric([0.1], [])
 
 
 # ----- TPR@FAR ---------------------------------------------------------
 
 
 def test_tpr_worked_example():
-    sp = ScoredPairs([0.9, 0.8, 0.7, 0.3], [0.6, 0.2, 0.1, 0.05])
-    res = tpr_at_far(sp, [0.25])
-    assert res[0.25].tpr == 0.75
-    assert res[0.25].threshold == 0.6
-    assert res[0.25].far_achieved == 0.25
-    assert not res[0.25].clamped
+    res = tpr_at_far([0.9, 0.8, 0.7, 0.3], [0.6, 0.2, 0.1, 0.05], [0.25])
+    assert res == {"0.25": {"tpr": 0.75, "far": 0.25, "threshold": 0.6, "clamped": False}}
 
 
 def test_tpr_perfect_separation_all_targets():
-    sp = ScoredPairs([2.0, 3.0, 4.0], [0.0, 0.5, 1.0])
     for target in (1.0, 0.5, 1.0 / 3.0):
-        r = tpr_at_far(sp, [target])[target]
-        assert r.tpr == 1.0
-        assert not r.clamped
+        r = tpr_at_far([2.0, 3.0, 4.0], [0.0, 0.5, 1.0], [target])[str(target)]
+        assert r["tpr"] == 1.0
+        assert not r["clamped"]
+        assert r["far"] <= target
 
 
 def test_tpr_target_zero_is_clamped():
-    sp = ScoredPairs([2.0, 3.0], [0.0, 1.0])
-    r = tpr_at_far(sp, [0.0])[0.0]
-    assert r.clamped
-    assert r.threshold == 1.0  # strictest achievable operating point
-    assert r.far_achieved == 0.5
-    assert r.tpr == 1.0
+    r = tpr_at_far([2.0, 3.0], [0.0, 1.0], [0.0])["0.0"]
+    assert r["clamped"]
+    assert r["threshold"] == 1.0  # strictest achievable operating point
+    assert r["far"] == 0.5
+    assert r["tpr"] == 1.0
 
 
 def test_tpr_matches_oracle_on_random_inputs():
@@ -210,16 +205,17 @@ def test_tpr_matches_oracle_on_random_inputs():
         pos = rng.normal(0.5, 1.0, size=int(rng.integers(2, 60)))
         neg = rng.normal(size=int(rng.integers(2, 60)))
         target = float(rng.uniform())
-        got = tpr_at_far(ScoredPairs(pos, neg), [target])[target]
+        got = tpr_at_far(pos, neg, [target])[str(target)]
         want_tpr, want_clamped = tpr_oracle(pos.tolist(), neg.tolist(), target)
-        assert got.tpr == want_tpr
-        assert got.clamped == want_clamped
+        assert got["tpr"] == want_tpr
+        assert got["clamped"] == want_clamped
+        assert got["far"] == np.mean(neg >= got["threshold"])
+        assert got["clamped"] or got["far"] <= target
 
 
 def test_tpr_rejects_bad_target():
-    sp = ScoredPairs([1.0], [0.0])
     with pytest.raises(ConfigError):
-        tpr_at_far(sp, [1.5])
+        tpr_at_far([1.0], [0.0], [1.5])
 
 
 # ----- ROC -------------------------------------------------------------
@@ -227,8 +223,7 @@ def test_tpr_rejects_bad_target():
 
 def test_roc_endpoints_and_monotonicity():
     rng = np.random.default_rng(2)
-    sp = ScoredPairs(rng.normal(1, 1, 80), rng.normal(0, 1, 90))
-    pts = roc_points(sp)
+    pts = roc_points(rng.normal(1, 1, 80), rng.normal(0, 1, 90))
     assert pts[0] == (0.0, 0.0)
     assert pts[-1] == (1.0, 1.0)
     fars = [p[0] for p in pts]
@@ -238,16 +233,16 @@ def test_roc_endpoints_and_monotonicity():
 
 
 def test_roc_perfect_separation_hits_corner():
-    sp = ScoredPairs([1.0, 2.0], [-1.0, -2.0])
-    assert (0.0, 1.0) in roc_points(sp)
+    assert (0.0, 1.0) in roc_points([1.0, 2.0], [-1.0, -2.0])
 
 
-def roc_reference(sp):
+def roc_reference(pos, neg):
     """The per-point loop `roc_points` replaced: sweep the thresholds from
     the strictest down and keep each (far, tpr) that differs from the last
     point kept."""
-    uniq = np.unique(np.concatenate([sp.pos_scores, sp.neg_scores]))[::-1]
-    frr, far = ev._frr_far(sp, uniq)
+    pos, neg = np.sort(pos).astype(np.float64), np.sort(neg).astype(np.float64)
+    uniq = np.unique(np.concatenate([pos, neg]))[::-1]
+    frr, far = ev._frr_far(pos, neg, uniq)
     tpr = 1.0 - frr
     pts = [(0.0, 0.0)]
     for f, t in zip(far, tpr):
@@ -274,9 +269,8 @@ def test_roc_points_match_reference_loop():
             # overlapping continuous scores with a run of ties inside one side
             pos, neg = rng.normal(1, 1, n_pos), rng.normal(0, 1, n_neg)
             neg[: n_neg // 2] = neg[0]
-        sp = ScoredPairs(pos, neg)
-        got = roc_points(sp)
-        assert got == roc_reference(sp)
+        got = roc_points(pos, neg)
+        assert got == roc_reference(pos, neg)
         assert all(type(p) is tuple and len(p) == 2 for p in got)
         assert all(type(x) is float for p in got for x in p)
         if kind == 1:
@@ -286,7 +280,7 @@ def test_roc_points_match_reference_loop():
 # ----- pair sampling ---------------------------------------------------
 
 
-def test_build_eval_pairs_minimal_case():
+def test_sample_and_score_pairs_minimal_case():
     feats = np.array([[1.0, 0.0], [1.0, 0.1], [0.0, 1.0], [0.1, 1.0]])
     labels = [0, 0, 1, 1]
     pos, neg = sample_pair_indices(labels, 1, 1, seed=3)
@@ -294,8 +288,9 @@ def test_build_eval_pairs_minimal_case():
     la = np.asarray(labels)
     assert la[pos[0, 0]] == la[pos[0, 1]]
     assert la[neg[0, 0]] != la[neg[0, 1]]
-    sp = build_eval_pairs(feats, labels, 1, 1, seed=3, sim=SimilarityKind("cosine"))
-    assert sp.pos_scores.size == 1 and sp.neg_scores.size == 1
+    pos_scores, neg_scores = score_pairs(SimilarityKind("cosine"), feats, pos, neg)
+    assert pos_scores.shape == (1,) and neg_scores.shape == (1,)
+    assert pos_scores[0] > neg_scores[0]
 
 
 def test_sample_pair_indices_exhausts_population():
@@ -370,10 +365,12 @@ def test_score_pairs_reuses_fixed_indices():
     labels = np.repeat([0, 1, 2], 4)
     sim = SimilarityKind()
     pos, neg = sample_pair_indices(labels, 5, 5, seed=1)
-    sp = score_pairs(sim, feats, pos, neg)
+    pos_scores, neg_scores = score_pairs(sim, feats, pos, neg)
     for k in range(5):
         i, j = pos[k]
-        assert_allclose(sp.pos_scores[k], score(sim, feats[i], feats[j]), rtol=1e-12)
+        assert_allclose(pos_scores[k], score(sim, feats[i], feats[j]), rtol=1e-12)
+        i, j = neg[k]
+        assert_allclose(neg_scores[k], score(sim, feats[i], feats[j]), rtol=1e-12)
 
 
 # ----- separation margin ----------------------------------------------
@@ -731,6 +728,12 @@ def test_evaluate_report_round_trip():
     assert doc == rep
     # tight clusters separate perfectly, and the EER threshold recovers them
     assert rep["eer"] == 0.0
+    # 80 negatives reach FAR 0.1 but not 0.01, whose entry says so
+    assert rep["tpr_at_far"]["0.1"] == {
+        "tpr": 1.0, "far": 0.1, "threshold": rep["tpr_at_far"]["0.1"]["threshold"],
+        "clamped": False,
+    }
+    assert rep["tpr_at_far"]["0.01"]["clamped"] and rep["tpr_at_far"]["0.01"]["far"] >= 1 / 80
     assert rep["desideratum_margin"] > 0
     assert rep["clustering_accuracy"] == 1.0
     # 3 classes of 7 rows: 3 * 21 same-class and 210 - 63 cross-class pairs
@@ -759,7 +762,10 @@ def test_report_to_json_writes_what_json_dumps_writes():
         doc = {
             "eer": pick(),
             "eer_threshold": float(rng.choice(np.r_[pool, -pool, rng.normal(size=3) * 10])),
-            "tpr_at_far": {"0.1": pick(), "0.01": pick()},
+            "tpr_at_far": {
+                str(t): {"tpr": pick(), "far": pick(), "threshold": pick(), "clamped": bool(c)}
+                for t, c in ((0.1, 0), (0.01, rng.integers(2)))
+            },
             "roc": [list(p) for p in zip(sorted(pick(size)), sorted(pick(size)))],
             "desideratum_margin": float(rng.normal() * 10),
             "clustering_accuracy": pick(),

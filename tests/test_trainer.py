@@ -260,6 +260,20 @@ def test_ablate_orders_cells_and_reports():
     assert len(lines) == 5
 
 
+def test_ablate_csv_leaves_clamped_cells_empty():
+    def op(tpr, far, clamped):
+        return {"tpr": tpr, "far": far, "threshold": 0.5, "clamped": clamped}
+
+    rows = [{
+        "r": 1.0, "alpha": 0.001, "b_theta": 0.0, "eer": 0.25, "status": "ok",
+        "tpr_at_far": {"0.0001": op(0.3475, 0.0005, True), "0.01": op(0.75, 0.01, False)},
+    }]
+    assert ablate_csv(rows).splitlines() == [
+        "r,alpha,b_theta,eer,tpr_at_far_0.0001,tpr_at_far_0.01,status",
+        "1,0.001,0,0.25,,0.75,ok",
+    ]
+
+
 def test_ablate_tolerates_failed_cells():
     cfg = quick_cfg(epochs=1, eval_num_pos=30, eval_num_neg=30)
     rows = ablate({"r": [1.0, -1.0]}, cfg, small_ds())

@@ -1,6 +1,6 @@
-"""Every name a pairsim module imports is used in that module.
+"""Every name a pairsim module, test or demo imports is used in that file.
 
-No linter ships with the toolchain, so this parses each module with `ast`.
+No linter ships with the toolchain, so this parses each file with `ast`.
 `__init__.py` is left out: its imports are the package's public names.
 """
 
@@ -9,8 +9,13 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pairsim"
-MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "pairsim"
+# package modules go by their file name, tests and demos by their path
+FILES = {p.name: p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+FILES.update(
+    (str(p.relative_to(ROOT)), p) for d in ("tests", "demos") for p in (ROOT / d).glob("*.py")
+)
 
 
 def unused_imports(source: str) -> list:
@@ -34,6 +39,6 @@ def test_the_check_sees_an_unused_name():
     ]
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", sorted(FILES))
 def test_every_imported_name_is_used(module):
-    assert unused_imports((PACKAGE / module).read_text()) == []
+    assert unused_imports(FILES[module].read_text()) == []
