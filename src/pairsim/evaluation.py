@@ -83,8 +83,6 @@ def _sample_side(rng: Rng, labels: np.ndarray, want: int, total: int, same: bool
     it passes half the population (keeps the tail deterministic and fast).
     """
     n = labels.size
-    if want == 0:
-        return np.empty((0, 2), dtype=np.int64)
     if want <= total // 2:
         seen = set()
         out = np.empty((want, 2), dtype=np.int64)

@@ -3,7 +3,8 @@
 `component_checks` runs the standard battery of named fixtures (scores,
 losses, encoder, full pipeline, baselines) and reports a max relative error
 per component; the command line front end prints these and the test suite
-holds them to their tolerances.
+holds them to their tolerances.  Every check in it, of an array or of a
+scalar parameter such as b or b_theta, goes through `numerical_grad`.
 """
 
 from __future__ import annotations
@@ -13,16 +14,13 @@ from dataclasses import replace
 import numpy as np
 
 
-def numerical_grad_scalar(f, x: float, step: float = 1e-6) -> float:
-    """Central difference df/dx for scalar f of a scalar."""
-    return (f(x + step) - f(x - step)) / (2.0 * step)
-
-
-def numerical_grad(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
+def numerical_grad(f, x, step: float = 1e-6) -> np.ndarray:
     """Central-difference gradient of scalar f w.r.t. every entry of x.
 
     A float64 x is perturbed in place, one entry at a time, and each entry is
     restored exactly, so f may read x through a view instead of its argument.
+    A Python float x becomes a 0-d array, which f receives in its place, and
+    the gradient comes back 0-d.
     """
     x = np.asarray(x, dtype=np.float64)
     grad = np.zeros_like(x)
@@ -52,6 +50,12 @@ def max_rel_err(analytic, numeric, floor: float = 1.0) -> float:
     return float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
 
 
+def _fd_err(floor: float, *checks) -> float:
+    """Worst `max_rel_err` over (analytic, f, x) checks against
+    numerical_grad(f, x)."""
+    return max(max_rel_err(a, numerical_grad(f, x), floor) for a, f, x in checks)
+
+
 def _score_fixture(rng, d=5):
     """A pair of vectors kept away from the angular endpoints."""
     while True:
@@ -71,7 +75,6 @@ def component_checks(seed: int = 0) -> list:
     sits inside the perturbation window.
     """
     from .baselines import (
-        ProxyBank,
         contrastive_loss,
         init_proxy_bank,
         proxy_gip_ce,
@@ -100,26 +103,23 @@ def component_checks(seed: int = 0) -> list:
         sim = SimilarityKind(kind, b_theta=0.3)
         x1, x2 = _score_fixture(rng.stream(("score", kind)))
         d1, d2, dbt = score_grad(sim, x1, x2)
-        n1 = numerical_grad(lambda v: score(sim, v, x2), x1.copy())
-        n2 = numerical_grad(lambda v: score(sim, x1, v), x2.copy())
-        err = max(max_rel_err(d1, n1), max_rel_err(d2, n2))
+        checks = [
+            (d1, lambda v: score(sim, v, x2), x1.copy()),
+            (d2, lambda v: score(sim, x1, v), x2.copy()),
+        ]
         if kind == "generalized_inner":
-            nbt = numerical_grad_scalar(
-                lambda b: score(SimilarityKind(kind, b_theta=b), x1, x2), 0.3
-            )
-            err = max(err, max_rel_err(np.array([dbt]), np.array([nbt])))
-        out.append((f"score_{kind}", err, 1e-6))
+            checks.append((dbt, lambda b: score(SimilarityKind(kind, b_theta=b), x1, x2), 0.3))
+        out.append((f"score_{kind}", _fd_err(1.0, *checks), 1e-6))
 
     # scalar pair losses, every variant
     for variant in ("naive", "balanced", "simple_final"):
         cfg = LossConfig(variant=variant, r=3.0, alpha=0.2, b=0.1)
-        errs = []
-        for s in (-1.5, -0.2, 0.4, 2.0):
-            for y in (0, 1):
-                d_s, d_b = pair_loss_grad(cfg, s, y)
-                n_s = numerical_grad_scalar(lambda v: pair_loss(cfg, v, y), s)
-                errs.append(max_rel_err(np.array([d_s]), np.array([n_s]), floor=1e-3))
-        out.append((f"pair_loss_{variant}", max(errs), 1e-6))
+        checks = [
+            (pair_loss_grad(cfg, s, y)[0], lambda v, y=y: pair_loss(cfg, v, y), s)
+            for s in (-1.5, -0.2, 0.4, 2.0)
+            for y in (0, 1)
+        ]
+        out.append((f"pair_loss_{variant}", _fd_err(1e-3, *checks), 1e-6))
 
     # batched loss: gradients w.r.t. all scores and the shared bias
     for variant in ("naive", "balanced", "simple_final"):
@@ -127,19 +127,11 @@ def component_checks(seed: int = 0) -> list:
         srng = rng.stream(("batch", variant))
         scores = srng.normal(size=12)
         labels = (srng.uniform(size=12) < 0.4).astype(int)
-
-        def f_scores(v, cfg=cfg, labels=labels):
-            return batch_loss(cfg, PairBatch(v, labels))[0]
-
         _, d_scores, d_b = batch_loss(cfg, PairBatch(scores, labels))
-        n_scores = numerical_grad(f_scores, scores.copy())
-        n_b = numerical_grad_scalar(
-            lambda b, cfg=cfg: batch_loss(replace(cfg, b=b), PairBatch(scores, labels))[0],
-            cfg.b,
-        )
-        err = max(
-            max_rel_err(d_scores, n_scores, floor=1e-3),
-            max_rel_err(np.array([d_b]), np.array([n_b]), floor=1e-3),
+        err = _fd_err(
+            1e-3,
+            (d_scores, lambda v: batch_loss(cfg, PairBatch(v, labels))[0], scores.copy()),
+            (d_b, lambda b: batch_loss(replace(cfg, b=b), PairBatch(scores, labels))[0], cfg.b),
         )
         out.append((f"batch_loss_{variant}", err, 1e-6))
 
@@ -156,8 +148,7 @@ def component_checks(seed: int = 0) -> list:
 
     feats, cache = forward(net, x)
     analytic = backward(net, cache, readout)
-    numeric = numerical_grad(f_net, net.theta)
-    out.append(("encoder_backward", max_rel_err(analytic, numeric, floor=1e-3), 1e-4))
+    out.append(("encoder_backward", _fd_err(1e-3, (analytic, f_net, net.theta)), 1e-4))
 
     # full pipeline: params -> features -> queue pairs -> batch loss, and
     # back through the trainer's own queue-side gradient call
@@ -190,20 +181,20 @@ def component_checks(seed: int = 0) -> list:
         pairs = form_pairs(queue, feats, blabels, sim, batch_norms=f_norms)
         _, d_scores, d_b = batch_loss(cfg, pairs)
         d_feats, d_btheta = _queue_grad(sim, queue, feats, f_norms, d_scores)
-        analytic = backward(pnet, cache, d_feats)
-        numeric = numerical_grad(f_pipe, pnet.theta)
-        err = max_rel_err(analytic, numeric, floor=1e-3)
-        n_b = numerical_grad_scalar(lambda b: f_pipe(b=b), cfg.b)
-        err = max(err, max_rel_err(np.array([d_b]), np.array([n_b]), floor=1e-3))
+        checks = [
+            (backward(pnet, cache, d_feats), f_pipe, pnet.theta),
+            (d_b, lambda b: f_pipe(b=b), cfg.b),
+        ]
         if kind == "generalized_inner":
-            n_bt = numerical_grad_scalar(lambda t: f_pipe(b_theta=t), 0.3)
-            err = max(err, max_rel_err(np.array([d_btheta]), np.array([n_bt]), floor=1e-3))
-        out.append((f"composition_{kind}", err, 1e-4))
+            checks.append((d_btheta, lambda t: f_pipe(b_theta=t), 0.3))
+        out.append((f"composition_{kind}", _fd_err(1e-3, *checks), 1e-4))
 
-    # proxy cross entropies over a 3-row batch: features, proxies and b_theta
+    # proxy cross entropies over a 3-row batch: features, proxies and b_theta,
+    # with the generalized-inner logits over unit and over raw proxies
     for name, normalize, b_theta, margin in (
         ("softmax_ce", False, 0.0, 0.0),
         ("proxy_gip_ce", True, 0.3, 0.2),
+        ("proxy_gip_ce_raw_proxies", False, 0.3, 0.2),
     ):
         prng = rng.stream(("proxy", name))
         bank = init_proxy_bank(
@@ -214,30 +205,17 @@ def component_checks(seed: int = 0) -> list:
         label = np.array([2, 0, 2])
         ce = softmax_ce if name == "softmax_ce" else proxy_gip_ce
         _, g, _ = ce(bank, feat, label)
-        n_x = numerical_grad(lambda v: ce(bank, v, label)[0], feat.copy())
-        n_w = numerical_grad(
-            lambda w: ce(
-                ProxyBank(w, normalize_proxies=normalize, b_theta=bank.b_theta,
-                          margin=margin),
-                feat, label,
-            )[0],
-            bank.proxies.copy(),
-        )
-        err = max(
-            max_rel_err(g.d_feature, n_x, floor=1e-3),
-            max_rel_err(g.d_proxies, n_w, floor=1e-3),
-        )
-        if name == "proxy_gip_ce":
-            n_bt = numerical_grad_scalar(
-                lambda t: proxy_gip_ce(
-                    ProxyBank(bank.proxies, normalize_proxies=normalize, b_theta=t,
-                              margin=margin),
-                    feat, label,
-                )[0],
-                b_theta,
-            )
-            err = max(err, max_rel_err(np.array([g.d_btheta]), np.array([n_bt]), floor=1e-3))
-        out.append((name, err, 1e-6))
+
+        def f_bank(**kw):
+            return ce(replace(bank, **kw), feat, label)[0]
+
+        checks = [
+            (g.d_feature, lambda v: ce(bank, v, label)[0], feat.copy()),
+            (g.d_proxies, lambda w: f_bank(proxies=w), bank.proxies.copy()),
+        ]
+        if name != "softmax_ce":
+            checks.append((g.d_btheta, lambda t: f_bank(b_theta=t), b_theta))
+        out.append((name, _fd_err(1e-3, *checks), 1e-6))
 
     # contrastive hinge away from its kinks
     hrng = rng.stream("contrastive")
@@ -245,12 +223,11 @@ def component_checks(seed: int = 0) -> list:
     scores = np.array([0.9, -0.8, 0.2, -0.1]) + 0.01 * hrng.normal(size=4)
     labels = np.array([1, 0, 0, 1])
     _, d_scores = contrastive_loss(PairBatch(scores, labels), margin)
-    n_scores = numerical_grad(
-        lambda v: contrastive_loss(PairBatch(v, labels), margin)[0], scores.copy()
+    err = _fd_err(
+        1e-3,
+        (d_scores, lambda v: contrastive_loss(PairBatch(v, labels), margin)[0], scores.copy()),
     )
-    out.append(
-        ("contrastive_loss", max_rel_err(d_scores, n_scores, floor=1e-3), 1e-6)
-    )
+    out.append(("contrastive_loss", err, 1e-6))
 
     # triplet through the score matrix onto the anchors; a wide margin keeps
     # most hinges active, and each evaluation re-derives the same draws
@@ -266,7 +243,5 @@ def component_checks(seed: int = 0) -> list:
 
     _, d_scores, _ = f_trip(a)
     d_a, _ = score_matrix_grad_left(sim, a, qfeat, d_scores.reshape(3, 6))
-    n_a = numerical_grad(lambda v: f_trip(v)[0], a.copy())
-    err = max_rel_err(d_a, n_a, floor=1e-3)
-    out.append(("triplet_loss", err, 1e-6))
+    out.append(("triplet_loss", _fd_err(1e-3, (d_a, lambda v: f_trip(v)[0], a.copy())), 1e-6))
     return out

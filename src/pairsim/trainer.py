@@ -242,13 +242,11 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
     if rms > 0.0:
         enc.weights[0] /= rms
     v_enc = np.zeros_like(enc.theta)
-    b_now = float(cfg.loss.b)
-    bt_now = float(cfg.loss.similarity.b_theta)
     # the run's own copies of the configs: the schedule's lr and the learned
     # b and b_theta are written into them as they change, so the step loop
     # neither rebuilds nor re-validates them
-    sim_now = replace(cfg.loss.similarity, b_theta=bt_now)
-    loss_now = replace(cfg.loss, b=b_now, similarity=sim_now)
+    sim_now = replace(cfg.loss.similarity, b_theta=float(cfg.loss.similarity.b_theta))
+    loss_now = replace(cfg.loss, b=float(cfg.loss.b), similarity=sim_now)
     sgd_now = replace(cfg.sgd)
     v_b = 0.0
     v_bt = 0.0
@@ -278,12 +276,12 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
             ds.num_classes,
             cfg.feature_dim,
             normalize_proxies=cfg.normalize_proxies,
-            b_theta=bt_now if cfg.method == "proxy_gip_ce" else 0.0,
+            b_theta=sim_now.b_theta if cfg.method == "proxy_gip_ce" else 0.0,
             margin=cfg.proxy_margin if cfg.method == "proxy_gip_ce" else 0.0,
         )
         v_proxies = np.zeros_like(bank.proxies)
 
-    log = RunLog()
+    steps, epochs = [], []
     gstep = 0
     try:
         for epoch in range(1, cfg.epochs + 1):
@@ -291,29 +289,23 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
             losses = []
             norms = []
             correct = 0
-            seen = 0
             for s in range(steps_per_epoch):
                 rows = order[s * m : (s + 1) * m]
                 x = train_ds.inputs[rows]
                 y = train_ds.labels[rows]
-                feats_raw, cache = forward(enc, x)
+                feats, cache = forward(enc, x)
+                # the scored rows' norms serve both score passes (the queue's
+                # are stored at enqueue); raw_norms are the encoder output's
+                raw_norms = f_norms = np.linalg.norm(feats, axis=1)
                 if cfg.normalize_features:
-                    feats, raw_norms = unit_rows(feats_raw, "feature vector")
-                else:
-                    feats, raw_norms = feats_raw, np.linalg.norm(feats_raw, axis=1)
+                    feats = unit_rows(feats, "feature vector")[0]
+                    f_norms = np.linalg.norm(feats, axis=1)
                 lr_now = sgd_now.lr = lr_at(cfg, gstep, total_steps)
                 rec = {"step": gstep, "epoch": epoch, "lr": lr_now}
-                d_b = 0.0
 
                 if queue is not None:
                     # pair the batch with the queue, take a score-space loss,
-                    # and backprop it through the batch side of the scores;
-                    # each side's row norms are computed once (the queue's
-                    # at enqueue) and serve both score passes
-                    if cfg.normalize_features:
-                        f_norms = np.linalg.norm(feats, axis=1)
-                    else:
-                        f_norms = raw_norms
+                    # and backprop it through the batch side of the scores
                     pairs = form_pairs(queue, feats, y, sim_now, batch_norms=f_norms)
                     if cfg.method == "simple":
                         loss, d_scores, d_b = batch_loss(loss_now, pairs)
@@ -330,28 +322,23 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
                     ce = softmax_ce if cfg.method == "softmax_ce" else proxy_gip_ce
                     loss, (d_feats, d_w, d_bt), predicted = ce(bank, feats, y)
                     correct += int(np.count_nonzero(predicted == y))
-                    seen += m
                 check_finite(loss, "loss")
 
                 if cfg.normalize_features:
-                    d_raw = unit_rows_grad(feats, raw_norms, d_feats)
-                else:
-                    d_raw = d_feats
-                sgd_step(enc.theta, backward(enc, cache, d_raw), sgd_now, v_enc)
+                    d_feats = unit_rows_grad(feats, raw_norms, d_feats)
+                sgd_step(enc.theta, backward(enc, cache, d_feats), sgd_now, v_enc)
                 if bank is not None:
                     # proxies follow the same momentum/decay rule as the encoder
                     sgd_step(bank.proxies, d_w, sgd_now, v_proxies)
                 if cfg.method == "simple" and cfg.loss.b_learnable:
                     v_b = cfg.sgd.momentum * v_b + d_b
-                    b_now -= lr_now * v_b
-                    loss_now.b = b_now
+                    loss_now.b -= lr_now * v_b
                 if sim_now.b_theta_learnable and cfg.method != "softmax_ce":
                     v_bt = cfg.sgd.momentum * v_bt + d_bt
                     # project back onto the range SimilarityKind accepts
-                    bt_now = min(max(bt_now - lr_now * v_bt, 0.0), _BT_MAX)
-                    sim_now.b_theta = bt_now
+                    sim_now.b_theta = min(max(sim_now.b_theta - lr_now * v_bt, 0.0), _BT_MAX)
                     if bank is not None:
-                        bank.b_theta = bt_now
+                        bank.b_theta = sim_now.b_theta
                 if queue is not None:
                     ema_update(ema, enc)
                     enqueue_batch(
@@ -360,7 +347,7 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
 
                 norms.append(float(np.add.reduce(raw_norms) / m))  # np.mean's bits
                 rec["loss"] = loss
-                log.steps.append(rec)
+                steps.append(rec)
                 losses.append(loss)
                 gstep += 1
 
@@ -369,11 +356,11 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
                 "train_loss": float(np.mean(losses)),
                 "mean_feature_norm": float(np.mean(norms)),
             }
-            if seen:
-                erec["train_accuracy"] = correct / seen
+            if bank is not None:
+                erec["train_accuracy"] = correct / (m * steps_per_epoch)
             if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
-                erec["eval"] = _eval_on_pairs(cfg, enc, val_ds, sim_now, b_now)
-            log.epochs.append(erec)
+                erec["eval"] = _eval_on_pairs(cfg, enc, val_ds, sim_now, loss_now.b)
+            epochs.append(erec)
     except FloatingPointError as exc:
         # name where the run diverged: a step, or the evaluation that follows
         # the epoch's last step (gstep counts only the steps that finished)
@@ -381,11 +368,8 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
         where = f"evaluation after step {gstep - 1}" if evaluating else f"step {gstep}"
         raise FloatingPointError(f"{where} (epoch {epoch}) of {cfg.method}: {exc}") from exc
 
-    log.encoder = enc
-    log.ema = ema.params if ema is not None else None
-    log.bias = b_now
-    log.b_theta = bt_now
-    return log
+    ema_params = ema.params if ema is not None else None
+    return RunLog(steps, epochs, enc, ema_params, loss_now.b, sim_now.b_theta)
 
 
 def final_report(log: RunLog) -> dict:

@@ -27,7 +27,7 @@ from pairsim.baselines import (
     triplet_loss,
 )
 from pairsim.errors import ConfigError, DegenerateInputError
-from pairsim.gradcheck import max_rel_err, numerical_grad, numerical_grad_scalar
+from pairsim.gradcheck import max_rel_err, numerical_grad
 
 
 # ----- direct-summation oracles -----------------------------------------
@@ -190,7 +190,7 @@ def test_gip_ce_gradients_match_finite_differences():
 
             assert max_rel_err(grads.d_feature, numerical_grad(loss_of_x, x.copy())) < 1e-5
             assert max_rel_err(grads.d_proxies, numerical_grad(loss_of_w, W.copy())) < 1e-5
-            num_b = numerical_grad_scalar(loss_of_b, 0.3)
+            num_b = numerical_grad(loss_of_b, 0.3)
             assert max_rel_err([grads.d_btheta], [num_b]) < 1e-5
 
 

@@ -310,6 +310,11 @@ def test_sample_pair_indices_overrequest_rejected():
         sample_pair_indices(labels, 3, 1, seed=0)
     with pytest.raises(ConfigError):
         sample_pair_indices(labels, 1, 5, seed=0)
+    # a request of zero is met with empty sides, with or without any
+    # same-class pair to draw from
+    for labels in ([0, 0, 1, 1], [0, 1, 2, 3]):
+        for side in sample_pair_indices(labels, 0, 0, seed=0):
+            assert side.shape == (0, 2) and side.dtype == np.int64
 
 
 @pytest.mark.parametrize("num_pos, num_neg", [(-5, 1), (1, -1)])

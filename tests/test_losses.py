@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pairsim.errors import ConfigError, ShapeError
-from pairsim.gradcheck import numerical_grad_scalar
+from pairsim.gradcheck import numerical_grad
 from pairsim.losses import LossConfig, PairBatch, batch_loss, mining_curves, pair_loss, pair_loss_grad
 from pairsim.numkit import Rng, sigmoid, softplus
 from pairsim.pair_queue import FeatureQueue, enqueue_batch, form_pairs
@@ -90,8 +90,8 @@ def test_grad_matches_finite_differences():
         y = int(rng.integers(0, 2))
         c = cfg(r=r, alpha=alpha, b=b)
         d_s, d_b = pair_loss_grad(c, s, y)
-        fd_s = numerical_grad_scalar(lambda v: pair_loss(c, v, y), s)
-        fd_b = numerical_grad_scalar(
+        fd_s = numerical_grad(lambda v: pair_loss(c, v, y), s)
+        fd_b = numerical_grad(
             lambda v: pair_loss(LossConfig("simple_final", r, alpha, v), s, y), b
         )
         assert d_s == pytest.approx(fd_s, rel=1e-8)
@@ -251,7 +251,7 @@ def test_nonzero_loss_sensitivity_to_r():
     def total(r):
         return batch_loss(cfg(r=r, alpha=0.5), pb)[0]
 
-    dr = numerical_grad_scalar(total, 3.0)
+    dr = numerical_grad(total, 3.0)
     assert abs(dr) > 1e-4
 
 
@@ -274,7 +274,7 @@ def test_q2_slope_increases_with_r():
     # |dQ2/dt| at t=1 equals r*sigmoid(r): 0.731, 1.762, 2.858 for r=1,2,3.
     slopes = []
     for r in (1.0, 2.0, 3.0):
-        fd = numerical_grad_scalar(lambda t: mining_curves(r, t)[1], 1.0)
+        fd = numerical_grad(lambda t: mining_curves(r, t)[1], 1.0)
         assert fd == pytest.approx(r / (1 + math.exp(-r)), rel=1e-8)
         slopes.append(abs(fd))
     assert slopes[0] < slopes[1] < slopes[2]

@@ -1,3 +1,4 @@
+import copy
 import functools
 import json
 import re
@@ -10,7 +11,10 @@ from pairsim.baselines import norm_blowup_probe
 from pairsim.encoder import SgdConfig, load_encoder
 from pairsim.errors import ConfigError
 from pairsim.evaluation import evaluate
-from pairsim.losses import LossConfig
+from pairsim.gradcheck import max_rel_err, numerical_grad
+from pairsim.losses import LossConfig, batch_loss
+from pairsim.numkit import unit_rows
+from pairsim.pair_queue import form_pairs
 from pairsim import trainer as trainer_module
 from pairsim.similarity import SimilarityKind
 from pairsim.trainer import (
@@ -75,19 +79,47 @@ def test_report_fields_present():
     assert set(rep["tpr_at_far"]) == {"0.1", "0.01"}
 
 
-@pytest.mark.parametrize("method", ["simple", "contrastive"])
-def test_train_report_equals_evaluate_on_val_split(method):
+@pytest.mark.parametrize("method, normalize", [
+    pytest.param("simple", False, id="simple"),
+    pytest.param("contrastive", False, id="contrastive"),
+    pytest.param("simple", True, id="simple-normalize_features"),
+    pytest.param("proxy_gip_ce", True, id="proxy_gip_ce-normalize_features"),
+])
+def test_train_report_equals_evaluate_on_val_split(method, normalize):
     # the in-training report is `evaluate` on the val split, cut at -b for
     # simple and at the EER threshold for the baselines
-    cfg = quick_cfg(method=method)
+    cfg = quick_cfg(method=method, normalize_features=normalize)
     log = train(cfg, small_ds())
     vf = cfg.val_fraction
     _, val, _ = split(small_ds(), (1.0 - vf, vf, 0.0), seed=cfg.seed)
     sim = SimilarityKind(b_theta=log.b_theta)
-    rep = evaluate(encode(log.encoder, val.inputs), val.labels, sim,
+    rep = evaluate(encode(log.encoder, val.inputs, normalize), val.labels, sim,
                    cfg.eval_num_pos, cfg.eval_num_neg, cfg.seed, cfg.far_targets,
                    threshold=-log.bias if method == "simple" else None)
     assert final_report(log) == rep
+
+
+def test_normalized_step_backprops_through_the_unit_rows(monkeypatch):
+    # with normalize_features, the first step hands the encoder the gradient
+    # of its loss w.r.t. the raw features, through the normalization
+    calls = []
+    for name in ("unit_rows", "form_pairs", "backward"):
+        def spy(*args, _name=name, _real=getattr(trainer_module, name), **kw):
+            calls.append((_name, copy.deepcopy(args)))
+            return _real(*args, **kw)
+        monkeypatch.setattr(trainer_module, name, spy)
+    cfg = quick_cfg(epochs=1, normalize_features=True)
+    train(cfg, small_ds())
+    first = [name for name, _ in calls].index("form_pairs")
+    assert calls[first - 1][0] == "unit_rows"  # the step's own features
+    raw = calls[first - 1][1][0]
+    queue, _, y, sim = calls[first][1]
+    d_raw = next(args[2] for name, args in calls if name == "backward")
+
+    def loss_of(r):
+        return batch_loss(cfg.loss, form_pairs(queue, unit_rows(r)[0], y, sim))[0]
+
+    assert max_rel_err(d_raw, numerical_grad(loss_of, raw.copy()), floor=1e-3) < 1e-6
 
 
 def _zero_lr():
