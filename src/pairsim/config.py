@@ -184,7 +184,7 @@ def load_config(path) -> dict:
     """Read overrides from a config file, sniffing JSON versus flat text."""
     with open(path, "r") as f:
         text = f.read()
-    if text.lstrip().startswith("{"):
+    if text.lstrip().startswith(("{", "[")):
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -122,6 +122,9 @@ class Rng:
     def permutation(self, n):
         return self.gen.permutation(n)
 
+    def choice(self, a, size=None, replace=True):
+        return self.gen.choice(a, size=size, replace=replace)
+
 
 def _key_to_int(key) -> int:
     if isinstance(key, (int, np.integer)):

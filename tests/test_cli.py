@@ -207,6 +207,39 @@ def test_bad_train_settings_are_validation_errors(tmp_path, capsys, setting, wor
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "command, text, flags, words",
+    [
+        ("train", "[1, 2]\n", [], "JSON config must be an object"),
+        ("train", '{"command": "train", "config": [1]}\n', [],
+         "manifest 'config' member must be an object"),
+        ("ablate", QUICK + "grid.r =\n", [], "grid.r is empty"),
+        ("ablate", QUICK, ["--jobs", "0"], "--jobs must be >= 1"),
+        ("train", QUICK, ["--seed", "-1"], "seed must be an unsigned 64-bit int, got -1"),
+        ("train", QUICK, ["--seed", str(2**64)], f"unsigned 64-bit int, got {2**64}"),
+    ],
+)
+def test_bad_config_files_and_flags_are_validation_errors(
+    tmp_path, capsys, command, text, flags, words
+):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), *flags]) == 1
+    assert words in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_train_on_one_class_names_the_validation_split(tmp_path, capsys):
+    # the split has no cross-class pair to evaluate on: a runtime error
+    # (exit 2) once the data is drawn, and nothing but the manifest written
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(QUICK.replace("data.num_classes = 4", "data.num_classes = 1"))
+    out = tmp_path / "o"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "validation split lacks same-class or cross-class pairs" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["manifest.json"]
+
+
 def test_label_gaps_fail_train_but_not_eval(tmp_path, capsys):
     cfg = write_quick(tmp_path)
     run = tmp_path / "run"
