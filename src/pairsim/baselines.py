@@ -38,7 +38,7 @@ class ProxyBank:
             )
         self.b_theta = float(self.b_theta)
         self.margin = float(self.margin)
-        if not self.margin >= 0:  # NaN fails this too
+        if not 0 <= self.margin < np.inf:  # NaN fails this too
             raise ConfigError(f"margin must be >= 0, got {self.margin}")
 
     @property

@@ -101,12 +101,12 @@ def _load_dataset(conf):
 
 def _precheck(command: str, conf: dict, overrides: dict, args) -> None:
     """Fail fast (exit 1) on anything knowable before the run starts."""
-    if command == "gen-data":
+    runs = command in ("train", "eval", "ablate")
+    if command == "gen-data" or (runs and not conf["data.csv"]):
         to_genspec(conf)
-    elif command in ("train", "ablate"):
-        to_train_config(conf)
-    elif command == "eval":
-        to_train_config(conf)  # the pair counts, FAR targets and similarity too
+    if runs:
+        to_train_config(conf)  # for eval: the pair counts, FAR targets and similarity
+    if command == "eval":
         if not conf["eval.checkpoint"]:
             raise ConfigError("eval requires the eval.checkpoint config key")
         if conf["eval.threshold"] is not None and not math.isfinite(conf["eval.threshold"]):

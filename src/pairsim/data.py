@@ -117,8 +117,8 @@ class GenSpec:
             )
         if self.input_dim < 1:
             raise ConfigError("input_dim must be >= 1")
-        if not self.noise_scale >= 0:
-            raise ConfigError(f"noise_scale must be >= 0, got {self.noise_scale}")
+        if not 0 <= self.noise_scale < np.inf:
+            raise ConfigError(f"noise_scale must be >= 0 and finite, got {self.noise_scale}")
 
 
 def _sphere_point(rng: Rng, dim: int) -> np.ndarray:

@@ -97,11 +97,11 @@ class SgdConfig:
     weight_decay: float = 5e-4
 
     def __post_init__(self):
-        if not self.lr >= 0.0:
-            raise ConfigError(f"lr must be >= 0, got {self.lr}")
+        if not 0.0 <= self.lr < np.inf:
+            raise ConfigError(f"lr must be >= 0 and finite, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if not self.weight_decay >= 0.0:
+        if not 0.0 <= self.weight_decay < np.inf:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 

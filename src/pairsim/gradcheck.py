@@ -4,7 +4,9 @@
 losses, encoder, full pipeline, baselines) and reports a max relative error
 per component; the command line front end prints these and the test suite
 holds them to their tolerances.  Every check in it, of an array or of a
-scalar parameter such as b or b_theta, goes through `numerical_grad`.
+scalar parameter such as b or b_theta, goes through `numerical_grad`.  The
+full-pipeline rows run the gradient half of the step `train` runs (encode,
+queue pairs, loss, backprop), `trainer._step_grads`, and rebuild none of it.
 """
 
 from __future__ import annotations
@@ -70,9 +72,9 @@ def component_checks(seed: int = 0) -> list:
     """[(component, max_rel_err, tolerance)] over the standard fixtures.
 
     Tolerances follow the per-kind rule: 1e-6 for closed-form scalar maps,
-    1e-4 for whole-pipeline compositions through the encoder.  Hidden
-    activations in the finite-difference fixtures are tanh, so no relu kink
-    sits inside the perturbation window.
+    1e-4 for whole-pipeline compositions through the encoder (one `simple`
+    step per similarity kind).  Hidden activations in the finite-difference
+    fixtures are tanh, so no relu kink sits inside the perturbation window.
     """
     from .baselines import (
         contrastive_loss,
@@ -84,7 +86,7 @@ def component_checks(seed: int = 0) -> list:
     from .encoder import backward, forward, init_encoder
     from .losses import LossConfig, PairBatch, batch_loss, pair_loss, pair_loss_grad
     from .numkit import Rng
-    from .pair_queue import FeatureQueue, enqueue_batch, form_pairs
+    from .pair_queue import FeatureQueue, enqueue_batch
     from .similarity import (
         KINDS,
         SimilarityKind,
@@ -93,7 +95,7 @@ def component_checks(seed: int = 0) -> list:
         score_matrix,
         score_matrix_grad_left,
     )
-    from .trainer import _queue_grad
+    from .trainer import TrainConfig, _step_grads
 
     rng = Rng(seed)
     out = []
@@ -150,12 +152,12 @@ def component_checks(seed: int = 0) -> list:
     analytic = backward(net, cache, readout)
     out.append(("encoder_backward", _fd_err(1e-3, (analytic, f_net, net.theta)), 1e-4))
 
-    # full pipeline: params -> features -> queue pairs -> batch loss, and
-    # back through the trainer's own queue-side gradient call
+    # full pipeline: params -> features -> queue pairs -> batch loss and
+    # back, in the trainer's own step function
+    step_cfg = TrainConfig()
     for kind in KINDS:
         crng = rng.stream(("composition", kind))
-        sim = SimilarityKind(kind, b_theta=0.3)
-        cfg = LossConfig(variant="simple_final", r=3.0, alpha=0.1, b=0.1, similarity=sim)
+        cfg = LossConfig(variant="simple_final", r=3.0, alpha=0.1)
         for attempt in range(32):
             arng = crng.stream(("attempt", attempt))
             pnet = init_encoder([4, 5, 3], arng.stream("init"), activation="tanh")
@@ -170,23 +172,17 @@ def component_checks(seed: int = 0) -> list:
         queue = FeatureQueue(6, 3)
         enqueue_batch(queue, qfeat, qlabels)
 
-        def f_pipe(_theta=None, b=None, b_theta=None):
-            s = sim if b_theta is None else SimilarityKind(kind, b_theta=b_theta)
-            c = replace(cfg, b=cfg.b if b is None else b, similarity=s)
-            feats, _ = forward(pnet, px)
-            return batch_loss(c, form_pairs(queue, feats, blabels, s))[0]
+        def step(b=0.1, b_theta=0.3):
+            c = replace(cfg, b=b, similarity=SimilarityKind(kind, b_theta=b_theta))
+            return _step_grads(step_cfg, c, pnet, px, blabels, {}, queue)
 
-        feats, cache = forward(pnet, px)
-        f_norms = np.linalg.norm(feats, axis=1)
-        pairs = form_pairs(queue, feats, blabels, sim, batch_norms=f_norms)
-        _, d_scores, d_b = batch_loss(cfg, pairs)
-        d_feats, d_btheta = _queue_grad(sim, queue, feats, f_norms, d_scores)
+        _, d_theta, d_b, d_btheta, *_ = step()
         checks = [
-            (backward(pnet, cache, d_feats), f_pipe, pnet.theta),
-            (d_b, lambda b: f_pipe(b=b), cfg.b),
+            (d_theta, lambda _theta: step()[0], pnet.theta),
+            (d_b, lambda b: step(b=b)[0], 0.1),
         ]
         if kind == "generalized_inner":
-            checks.append((d_btheta, lambda t: f_pipe(b_theta=t), 0.3))
+            checks.append((d_btheta, lambda t: step(b_theta=t)[0], 0.3))
         out.append((f"composition_{kind}", _fd_err(1e-3, *checks), 1e-4))
 
     # proxy cross entropies over a 3-row batch: features, proxies and b_theta,

@@ -45,8 +45,8 @@ class LossConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown loss variant {self.variant!r}")
-        if not self.r > 0:
-            raise ConfigError(f"r must be positive, got {self.r}")
+        if not 0 < self.r < np.inf:
+            raise ConfigError(f"r must be positive and finite, got {self.r}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie strictly in (0, 1), got {self.alpha}")
         if not np.isfinite(self.b):

@@ -6,7 +6,10 @@ loss, backprop through the batch-side scores only, apply SGD (including the
 scalar bias b and, when learnable, b_theta), EMA-update the momentum encoder,
 then re-encode the batch with the momentum encoder and enqueue it.  The queue
 is filled from EMA features before the first update so every step sees a full
-complement of pairs.
+complement of pairs.  `_step_grads` holds the gradient half of a step, from
+encode to the encoder backprop, for every method; `train` applies the
+updates.  The gradient audit (`gradcheck.component_checks`) runs the same
+`_step_grads`.
 
 `method` selects what happens between encode and backprop.  The queue
 methods score the batch against the queue, take a loss on those pair scores
@@ -134,12 +137,12 @@ class TrainConfig:
             raise ConfigError(f"lr_decay_at fractions must lie in (0, 1), got {self.lr_decay_at}")
         if not 0.0 < self.lr_decay_factor <= 1.0:
             raise ConfigError(f"lr_decay_factor must lie in (0, 1], got {self.lr_decay_factor}")
-        if not (self.contrastive_margin > 0 and self.triplet_margin > 0):
+        if not (0 < self.contrastive_margin < np.inf and 0 < self.triplet_margin < np.inf):
             raise ConfigError(
-                "contrastive_margin and triplet_margin must be > 0, got "
+                "contrastive_margin and triplet_margin must be > 0 and finite, got "
                 f"{self.contrastive_margin} and {self.triplet_margin}"
             )
-        if not self.proxy_margin >= 0:
+        if not 0 <= self.proxy_margin < np.inf:
             raise ConfigError(f"proxy_margin must be >= 0, got {self.proxy_margin}")
         # the proxy bank's logits use b_theta whatever similarity.kind says
         b_theta = self.loss.similarity.b_theta
@@ -202,14 +205,48 @@ def _eval_on_pairs(cfg, enc, val_ds, sim, bias) -> dict:
     )
 
 
-def _queue_grad(sim, queue, feats, f_norms, d_scores):
-    """(d_feats, d_btheta): a step's pair-score gradient backpropped onto the
-    batch side of the scores `form_pairs` gave, against the queue's stored
-    ``[f, |f|]`` rows."""
-    return score_matrix_grad_left(
-        sim, feats, queue._feat, d_scores.reshape(feats.shape[0], queue.size),
-        na=f_norms, qn=queue._rows,
-    )
+def _step_grads(cfg, loss_cfg, enc, x, y, rec, queue=None, bank=None, trng=None):
+    """The gradient half of a step on batch (x, y): encode, normalize, the
+    method's loss (pairs against ``queue`` at ``loss_cfg``'s b and
+    similarity, triplets drawn from ``trng``, or the CE against ``bank``) and
+    backprop to the encoder; no update.  Returns (loss, d_theta, d_b,
+    d_btheta, d_proxies, mean raw feature norm, correct predictions), d_b 0.0
+    and d_proxies None where the method has none; writes the pair fields
+    (pos_ratio, triplets) into the step record ``rec``.
+    """
+    feats, cache = forward(enc, x)
+    # the scored rows' norms serve both score passes (the queue's are stored
+    # at enqueue); raw_norms are the encoder output's
+    raw_norms = f_norms = np.linalg.norm(feats, axis=1)
+    if cfg.normalize_features:
+        feats = unit_rows(feats, "feature vector")[0]
+        f_norms = np.linalg.norm(feats, axis=1)
+    m = feats.shape[0]
+    d_b, d_w, correct = 0.0, None, 0
+    if queue is not None:
+        sim = loss_cfg.similarity
+        pairs = form_pairs(queue, feats, y, sim, batch_norms=f_norms)
+        if cfg.method == "simple":
+            loss, d_scores, d_b = batch_loss(loss_cfg, pairs)
+        elif cfg.method == "contrastive":
+            loss, d_scores = contrastive_loss(pairs, cfg.contrastive_margin)
+        else:
+            loss, d_scores, rec["triplets"] = triplet_loss(pairs, m, cfg.triplet_margin, trng)
+        # backprop onto the batch side only, against the queue's [f, |f|] rows
+        d_feats, d_bt = score_matrix_grad_left(
+            sim, feats, queue._feat, d_scores.reshape(m, queue.size), na=f_norms, qn=queue._rows
+        )
+        rec["pos_ratio"] = pos_neg_ratio(pairs)
+    else:
+        ce = softmax_ce if cfg.method == "softmax_ce" else proxy_gip_ce
+        loss, (d_feats, d_w, d_bt), predicted = ce(bank, feats, y)
+        correct = int(np.count_nonzero(predicted == y))
+    check_finite(loss, "loss")
+    if cfg.normalize_features:
+        d_feats = unit_rows_grad(feats, raw_norms, d_feats)
+    d_theta = backward(enc, cache, d_feats)
+    # np.add.reduce(..) / m gives np.mean's bits
+    return loss, d_theta, d_b, d_bt, d_w, float(np.add.reduce(raw_norms) / m), correct
 
 
 # a diverging run stops at the first non-finite loss or features, with one
@@ -248,8 +285,7 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
     sim_now = replace(cfg.loss.similarity, b_theta=float(cfg.loss.similarity.b_theta))
     loss_now = replace(cfg.loss, b=float(cfg.loss.b), similarity=sim_now)
     sgd_now = replace(cfg.sgd)
-    v_b = 0.0
-    v_bt = 0.0
+    v_b = v_bt = 0.0
 
     intra, inter = _pair_totals(val_ds.labels)
     if intra == 0 or inter == 0:
@@ -259,17 +295,16 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
     if cfg.method in _QUEUE_METHODS:
         queue = FeatureQueue(cfg.queue_capacity, cfg.feature_dim)
         ema = EmaEncoder(enc.copy(), cfg.eta)
+
+        def enqueue_ema(rows):
+            feats = encode(ema.params, train_ds.inputs[rows], cfg.normalize_features)
+            enqueue_batch(queue, feats, train_ds.labels[rows])
+
         # warmup: fill the queue from the momentum encoder, no updates yet
-        warm_rows = rng.stream("warmup").permutation(n_train)
         need = -(-cfg.queue_capacity // m) * m
-        warm_rows = np.resize(warm_rows, need)
+        warm_rows = np.resize(rng.stream("warmup").permutation(n_train), need)
         for i in range(0, need, m):
-            rows = warm_rows[i : i + m]
-            enqueue_batch(
-                queue,
-                encode(ema.params, train_ds.inputs[rows], cfg.normalize_features),
-                train_ds.labels[rows],
-            )
+            enqueue_ema(warm_rows[i : i + m])
     else:
         bank = init_proxy_bank(
             rng.stream("proxies"),
@@ -286,51 +321,21 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
     try:
         for epoch in range(1, cfg.epochs + 1):
             order = rng.stream(("epoch", epoch)).permutation(n_train)
-            losses = []
-            norms = []
-            correct = 0
+            losses, norms, correct = [], [], 0
             for s in range(steps_per_epoch):
                 rows = order[s * m : (s + 1) * m]
-                x = train_ds.inputs[rows]
-                y = train_ds.labels[rows]
-                feats, cache = forward(enc, x)
-                # the scored rows' norms serve both score passes (the queue's
-                # are stored at enqueue); raw_norms are the encoder output's
-                raw_norms = f_norms = np.linalg.norm(feats, axis=1)
-                if cfg.normalize_features:
-                    feats = unit_rows(feats, "feature vector")[0]
-                    f_norms = np.linalg.norm(feats, axis=1)
                 lr_now = sgd_now.lr = lr_at(cfg, gstep, total_steps)
                 rec = {"step": gstep, "epoch": epoch, "lr": lr_now}
-
-                if queue is not None:
-                    # pair the batch with the queue, take a score-space loss,
-                    # and backprop it through the batch side of the scores
-                    pairs = form_pairs(queue, feats, y, sim_now, batch_norms=f_norms)
-                    if cfg.method == "simple":
-                        loss, d_scores, d_b = batch_loss(loss_now, pairs)
-                    elif cfg.method == "contrastive":
-                        loss, d_scores = contrastive_loss(pairs, cfg.contrastive_margin)
-                    else:
-                        trng = rng.stream(("triplet", gstep))
-                        loss, d_scores, rec["triplets"] = triplet_loss(
-                            pairs, m, cfg.triplet_margin, trng
-                        )
-                    d_feats, d_bt = _queue_grad(sim_now, queue, feats, f_norms, d_scores)
-                    rec["pos_ratio"] = pos_neg_ratio(pairs)
-                else:
-                    ce = softmax_ce if cfg.method == "softmax_ce" else proxy_gip_ce
-                    loss, (d_feats, d_w, d_bt), predicted = ce(bank, feats, y)
-                    correct += int(np.count_nonzero(predicted == y))
-                check_finite(loss, "loss")
-
-                if cfg.normalize_features:
-                    d_feats = unit_rows_grad(feats, raw_norms, d_feats)
-                sgd_step(enc.theta, backward(enc, cache, d_feats), sgd_now, v_enc)
+                trng = rng.stream(("triplet", gstep)) if cfg.method == "triplet" else None
+                loss, d_theta, d_b, d_bt, d_w, norm, hits = _step_grads(
+                    cfg, loss_now, enc, train_ds.inputs[rows], train_ds.labels[rows], rec,
+                    queue, bank, trng,
+                )
+                sgd_step(enc.theta, d_theta, sgd_now, v_enc)
                 if bank is not None:
                     # proxies follow the same momentum/decay rule as the encoder
                     sgd_step(bank.proxies, d_w, sgd_now, v_proxies)
-                if cfg.method == "simple" and cfg.loss.b_learnable:
+                if cfg.loss.b_learnable:
                     v_b = cfg.sgd.momentum * v_b + d_b
                     loss_now.b -= lr_now * v_b
                 if sim_now.b_theta_learnable and cfg.method != "softmax_ce":
@@ -341,14 +346,13 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
                         bank.b_theta = sim_now.b_theta
                 if queue is not None:
                     ema_update(ema, enc)
-                    enqueue_batch(
-                        queue, encode(ema.params, x, cfg.normalize_features), y
-                    )
+                    enqueue_ema(rows)
 
-                norms.append(float(np.add.reduce(raw_norms) / m))  # np.mean's bits
                 rec["loss"] = loss
                 steps.append(rec)
                 losses.append(loss)
+                norms.append(norm)
+                correct += hits
                 gstep += 1
 
             erec = {

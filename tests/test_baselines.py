@@ -116,9 +116,10 @@ def test_ce_validates_label_and_shape():
         proxy_gip_ce(bank, np.ones((2, 3)), [0.5, 1])
 
 
-@pytest.mark.parametrize("margin", [-0.1, float("nan")])
+@pytest.mark.parametrize("margin", [-0.1, float("nan"), float("inf")])
 def test_proxy_bank_rejects_bad_margin(margin):
-    # a NaN margin would turn the first batch's proxy CE loss into nan
+    # a NaN margin would turn the first batch's proxy CE loss into nan, and
+    # an infinite one its proxy gradient
     with pytest.raises(ConfigError, match=r"margin must be >= 0"):
         init_proxy_bank(Rng(0), 4, 8, b_theta=0.3, margin=margin)
 

@@ -196,15 +196,29 @@ def test_bad_eval_settings_are_validation_errors(tmp_path, capsys, setting, word
         ("train.proxy_margin = nan", "proxy_margin must be >= 0, got nan"),
         ("sgd.weight_decay = nan", "weight_decay must be >= 0, got nan"),
         ("loss.b = inf", "b must be finite, got inf"),
+        ("loss.r = inf", "r must be positive and finite, got inf"),
+        ("sgd.lr = inf", "lr must be >= 0 and finite, got inf"),
+        ("sgd.weight_decay = inf", "weight_decay must be >= 0, got inf"),
+        ("train.contrastive_margin = inf", "must be > 0 and finite, got inf and 0.2"),
+        ("train.triplet_margin = inf", "must be > 0 and finite, got 0.5 and inf"),
+        ("train.proxy_margin = inf", "proxy_margin must be >= 0, got inf"),
+        ("data.noise_scale = inf", "noise_scale must be >= 0 and finite, got inf"),
+        ("data.num_classes = 0", "num_classes must be >= 1"),
+        ("data.family = spiral", "unknown family 'spiral'"),
+        ("data.samples_per_class = 1", "samples_per_class must be >= 2, got 1"),
     ],
 )
 def test_bad_train_settings_are_validation_errors(tmp_path, capsys, setting, words):
-    # each of these used to fail only once the run had started (exit 2)
+    # each of these used to fail only once the run had started (exit 2);
+    # eval and ablate check the same settings before they start
+    key = setting.split(" = ")[0]
+    base = [line for line in QUICK.splitlines() if not line.startswith(key + " = ")]
     cfg = tmp_path / "train.cfg"
-    cfg.write_text(QUICK + setting + "\n")
-    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-    assert words in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    cfg.write_text("\n".join([*base, setting, f"eval.checkpoint = {tmp_path / 'ckpt.bin'}\n"]))
+    for command in ("train", "eval", "ablate"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert words in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(

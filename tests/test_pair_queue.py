@@ -21,8 +21,7 @@ from pairsim import (
     score,
 )
 from pairsim.evaluation import _upper_walk
-from pairsim.similarity import KINDS, _fold, score_matrix, score_rows
-from pairsim.trainer import _queue_grad
+from pairsim.similarity import KINDS, _fold, score_matrix, score_matrix_grad_left, score_rows
 
 
 def feats(rng, m, d=4):
@@ -158,10 +157,10 @@ def test_stored_rows_are_the_folded_right_side(capacity, d, batch_sizes, mb, b_t
     # after every enqueue (partial fills, then moves of the live block back
     # to the start of its storage): the stored [f, |f|] rows hold the
     # features and their norms bit for bit, form_pairs scores against them
-    # as score_matrix scores the plain features, the trainer's gradient call
-    # on them matches the two-product form it replaced, and moving the
-    # fold's minus sign to the left leaves score_rows and the eval walk as
-    # they were, bit for bit
+    # as score_matrix scores the plain features, the step's gradient call
+    # on them (score_matrix_grad_left against the stored rows) matches the
+    # two-product form it replaced, and moving the fold's minus sign to the
+    # left leaves score_rows and the eval walk as they were, bit for bit
     q = FeatureQueue(capacity=capacity, d_feat=d)
     rng = np.random.default_rng(seed)
     for m in batch_sizes:
@@ -178,7 +177,7 @@ def test_stored_rows_are_the_folded_right_side(capacity, d, batch_sizes, mb, b_t
             sim = SimilarityKind(name, b_theta=b_theta)
             pairs = form_pairs(q, a, rng.integers(0, 3, size=mb), sim, batch_norms=na)
             assert pairs.scores.tobytes() == score_matrix(sim, a, stored).ravel().tobytes()
-            d_a, d_bt = _queue_grad(sim, q, a, na, ds)
+            d_a, d_bt = score_matrix_grad_left(sim, a, q._feat, ds, na=na, qn=q._rows)
             want, want_bt, scale = old_grad_left(sim, a, stored, ds)
             assert np.all(np.abs(d_a - want) <= 1e-14 * scale[:, None])
             assert abs(d_bt - want_bt) <= 1e-14 * float(na @ scale)

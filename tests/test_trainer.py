@@ -1,24 +1,26 @@
-import copy
 import functools
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pairsim.data import GenSpec, generate, split
-from pairsim.baselines import norm_blowup_probe
-from pairsim.encoder import SgdConfig, load_encoder
+from pairsim.baselines import init_proxy_bank, norm_blowup_probe
+from pairsim.encoder import SgdConfig, init_encoder, load_encoder
 from pairsim.errors import ConfigError
 from pairsim.evaluation import evaluate
 from pairsim.gradcheck import max_rel_err, numerical_grad
-from pairsim.losses import LossConfig, batch_loss
-from pairsim.numkit import unit_rows
-from pairsim.pair_queue import form_pairs
+from pairsim.losses import LossConfig
+from pairsim.numkit import Rng
+from pairsim.pair_queue import FeatureQueue, enqueue_batch, form_pairs
 from pairsim import trainer as trainer_module
 from pairsim.similarity import SimilarityKind
 from pairsim.trainer import (
+    METHODS,
     TrainConfig,
+    _step_grads,
     ablate,
     ablate_csv,
     encode,
@@ -99,27 +101,73 @@ def test_train_report_equals_evaluate_on_val_split(method, normalize):
     assert final_report(log) == rep
 
 
-def test_normalized_step_backprops_through_the_unit_rows(monkeypatch):
-    # with normalize_features, the first step hands the encoder the gradient
-    # of its loss w.r.t. the raw features, through the normalization
-    calls = []
-    for name in ("unit_rows", "form_pairs", "backward"):
-        def spy(*args, _name=name, _real=getattr(trainer_module, name), **kw):
-            calls.append((_name, copy.deepcopy(args)))
-            return _real(*args, **kw)
-        monkeypatch.setattr(trainer_module, name, spy)
-    cfg = quick_cfg(epochs=1, normalize_features=True)
-    train(cfg, small_ds())
-    first = [name for name, _ in calls].index("form_pairs")
-    assert calls[first - 1][0] == "unit_rows"  # the step's own features
-    raw = calls[first - 1][1][0]
-    queue, _, y, sim = calls[first][1]
-    d_raw = next(args[2] for name, args in calls if name == "backward")
+def _step_fixture(method, normalize):
+    """A step on a 4 -> 5 -> 3 tanh net and a 3-row batch: against a full
+    6-entry queue that gives every row a positive and a negative, or a
+    3-class proxy bank.  The hinge methods take the first draw whose hinges
+    all sit at least 0.05 from their kinks, over every (positive, negative)
+    choice a triplet draw could make."""
+    y = np.array([0, 1, 2])
+    cfg = TrainConfig(method=method, normalize_features=normalize,
+                      contrastive_margin=0.5, triplet_margin=0.5)
+    for attempt in range(32):
+        rng = Rng(7).stream((method, normalize, attempt))
+        enc = init_encoder([4, 5, 3], rng.stream("init"), "tanh")
+        x = rng.normal(size=(3, 4))
+        if method in ("softmax_ce", "proxy_gip_ce"):
+            gip = method == "proxy_gip_ce"
+            bank = init_proxy_bank(rng.stream("bank"), 3, 3, b_theta=0.3 if gip else 0.0,
+                                   margin=0.2 if gip else 0.0)
+            return cfg, enc, x, y, None, bank
+        queue = FeatureQueue(6, 3)
+        enqueue_batch(queue, encode(enc, rng.normal(size=(6, 4)), normalize), np.tile(y, 2))
+        s = form_pairs(queue, encode(enc, x, normalize), y, SimilarityKind()).scores.reshape(3, 6)
+        pos = y[:, None] == queue.labels()[None, :]
+        if method == "contrastive":
+            gaps = np.where(pos, 0.5 - s, s + 0.5)
+        elif method == "triplet":
+            gaps = np.concatenate([(0.5 + s[i, ~pos[i], None] - s[i, pos[i]]).ravel()
+                                   for i in range(3)])
+        else:
+            gaps = np.ones(1)
+        if np.min(np.abs(gaps)) > 0.05:
+            return cfg, enc, x, y, queue, None
+    raise AssertionError("no fixture clear of the hinge kinks")
 
-    def loss_of(r):
-        return batch_loss(cfg.loss, form_pairs(queue, unit_rows(r)[0], y, sim))[0]
 
-    assert max_rel_err(d_raw, numerical_grad(loss_of, raw.copy()), floor=1e-3) < 1e-6
+@pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalize_features"])
+@pytest.mark.parametrize("method", METHODS)
+def test_step_gradients_match_finite_differences(method, normalize):
+    # the step `train` runs, end to end: the encoder gradient through the
+    # loss, the scores and (with normalize_features) the unit rows, plus b,
+    # b_theta (the similarity's, or the bank's for the proxy methods) and
+    # the proxies; each evaluation re-derives the same triplet draws
+    cfg, enc, x, y, queue, bank = _step_fixture(method, normalize)
+
+    def step(b=0.1, b_theta=0.3):
+        loss = LossConfig(alpha=0.1, b=b, similarity=SimilarityKind(b_theta=b_theta))
+        proxies = bank
+        if method == "proxy_gip_ce":
+            proxies = replace(bank, b_theta=b_theta)  # a view of the same proxies
+        trng = Rng(0).stream("draws")
+        rec = {}
+        out = _step_grads(cfg, loss, enc, x, y, rec, queue, proxies, trng)
+        assert ("pos_ratio" in rec) == (queue is not None)
+        assert ("triplets" in rec) == (method == "triplet")
+        return out
+
+    _, d_theta, d_b, d_bt, d_proxies, _, _ = step()
+    checks = [
+        (d_theta, lambda _theta: step()[0], enc.theta),
+        (d_b, lambda b: step(b=b)[0], 0.1),
+        (d_bt, lambda t: step(b_theta=t)[0], 0.3),
+    ]
+    if bank is None:
+        assert d_proxies is None
+    else:
+        checks.append((d_proxies, lambda _w: step()[0], bank.proxies))
+    for analytic, f, at in checks:
+        assert max_rel_err(analytic, numerical_grad(f, at), floor=1e-3) < 1e-4
 
 
 def _zero_lr():
