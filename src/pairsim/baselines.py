@@ -162,8 +162,8 @@ def contrastive_loss(pairs: PairBatch, margin: float):
     pull/push targets sit at +margin and -margin. Exactly at the hinge the
     loss is 0 with subgradient 0.
     """
-    if not margin > 0:
-        raise ConfigError(f"margin must be positive, got {margin}")
+    if not 0 < margin < np.inf:
+        raise ConfigError(f"margin must be positive and finite, got {margin}")
     if len(pairs) == 0:
         raise DegenerateInputError("empty pair batch")
     s = pairs.scores
@@ -184,8 +184,8 @@ def triplet_loss(pairs: PairBatch, anchors: int, margin: float, rng):
     (margin + s_an - s_ap)+; the loss is the mean over the ``used`` anchors.
     Exactly at the hinge the loss is 0 with subgradient 0.
     """
-    if not margin > 0:
-        raise ConfigError(f"margin must be positive, got {margin}")
+    if not 0 < margin < np.inf:
+        raise ConfigError(f"margin must be positive and finite, got {margin}")
     s = pairs.scores.reshape(anchors, -1)
     pos = pairs.labels.reshape(anchors, -1)
     d_scores = np.zeros_like(s)

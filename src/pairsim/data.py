@@ -228,7 +228,7 @@ def split(ds: Dataset, fractions, seed: int):
     fractions = [float(f) for f in fractions]
     if len(fractions) != 3:
         raise ConfigError(f"expected 3 fractions, got {len(fractions)}")
-    if any(f < 0 for f in fractions):
+    if not all(f >= 0 for f in fractions):  # NaN fails this too
         raise ConfigError(f"fractions must be >= 0, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigError(f"fractions must sum to 1, got {sum(fractions)}")

@@ -42,7 +42,6 @@ from __future__ import annotations
 import json
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ConfigError, DegenerateInputError, ShapeError
 from .numkit import Rng, class_ids
@@ -366,7 +365,11 @@ def cluster_by_threshold(features, sim: SimilarityKind, threshold: float) -> np.
 
 
 def clustering_accuracy(predicted, truth) -> float:
-    """Accuracy under the optimal one-to-one cluster/class assignment."""
+    """Accuracy under the optimal one-to-one cluster/class assignment.
+
+    Imports scipy (~0.3 s) at the first call, so processes that never cluster skip it.
+    """
+    from scipy.optimize import linear_sum_assignment
     predicted, truth = class_ids(predicted), class_ids(truth)
     if predicted.shape != truth.shape:
         raise ShapeError("predicted and truth label lengths differ")

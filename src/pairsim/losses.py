@@ -158,6 +158,6 @@ def mining_curves(r: float, t: float):
     slopes move in opposite directions as r grows, which is what makes the
     mining emphasis reversed rather than self-cancelling.
     """
-    if not r > 0:
-        raise ConfigError(f"r must be positive, got {r}")
+    if not 0 < r < np.inf:
+        raise ConfigError(f"r must be positive and finite, got {r}")
     return softplus(-t / r), softplus(r * t)

@@ -35,7 +35,6 @@ import csv
 import io
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -464,6 +463,7 @@ def ablate(grid: dict, base_cfg: TrainConfig, ds: Dataset, jobs: int = 1) -> lis
     ]
     if jobs == 1:
         return [_ablate_cell(cell) for cell in cells]
+    from concurrent.futures import ProcessPoolExecutor  # only a fan-out needs multiprocessing
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_ablate_cell, cells))
 

@@ -124,6 +124,22 @@ def test_proxy_bank_rejects_bad_margin(margin):
         init_proxy_bank(Rng(0), 4, 8, b_theta=0.3, margin=margin)
 
 
+@pytest.mark.parametrize("margin", [0.0, -0.1, float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "loss",
+    [
+        lambda pairs, margin: contrastive_loss(pairs, margin),
+        lambda pairs, margin: triplet_loss(pairs, 2, margin, Rng(0)),
+    ],
+    ids=["contrastive", "triplet"],
+)
+def test_pair_baselines_reject_bad_margin(loss, margin):
+    # an infinite margin would make both hinge losses inf
+    pairs = PairBatch([0.2, -0.1, 0.3, 0.0], [1, 0, 1, 0])
+    with pytest.raises(ConfigError, match=r"margin must be positive and finite"):
+        loss(pairs, margin)
+
+
 # ----- proxy_gip_ce ------------------------------------------------------
 
 

@@ -26,6 +26,15 @@ eval.num_neg = 50
 """
 
 
+def run_child(args):
+    """Run ``python <args>`` in a fresh process that imports pairsim from src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([SRC, *filter(None, [env.get("PYTHONPATH")])])
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300
+    )
+
+
 def write_quick(tmp_path, extra=""):
     path = tmp_path / "quick.cfg"
     path.write_text(QUICK + extra)
@@ -368,19 +377,28 @@ def test_divergence_is_one_named_error_without_numpy_warnings(tmp_path):
     # A child process, so stderr is what a user sees (pytest would capture
     # the warnings instead)
     cfg = write_quick(tmp_path, "train.activation = relu\nsgd.lr = 1e6\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([SRC, *filter(None, [env.get("PYTHONPATH")])])
-    proc = subprocess.run(
-        [sys.executable, "-m", "pairsim.cli", "train", "--config", cfg,
-         "--out", str(tmp_path / "o")],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
+    proc = run_child(["-m", "pairsim.cli", "train", "--config", cfg, "--out", str(tmp_path / "o")])
     assert proc.returncode == 2
     err = proc.stderr
     assert "RuntimeWarning" not in err and "encountered" not in err, err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("pairsim: error: step "), err
     assert "(epoch 1) of simple: " in lines[0]
+
+
+def test_a_process_that_never_clusters_loads_neither_scipy_nor_a_process_pool(tmp_path):
+    # importing scipy.optimize is most of a cold start, so it waits for the
+    # first clustering_accuracy call, and the pool for ablate --jobs > 1.
+    # A child process, since this one has imported both already
+    cfg, out = write_quick(tmp_path), str(tmp_path / "o")
+    proc = run_child(["-c", (
+        "import sys\n"
+        "from pairsim.cli import main\n"
+        f"assert main(['gen-data', '--config', {cfg!r}, '--out', {out!r}]) == 0\n"
+        "print([m for m in ('scipy', 'concurrent.futures.process') if m in sys.modules])\n"
+    )])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
 
 
 def test_ablate_serial_equals_parallel(tmp_path):

@@ -161,6 +161,11 @@ def test_split_rejects_bad_fractions_and_thin_classes():
         split(ds, (0.5, 0.2, 0.2), seed=0)
     with pytest.raises(ConfigError):
         split(ds, (0.8, 0.3, -0.1), seed=0)
+    # NaN fails every comparison, so neither `f < 0` nor the sum check alone
+    # catches it; it would empty every part or drop the rows past the first
+    for fractions in ((float("nan"), 0.5, 0.5), (0.5, float("nan"), 0.5)):
+        with pytest.raises(ConfigError, match=r"fractions must be >= 0"):
+            split(ds, fractions, seed=0)
     tiny = Dataset(
         inputs=np.ones((3, 2)), labels=np.array([0, 0, 1]), num_classes=2
     )

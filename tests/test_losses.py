@@ -281,5 +281,7 @@ def test_q2_slope_increases_with_r():
 
 
 def test_mining_curves_requires_positive_r():
-    with pytest.raises(ConfigError):
-        mining_curves(0.0, 1.0)
+    # an infinite r would make Q2 inf
+    for r in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match=r"r must be positive and finite"):
+            mining_curves(r, 1.0)
