@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -52,7 +51,7 @@ from .config import (
 from .data import generate, load_csv, save_csv
 from .encoder import load_encoder
 from .errors import ConfigError, DegenerateInputError, ParseError
-from .evaluation import evaluate, report_to_json
+from .evaluation import _check_threshold, evaluate, report_to_json
 from .gradcheck import component_checks
 from .plotting import render_roc_svg
 from .trainer import ablate, ablate_csv, encode, final_report, save_runlog, train
@@ -110,8 +109,8 @@ def _precheck(command: str, conf: dict, overrides: dict, args) -> None:
     if command == "eval":
         if not conf["eval.checkpoint"]:
             raise ConfigError("eval requires the eval.checkpoint config key")
-        if conf["eval.threshold"] is not None and not math.isfinite(conf["eval.threshold"]):
-            raise ConfigError(f"threshold must be finite, got {conf['eval.threshold']}")
+        if conf["eval.threshold"] is not None:
+            _check_threshold(conf["eval.threshold"])
     elif command == "plot-roc":
         if not conf["plot.reports"]:
             raise ConfigError("plot-roc requires at least one path in plot.reports")

@@ -3,22 +3,23 @@
 Conventions, fixed here because published EER/TPR numbers rarely state
 them:
 
-* EER sweeps candidate thresholds at midpoints of sorted unique scores
-  plus +-inf, with FRR(t) = frac(pos < t) and FAR(t) = frac(neg >= t),
-  and linearly interpolates between the two bracketing candidates.
-* TPR@FAR puts candidate thresholds at the observed negative scores (the
-  smallest threshold whose FAR is within target maximizes TPR); targets
-  below the strictest achievable FAR are clamped and flagged.  Each target's
-  entry in the report's ``tpr_at_far`` (report.json, summary.json) is its
-  operating point: ``tpr``, the achieved ``far``, ``threshold`` and that
-  ``clamped`` flag; ablation.csv leaves a clamped cell empty.
+* EER, TPR@FAR and ROC read one sweep of the distinct scores t, with
+  FRR(t) = frac(pos < t), FAR(t) = frac(neg >= t) and TPR = 1 - FRR; the
+  EER interpolates linearly where FAR - FRR changes sign.
+* TPR@FAR is the ROC's highest-TPR point with 0 < FAR <= target; a target
+  below the top negative's FAR (so below 1/|neg|) is clamped to that score
+  and flagged.  Each target's entry in the report's ``tpr_at_far``
+  (report.json, summary.json) is its operating point: ``tpr``, the achieved
+  ``far``, ``threshold`` and that ``clamped`` flag; ablation.csv leaves a
+  clamped cell empty.
 * Clustering is a single-linkage threshold cut: connect every pair that
   scores strictly above the threshold, components become clusters, and
   accuracy is scored under the optimal one-to-one cluster/class matching.
 * The error counts at that cut follow the same strict rule over all pairs:
   a same-class pair scoring at or below it is a false reject, a cross-class
-  pair scoring above it a false accept.  The EER's sweep instead accepts a
-  score equal to its threshold (``>=``), so at an exact tie the two differ.
+  pair scoring above it a false accept; ``cut_errors`` gives each count
+  with its rate over all pairs of its side.  The EER's sweep instead accepts
+  a score equal to its threshold (``>=``), so at an exact tie the two differ.
 
 A positive separation margin (min same-class score minus max cross-class
 score) certifies that any threshold inside the margin reproduces the
@@ -110,32 +111,30 @@ def score_pairs(sim: SimilarityKind, features, pos_pairs, neg_pairs):
     )
 
 
-def _sides(pos, neg):
-    """Both score arrays as sorted flat float64, each side non-empty."""
+def _sweep(pos, neg):
+    """(t, frr, far): each distinct score t of either side, ascending, with
+    FRR(t) = frac(pos < t) and FAR(t) = frac(neg >= t); no side may be empty."""
     pos = np.sort(np.asarray(pos, dtype=np.float64).ravel())
     neg = np.sort(np.asarray(neg, dtype=np.float64).ravel())
     if pos.size == 0 or neg.size == 0:
         raise DegenerateInputError("need at least one positive and one negative score")
-    return pos, neg
-
-
-def _frr_far(pos, neg, t: np.ndarray):
-    """FRR(t) = frac(pos < t) and FAR(t) = frac(neg >= t), over sorted sides."""
+    t = np.unique(np.concatenate([pos, neg]))
     frr = np.searchsorted(pos, t, side="left") / pos.size
     far = (neg.size - np.searchsorted(neg, t, side="left")) / neg.size
-    return frr, far
+    return t, frr, far
 
 
 def compute_eer(pos, neg):
     """(eer, threshold) by threshold sweep with linear interpolation.
 
-    FAR - FRR is monotone nonincreasing over the candidate sweep, from +1
-    at -inf to -1 at +inf; the EER sits where it crosses zero.
+    FAR - FRR is monotone nonincreasing over the sweep, from +1 at its
+    lowest score to -1 at +inf; the EER sits where it crosses zero.  A cut
+    between two scores accepts what the upper one does, so the threshold
+    interpolates between the midpoints (+-inf at the ends).
     """
-    pos, neg = _sides(pos, neg)
-    uniq = np.unique(np.concatenate([pos, neg]))
+    uniq, frr, far = _sweep(pos, neg)
+    frr, far = np.r_[frr, 1.0], np.r_[far, 0.0]
     t = np.concatenate([[-np.inf], (uniq[:-1] + uniq[1:]) / 2.0, [np.inf]])
-    frr, far = _frr_far(pos, neg, t)
     diff = far - frr
     k = int(np.flatnonzero(diff >= 0)[-1])
     lam = diff[k] / (diff[k] - diff[k + 1])
@@ -153,23 +152,20 @@ def tpr_at_far(pos, neg, far_targets) -> dict:
     """The operating point of each FAR target, keyed by the target's ``str``.
 
     Each is a dict of its ``tpr``, achieved ``far``, ``threshold`` and
-    ``clamped`` flag.  Thresholds sit at observed negative scores; the
-    smallest threshold with FAR(t) <= target maximizes TPR.  Targets
-    stricter than 1/|neg| (more generally, than the strictest achievable
-    FAR) fall back to the strictest threshold, with ``clamped`` true.
+    ``clamped`` flag: the smallest swept score with 0 < FAR(t) <= target
+    (the ROC's highest-TPR point there), or, for a target below the top
+    negative's FAR, that negative's score, with ``clamped`` true.
     """
-    pos, neg = _sides(pos, neg)
-    t = np.unique(neg)
-    _, far = _frr_far(pos, neg, t)
-    tpr = (pos.size - np.searchsorted(pos, t, side="left")) / pos.size
+    t, frr, far = _sweep(pos, neg)
+    top = np.count_nonzero(far) - 1  # the top negative score's row
     out = {}
     for target in map(float, far_targets):
         if not 0.0 <= target <= 1.0:
             raise ConfigError(f"FAR target must lie in [0,1], got {target}")
-        hit = np.flatnonzero(far <= target)
-        i = int(hit[0]) if hit.size else t.size - 1
+        hit = np.flatnonzero(far[: top + 1] <= target)
+        i = int(hit[0]) if hit.size else top
         out[str(target)] = {
-            "tpr": float(tpr[i]), "far": float(far[i]), "threshold": float(t[i]),
+            "tpr": float(1.0 - frr[i]), "far": float(far[i]), "threshold": float(t[i]),
             "clamped": hit.size == 0,
         }
     return out
@@ -177,10 +173,8 @@ def tpr_at_far(pos, neg, far_targets) -> dict:
 
 def roc_points(pos, neg) -> list:
     """(far, tpr) staircase from strictest to loosest threshold."""
-    pos, neg = _sides(pos, neg)
-    uniq = np.unique(np.concatenate([pos, neg]))[::-1]
-    frr, far = _frr_far(pos, neg, uniq)
-    far, tpr = np.r_[0.0, far], np.r_[0.0, 1.0 - frr]
+    _, frr, far = _sweep(pos, neg)
+    far, tpr = np.r_[0.0, far[::-1]], np.r_[0.0, 1.0 - frr[::-1]]
     keep = np.r_[True, (far[1:] != far[:-1]) | (tpr[1:] != tpr[:-1])]  # drop repeats
     return list(zip(far[keep].tolist(), tpr[keep].tolist()))
 
@@ -396,7 +390,9 @@ def evaluate(
 ) -> dict:
     """The report.json document; pair requests are clamped to what the labels allow.
 
-    ``threshold`` sets the clustering cut; default is the EER threshold.
+    ``threshold`` sets the clustering cut; default is the sampled pairs' EER
+    threshold, so ``clustering_accuracy`` and ``cut_errors`` then depend on
+    the draw.  `train` cuts there for the four methods that learn no ``b``.
     Class ids may be gapped or sparse: nothing below sizes an array by them.
     The FAR targets are keyed by their ``str``, as JSON keys must be.
     """
@@ -427,8 +423,10 @@ def evaluate(
             "threshold": cut,
             "false_rejects": rejects,
             "same_class_pairs": intra,
+            "false_reject_rate": rejects / intra,
             "false_accepts": accepts,
             "cross_class_pairs": inter,
+            "false_accept_rate": accepts / inter,
         },
     }
 

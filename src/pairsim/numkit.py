@@ -2,7 +2,7 @@
 
 Matrices are plain float64 numpy arrays, 2-D and C-ordered (row-major); the
 helpers here add the shape/finiteness checking the rest of the package relies
-on. The RNG wraps numpy's counter-based Philox generator so that independent,
+on. The RNG is numpy's generator over counter-based Philox, so that independent,
 reproducible streams can be derived by name regardless of call order.
 """
 
@@ -86,7 +86,7 @@ def sigmoid(t):
     return out
 
 
-class Rng:
+class Rng(np.random.Generator):
     """Seeded counter-based random stream with deterministic substreams.
 
     ``Rng(seed)`` always yields the same draw sequence. ``stream(i)`` (or
@@ -103,27 +103,16 @@ class Rng:
         # zero-pads its entropy, so [s] and [s, 0] would otherwise collide).
         entropy = [self.seed & 0xFFFFFFFFFFFFFFFF, len(_path)]
         entropy += [_key_to_int(k) for k in _path]
-        self.gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+        super().__init__(np.random.Philox(np.random.SeedSequence(entropy)))
 
     def stream(self, key) -> "Rng":
         """Derive the independent child stream identified by ``key``."""
         return Rng(self.seed, self._path + (key,))
 
-    # Conveniences forwarded to the underlying numpy Generator.
-    def normal(self, size=None, loc=0.0, scale=1.0):
-        return self.gen.normal(loc=loc, scale=scale, size=size)
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return self.gen.uniform(low, high, size=size)
-
-    def integers(self, low, high=None, size=None):
-        return self.gen.integers(low, high, size=size)
-
-    def permutation(self, n):
-        return self.gen.permutation(n)
-
-    def choice(self, a, size=None, replace=True):
-        return self.gen.choice(a, size=size, replace=replace)
+    def __reduce__(self):
+        # Generator pickles as a plain Generator; keep the seed and path
+        # (Generator.__setstate__ takes the draw position as a state dict)
+        return Rng, (self.seed, self._path), self.bit_generator.state
 
 
 def _key_to_int(key) -> int:

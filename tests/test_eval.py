@@ -57,15 +57,16 @@ def eer_oracle(pos, neg):
 
 
 def tpr_oracle(pos, neg, target):
-    """Thresholds at observed negative scores; the smallest threshold with
-    FAR <= target wins. Returns (tpr, clamped)."""
-    cands = sorted(set(neg))
+    """Every distinct score at or below the top negative, in order; the
+    smallest with FAR <= target wins, and TPR = 1 - frac(pos < t).  Returns
+    (tpr, clamped)."""
+    cands = sorted(s for s in set(pos) | set(neg) if s <= max(neg))
     for t in cands:
         far = sum(s >= t for s in neg) / len(neg)
         if far <= target:
-            return sum(p >= t for p in pos) / len(pos), False
+            return 1.0 - sum(p < t for p in pos) / len(pos), False
     t = cands[-1]
-    return sum(p >= t for p in pos) / len(pos), True
+    return 1.0 - sum(p < t for p in pos) / len(pos), True
 
 
 def margin_oracle(features, labels, sim):
@@ -179,8 +180,10 @@ def test_eer_rejects_empty_side():
 
 
 def test_tpr_worked_example():
+    # cutting at the positive 0.3 accepts the same one negative as cutting
+    # at the top negative 0.6, and every positive
     res = tpr_at_far([0.9, 0.8, 0.7, 0.3], [0.6, 0.2, 0.1, 0.05], [0.25])
-    assert res == {"0.25": {"tpr": 0.75, "far": 0.25, "threshold": 0.6, "clamped": False}}
+    assert res == {"0.25": {"tpr": 1.0, "far": 0.25, "threshold": 0.3, "clamped": False}}
 
 
 def test_tpr_perfect_separation_all_targets():
@@ -213,6 +216,26 @@ def test_tpr_matches_oracle_on_random_inputs():
         assert got["clamped"] or got["far"] <= target
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 12), min_size=1, max_size=30),
+    st.lists(st.integers(0, 12), min_size=1, max_size=30),
+    st.sampled_from([0.0, 0.01, 0.1, 0.25, 1 / 3, 0.5, 1.0]),
+)
+@example([9, 8, 7, 3], [6, 2, 1, 0], 0.25)
+def test_tpr_at_far_is_the_rocs_best_point(pos, neg, target):
+    # every unclamped entry is the highest-TPR ROC point with 0 < FAR <= target
+    # (integer scores, so ties inside and across the sides are common)
+    pos, neg = np.asarray(pos) / 4.0, np.asarray(neg) / 4.0
+    got = tpr_at_far(pos, neg, [target])[str(target)]
+    roc = roc_points(pos, neg)
+    inside = [tpr for far, tpr in roc if 0.0 < far <= target]
+    assert got["clamped"] == (not inside)
+    if inside:
+        assert got["tpr"] == max(inside)
+        assert (got["far"], got["tpr"]) in roc
+
+
 def test_tpr_rejects_bad_target():
     with pytest.raises(ConfigError):
         tpr_at_far([1.0], [0.0], [1.5])
@@ -237,17 +260,16 @@ def test_roc_perfect_separation_hits_corner():
 
 
 def roc_reference(pos, neg):
-    """The per-point loop `roc_points` replaced: sweep the thresholds from
-    the strictest down and keep each (far, tpr) that differs from the last
+    """Sweep every distinct score from the strictest down, count pos < t and
+    neg >= t directly, and keep each (far, tpr) that differs from the last
     point kept."""
-    pos, neg = np.sort(pos).astype(np.float64), np.sort(neg).astype(np.float64)
-    uniq = np.unique(np.concatenate([pos, neg]))[::-1]
-    frr, far = ev._frr_far(pos, neg, uniq)
-    tpr = 1.0 - frr
+    pos, neg = np.asarray(pos, dtype=np.float64), np.asarray(neg, dtype=np.float64)
     pts = [(0.0, 0.0)]
-    for f, t in zip(far, tpr):
-        if (f, t) != pts[-1]:
-            pts.append((float(f), float(t)))
+    for t in np.unique(np.concatenate([pos, neg]))[::-1]:
+        f = np.count_nonzero(neg >= t) / neg.size
+        tp = 1.0 - np.count_nonzero(pos < t) / pos.size
+        if (f, tp) != pts[-1]:
+            pts.append((float(f), float(tp)))
     return pts
 
 
@@ -812,8 +834,15 @@ def test_evaluate_report_round_trip():
     # 3 classes of 7 rows: 3 * 21 same-class and 210 - 63 cross-class pairs
     assert doc["cut_errors"] == {
         "threshold": rep["eer_threshold"], "false_rejects": 0, "same_class_pairs": 63,
-        "false_accepts": 0, "cross_class_pairs": 147,
+        "false_reject_rate": 0.0, "false_accepts": 0, "cross_class_pairs": 147,
+        "false_accept_rate": 0.0,
     }
+    # classes 0 and 1 sit 90 degrees apart and class 2 135 degrees from each,
+    # so a cosine cut at -0.5 accepts the 49 pairs of classes 0 and 1
+    cut = evaluate(feats, labels, SimilarityKind("cosine"), num_pos=40, num_neg=80,
+                   seed=2, threshold=-0.5)["cut_errors"]
+    assert (cut["false_accepts"], cut["false_accept_rate"]) == (49, 49 / 147)
+    assert (cut["false_rejects"], cut["false_reject_rate"]) == (0, 0.0)
 
 
 # floats whose json text is easy to get wrong: the ends, a short exponent,

@@ -1,4 +1,5 @@
 import math
+import pickle
 import re
 
 import numpy as np
@@ -112,6 +113,15 @@ def test_rng_streams_distinct():
     b = base.stream(1).normal(size=100)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, Rng(7).normal(size=100))
+
+
+def test_rng_pickles_as_itself_at_its_draw_position():
+    r = Rng(7).stream("init")
+    r.normal(size=3)
+    copy = pickle.loads(pickle.dumps(r))
+    assert type(copy) is Rng
+    assert_array_equal(copy.normal(size=5), r.normal(size=5))
+    assert_array_equal(copy.stream(2).integers(0, 99, size=5), r.stream(2).integers(0, 99, size=5))
 
 
 def test_class_ids_keep_integers_and_whole_floats():
