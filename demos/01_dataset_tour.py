@@ -32,7 +32,7 @@ print(f"mean norms ~ {np.linalg.norm(means, axis=1).mean():.2f}, "
       f"closest pair of means {gaps[iu].min():.2f}")
 
 # raw-input verification: score sampled pairs with plain cosine
-tr, va, te = split(ds, (0.8, 0.2, 0.0), seed=0)
+tr, va = split(ds, 0.2, seed=0)
 pos, neg = sample_pair_indices(va.labels, 1000, 1000, seed=0)
 
 def cosines(pairs):

@@ -56,7 +56,7 @@ if final["desideratum_margin"] > 0:
 # the audited midpoint is the calibrated choice.)
 from pairsim import cluster_by_threshold, clustering_accuracy, score_matrix
 
-tr, va, _ = split(ds, (1.0 - cfg.val_fraction, cfg.val_fraction, 0.0), seed=cfg.seed)
+tr, va = split(ds, cfg.val_fraction, seed=cfg.seed)
 sim = cfg.loss.similarity
 feats = encode(log.encoder, va.inputs)
 scores = score_matrix(sim, feats, feats)

@@ -20,7 +20,6 @@ from .similarity import (
 from .losses import LossConfig, PairBatch, pair_loss, pair_loss_grad, batch_loss, mining_curves
 from .encoder import (
     EncoderNet,
-    EmaEncoder,
     SgdConfig,
     init_encoder,
     forward,

@@ -20,6 +20,10 @@ The default task (16 classes, 200 samples each, 32 dims, unit noise) is
 calibrated so raw-input verification sits around 15-25% EER while the
 in-span margin stays positive: easy enough that training can drive the
 error to zero, hard enough that training matters.
+
+A `Dataset`'s class count K is the largest id + 1, read from its labels.
+`split` cuts each class into (train, val) rows, so a small class may give
+val no rows.
 """
 
 from __future__ import annotations
@@ -40,29 +44,25 @@ _GAPS_SHOWN = 5  # missing class ids a label-gap error names
 
 @dataclass
 class Dataset:
-    """Rows of float64 inputs with integer class ids in [0, num_classes)."""
+    """Rows of float64 inputs with integer class ids >= 0; the class count K
+    is the largest id + 1 (0 without rows), so a split part's K is its own."""
 
     inputs: np.ndarray
     labels: np.ndarray
-    num_classes: int
 
     def __post_init__(self):
         self.inputs = as_matrix(self.inputs)
         self.labels = class_ids(self.labels)
-        self.num_classes = int(self.num_classes)
         if self.inputs.shape[0] != self.labels.size:
             raise ShapeError(
                 f"{self.inputs.shape[0]} input rows but {self.labels.size} labels"
             )
-        if self.num_classes < 1:
-            raise ConfigError(f"num_classes must be >= 1, got {self.num_classes}")
-        if self.labels.size and (
-            self.labels.min() < 0 or self.labels.max() >= self.num_classes
-        ):
-            raise ConfigError(
-                f"labels must lie in [0, {self.num_classes}), "
-                f"got range [{self.labels.min()}, {self.labels.max()}]"
-            )
+        if self.labels.size and self.labels.min() < 0:
+            raise ConfigError(f"class ids must be >= 0, got {self.labels.min()}")
+
+    @property
+    def num_classes(self) -> int:
+        return int(self.labels.max()) + 1 if self.labels.size else 0
 
     def __len__(self):
         return self.labels.size
@@ -215,58 +215,38 @@ def generate(spec: GenSpec) -> Dataset:
             block[:, 1] += radius * np.sin(phi)
             rows[k * n_per : (k + 1) * n_per] = block
 
-    return Dataset(inputs=rows, labels=labels, num_classes=spec.num_classes)
+    return Dataset(inputs=rows, labels=labels)
 
 
-def split(ds: Dataset, fractions, seed: int):
-    """Stratified (train, val, test) split, reproducible under seed.
+def split(ds: Dataset, val_fraction: float, seed: int):
+    """Stratified (train, val) split, reproducible under seed.
 
-    Fractions must sum to 1; a class must have at least as many rows as
-    there are nonzero fractions.  Row order inside each part follows the
-    original dataset order.
+    Each class's rows are permuted from its own stream of the seed and the
+    first rint((1 - val_fraction) * rows) go to train, the rest to val, so a
+    small class may give val no rows.  val_fraction must lie in (0, 1) and
+    every class needs at least 2 rows.  Row order inside each part follows
+    the original dataset order.
     """
-    fractions = [float(f) for f in fractions]
-    if len(fractions) != 3:
-        raise ConfigError(f"expected 3 fractions, got {len(fractions)}")
-    if not all(f >= 0 for f in fractions):  # NaN fails this too
-        raise ConfigError(f"fractions must be >= 0, got {fractions}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ConfigError(f"fractions must sum to 1, got {sum(fractions)}")
-    nonzero = sum(1 for f in fractions if f > 0)
+    v = float(val_fraction)
+    if not 0.0 < v < 1.0:  # NaN fails this too
+        raise ConfigError(f"val_fraction must lie in (0, 1), got {v}")
     # work over the ids present, never range(num_classes): a sparse id
     # allocates nothing by its size
     present, counts = np.unique(ds.labels, return_counts=True)
-    thin = present[counts < nonzero]
+    thin = present[counts < 2]
     if thin.size:
         raise ConfigError(
-            f"classes {thin.tolist()} have fewer rows than the "
-            f"{nonzero} requested splits"
+            f"classes {thin.tolist()} have fewer rows than the 2 parts of a split"
         )
 
     rng = Rng(seed).stream("split")
-    cum = np.cumsum(fractions)
-    part_rows = ([], [], [])
+    to_train = np.zeros(len(ds), dtype=bool)
     # each class's rows in ascending order, classes by ascending id
     by_class = np.split(np.argsort(ds.labels, kind="stable"), np.cumsum(counts)[:-1])
     for k, idx in zip(present.tolist(), by_class):
         perm = idx[rng.stream(("class", k)).permutation(idx.size)]
-        bounds = np.rint(cum * idx.size).astype(int)
-        start = 0
-        for j, stop in enumerate(bounds):
-            part_rows[j].extend(perm[start:stop].tolist())
-            start = stop
-
-    parts = []
-    for rows_j in part_rows:
-        order = np.sort(np.asarray(rows_j, dtype=np.int64))
-        parts.append(
-            Dataset(
-                inputs=ds.inputs[order].reshape(len(order), ds.input_dim),
-                labels=ds.labels[order],
-                num_classes=ds.num_classes,
-            )
-        )
-    return tuple(parts)
+        to_train[perm[: int(np.rint((1.0 - v) * idx.size))]] = True
+    return tuple(Dataset(ds.inputs[rows], ds.labels[rows]) for rows in (to_train, ~to_train))
 
 
 def _header(d: int) -> str:
@@ -318,7 +298,7 @@ def _parse_plain(head: str, body: str) -> Dataset | None:
     labels = rows["label"]
     if labels.min() < 0:
         return None
-    return Dataset(inputs=rows["x"], labels=labels, num_classes=int(labels.max()) + 1)
+    return Dataset(inputs=rows["x"], labels=labels)
 
 
 def _parse_lines(lines) -> Dataset:
@@ -357,7 +337,6 @@ def _parse_lines(lines) -> Dataset:
     return Dataset(
         inputs=np.asarray(rows, dtype=np.float64),
         labels=np.asarray(labels, dtype=np.int64),
-        num_classes=max(labels) + 1,
     )
 
 

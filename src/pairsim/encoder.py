@@ -79,18 +79,6 @@ class EncoderNet:
 
 
 @dataclass
-class EmaEncoder:
-    """Exponentially averaged shadow copy of an encoder (never backpropped)."""
-
-    params: EncoderNet
-    eta: float = 0.99
-
-    def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ConfigError(f"eta must lie in [0, 1], got {self.eta}")
-
-
-@dataclass
 class SgdConfig:
     lr: float = 0.05
     momentum: float = 0.9
@@ -181,14 +169,15 @@ def sgd_step(theta: np.ndarray, grad: np.ndarray, cfg: SgdConfig, v: np.ndarray)
     theta -= cfg.lr * v
 
 
-def ema_update(ema: EmaEncoder, net: EncoderNet) -> None:
-    """p_q <- eta*p_q + (1-eta)*p for every parameter."""
-    if ema.params.layer_dims != net.layer_dims:
-        raise ShapeError(
-            f"EMA shape {ema.params.layer_dims} does not match encoder {net.layer_dims}"
-        )
-    ema.params.theta *= ema.eta
-    ema.params.theta += (1.0 - ema.eta) * net.theta
+def ema_update(ema: EncoderNet, net: EncoderNet, eta: float) -> None:
+    """p_q <- eta*p_q + (1-eta)*p for every parameter of ``ema``, the
+    momentum copy of ``net`` (``net.copy()`` at the start; never backpropped)."""
+    if not 0.0 <= eta <= 1.0:
+        raise ConfigError(f"eta must lie in [0, 1], got {eta}")
+    if ema.layer_dims != net.layer_dims:
+        raise ShapeError(f"EMA shape {ema.layer_dims} does not match encoder {net.layer_dims}")
+    ema.theta *= eta
+    ema.theta += (1.0 - eta) * net.theta
 
 
 # Checkpoint format: one JSON header line, then `theta` as raw little-endian

@@ -15,11 +15,17 @@ them:
 * Clustering is a single-linkage threshold cut: connect every pair that
   scores strictly above the threshold, components become clusters, and
   accuracy is scored under the optimal one-to-one cluster/class matching.
+  The cut is exact only up to rounding: a folded `generalized_inner`
+  score's last bits depend on which row is on the left and, for every kind
+  but `inner`, on where BLAS tiles the pair, so a pair scoring within
+  rounding of the cut can land on either side under another row order.
 * The error counts at that cut follow the same strict rule over all pairs:
   a same-class pair scoring at or below it is a false reject, a cross-class
   pair scoring above it a false accept; ``cut_errors`` gives each count
   with its rate over all pairs of its side.  The EER's sweep instead accepts
   a score equal to its threshold (``>=``), so at an exact tie the two differ.
+  A pair within rounding of the cut may count on either side under another
+  row order, as it may join either side of the clustering.
 
 A positive separation margin (min same-class score minus max cross-class
 score) certifies that any threshold inside the margin reproduces the

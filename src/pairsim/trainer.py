@@ -48,7 +48,6 @@ from .baselines import (
 )
 from .data import Dataset, split
 from .encoder import (
-    EmaEncoder,
     EncoderNet,
     SgdConfig,
     _architecture,
@@ -261,7 +260,7 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
     within each epoch and partial trailing batches are dropped.
     """
     ds.require_pairable()
-    train_ds, val_ds, _ = split(ds, (1.0 - cfg.val_fraction, cfg.val_fraction, 0.0), seed=cfg.seed)
+    train_ds, val_ds = split(ds, cfg.val_fraction, seed=cfg.seed)
     m = cfg.batch_size
     n_train = int(train_ds.labels.size)
     if n_train < m:
@@ -293,10 +292,10 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
     queue = ema = bank = v_proxies = None
     if cfg.method in _QUEUE_METHODS:
         queue = FeatureQueue(cfg.queue_capacity, cfg.feature_dim)
-        ema = EmaEncoder(enc.copy(), cfg.eta)
+        ema = enc.copy()
 
         def enqueue_ema(rows):
-            feats = encode(ema.params, train_ds.inputs[rows], cfg.normalize_features)
+            feats = encode(ema, train_ds.inputs[rows], cfg.normalize_features)
             enqueue_batch(queue, feats, train_ds.labels[rows])
 
         # warmup: fill the queue from the momentum encoder, no updates yet
@@ -344,7 +343,7 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
                     if bank is not None:
                         bank.b_theta = sim_now.b_theta
                 if queue is not None:
-                    ema_update(ema, enc)
+                    ema_update(ema, enc, cfg.eta)
                     enqueue_ema(rows)
 
                 rec["loss"] = loss
@@ -371,8 +370,7 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
         where = f"evaluation after step {gstep - 1}" if evaluating else f"step {gstep}"
         raise FloatingPointError(f"{where} (epoch {epoch}) of {cfg.method}: {exc}") from exc
 
-    ema_params = ema.params if ema is not None else None
-    return RunLog(steps, epochs, enc, ema_params, loss_now.b, sim_now.b_theta)
+    return RunLog(steps, epochs, enc, ema, loss_now.b, sim_now.b_theta)
 
 
 def final_report(log: RunLog) -> dict:

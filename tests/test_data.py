@@ -112,16 +112,15 @@ def test_genspec_defaults_are_the_desk_task():
 
 def test_split_sizes_and_stratification():
     ds = generate(small_spec())
-    train, val, test = split(ds, (0.8, 0.1, 0.1), seed=0)
-    assert (len(train), len(val), len(test)) == (320, 40, 40)
+    train, val = split(ds, 0.2, seed=0)
+    assert (len(train), len(val)) == (320, 80)
     assert np.array_equal(np.bincount(train.labels), [80, 80, 80, 80])
-    assert np.array_equal(np.bincount(val.labels), [10, 10, 10, 10])
-    assert np.array_equal(np.bincount(test.labels), [10, 10, 10, 10])
+    assert np.array_equal(np.bincount(val.labels), [20, 20, 20, 20])
 
 
 def test_split_partitions_the_rows():
     ds = generate(small_spec(num_classes=3, samples_per_class=10))
-    parts = split(ds, (0.6, 0.2, 0.2), seed=5)
+    parts = split(ds, 0.4, seed=5)
     stacked = np.vstack([p.inputs for p in parts])
     # multiset equality via lexicographic row sort
     order_a = np.lexsort(stacked.T)
@@ -130,26 +129,27 @@ def test_split_partitions_the_rows():
     assert sum(len(p) for p in parts) == len(ds)
 
 
-def test_split_all_train():
-    ds = generate(small_spec(samples_per_class=3))
-    train, val, test = split(ds, (1.0, 0.0, 0.0), seed=1)
-    assert len(train) == len(ds)
-    assert len(val) == 0 and len(test) == 0
+def test_split_small_class_may_give_val_no_rows():
+    # rint(0.8 * 2) = 2: the 2-row class keeps both rows in train
+    ds = Dataset(inputs=np.arange(24.0).reshape(12, 2), labels=[0] * 10 + [1] * 2)
+    train, val = split(ds, 0.2, seed=0)
+    assert np.array_equal(np.bincount(train.labels), [8, 2])
+    assert val.labels.tolist() == [0, 0]
 
 
 def test_split_proportions_within_one_row():
     ds = generate(small_spec(num_classes=5, samples_per_class=13))
-    train, val, test = split(ds, (0.7, 0.2, 0.1), seed=2)
-    for part, f in ((train, 0.7), (val, 0.2), (test, 0.1)):
+    train, val = split(ds, 0.3, seed=2)
+    for part, f in ((train, 0.7), (val, 0.3)):
         for c in np.bincount(part.labels, minlength=5):
             assert abs(c - 13 * f) <= 1.0
 
 
 def test_split_reproducible_and_seed_sensitive():
     ds = generate(small_spec())
-    a = split(ds, (0.8, 0.1, 0.1), seed=7)
-    b = split(ds, (0.8, 0.1, 0.1), seed=7)
-    c = split(ds, (0.8, 0.1, 0.1), seed=8)
+    a = split(ds, 0.2, seed=7)
+    b = split(ds, 0.2, seed=7)
+    c = split(ds, 0.2, seed=8)
     for x, y in zip(a, b):
         assert np.array_equal(x.inputs, y.inputs)
     assert not all(np.array_equal(x.inputs, y.inputs) for x, y in zip(a, c))
@@ -157,39 +157,28 @@ def test_split_reproducible_and_seed_sensitive():
 
 def test_split_rejects_bad_fractions_and_thin_classes():
     ds = generate(small_spec())
-    with pytest.raises(ConfigError):
-        split(ds, (0.5, 0.2, 0.2), seed=0)
-    with pytest.raises(ConfigError):
-        split(ds, (0.8, 0.3, -0.1), seed=0)
-    # NaN fails every comparison, so neither `f < 0` nor the sum check alone
-    # catches it; it would empty every part or drop the rows past the first
-    for fractions in ((float("nan"), 0.5, 0.5), (0.5, float("nan"), 0.5)):
-        with pytest.raises(ConfigError, match=r"fractions must be >= 0"):
-            split(ds, fractions, seed=0)
-    tiny = Dataset(
-        inputs=np.ones((3, 2)), labels=np.array([0, 0, 1]), num_classes=2
-    )
-    with pytest.raises(ConfigError):
-        split(tiny, (0.4, 0.3, 0.3), seed=0)
-    # one nonzero split is fine even for the 1-sample class
-    train, _, _ = split(tiny, (1.0, 0.0, 0.0), seed=0)
-    assert len(train) == 3
+    # NaN fails every comparison, so the check is written to reject it too
+    for val_fraction in (0.0, 1.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match=r"val_fraction must lie in \(0, 1\)"):
+            split(ds, val_fraction, seed=0)
+    tiny = Dataset(inputs=np.ones((3, 2)), labels=np.array([0, 0, 1]))
+    with pytest.raises(ConfigError, match=r"classes \[1\] have fewer rows"):
+        split(tiny, 0.5, seed=0)
 
 
-def split_by_class_range(ds, fractions, seed):
-    """The range(num_classes) form of split's row assignment, for dense ids."""
+def split_by_class_range(ds, val_fraction, seed):
+    """The range(num_classes) form of split's row assignment, for dense ids:
+    (train rows, val rows), each ascending."""
     rng = Rng(seed).stream("split")
-    cum = np.cumsum(fractions)
-    part_rows = ([], [], [])
+    part_rows = ([], [])
     for k in range(ds.num_classes):
         idx = np.flatnonzero(ds.labels == k)
         if idx.size == 0:
             continue
         perm = idx[rng.stream(("class", k)).permutation(idx.size)]
-        start = 0
-        for j, stop in enumerate(np.rint(cum * idx.size).astype(int)):
-            part_rows[j].extend(perm[start:stop].tolist())
-            start = stop
+        stop = int(np.rint((1.0 - val_fraction) * idx.size))
+        part_rows[0].extend(perm[:stop].tolist())
+        part_rows[1].extend(perm[stop:].tolist())
     return [np.sort(np.asarray(r, dtype=np.int64)) for r in part_rows]
 
 
@@ -197,10 +186,10 @@ def test_split_rows_match_the_per_class_range_form():
     # dense ids, one id absent, classes of uneven size
     rng = np.random.default_rng(3)
     labels = rng.choice([0, 1, 2, 4, 5], size=90, p=[0.1, 0.3, 0.2, 0.15, 0.25])
-    ds = Dataset(inputs=np.arange(180.0).reshape(90, 2), labels=labels, num_classes=6)
+    ds = Dataset(inputs=np.arange(180.0).reshape(90, 2), labels=labels)
     for seed in (0, 7):
-        parts = split(ds, (0.6, 0.25, 0.15), seed=seed)
-        for part, rows in zip(parts, split_by_class_range(ds, (0.6, 0.25, 0.15), seed)):
+        parts = split(ds, 0.4, seed=seed)
+        for part, rows in zip(parts, split_by_class_range(ds, 0.4, seed)):
             assert np.array_equal(part.inputs, ds.inputs[rows])
             assert np.array_equal(part.labels, ds.labels[rows])
 
@@ -210,37 +199,46 @@ def test_split_sparse_ids_size_nothing_by_the_largest_id():
     # by num_classes (a bincount over it would need petabytes)
     big = 10**15
     labels = np.array([0, big] * 6)
-    ds = Dataset(inputs=np.arange(24.0).reshape(12, 2), labels=labels, num_classes=big + 1)
-    train, val, test = split(ds, (0.5, 0.5, 0.0), seed=0)
-    assert (len(train), len(val), len(test)) == (6, 6, 0)
+    ds = Dataset(inputs=np.arange(24.0).reshape(12, 2), labels=labels)
+    train, val = split(ds, 0.5, seed=0)
+    assert (len(train), len(val)) == (6, 6)
     for part in (train, val):
         assert sorted(part.labels.tolist()) == [0, 0, 0, big, big, big]
     # a thin class is named by its id
-    thin = Dataset(inputs=np.ones((3, 2)), labels=[0, 0, big], num_classes=big + 1)
+    thin = Dataset(inputs=np.ones((3, 2)), labels=[0, 0, big])
     with pytest.raises(ConfigError, match=rf"classes \[{big}\] have fewer rows"):
-        split(thin, (0.5, 0.5, 0.0), seed=0)
+        split(thin, 0.5, seed=0)
 
 
 def test_dataset_validation():
-    with pytest.raises(ConfigError):
-        Dataset(inputs=np.ones((2, 2)), labels=[0, 5], num_classes=2)
+    with pytest.raises(ConfigError, match=r"class ids must be >= 0, got -1"):
+        Dataset(inputs=np.ones((2, 2)), labels=[0, -1])
     with pytest.raises(ValueError):
-        Dataset(inputs=np.ones((3, 2)), labels=[0, 1], num_classes=2)
-    thin = Dataset(inputs=np.ones((3, 2)), labels=[0, 0, 1], num_classes=2)
+        Dataset(inputs=np.ones((3, 2)), labels=[0, 1])
+    thin = Dataset(inputs=np.ones((3, 2)), labels=[0, 0, 1])
     with pytest.raises(DegenerateInputError):
         thin.require_pairable()
+
+
+def test_dataset_num_classes_is_the_largest_id_plus_one():
+    big = 10**15
+    ds = Dataset(inputs=np.ones((2, 2)), labels=[0, big])
+    assert ds.num_classes == big + 1
+    assert Dataset(inputs=np.ones((0, 2)), labels=[]).num_classes == 0
+    with pytest.raises(AttributeError):
+        ds.num_classes = 3
 
 
 def test_dataset_names_a_non_integer_class_id():
     # 1.7 would otherwise be stored as class 1
     with pytest.raises(ConfigError, match=r"class ids must be int64 integers, got 1.7"):
-        Dataset(inputs=np.ones((2, 2)), labels=[1.0, 1.7], num_classes=2)
+        Dataset(inputs=np.ones((2, 2)), labels=[1.0, 1.7])
 
 
 def test_label_gaps_are_named_on_their_own():
     # labels {0, 2, 3}: class 1 is absent, class 3 is thin; the gap is the
     # error, and only the absent id is named
-    gapped = Dataset(inputs=np.ones((5, 2)), labels=[0, 0, 2, 2, 3], num_classes=4)
+    gapped = Dataset(inputs=np.ones((5, 2)), labels=[0, 0, 2, 2, 3])
     with pytest.raises(DegenerateInputError, match=r"class ids \[1\] do not appear") as err:
         gapped.require_pairable()
     assert "without gaps" in str(err.value)
@@ -264,14 +262,14 @@ def test_csv_round_trip_awkward_values(tmp_path):
             [np.e, 2.0 ** -52, -0.1, 123456789.123456789],
         ]
     )
-    ds = Dataset(inputs=vals, labels=[0, 0], num_classes=1)
+    ds = Dataset(inputs=vals, labels=[0, 0])
     path = tmp_path / "vals.csv"
     save_csv(ds, path)
     assert np.array_equal(load_csv(path).inputs, vals)
 
 
 def test_csv_header_layout(tmp_path):
-    ds = Dataset(inputs=np.zeros((2, 3)), labels=[0, 0], num_classes=1)
+    ds = Dataset(inputs=np.zeros((2, 3)), labels=[0, 0])
     path = tmp_path / "h.csv"
     save_csv(ds, path)
     assert path.read_text().splitlines()[0] == "label,f0,f1,f2"
@@ -351,7 +349,6 @@ def oracle_load_csv(path):
     return Dataset(
         inputs=np.asarray(rows, dtype=np.float64),
         labels=np.asarray(labels, dtype=np.int64),
-        num_classes=max(labels) + 1,
     )
 
 
@@ -529,7 +526,7 @@ def test_csv_round_trip_is_bit_exact_property(tmp_path_factory, values, d, label
     n = -(-len(values) // d)
     vals = np.resize(np.asarray(values, dtype=np.float64), n * d).reshape(n, d)
     labels = np.random.default_rng(seed).integers(0, label_max, size=n, endpoint=True)
-    ds = Dataset(inputs=vals, labels=labels, num_classes=int(labels.max()) + 1)
+    ds = Dataset(inputs=vals, labels=labels)
     path = tmp_path_factory.mktemp("csv") / "ds.csv"
     save_csv(ds, path)
     back = load_csv(path)

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from pairsim.encoder import (
     ACTIVATIONS,
-    EmaEncoder,
     EncoderNet,
     SgdConfig,
     backward,
@@ -223,39 +222,46 @@ def test_sgd_config_validation():
 
 def test_ema_endpoints():
     net = init_encoder([2, 3], Rng(6))
-    ema = EmaEncoder(init_encoder([2, 3], Rng(7)), eta=1.0)
-    before = ema.params.copy()
-    ema_update(ema, net)
-    assert_array_equal(ema.params.weights[0], before.weights[0])
+    ema = init_encoder([2, 3], Rng(7))
+    before = ema.copy()
+    ema_update(ema, net, 1.0)
+    assert_array_equal(ema.weights[0], before.weights[0])
 
-    ema = EmaEncoder(init_encoder([2, 3], Rng(7)), eta=0.0)
-    ema_update(ema, net)
-    assert_array_equal(ema.params.weights[0], net.weights[0])
+    ema = init_encoder([2, 3], Rng(7))
+    ema_update(ema, net, 0.0)
+    assert_array_equal(ema.weights[0], net.weights[0])
 
 
 def test_ema_midpoint():
     net = zero_net([1, 1])
     net.weights[0][0, 0] = 3.0
-    shadow = zero_net([1, 1])
-    shadow.weights[0][0, 0] = 1.0
-    ema = EmaEncoder(shadow, eta=0.5)
-    ema_update(ema, net)
-    assert ema.params.weights[0][0, 0] == 2.0
+    ema = zero_net([1, 1])
+    ema.weights[0][0, 0] = 1.0
+    ema_update(ema, net, 0.5)
+    assert ema.weights[0][0, 0] == 2.0
 
 
 def test_ema_contraction():
     net = init_encoder([3, 4, 2], Rng(8))
-    ema = EmaEncoder(init_encoder([3, 4, 2], Rng(9)), eta=0.75)
-    gap0 = np.max(np.abs(ema.params.theta - net.theta))
+    ema = init_encoder([3, 4, 2], Rng(9))
+    gap0 = np.max(np.abs(ema.theta - net.theta))
     for k in range(1, 6):
-        ema_update(ema, net)
-        gap = np.max(np.abs(ema.params.theta - net.theta))
+        ema_update(ema, net, 0.75)
+        gap = np.max(np.abs(ema.theta - net.theta))
         assert gap == pytest.approx(gap0 * 0.75**k, rel=1e-10)
 
 
 def test_ema_shape_mismatch():
     with pytest.raises(ShapeError):
-        ema_update(EmaEncoder(zero_net([2, 2])), zero_net([2, 3]))
+        ema_update(zero_net([2, 2]), zero_net([2, 3]), 0.99)
+
+
+@pytest.mark.parametrize("eta", [-0.1, 1.5, float("nan")])
+def test_ema_rejects_eta_outside_the_unit_interval(eta):
+    ema = zero_net([2, 2])
+    with pytest.raises(ConfigError, match=r"eta must lie in \[0, 1\]"):
+        ema_update(ema, zero_net([2, 2]), eta)
+    assert_array_equal(ema.theta, 0.0)
 
 
 # --- checkpoint --------------------------------------------------------------

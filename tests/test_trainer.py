@@ -92,8 +92,7 @@ def test_train_report_equals_evaluate_on_val_split(method, normalize):
     # simple and at the EER threshold for the baselines
     cfg = quick_cfg(method=method, normalize_features=normalize)
     log = train(cfg, small_ds())
-    vf = cfg.val_fraction
-    _, val, _ = split(small_ds(), (1.0 - vf, vf, 0.0), seed=cfg.seed)
+    _, val = split(small_ds(), cfg.val_fraction, seed=cfg.seed)
     sim = SimilarityKind(b_theta=log.b_theta)
     rep = evaluate(encode(log.encoder, val.inputs, normalize), val.labels, sim,
                    cfg.eval_num_pos, cfg.eval_num_neg, cfg.seed, cfg.far_targets,
