@@ -21,9 +21,10 @@ calibrated so raw-input verification sits around 15-25% EER while the
 in-span margin stays positive: easy enough that training can drive the
 error to zero, hard enough that training matters.
 
-A `Dataset`'s class count K is the largest id + 1, read from its labels.
-`split` cuts each class into (train, val) rows, so a small class may give
-val no rows.
+Class ids are any integers >= 0; only their order matters, so gapped or
+sparse ids ({0, 10**15}) size nothing.  A `Dataset`'s class count K is the
+number of distinct ids in its labels.  `split` cuts each class into (train,
+val) rows, so a small class may give val no rows.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 import io
 import warnings
 from dataclasses import dataclass
-from itertools import chain, islice
 
 import numpy as np
 
@@ -39,13 +39,13 @@ from .errors import ConfigError, DegenerateInputError, ParseError, ShapeError
 from .numkit import Rng, as_matrix, class_ids
 
 FAMILIES = ("gaussian_blobs", "concentric_rings", "hypercube_corners")
-_GAPS_SHOWN = 5  # missing class ids a label-gap error names
 
 
 @dataclass
 class Dataset:
     """Rows of float64 inputs with integer class ids >= 0; the class count K
-    is the largest id + 1 (0 without rows), so a split part's K is its own."""
+    is the number of distinct ids (0 without rows), so a split part's K is
+    its own."""
 
     inputs: np.ndarray
     labels: np.ndarray
@@ -62,7 +62,7 @@ class Dataset:
 
     @property
     def num_classes(self) -> int:
-        return int(self.labels.max()) + 1 if self.labels.size else 0
+        return np.unique(self.labels).size
 
     def __len__(self):
         return self.labels.size
@@ -70,31 +70,6 @@ class Dataset:
     @property
     def input_dim(self) -> int:
         return self.inputs.shape[1]
-
-    def require_pairable(self):
-        """Every class needs >= 2 rows for same-class pairs to exist.
-
-        Counts come from the ids present, so a sparse id allocates nothing
-        by its size; a gap names at most the first few missing ids.
-        """
-        if len(self) == 0:
-            raise DegenerateInputError("dataset has no rows")
-        present, counts = np.unique(self.labels, return_counts=True)
-        missing = self.num_classes - present.size
-        if missing:
-            edges = np.concatenate(([-1], present, [self.num_classes])).tolist()
-            runs = (range(lo + 1, hi) for lo, hi in zip(edges, edges[1:]))
-            shown = list(islice(chain.from_iterable(runs), _GAPS_SHOWN))
-            more = f" and {missing - len(shown)} more" if missing > len(shown) else ""
-            raise DegenerateInputError(
-                f"class ids {shown}{more} do not appear in the labels; "
-                f"labels must run 0..K-1 without gaps (here K = {self.num_classes})"
-            )
-        thin = np.flatnonzero(counts < 2)
-        if thin.size:
-            raise DegenerateInputError(
-                f"classes {thin.tolist()} have fewer than 2 samples"
-            )
 
 
 @dataclass(frozen=True)
@@ -221,7 +196,8 @@ def generate(spec: GenSpec) -> Dataset:
 def split(ds: Dataset, val_fraction: float, seed: int):
     """Stratified (train, val) split, reproducible under seed.
 
-    Each class's rows are permuted from its own stream of the seed and the
+    Each class's rows are permuted from the seed's stream for the class's
+    rank among the ids present (so only the ids' order matters), and the
     first rint((1 - val_fraction) * rows) go to train, the rest to val, so a
     small class may give val no rows.  val_fraction must lie in (0, 1) and
     every class needs at least 2 rows.  Row order inside each part follows
@@ -230,8 +206,7 @@ def split(ds: Dataset, val_fraction: float, seed: int):
     v = float(val_fraction)
     if not 0.0 < v < 1.0:  # NaN fails this too
         raise ConfigError(f"val_fraction must lie in (0, 1), got {v}")
-    # work over the ids present, never range(num_classes): a sparse id
-    # allocates nothing by its size
+    # work over the ids present: a sparse id allocates nothing by its size
     present, counts = np.unique(ds.labels, return_counts=True)
     thin = present[counts < 2]
     if thin.size:
@@ -243,7 +218,7 @@ def split(ds: Dataset, val_fraction: float, seed: int):
     to_train = np.zeros(len(ds), dtype=bool)
     # each class's rows in ascending order, classes by ascending id
     by_class = np.split(np.argsort(ds.labels, kind="stable"), np.cumsum(counts)[:-1])
-    for k, idx in zip(present.tolist(), by_class):
+    for k, idx in enumerate(by_class):
         perm = idx[rng.stream(("class", k)).permutation(idx.size)]
         to_train[perm[: int(np.rint((1.0 - v) * idx.size))]] = True
     return tuple(Dataset(ds.inputs[rows], ds.labels[rows]) for rows in (to_train, ~to_train))

@@ -256,11 +256,15 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
     The dataset is split (1 - val_fraction, val_fraction) with the run seed;
     validation pairs are drawn with the run seed, so every evaluation epoch
     scores the same pairs with the current encoder and the metric series is
-    comparable across epochs.  Mini-batches are drawn without replacement
-    within each epoch and partial trailing batches are dropped.
+    comparable across epochs.  Class ids may be gapped or sparse: training
+    sees each id's rank among the ids of `ds`, so the run depends on them
+    only through their order and a proxy bank has one row per class.
+    Mini-batches are drawn without replacement within each epoch and partial
+    trailing batches are dropped.
     """
-    ds.require_pairable()
     train_ds, val_ds = split(ds, cfg.val_fraction, seed=cfg.seed)
+    classes = np.unique(ds.labels)
+    train_ds.labels = np.searchsorted(classes, train_ds.labels)
     m = cfg.batch_size
     n_train = int(train_ds.labels.size)
     if n_train < m:
@@ -306,7 +310,7 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
     else:
         bank = init_proxy_bank(
             rng.stream("proxies"),
-            ds.num_classes,
+            classes.size,
             cfg.feature_dim,
             normalize_proxies=cfg.normalize_proxies,
             b_theta=sim_now.b_theta if cfg.method == "proxy_gip_ce" else 0.0,

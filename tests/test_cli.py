@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from pairsim.cli import main
+from pairsim.data import load_csv, save_csv, split
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -263,7 +264,7 @@ def test_train_on_one_class_names_the_validation_split(tmp_path, capsys):
     assert sorted(os.listdir(out)) == ["manifest.json"]
 
 
-def test_label_gaps_fail_train_but_not_eval(tmp_path, capsys):
+def test_gapped_labels_train_and_eval(tmp_path):
     cfg = write_quick(tmp_path)
     run = tmp_path / "run"
     assert main(["gen-data", "--config", cfg, "--out", str(run)]) == 0
@@ -273,29 +274,38 @@ def test_label_gaps_fail_train_but_not_eval(tmp_path, capsys):
     gapped = tmp_path / "gapped.csv"
     kept = [line for line in lines[1:] if not line.startswith("1,")]
     gapped.write_text("\n".join([lines[0], *kept]) + "\n")
-    capsys.readouterr()
     train_cfg = write_quick(tmp_path, f"data.csv = {gapped}\n")
-    assert main(["train", "--config", train_cfg, "--out", str(tmp_path / "t")]) == 2
-    err = capsys.readouterr().err
-    assert "class ids [1] do not appear" in err and "without gaps" in err
-    # eval never needs every class, so it keeps accepting gapped labels
+    assert main(["train", "--config", train_cfg, "--out", str(tmp_path / "t")]) == 0
     evalcfg = tmp_path / "eval.cfg"
     evalcfg.write_text(QUICK + f"data.csv = {gapped}\neval.checkpoint = {run / 'checkpoint.bin'}\n")
     assert main(["eval", "--config", str(evalcfg), "--out", str(tmp_path / "e")]) == 0
 
 
-def test_train_names_sparse_id_gaps_without_sizing_by_the_largest_id(tmp_path, capsys):
-    # ids {0, 10**15}: the gap error names the first missing ids and counts
-    # the rest, and nothing is allocated by the largest id
-    sparse = tmp_path / "sparse.csv"
-    rows = [f"{y},{k}.0,{-k}.5" for y in (0, 10**15) for k in range(6)]
-    sparse.write_text("\n".join(["label,f0,f1", *rows]) + "\n")
-    cfg = write_quick(tmp_path, f"data.csv = {sparse}\n")
-    capsys.readouterr()
-    assert main(["train", "--config", cfg, "--out", str(tmp_path / "t")]) == 2
-    err = capsys.readouterr().err
-    assert "class ids [1, 2, 3, 4, 5] and 999999999999994 more do not appear" in err
-    assert "without gaps" in err and "allocate" not in err
+def write_sparse_twin(dense_csv, path):
+    """``dense_csv`` with each class id y written as (y + 1) * 10**15."""
+    lines = Path(dense_csv).read_text().splitlines()
+    rows = [f"{(int(y) + 1) * 10**15},{rest}" for y, rest in (r.split(",", 1) for r in lines[1:])]
+    path.write_text("\n".join([lines[0], *rows]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("method", ["simple", "proxy_gip_ce"])
+def test_train_with_sparse_class_ids_matches_dense_ids(tmp_path, method):
+    # ids (k + 1) * 10**15 in place of k: train sees only the ids' ranks, so
+    # the proxy bank has one row per class and every artifact keeps its bytes
+    cfg = write_quick(tmp_path, f"train.method = {method}\n")
+    data = tmp_path / "data"
+    assert main(["gen-data", "--config", cfg, "--out", str(data)]) == 0
+    sparse = write_sparse_twin(data / "dataset.csv", tmp_path / "sparse.csv")
+    artifacts = []
+    for name, csv in (("dense", data / "dataset.csv"), ("sparse", sparse)):
+        run = tmp_path / name
+        train_cfg = write_quick(tmp_path, f"train.method = {method}\ndata.csv = {csv}\n")
+        assert main(["train", "--config", train_cfg, "--out", str(run)]) == 0
+        names = sorted(set(os.listdir(run)) - {"manifest.json"})
+        artifacts.append({f: (run / f).read_bytes() for f in names})
+    assert sorted(artifacts[0]) == ["checkpoint.bin", "report.json", "runlog.jsonl", "summary.json"]
+    assert artifacts[0] == artifacts[1]
 
 
 def test_eval_with_sparse_class_ids_matches_dense_ids(tmp_path):
@@ -305,10 +315,7 @@ def test_eval_with_sparse_class_ids_matches_dense_ids(tmp_path):
     run = tmp_path / "run"
     assert main(["gen-data", "--config", cfg, "--out", str(run)]) == 0
     assert main(["train", "--config", cfg, "--out", str(run)]) == 0
-    lines = (run / "dataset.csv").read_text().splitlines()
-    sparse = tmp_path / "sparse.csv"
-    rows = [f"{(int(y) + 1) * 10**15},{rest}" for y, rest in (r.split(",", 1) for r in lines[1:])]
-    sparse.write_text("\n".join([lines[0], *rows]) + "\n")
+    sparse = write_sparse_twin(run / "dataset.csv", tmp_path / "sparse.csv")
     reports = []
     for name, csv in (("dense", run / "dataset.csv"), ("sparse", sparse)):
         evalcfg = tmp_path / f"{name}.cfg"
@@ -316,6 +323,42 @@ def test_eval_with_sparse_class_ids_matches_dense_ids(tmp_path):
         assert main(["eval", "--config", str(evalcfg), "--out", str(tmp_path / name)]) == 0
         reports.append((tmp_path / name / "report.json").read_bytes())
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize(
+    "extra, sparse",
+    [
+        ("", False),
+        ("train.method = proxy_gip_ce\n", False),
+        ("similarity.kind = cosine\ntrain.normalize_features = true\n", False),
+        ("", True),
+    ],
+    ids=["simple", "proxy_gip_ce", "cosine_normalized", "simple_sparse_ids"],
+)
+def test_eval_of_the_val_split_reproduces_the_train_report(tmp_path, extra, sparse):
+    # train's report is eval's on the val part of the split of its data,
+    # through the files: the checkpoint, a CSV of that part and, for simple,
+    # the learned -b as eval.threshold; the val part keeps the user's ids
+    cfg = write_quick(tmp_path, "seed = 5\n" + extra)
+    data = tmp_path / "data"
+    assert main(["gen-data", "--config", cfg, "--out", str(data)]) == 0
+    csv = data / "dataset.csv"
+    if sparse:
+        csv = write_sparse_twin(csv, tmp_path / "sparse.csv")
+    run = tmp_path / "run"
+    assert main(["train", "--config", write_quick(tmp_path, f"seed = 5\n{extra}data.csv = {csv}\n"),
+                 "--out", str(run)]) == 0
+    val_csv = tmp_path / "val.csv"
+    save_csv(split(load_csv(csv), 0.2, 5)[1], val_csv)
+    summary = json.loads((run / "summary.json").read_text())
+    threshold = "" if "proxy" in extra else f"eval.threshold = {-summary['final_bias']!r}\n"
+    evalcfg = tmp_path / "eval.cfg"
+    evalcfg.write_text(
+        QUICK + f"seed = 5\n{extra}{threshold}data.csv = {val_csv}\n"
+        f"eval.checkpoint = {run / 'checkpoint.bin'}\n"
+    )
+    assert main(["eval", "--config", str(evalcfg), "--out", str(tmp_path / "e")]) == 0
+    assert (tmp_path / "e" / "report.json").read_bytes() == (run / "report.json").read_bytes()
 
 
 def test_eval_label_beyond_int64_exits_2_naming_the_line(tmp_path, capsys):

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pairsim.data import GenSpec, generate, split
+from pairsim.data import Dataset, GenSpec, generate, split
 from pairsim.baselines import init_proxy_bank, norm_blowup_probe
 from pairsim.encoder import SgdConfig, init_encoder, load_encoder
 from pairsim.errors import ConfigError
@@ -313,6 +313,17 @@ def test_config_validation():
         TrainConfig(lr_decay_at=(0.6, 1.5))
     with pytest.raises(ConfigError):
         train(quick_cfg(batch_size=140, queue_capacity=256), small_ds())
+
+
+def test_train_names_thin_classes_by_id_and_an_empty_dataset():
+    # ids {0, 10**15} with one row of 10**15: split's error names the id
+    big = 10**15
+    thin = Dataset(inputs=np.arange(10.0).reshape(5, 2), labels=[0, 0, 0, 0, big])
+    with pytest.raises(ConfigError, match=rf"classes \[{big}\] have fewer rows"):
+        train(quick_cfg(), thin)
+    empty = Dataset(inputs=np.ones((0, 2)), labels=[])
+    with pytest.raises(ConfigError, match="training split has 0 rows"):
+        train(quick_cfg(), empty)
 
 
 def test_lr_schedule_shape():

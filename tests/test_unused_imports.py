@@ -1,5 +1,7 @@
 """Every name a pairsim module, test or demo imports is used in that file,
-and every private name a pairsim module defines is read in the package.
+every private name a pairsim module defines is read in the package, and
+every public name the package exports is read by a pairsim module, a demo
+or a traced perfbench boundary.
 
 No linter ships with the toolchain, so this parses each file with `ast`.
 `__init__.py` is left out of the import check: its imports are the
@@ -46,6 +48,17 @@ def test_every_imported_name_is_used(module):
     assert unused_imports(FILES[module].read_text()) == []
 
 
+def names_read(tree) -> set:
+    """Names a parsed file loads, and attributes it names."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
 def unread_private_names(sources: dict) -> list:
     """Module-level names with one leading underscore, defined in one of
     ``sources`` ({file name: source}) and read in none of them."""
@@ -63,11 +76,7 @@ def unread_private_names(sources: dict) -> list:
             for name in names:
                 if name.startswith("_") and not name.startswith("__"):
                     defined[name] = f"{fname} line {node.lineno}: {name}"
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+        read |= names_read(tree)
     return sorted(where for name, where in defined.items() if name not in read)
 
 
@@ -82,3 +91,42 @@ def test_the_check_sees_an_unread_private_name():
 def test_every_private_name_in_the_package_is_read():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     assert unread_private_names(sources) == []
+
+
+def unread_exports(init_source: str, sources: list, traced: set) -> list:
+    """Names ``init_source`` imports that none of ``sources`` reads and that
+    are not in ``traced``."""
+    read = set(traced)
+    for source in sources:
+        read |= names_read(ast.parse(source))
+    return sorted(
+        f"line {node.lineno}: {name}"
+        for node in ast.walk(ast.parse(init_source))
+        if isinstance(node, ast.ImportFrom)
+        for name in (alias.asname or alias.name for alias in node.names)
+        if name not in read
+    )
+
+
+def traced_attributes(source: str) -> set:
+    """The attribute (second) entry of each row of a `BOUNDARIES` tuple."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["BOUNDARIES"]:
+            return {row.elts[1].value for row in node.value.elts}
+    raise AssertionError("no BOUNDARIES assignment")
+
+
+def test_the_check_sees_an_unread_export():
+    init = "from .a import f, g as h, k\nfrom .b import C, D\n"
+    sources = ["from .a import f\nf()\n", "import b\nb.C\n"]
+    assert unread_exports(init, sources, traced={"k"}) == ["line 1: h", "line 2: D"]
+    tracing = 'BOUNDARIES = (\n    ("pkg.mod", "k", "mod.k", {}),\n)\n'
+    assert traced_attributes(tracing) == {"k"}
+
+
+def test_every_export_is_read_by_the_package_a_demo_or_a_traced_boundary():
+    init = (PACKAGE / "__init__.py").read_text()
+    modules = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    sources = [p.read_text() for p in (*modules, *(ROOT / "demos").glob("*.py"))]
+    traced = traced_attributes((ROOT / "perfbench" / "tracing.py").read_text())
+    assert unread_exports(init, sources, traced) == []
