@@ -51,7 +51,6 @@ from .evaluation import (
     report_to_json,
 )
 from .baselines import (
-    ProxyBank,
     init_proxy_bank,
     softmax_ce,
     proxy_gip_ce,

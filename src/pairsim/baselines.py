@@ -6,54 +6,24 @@ The CE family is the log(1 + sum_{i != y} exp(z_i - z_y)) form.  Plain
 separable data can be driven to zero by inflating ||x|| alone; that
 degenerate route is what `norm_blowup_probe` measures.  ``proxy_gip_ce``
 swaps in z_i = ||w_i|| ||x|| (cos - b_theta), minus a margin inside the
-non-target cosine when margin > 0.
+non-target cosine when margin > 0.  The proxies w_i are the rows of a plain
+(K, d) matrix; b_theta, the margin and the normalization are arguments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ShapeError
 from .losses import PairBatch
-from .numkit import as_matrix, check_finite, class_ids, unit_rows, unit_rows_grad
+from .numkit import check_finite, class_ids, unit_rows, unit_rows_grad
 
 
-@dataclass
-class ProxyBank:
-    """One learnable proxy row per class."""
-
-    proxies: np.ndarray
-    normalize_proxies: bool = False
-    b_theta: float = 0.0
-    margin: float = 0.0
-
-    def __post_init__(self):
-        self.proxies = as_matrix(self.proxies)
-        if self.proxies.shape[0] < 2:
-            raise ConfigError(
-                f"need at least 2 classes, got {self.proxies.shape[0]} proxy rows"
-            )
-        self.b_theta = float(self.b_theta)
-        self.margin = float(self.margin)
-        if not 0 <= self.margin < np.inf:  # NaN fails this too
-            raise ConfigError(f"margin must be >= 0, got {self.margin}")
-
-    @property
-    def num_classes(self) -> int:
-        return self.proxies.shape[0]
-
-    @property
-    def d_feat(self) -> int:
-        return self.proxies.shape[1]
-
-
-def init_proxy_bank(rng, num_classes: int, d_feat: int, **kw) -> ProxyBank:
-    """Gaussian proxies at scale 1/sqrt(d_feat)."""
-    w = rng.normal(size=(num_classes, d_feat)) / np.sqrt(d_feat)
-    return ProxyBank(proxies=w, **kw)
+def init_proxy_bank(rng, num_classes: int, d_feat: int) -> np.ndarray:
+    """The (num_classes, d_feat) proxy matrix, Gaussian at scale 1/sqrt(d_feat)."""
+    return rng.normal(size=(num_classes, d_feat)) / np.sqrt(d_feat)
 
 
 class CeGrads(NamedTuple):
@@ -62,35 +32,40 @@ class CeGrads(NamedTuple):
     d_btheta: float
 
 
-def _check_batch(bank: ProxyBank, features, labels):
+def _check_batch(proxies, features, labels):
+    w = np.asarray(proxies, dtype=np.float64)
+    if w.ndim != 2:
+        raise ShapeError(f"proxies must be a 2-D matrix, got ndim={w.ndim}")
+    if w.shape[0] < 2:
+        raise ConfigError(f"need at least 2 classes, got {w.shape[0]} proxy rows")
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     check_finite(x, "features")
-    if x.ndim != 2 or x.shape[1] != bank.d_feat:
-        raise ShapeError(f"features of shape {x.shape} do not match proxy dim {bank.d_feat}")
+    if x.ndim != 2 or x.shape[1] != w.shape[1]:
+        raise ShapeError(f"features of shape {x.shape} do not match proxy dim {w.shape[1]}")
     y = np.atleast_1d(np.asarray(labels))
     if y.shape != (x.shape[0],):
         raise ShapeError(f"{x.shape[0]} feature rows but labels of shape {y.shape}")
     y = class_ids(y)
-    if np.any((y < 0) | (y >= bank.num_classes)):
-        raise ConfigError(f"labels {y.tolist()} out of range [0, {bank.num_classes})")
-    return x, y
+    if np.any((y < 0) | (y >= w.shape[0])):
+        raise ConfigError(f"labels {y.tolist()} out of range [0, {w.shape[0]})")
+    return w, x, y
 
 
-def softmax_ce(bank: ProxyBank, features, labels):
-    """Mean cross entropy over raw inner-product logits; (loss, CeGrads,
-    predicted classes).
-
-    The bank's b_theta and margin do not apply, so d_btheta is 0.
-    """
-    x, y = _check_batch(bank, features, labels)
-    loss, g, predicted = _gip_ce(bank, x, y, 0.0, 0.0)
+def softmax_ce(proxies, features, labels, normalize_proxies: bool = False):
+    """Mean CE over raw inner-product logits against the (K, d) proxy matrix
+    (unit rows under ``normalize_proxies``); (loss, CeGrads, predicted
+    classes), with d_btheta 0, as no b_theta or margin applies."""
+    w, x, y = _check_batch(proxies, features, labels)
+    loss, g, predicted = _gip_ce(w, normalize_proxies, x, y, 0.0, 0.0)
     return loss, g._replace(d_btheta=0.0), predicted
 
 
-def _gip_ce(bank: ProxyBank, x, y, b_theta: float, margin: float):
+# a NaN or Inf proxy ends in the named error below, with no numpy warnings
+@np.errstate(over="ignore", invalid="ignore")
+def _gip_ce(proxies, normalize_proxies: bool, x, y, b_theta: float, margin: float):
     """Mean CE of a batch over logits ||w|| ||x|| (cos - b_theta [- margin off target]).
 
-    ``x`` is (m, d) and ``y`` (m,); each row's loss is
+    ``proxies`` is (K, d), ``x`` (m, d) and ``y`` (m,); each row's loss is
     log(1 + sum_{c != y} exp(z_c - z_y)), and the gradients are those of the
     mean over the rows.  Returns (loss, CeGrads, predicted), ``predicted``
     being each row's argmax over the margin-free logits
@@ -98,18 +73,18 @@ def _gip_ce(bank: ProxyBank, x, y, b_theta: float, margin: float):
     """
     m = x.shape[0]
     rows = np.arange(m)
-    if bank.normalize_proxies:
-        w_eff, raw_norms = unit_rows(bank.proxies, "proxy")
-        w_norm = np.ones(bank.num_classes)
+    if normalize_proxies:
+        w_eff, raw_norms = unit_rows(proxies, "proxy")
+        w_norm = np.ones(len(proxies))
     else:
-        w_eff = bank.proxies
+        w_eff = proxies
         w_norm = np.linalg.norm(w_eff, axis=1)
     x_norm = np.linalg.norm(x, axis=1)
     if (b_theta != 0.0 or margin != 0.0) and np.any(x_norm == 0.0):
         raise DegenerateInputError(
             "zero feature has no direction for the b_theta/margin term"
         )
-    bias = np.full((m, bank.num_classes), b_theta + margin)
+    bias = np.full((m, len(proxies)), b_theta + margin)
     bias[rows, y] = b_theta
     dots = x @ w_eff.T
     scale = np.outer(x_norm, w_norm)
@@ -132,7 +107,7 @@ def _gip_ce(bank: ProxyBank, x, y, b_theta: float, margin: float):
     d_x = coef @ w_eff - ((coef * bias) @ w_norm * inv_x)[:, None] * x
     # d logit_ic / dw_c = x_i - bias_ic ||x_i|| w_c/||w_c||
     d_weff = coef.T @ x
-    if bank.normalize_proxies:
+    if normalize_proxies:
         # normalized logits do not depend on ||w_c||; the cos term backprops
         # through u = w/||w||
         d_w = unit_rows_grad(w_eff, raw_norms, d_weff)
@@ -140,19 +115,28 @@ def _gip_ce(bank: ProxyBank, x, y, b_theta: float, margin: float):
         inv_w = np.divide(1.0, w_norm, out=np.zeros_like(w_norm), where=w_norm > 0.0)
         d_w = d_weff - ((coef * bias).T @ x_norm * inv_w)[:, None] * w_eff
     d_btheta = -float(x_norm @ coef @ w_norm)
+    # with the features finite, a NaN or Inf proxy makes the loss NaN or, by
+    # its raw norm, d_btheta non-finite, so no scan of the matrix is needed
+    check_finite(loss, "loss")
+    check_finite(d_btheta, "proxy norm term")
     return loss, CeGrads(d_x, d_w, d_btheta), predicted
 
 
-def proxy_gip_ce(bank: ProxyBank, features, labels):
-    """Mean CE over generalized-inner logits, with the bank's b_theta and margin.
+def proxy_gip_ce(proxies, features, labels, b_theta: float, margin: float = 0.0,
+                 normalize_proxies: bool = False):
+    """Mean CE over generalized-inner logits against the (K, d) proxy matrix.
 
     ``features`` is (m, d) (one vector counts as a batch of one) and
-    ``labels`` (m,).  margin = 0 gives the plain generalized-inner CE;
-    b_theta = 0 and margin = 0 reduce to `softmax_ce` exactly.  Returns
-    (loss, CeGrads, predicted classes), as `_gip_ce` does.
+    ``labels`` (m,).  ``margin`` (>= 0 and finite) is subtracted inside each
+    non-target cosine, as in CosFace; ``normalize_proxies`` takes unit proxy
+    rows.  margin = 0 gives the plain generalized-inner CE; b_theta = 0 and
+    margin = 0 reduce to `softmax_ce` exactly.  Returns (loss, CeGrads,
+    predicted classes), as `_gip_ce` does.
     """
-    x, y = _check_batch(bank, features, labels)
-    return _gip_ce(bank, x, y, bank.b_theta, bank.margin)
+    if not 0 <= margin < np.inf:  # NaN fails this too
+        raise ConfigError(f"margin must be >= 0 and finite, got {margin}")
+    w, x, y = _check_batch(proxies, features, labels)
+    return _gip_ce(w, normalize_proxies, x, y, float(b_theta), float(margin))
 
 
 def contrastive_loss(pairs: PairBatch, margin: float):

@@ -157,7 +157,7 @@ def sgd_step(theta: np.ndarray, grad: np.ndarray, cfg: SgdConfig, v: np.ndarray)
     """v <- momentum*v + grad + weight_decay*theta;  theta <- theta - lr*v.
 
     Updates `theta` and the velocity `v` (start it at zeros) in place; any
-    parameter array serves, the encoder's `theta` or the proxy bank.
+    parameter array serves, the encoder's `theta` or the proxy matrix.
     """
     if grad.shape != theta.shape:
         raise ShapeError(f"gradient shape {grad.shape} does not match parameters {theta.shape}")

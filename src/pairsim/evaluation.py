@@ -51,7 +51,7 @@ import json
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ShapeError
-from .numkit import Rng, class_ids
+from .numkit import Rng, check_finite, class_ids
 from .similarity import SimilarityKind, _angular, _fold, score_matrix, score_rows
 
 
@@ -119,9 +119,9 @@ def score_pairs(sim: SimilarityKind, features, pos_pairs, neg_pairs):
 
 def _sweep(pos, neg):
     """(t, frr, far): each distinct score t of either side, ascending, with
-    FRR(t) = frac(pos < t) and FAR(t) = frac(neg >= t); no side may be empty."""
-    pos = np.sort(np.asarray(pos, dtype=np.float64).ravel())
-    neg = np.sort(np.asarray(neg, dtype=np.float64).ravel())
+    FRR(t) = frac(pos < t) and FAR(t) = frac(neg >= t); each side non-empty, finite."""
+    pos = np.sort(check_finite(np.asarray(pos, dtype=np.float64).ravel(), "positive scores"))
+    neg = np.sort(check_finite(np.asarray(neg, dtype=np.float64).ravel(), "negative scores"))
     if pos.size == 0 or neg.size == 0:
         raise DegenerateInputError("need at least one positive and one negative score")
     t = np.unique(np.concatenate([pos, neg]))
@@ -197,7 +197,7 @@ _BLOCK = 128
 
 def _audit_inputs(features, labels):
     """(features, class ids, (same-class, cross-class) pair totals), checked."""
-    features = np.asarray(features, dtype=np.float64)
+    features = check_finite(np.asarray(features, dtype=np.float64), "features")
     labels = class_ids(labels)
     n = labels.size
     if features.ndim != 2 or features.shape[0] != n:
@@ -360,7 +360,7 @@ def desideratum_audit(features, labels, sim: SimilarityKind) -> float:
 def cluster_by_threshold(features, sim: SimilarityKind, threshold: float) -> np.ndarray:
     """Connected components of the strictly-above-threshold score graph."""
     threshold = _check_threshold(threshold)
-    features = np.asarray(features, dtype=np.float64)
+    features = check_finite(np.asarray(features, dtype=np.float64), "features")
     return _upper_walk(features, sim, threshold=threshold)[1]
 
 

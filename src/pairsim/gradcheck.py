@@ -193,24 +193,22 @@ def component_checks(seed: int = 0) -> list:
         ("proxy_gip_ce_raw_proxies", False, 0.3, 0.2),
     ):
         prng = rng.stream(("proxy", name))
-        bank = init_proxy_bank(
-            prng.stream("bank"), 4, 5,
-            normalize_proxies=normalize, b_theta=b_theta, margin=margin,
-        )
+        proxies = init_proxy_bank(prng.stream("bank"), 4, 5)
         feat = prng.normal(size=(3, 5))
         label = np.array([2, 0, 2])
-        ce = softmax_ce if name == "softmax_ce" else proxy_gip_ce
-        _, g, _ = ce(bank, feat, label)
 
-        def f_bank(**kw):
-            return ce(replace(bank, **kw), feat, label)[0]
+        def ce(v=feat, w=proxies, t=b_theta):
+            if name == "softmax_ce":
+                return softmax_ce(w, v, label, normalize)
+            return proxy_gip_ce(w, v, label, t, margin, normalize)
 
+        g = ce()[1]
         checks = [
-            (g.d_feature, lambda v: ce(bank, v, label)[0], feat.copy()),
-            (g.d_proxies, lambda w: f_bank(proxies=w), bank.proxies.copy()),
+            (g.d_feature, lambda v: ce(v=v)[0], feat.copy()),
+            (g.d_proxies, lambda w: ce(w=w)[0], proxies.copy()),
         ]
         if name != "softmax_ce":
-            checks.append((g.d_btheta, lambda t: f_bank(b_theta=t), b_theta))
+            checks.append((g.d_btheta, lambda t: ce(t=t)[0], b_theta))
         out.append((name, _fd_err(1e-3, *checks), 1e-6))
 
     # contrastive hinge away from its kinks

@@ -19,8 +19,9 @@ and backprop it through the batch side of the score matrix:
 * contrastive  -- two-sided score hinge
 * triplet      -- per-anchor (pos, neg) draws from the queue, score hinge
 
-The proxy methods take one batched cross entropy against a learned proxy
-bank (no queue, no EMA):
+The proxy methods take one batched cross entropy against a learned (K, d)
+proxy matrix, one row per class, trained by the same SGD rule as the encoder
+(no queue, no EMA):
 
 * softmax_ce   -- over raw inner products
 * proxy_gip_ce -- over generalized-inner logits
@@ -142,7 +143,7 @@ class TrainConfig:
             )
         if not 0 <= self.proxy_margin < np.inf:
             raise ConfigError(f"proxy_margin must be >= 0, got {self.proxy_margin}")
-        # the proxy bank's logits use b_theta whatever similarity.kind says
+        # the proxy logits use b_theta whatever similarity.kind says
         b_theta = self.loss.similarity.b_theta
         if self.method == "proxy_gip_ce" and not 0.0 <= b_theta < 1.0:
             raise ConfigError(f"proxy_gip_ce needs b_theta in [0, 1), got {b_theta}")
@@ -203,14 +204,15 @@ def _eval_on_pairs(cfg, enc, val_ds, sim, bias) -> dict:
     )
 
 
-def _step_grads(cfg, loss_cfg, enc, x, y, rec, queue=None, bank=None, trng=None):
+def _step_grads(cfg, loss_cfg, enc, x, y, rec, queue=None, proxies=None, trng=None):
     """The gradient half of a step on batch (x, y): encode, normalize, the
     method's loss (pairs against ``queue`` at ``loss_cfg``'s b and
-    similarity, triplets drawn from ``trng``, or the CE against ``bank``) and
-    backprop to the encoder; no update.  Returns (loss, d_theta, d_b,
-    d_btheta, d_proxies, mean raw feature norm, correct predictions), d_b 0.0
-    and d_proxies None where the method has none; writes the pair fields
-    (pos_ratio, triplets) into the step record ``rec``.
+    similarity, triplets drawn from ``trng``, or the CE against the
+    ``proxies`` matrix at ``loss_cfg``'s b_theta and ``cfg``'s proxy margin
+    and normalization) and backprop to the encoder; no update.  Returns
+    (loss, d_theta, d_b, d_btheta, d_proxies, mean raw feature norm, correct
+    predictions), d_b 0.0 and d_proxies None where the method has none;
+    writes the pair fields (pos_ratio, triplets) into the step record ``rec``.
     """
     feats, cache = forward(enc, x)
     # the scored rows' norms serve both score passes (the queue's are stored
@@ -221,8 +223,8 @@ def _step_grads(cfg, loss_cfg, enc, x, y, rec, queue=None, bank=None, trng=None)
         f_norms = np.linalg.norm(feats, axis=1)
     m = feats.shape[0]
     d_b, d_w, correct = 0.0, None, 0
+    sim = loss_cfg.similarity
     if queue is not None:
-        sim = loss_cfg.similarity
         pairs = form_pairs(queue, feats, y, sim, batch_norms=f_norms)
         if cfg.method == "simple":
             loss, d_scores, d_b = batch_loss(loss_cfg, pairs)
@@ -236,8 +238,12 @@ def _step_grads(cfg, loss_cfg, enc, x, y, rec, queue=None, bank=None, trng=None)
         )
         rec["pos_ratio"] = pos_neg_ratio(pairs)
     else:
-        ce = softmax_ce if cfg.method == "softmax_ce" else proxy_gip_ce
-        loss, (d_feats, d_w, d_bt), predicted = ce(bank, feats, y)
+        if cfg.method == "softmax_ce":
+            out = softmax_ce(proxies, feats, y, cfg.normalize_proxies)
+        else:
+            out = proxy_gip_ce(proxies, feats, y, sim.b_theta, cfg.proxy_margin,
+                               cfg.normalize_proxies)
+        loss, (d_feats, d_w, d_bt), predicted = out
         correct = int(np.count_nonzero(predicted == y))
     check_finite(loss, "loss")
     if cfg.normalize_features:
@@ -258,7 +264,7 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
     scores the same pairs with the current encoder and the metric series is
     comparable across epochs.  Class ids may be gapped or sparse: training
     sees each id's rank among the ids of `ds`, so the run depends on them
-    only through their order and a proxy bank has one row per class.
+    only through their order and the proxy matrix has one row per class.
     Mini-batches are drawn without replacement within each epoch and partial
     trailing batches are dropped.
     """
@@ -293,7 +299,7 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
     if intra == 0 or inter == 0:
         raise DegenerateInputError("validation split lacks same-class or cross-class pairs")
 
-    queue = ema = bank = v_proxies = None
+    queue = ema = proxies = v_proxies = None
     if cfg.method in _QUEUE_METHODS:
         queue = FeatureQueue(cfg.queue_capacity, cfg.feature_dim)
         ema = enc.copy()
@@ -308,15 +314,8 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
         for i in range(0, need, m):
             enqueue_ema(warm_rows[i : i + m])
     else:
-        bank = init_proxy_bank(
-            rng.stream("proxies"),
-            classes.size,
-            cfg.feature_dim,
-            normalize_proxies=cfg.normalize_proxies,
-            b_theta=sim_now.b_theta if cfg.method == "proxy_gip_ce" else 0.0,
-            margin=cfg.proxy_margin if cfg.method == "proxy_gip_ce" else 0.0,
-        )
-        v_proxies = np.zeros_like(bank.proxies)
+        proxies = init_proxy_bank(rng.stream("proxies"), classes.size, cfg.feature_dim)
+        v_proxies = np.zeros_like(proxies)
 
     steps, epochs = [], []
     gstep = 0
@@ -331,12 +330,12 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
                 trng = rng.stream(("triplet", gstep)) if cfg.method == "triplet" else None
                 loss, d_theta, d_b, d_bt, d_w, norm, hits = _step_grads(
                     cfg, loss_now, enc, train_ds.inputs[rows], train_ds.labels[rows], rec,
-                    queue, bank, trng,
+                    queue, proxies, trng,
                 )
                 sgd_step(enc.theta, d_theta, sgd_now, v_enc)
-                if bank is not None:
+                if proxies is not None:
                     # proxies follow the same momentum/decay rule as the encoder
-                    sgd_step(bank.proxies, d_w, sgd_now, v_proxies)
+                    sgd_step(proxies, d_w, sgd_now, v_proxies)
                 if cfg.loss.b_learnable:
                     v_b = cfg.sgd.momentum * v_b + d_b
                     loss_now.b -= lr_now * v_b
@@ -344,8 +343,6 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
                     v_bt = cfg.sgd.momentum * v_bt + d_bt
                     # project back onto the range SimilarityKind accepts
                     sim_now.b_theta = min(max(sim_now.b_theta - lr_now * v_bt, 0.0), _BT_MAX)
-                    if bank is not None:
-                        bank.b_theta = sim_now.b_theta
                 if queue is not None:
                     ema_update(ema, enc, cfg.eta)
                     enqueue_ema(rows)
@@ -362,7 +359,7 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
                 "train_loss": float(np.mean(losses)),
                 "mean_feature_norm": float(np.mean(norms)),
             }
-            if bank is not None:
+            if proxies is not None:
                 erec["train_accuracy"] = correct / (m * steps_per_epoch)
             if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
                 erec["eval"] = _eval_on_pairs(cfg, enc, val_ds, sim_now, loss_now.b)

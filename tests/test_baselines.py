@@ -19,14 +19,13 @@ from pairsim import (
     score_matrix_grad_left,
 )
 from pairsim.baselines import (
-    ProxyBank,
     contrastive_loss,
     init_proxy_bank,
     proxy_gip_ce,
     softmax_ce,
     triplet_loss,
 )
-from pairsim.errors import ConfigError, DegenerateInputError
+from pairsim.errors import ConfigError, DegenerateInputError, ShapeError
 from pairsim.gradcheck import max_rel_err, numerical_grad
 
 
@@ -58,28 +57,24 @@ FIX_X = np.array([0.5, -0.25])
 
 def test_ce_uniform_logits_give_log_k():
     for k in (2, 3, 7):
-        bank = ProxyBank(proxies=np.tile([0.4, -0.2, 0.1], (k, 1)))
-        loss, _, _ = softmax_ce(bank, [5.0, 1.0, -2.0], 0)
+        loss, _, _ = softmax_ce(np.tile([0.4, -0.2, 0.1], (k, 1)), [5.0, 1.0, -2.0], 0)
         assert_allclose(loss, math.log(k), rtol=1e-15)
 
 
 def test_ce_two_class_tie_gives_log_two():
-    bank = ProxyBank(proxies=np.array([[1.0, 0.0], [0.0, 1.0]]))
-    loss, _, _ = softmax_ce(bank, [1.0, 1.0], 1)
+    loss, _, _ = softmax_ce(np.eye(2), [1.0, 1.0], 1)
     assert_allclose(loss, math.log(2.0), rtol=1e-15)
 
 
 def test_ce_three_class_fixture_matches_oracle():
-    bank = ProxyBank(proxies=FIX_W)
-    loss, _, _ = softmax_ce(bank, FIX_X, 0)
+    loss, _, _ = softmax_ce(FIX_W, FIX_X, 0)
     assert_allclose(loss, 0.81144889759451366, rtol=1e-15)
     assert_allclose(loss, ce_oracle(FIX_W, FIX_X, 0), rtol=1e-15)
 
 
 def test_ce_stable_for_huge_logits():
-    bank = ProxyBank(proxies=np.array([[1.0, 0.0], [0.0, 1.0]]))
     x = np.array([0.0, 1e4])
-    loss, grads, _ = softmax_ce(bank, x, 0)
+    loss, grads, _ = softmax_ce(np.eye(2), x, 0)
     assert np.isfinite(loss)
     assert_allclose(loss, 1e4, rtol=1e-12)  # dominated by the one huge diff
     assert np.isfinite(grads.d_feature).all()
@@ -92,36 +87,63 @@ def test_ce_gradients_match_finite_differences():
         W = rng.normal(size=(4, 3))
         x = rng.normal(size=3)
         y = int(rng.integers(0, 4))
-        bank = ProxyBank(proxies=W.copy())
-        _, grads, _ = softmax_ce(bank, x, y)
-        num_x = numerical_grad(lambda v: softmax_ce(bank, v, y)[0], x.copy())
+        _, grads, _ = softmax_ce(W, x, y)
+        num_x = numerical_grad(lambda v: softmax_ce(W, v, y)[0], x.copy())
         assert max_rel_err(grads.d_feature, num_x) < 1e-5
-        num_w = numerical_grad(
-            lambda M: softmax_ce(ProxyBank(proxies=M.copy()), x, y)[0], W.copy()
-        )
+        num_w = numerical_grad(lambda M: softmax_ce(M, x, y)[0], W.copy())
         assert max_rel_err(grads.d_proxies, num_w) < 1e-5
 
 
 def test_ce_validates_label_and_shape():
-    bank = ProxyBank(proxies=np.eye(3))
+    W = np.eye(3)
     with pytest.raises(ConfigError):
-        softmax_ce(bank, np.ones(3), 3)
+        softmax_ce(W, np.ones(3), 3)
     with pytest.raises(ValueError):
-        softmax_ce(bank, np.ones(2), 0)
-    with pytest.raises(ConfigError):
-        ProxyBank(proxies=np.ones((1, 2)))
+        softmax_ce(W, np.ones(2), 0)
     with pytest.raises(ConfigError, match=r"got 1.5"):
-        softmax_ce(bank, np.ones((2, 3)), [0, 1.5])
+        softmax_ce(W, np.ones((2, 3)), [0, 1.5])
     with pytest.raises(ConfigError, match=r"got 0.5"):
-        proxy_gip_ce(bank, np.ones((2, 3)), [0.5, 1])
+        proxy_gip_ce(W, np.ones((2, 3)), [0.5, 1], 0.3)
+
+
+@pytest.mark.parametrize("ce", [
+    lambda W, x, y: softmax_ce(W, x, y),
+    lambda W, x, y: proxy_gip_ce(W, x, y, 0.3, 0.2),
+], ids=["softmax_ce", "proxy_gip_ce"])
+@pytest.mark.parametrize("proxies, error, message", [
+    (np.ones((1, 2)), ConfigError, r"need at least 2 classes, got 1 proxy rows"),
+    (np.ones((0, 2)), ConfigError, r"need at least 2 classes, got 0 proxy rows"),
+    (np.ones(2), ShapeError, r"proxies must be a 2-D matrix, got ndim=1"),
+    (np.ones((2, 2, 2)), ShapeError, r"proxies must be a 2-D matrix, got ndim=3"),
+], ids=["one_row", "no_rows", "vector", "3d"])
+def test_ce_rejects_bad_proxy_matrix(ce, proxies, error, message):
+    with pytest.raises(error, match=message):
+        ce(proxies, np.ones((1, 2)), [0])
 
 
 @pytest.mark.parametrize("margin", [-0.1, float("nan"), float("inf")])
-def test_proxy_bank_rejects_bad_margin(margin):
+def test_proxy_gip_ce_rejects_bad_margin(margin):
     # a NaN margin would turn the first batch's proxy CE loss into nan, and
     # an infinite one its proxy gradient
-    with pytest.raises(ConfigError, match=r"margin must be >= 0"):
-        init_proxy_bank(Rng(0), 4, 8, b_theta=0.3, margin=margin)
+    with pytest.raises(ConfigError, match=r"margin must be >= 0 and finite"):
+        proxy_gip_ce(init_proxy_bank(Rng(0), 4, 8), np.ones((2, 8)), [0, 1], 0.3, margin)
+
+
+@pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalize_proxies"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("ce", [
+    lambda W, x, y, n: softmax_ce(W, x, y, n),
+    lambda W, x, y, n: proxy_gip_ce(W, x, y, 0.3, 0.2, n),
+], ids=["softmax_ce", "proxy_gip_ce"])
+def test_ce_rejects_a_non_finite_proxy(ce, bad, normalize):
+    # the proxies are not scanned: a NaN or Inf entry in any row, a target's
+    # or not, shows in the loss or, through that row's norm, in d_btheta
+    x = np.array([[1.0, 1.0, 0.5], [0.5, -1.0, 1.0]])
+    for row in range(3):
+        W = np.eye(3)
+        W[row, 0] = bad
+        with pytest.raises(FloatingPointError, match=r"contains NaN or Inf"):
+            ce(W, x, [0, 2], normalize)
 
 
 @pytest.mark.parametrize("margin", [0.0, -0.1, float("nan"), float("inf")])
@@ -149,23 +171,21 @@ def test_gip_ce_reduces_to_softmax_ce():
         W = rng.normal(size=(5, 4))
         x = rng.normal(size=4)
         y = int(rng.integers(0, 5))
-        plain, pg, _ = softmax_ce(ProxyBank(proxies=W), x, y)
-        gip, gg, _ = proxy_gip_ce(ProxyBank(proxies=W, b_theta=0.0, margin=0.0), x, y)
+        plain, pg, _ = softmax_ce(W, x, y)
+        gip, gg, _ = proxy_gip_ce(W, x, y, 0.0, 0.0)
         assert_allclose(gip, plain, rtol=1e-12)
         assert_allclose(gg.d_feature, pg.d_feature, rtol=1e-12, atol=1e-12)
         assert_allclose(gg.d_proxies, pg.d_proxies, rtol=1e-12, atol=1e-12)
 
 
 def test_gip_ce_fixture_matches_oracle():
-    bank = ProxyBank(proxies=FIX_W, b_theta=0.3)
-    loss, _, _ = proxy_gip_ce(bank, FIX_X, 0)
+    loss, _, _ = proxy_gip_ce(FIX_W, FIX_X, 0, 0.3)
     assert_allclose(loss, 0.78795889791502016, rtol=1e-15)
     assert_allclose(loss, gip_ce_oracle(FIX_W, FIX_X, 0, 0.3, 0.0), rtol=1e-15)
 
 
 def test_gip_ce_margin_fixture_matches_oracle():
-    bank = ProxyBank(proxies=FIX_W, b_theta=0.3, margin=0.2)
-    loss, _, _ = proxy_gip_ce(bank, FIX_X, 0)
+    loss, _, _ = proxy_gip_ce(FIX_W, FIX_X, 0, 0.3, 0.2)
     assert_allclose(loss, 0.71426391628952579, rtol=1e-15)
     assert_allclose(loss, gip_ce_oracle(FIX_W, FIX_X, 0, 0.3, 0.2), rtol=1e-15)
 
@@ -174,8 +194,8 @@ def test_gip_ce_margin_zero_equals_plain_gip():
     rng = np.random.default_rng(2)
     W = rng.normal(size=(4, 3))
     x = rng.normal(size=3)
-    a, _, _ = proxy_gip_ce(ProxyBank(proxies=W, b_theta=0.2, margin=0.0), x, 1)
-    b, _, _ = proxy_gip_ce(ProxyBank(proxies=W, b_theta=0.2), x, 1)
+    a, _, _ = proxy_gip_ce(W, x, 1, 0.2, 0.0)
+    b, _, _ = proxy_gip_ce(W, x, 1, 0.2)
     assert a == b
 
 
@@ -186,24 +206,16 @@ def test_gip_ce_gradients_match_finite_differences():
             W = rng.normal(size=(4, 3))
             x = rng.normal(size=3) + 0.1
             y = 2
-            bank = ProxyBank(
-                proxies=W.copy(), b_theta=0.3, margin=margin,
-                normalize_proxies=normalize,
-            )
-            _, grads, _ = proxy_gip_ce(bank, x, y)
+            _, grads, _ = proxy_gip_ce(W, x, y, 0.3, margin, normalize)
 
             def loss_of_x(v):
-                return proxy_gip_ce(bank, v, y)[0]
+                return proxy_gip_ce(W, v, y, 0.3, margin, normalize)[0]
 
             def loss_of_w(M):
-                b2 = ProxyBank(proxies=M.copy(), b_theta=0.3, margin=margin,
-                               normalize_proxies=normalize)
-                return proxy_gip_ce(b2, x, y)[0]
+                return proxy_gip_ce(M, x, y, 0.3, margin, normalize)[0]
 
             def loss_of_b(t):
-                b2 = ProxyBank(proxies=W.copy(), b_theta=t, margin=margin,
-                               normalize_proxies=normalize)
-                return proxy_gip_ce(b2, x, y)[0]
+                return proxy_gip_ce(W, x, y, t, margin, normalize)[0]
 
             assert max_rel_err(grads.d_feature, numerical_grad(loss_of_x, x.copy())) < 1e-5
             assert max_rel_err(grads.d_proxies, numerical_grad(loss_of_w, W.copy())) < 1e-5
@@ -215,30 +227,34 @@ def test_gip_ce_normalized_is_scale_invariant_in_proxies():
     rng = np.random.default_rng(4)
     W = rng.normal(size=(3, 4))
     x = rng.normal(size=4)
-    a, _, _ = proxy_gip_ce(ProxyBank(proxies=W, b_theta=0.2, normalize_proxies=True), x, 0)
+    a, _, _ = proxy_gip_ce(W, x, 0, 0.2, normalize_proxies=True)
     W2 = W * np.array([[7.0], [0.5], [3.0]])
-    b, _, _ = proxy_gip_ce(ProxyBank(proxies=W2, b_theta=0.2, normalize_proxies=True), x, 0)
+    b, _, _ = proxy_gip_ce(W2, x, 0, 0.2, normalize_proxies=True)
     assert_allclose(a, b, rtol=1e-12)
 
 
 def test_gip_ce_zero_feature_needs_zero_bias():
-    bank = ProxyBank(proxies=np.eye(2), b_theta=0.3)
     with pytest.raises(DegenerateInputError):
-        proxy_gip_ce(bank, [0.0, 0.0], 0)
+        proxy_gip_ce(np.eye(2), [0.0, 0.0], 0, 0.3)
 
 
 def test_ce_batch_equals_mean_of_one_row_calls():
     rng = np.random.default_rng(7)
     m = 5
-    for ce in (softmax_ce, proxy_gip_ce):
+    for gip in (False, True):
         for normalize in (False, True):
             for margin in (0.0, 0.2):
-                bank = ProxyBank(proxies=rng.normal(size=(4, 3)), b_theta=0.3,
-                                 margin=margin, normalize_proxies=normalize)
+                W = rng.normal(size=(4, 3))
+
+                def ce(x, y):
+                    if gip:
+                        return proxy_gip_ce(W, x, y, 0.3, margin, normalize)
+                    return softmax_ce(W, x, y, normalize)
+
                 x = rng.normal(size=(m, 3))
                 y = rng.integers(0, 4, size=m)
-                loss, g, _ = ce(bank, x, y)
-                rows = [ce(bank, x[i : i + 1], y[i : i + 1]) for i in range(m)]
+                loss, g, _ = ce(x, y)
+                rows = [ce(x[i : i + 1], y[i : i + 1]) for i in range(m)]
                 assert_allclose(loss, np.mean([r[0] for r in rows]), rtol=1e-12)
                 assert_allclose(g.d_feature, np.vstack([r[1].d_feature for r in rows]) / m,
                                 rtol=1e-12, atol=1e-15)
@@ -246,7 +262,7 @@ def test_ce_batch_equals_mean_of_one_row_calls():
                                 rtol=1e-12, atol=1e-15)
                 assert_allclose(g.d_btheta, np.mean([r[1].d_btheta for r in rows]),
                                 rtol=1e-12, atol=1e-15)
-                if ce is softmax_ce:
+                if not gip:
                     assert g.d_btheta == 0.0
 
 
@@ -264,17 +280,17 @@ def test_ce_predictions_are_the_margin_free_argmax(normalize):
         sim = SimilarityKind(b_theta=b_theta)
         want = np.array([np.argmax([score(sim, xi, w) for w in w_eff]) for xi in x])
         y = (want + 1) % W.shape[0]
-        bank = ProxyBank(proxies=W, b_theta=0.3, margin=0.9, normalize_proxies=normalize)
-        _, _, predicted = ce(bank, x, y)
+        if ce is softmax_ce:
+            _, _, predicted = softmax_ce(W, x, y, normalize)
+        else:
+            _, _, predicted = proxy_gip_ce(W, x, y, 0.3, 0.9, normalize)
         assert np.array_equal(predicted, want)
 
 
 def test_init_proxy_bank_shapes():
-    from pairsim import Rng
-
-    bank = init_proxy_bank(Rng(0), 5, 8, b_theta=0.1)
-    assert bank.proxies.shape == (5, 8)
-    assert bank.b_theta == 0.1
+    proxies = init_proxy_bank(Rng(0), 5, 8)
+    assert proxies.shape == (5, 8) and proxies.dtype == np.float64
+    assert np.array_equal(proxies, Rng(0).normal(size=(5, 8)) / np.sqrt(8))
 
 
 # ----- contrastive -------------------------------------------------------

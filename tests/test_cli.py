@@ -292,7 +292,7 @@ def write_sparse_twin(dense_csv, path):
 @pytest.mark.parametrize("method", ["simple", "proxy_gip_ce"])
 def test_train_with_sparse_class_ids_matches_dense_ids(tmp_path, method):
     # ids (k + 1) * 10**15 in place of k: train sees only the ids' ranks, so
-    # the proxy bank has one row per class and every artifact keeps its bytes
+    # the proxy matrix has one row per class and every artifact keeps its bytes
     cfg = write_quick(tmp_path, f"train.method = {method}\n")
     data = tmp_path / "data"
     assert main(["gen-data", "--config", cfg, "--out", str(data)]) == 0
@@ -504,6 +504,31 @@ def test_grad_check_prints_components(tmp_path, capsys):
     assert "composition_generalized_inner: max rel err" in stdout
     assert "PASS" in stdout
     assert (out / "gradcheck.txt").read_text().count("max rel err") >= 19
+
+
+def test_grad_check_holds_each_row_to_its_own_tolerance(tmp_path, capsys, monkeypatch):
+    # 5e-5 is under the loosest tolerance (1e-4), so a single gate would
+    # pass score_cosine; its own tolerance is 1e-6
+    import pairsim.cli
+
+    rows = [("score_inner", 8e-11, 1e-6), ("score_cosine", 5e-5, 1e-6),
+            ("composition_inner", 5e-5, 1e-4), ("triplet_loss", float("nan"), 1e-6)]
+    monkeypatch.setattr(pairsim.cli, "component_checks", lambda seed: rows)
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("")
+    out = tmp_path / "gc"
+    assert main(["grad-check", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    lines = (out / "gradcheck.txt").read_text().splitlines()
+    assert captured.out.splitlines() == lines
+    assert lines == [
+        "score_inner: max rel err 8.000e-11 (tol 1e-06)",
+        "score_cosine: max rel err 5.000e-05 (tol 1e-06)",
+        "composition_inner: max rel err 5.000e-05 (tol 0.0001)",
+        "triplet_loss: max rel err nan (tol 1e-06)",
+        "FAIL: over tolerance: score_cosine, triplet_loss",
+    ]
+    assert captured.err == "pairsim: error: gradient check failed: score_cosine, triplet_loss\n"
 
 
 def test_plot_roc_from_eval_reports(tmp_path, capsys):

@@ -947,3 +947,29 @@ def test_public_eval_functions_accept_sparse_class_ids():
         for got, want in zip(sample_pair_indices(sparse, num_pos, num_neg, 3),
                              sample_pair_indices(dense, num_pos, num_neg, 3)):
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", ["evaluate", "audit", "cluster", "eer_pos", "eer_neg",
+                                   "tpr_at_far", "roc_points"])
+def test_public_eval_functions_reject_non_finite_input(entry, bad):
+    # one NaN feature used to give eer 0.5, a NaN margin (written as a bare
+    # NaN, not JSON) and a clustering; a NaN score used to sort as the top one
+    rng = np.random.default_rng(0)
+    feats = rng.normal(size=(40, 3))
+    feats[7, 1] = bad
+    labels = np.arange(40) % 4
+    scores = [0.1, bad, 0.3]
+    sim = SimilarityKind()
+    calls = {
+        "evaluate": lambda: evaluate(feats, labels, sim, num_pos=20, num_neg=20),
+        "audit": lambda: desideratum_audit(feats, labels, sim),
+        "cluster": lambda: cluster_by_threshold(feats, sim, 0.5),
+        "eer_pos": lambda: compute_eer(scores, [0.0]),
+        "eer_neg": lambda: compute_eer([0.5], scores),
+        "tpr_at_far": lambda: tpr_at_far(scores, [0.0, 0.2], (0.5,)),
+        "roc_points": lambda: roc_points([0.5], scores),
+    }
+    what = "features" if entry in ("evaluate", "audit", "cluster") else "(positive|negative) scores"
+    with pytest.raises(FloatingPointError, match=rf"^{what} contains NaN or Inf$"):
+        calls[entry]()

@@ -1,7 +1,6 @@
 import functools
 import json
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -103,21 +102,19 @@ def test_train_report_equals_evaluate_on_val_split(method, normalize):
 def _step_fixture(method, normalize):
     """A step on a 4 -> 5 -> 3 tanh net and a 3-row batch: against a full
     6-entry queue that gives every row a positive and a negative, or a
-    3-class proxy bank.  The hinge methods take the first draw whose hinges
+    3-class proxy matrix (with a proxy margin of 0.2 for proxy_gip_ce).  The hinge methods take the first draw whose hinges
     all sit at least 0.05 from their kinks, over every (positive, negative)
     choice a triplet draw could make."""
     y = np.array([0, 1, 2])
     cfg = TrainConfig(method=method, normalize_features=normalize,
-                      contrastive_margin=0.5, triplet_margin=0.5)
+                      contrastive_margin=0.5, triplet_margin=0.5,
+                      proxy_margin=0.2 if method == "proxy_gip_ce" else 0.0)
     for attempt in range(32):
         rng = Rng(7).stream((method, normalize, attempt))
         enc = init_encoder([4, 5, 3], rng.stream("init"), "tanh")
         x = rng.normal(size=(3, 4))
         if method in ("softmax_ce", "proxy_gip_ce"):
-            gip = method == "proxy_gip_ce"
-            bank = init_proxy_bank(rng.stream("bank"), 3, 3, b_theta=0.3 if gip else 0.0,
-                                   margin=0.2 if gip else 0.0)
-            return cfg, enc, x, y, None, bank
+            return cfg, enc, x, y, None, init_proxy_bank(rng.stream("bank"), 3, 3)
         queue = FeatureQueue(6, 3)
         enqueue_batch(queue, encode(enc, rng.normal(size=(6, 4)), normalize), np.tile(y, 2))
         s = form_pairs(queue, encode(enc, x, normalize), y, SimilarityKind()).scores.reshape(3, 6)
@@ -139,15 +136,12 @@ def _step_fixture(method, normalize):
 def test_step_gradients_match_finite_differences(method, normalize):
     # the step `train` runs, end to end: the encoder gradient through the
     # loss, the scores and (with normalize_features) the unit rows, plus b,
-    # b_theta (the similarity's, or the bank's for the proxy methods) and
-    # the proxies; each evaluation re-derives the same triplet draws
-    cfg, enc, x, y, queue, bank = _step_fixture(method, normalize)
+    # b_theta (the similarity's, which the proxy CE reads too) and the
+    # proxies; each evaluation re-derives the same triplet draws
+    cfg, enc, x, y, queue, proxies = _step_fixture(method, normalize)
 
     def step(b=0.1, b_theta=0.3):
         loss = LossConfig(alpha=0.1, b=b, similarity=SimilarityKind(b_theta=b_theta))
-        proxies = bank
-        if method == "proxy_gip_ce":
-            proxies = replace(bank, b_theta=b_theta)  # a view of the same proxies
         trng = Rng(0).stream("draws")
         rec = {}
         out = _step_grads(cfg, loss, enc, x, y, rec, queue, proxies, trng)
@@ -161,10 +155,10 @@ def test_step_gradients_match_finite_differences(method, normalize):
         (d_b, lambda b: step(b=b)[0], 0.1),
         (d_bt, lambda t: step(b_theta=t)[0], 0.3),
     ]
-    if bank is None:
+    if proxies is None:
         assert d_proxies is None
     else:
-        checks.append((d_proxies, lambda _w: step()[0], bank.proxies))
+        checks.append((d_proxies, lambda _w: step()[0], proxies))
     for analytic, f, at in checks:
         assert max_rel_err(analytic, numerical_grad(f, at), floor=1e-3) < 1e-4
 
@@ -253,6 +247,43 @@ def test_learnable_b_theta_stays_in_range():
         log = train(quick_cfg(method=method, loss=loss), small_ds())
         assert 0.0 <= log.b_theta < 1.0, method
         assert log.b_theta != 0.3, method
+
+
+def test_proxy_ce_reads_the_b_theta_of_the_last_update(monkeypatch):
+    # the trainer holds one copy of b_theta: with it learnable, the proxy CE
+    # of step s sees it as the update of step s - 1 left it
+    seen = []
+    real = trainer_module.proxy_gip_ce
+
+    def spy(proxies, features, labels, b_theta, *args):
+        out = real(proxies, features, labels, b_theta, *args)
+        seen.append((b_theta, out[1].d_btheta))
+        return out
+
+    monkeypatch.setattr(trainer_module, "proxy_gip_ce", spy)
+    loss = LossConfig(similarity=SimilarityKind(b_theta_learnable=True))
+    cfg = quick_cfg(method="proxy_gip_ce", loss=loss)
+    log = train(cfg, small_ds())
+    assert len(seen) == len(log.steps)
+    # replay the projected momentum update from the gradients the CE returned
+    b_theta, v = 0.3, 0.0
+    for (got, d_bt), rec in zip(seen, log.steps):
+        assert got == b_theta, rec["step"]
+        v = cfg.sgd.momentum * v + d_bt
+        b_theta = min(max(b_theta - rec["lr"] * v, 0.0), np.nextafter(1.0, 0.0))
+    assert log.b_theta == b_theta
+    assert len({got for got, _ in seen}) == len(seen)  # it moved every step
+
+
+@pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalize_proxies"])
+def test_softmax_ce_run_ignores_b_theta_learnable(tmp_path, normalize):
+    # softmax_ce has no b_theta, so making it learnable changes no byte
+    for learnable in (False, True):
+        loss = LossConfig(similarity=SimilarityKind(b_theta_learnable=learnable))
+        cfg = quick_cfg(method="softmax_ce", loss=loss, normalize_proxies=normalize)
+        save_runlog(train(cfg, small_ds()), tmp_path / str(learnable))
+    for fname in ("runlog.jsonl", "summary.json", "checkpoint.bin"):
+        assert (tmp_path / "False" / fname).read_bytes() == (tmp_path / "True" / fname).read_bytes()
 
 
 def test_divergence_names_step_epoch_and_method():
