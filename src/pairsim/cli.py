@@ -21,7 +21,8 @@ Each run writes ``manifest.json`` with the fully resolved configuration into
 its output directory and writes nothing anywhere else; feeding a manifest
 back as ``--config`` reproduces the run bit for bit.
 
-Exit codes: 0 success, 1 flag/config validation error, 2 runtime failure.
+Exit codes: 0 success, 1 flag/config validation error (before the run
+starts), 2 runtime failure.
 
 Without an explicit grid, ``ablate`` sweeps r in {1, 2, 3} crossed with
 alpha in {2e-4, 5e-4, 1e-3, 2e-3}, and defaults the report columns to
@@ -45,7 +46,6 @@ from .config import (
     manifest_json,
     resolve,
     to_genspec,
-    to_similarity,
     to_train_config,
 )
 from .data import generate, load_csv, save_csv
@@ -71,13 +71,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _u64(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"seed must be an unsigned 64-bit int, got {text}")
-    return value
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pairsim", description="pairwise similarity learning toolkit")
     sub = parser.add_subparsers(dest="command", metavar="{" + ",".join(COMMANDS) + "}")
@@ -86,7 +79,7 @@ def _build_parser() -> _Parser:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="config file (key = value or JSON)")
         cmd.add_argument("--out", required=True, help="output directory")
-        cmd.add_argument("--seed", type=_u64, default=None, help="override the config seed")
+        cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
         if name == "ablate":
             cmd.add_argument("--jobs", type=int, default=1, help="worker processes")
     return parser
@@ -160,17 +153,18 @@ def _cmd_train(conf, out, args):
 
 
 def _cmd_eval(conf, out, args):
+    cfg = to_train_config(conf)
     net = load_encoder(conf["eval.checkpoint"])
     ds = _load_dataset(conf)
-    feats = encode(net, ds.inputs, conf["train.normalize_features"])
+    feats = encode(net, ds.inputs, cfg.normalize_features)
     rep = evaluate(
         feats,
         ds.labels,
-        to_similarity(conf),
-        num_pos=conf["eval.num_pos"],
-        num_neg=conf["eval.num_neg"],
-        seed=conf["seed"],
-        far_targets=tuple(conf["eval.far_targets"]),
+        cfg.loss.similarity,
+        num_pos=cfg.eval_num_pos,
+        num_neg=cfg.eval_num_neg,
+        seed=cfg.seed,
+        far_targets=cfg.far_targets,
         threshold=conf["eval.threshold"],
     )
     _write_report(out, rep)

@@ -202,6 +202,9 @@ def resolve(overrides: dict) -> dict:
     conf.update(overrides)
     if conf["data.seed"] is None:
         conf["data.seed"] = conf["seed"]
+    for key in ("seed", "data.seed"):
+        if not 0 <= conf[key] < 2**64:
+            raise ConfigError(f"{key} must be an unsigned 64-bit int, got {conf[key]}")
     return conf
 
 
@@ -218,10 +221,6 @@ def _build(cls, conf: dict):
 
 def to_genspec(conf: dict) -> GenSpec:
     return _build(GenSpec, conf)
-
-
-def to_similarity(conf: dict) -> SimilarityKind:
-    return _build(SimilarityKind, conf)
 
 
 def to_train_config(conf: dict) -> TrainConfig:

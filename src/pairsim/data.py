@@ -12,9 +12,9 @@ Three controllable families, all scaled so the class-structure radius is
                            margin inside the span, so a learned
                            projection can separate them perfectly.
 * ``concentric_rings``  -- class k on a circle of radius R*(k+1) in the
-                           first two coordinates, noise in all of them.
+                           first two coordinates (input_dim >= 2), noise in all.
 * ``hypercube_corners`` -- class means on distinct corners of a signed
-                           hypercube scaled to norm R.
+                           hypercube scaled to norm R (K <= 2**input_dim).
 
 The default task (16 classes, 200 samples each, 32 dims, unit noise) is
 calibrated so raw-input verification sits around 15-25% EER while the
@@ -74,6 +74,8 @@ class Dataset:
 
 @dataclass(frozen=True)
 class GenSpec:
+    """The settings of `generate`, each family's limits included."""
+
     family: str = "gaussian_blobs"
     num_classes: int = 16
     samples_per_class: int = 200
@@ -92,6 +94,14 @@ class GenSpec:
             )
         if self.input_dim < 1:
             raise ConfigError("input_dim must be >= 1")
+        d = self.input_dim
+        if self.family == "concentric_rings" and d < 2:
+            raise ConfigError("concentric_rings needs input_dim >= 2")
+        if self.family == "hypercube_corners" and d < 63 and self.num_classes > 2**d:
+            raise ConfigError(
+                f"{self.num_classes} classes need {self.num_classes} distinct corners "
+                f"but a {d}-cube has only {2**d}"
+            )
         if not 0 <= self.noise_scale < np.inf:
             raise ConfigError(f"noise_scale must be >= 0 and finite, got {self.noise_scale}")
 
@@ -132,11 +142,6 @@ def _span_projector(means: np.ndarray) -> np.ndarray:
 
 def _corner_means(rng: Rng, spec: GenSpec) -> np.ndarray:
     d = spec.input_dim
-    if d < 63 and spec.num_classes > 2**d:
-        raise ConfigError(
-            f"{spec.num_classes} classes need {spec.num_classes} distinct corners "
-            f"but a {d}-cube has only {2**d}"
-        )
     scale = 4.0 * spec.noise_scale / np.sqrt(d)
     seen = set()
     means = np.empty((spec.num_classes, d))
@@ -159,9 +164,6 @@ def generate(spec: GenSpec) -> Dataset:
     n_per, d = spec.samples_per_class, spec.input_dim
     rows = np.empty((spec.num_classes * n_per, d))
     labels = np.repeat(np.arange(spec.num_classes, dtype=np.int64), n_per)
-
-    if spec.family == "concentric_rings" and d < 2:
-        raise ConfigError("concentric_rings needs input_dim >= 2")
 
     if spec.family == "gaussian_blobs":
         means = _blob_means(rng, spec)

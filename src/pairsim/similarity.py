@@ -41,9 +41,10 @@ class SimilarityKind:
     """Which score function to use, with its angular-bias setting.
 
     ``b_theta`` shifts the cosine term inside the generalized inner product
-    and must stay in [0, 1) so positive similarities remain reachable; it is
-    ignored by the other kinds. When ``b_theta_learnable`` the trainer treats
-    it as a parameter (updated from pair gradients, frozen at eval time).
+    and must stay in [0, 1) so positive similarities remain reachable; the
+    other kinds ignore it but hold it to the same range. When
+    ``b_theta_learnable`` the trainer treats it as a parameter (updated from
+    pair gradients, frozen at eval time).
     """
 
     kind: str = "generalized_inner"
@@ -53,7 +54,7 @@ class SimilarityKind:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown similarity kind {self.kind!r}")
-        if self.kind == "generalized_inner" and not (0.0 <= self.b_theta < 1.0):
+        if not 0.0 <= self.b_theta < 1.0:  # NaN fails this too
             raise ConfigError(f"b_theta must lie in [0, 1), got {self.b_theta}")
 
 

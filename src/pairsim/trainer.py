@@ -112,7 +112,7 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.queue_capacity < 1:
             raise ConfigError(f"queue_capacity must be >= 1, got {self.queue_capacity}")
-        if self.batch_size > self.queue_capacity:
+        if self.method in _QUEUE_METHODS and self.batch_size > self.queue_capacity:
             raise ConfigError(
                 f"batch_size {self.batch_size} exceeds queue_capacity {self.queue_capacity}"
             )
@@ -143,10 +143,6 @@ class TrainConfig:
             )
         if not 0 <= self.proxy_margin < np.inf:
             raise ConfigError(f"proxy_margin must be >= 0, got {self.proxy_margin}")
-        # the proxy logits use b_theta whatever similarity.kind says
-        b_theta = self.loss.similarity.b_theta
-        if self.method == "proxy_gip_ce" and not 0.0 <= b_theta < 1.0:
-            raise ConfigError(f"proxy_gip_ce needs b_theta in [0, 1), got {b_theta}")
 
 
 @dataclass
@@ -339,9 +335,9 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
                 if cfg.loss.b_learnable:
                     v_b = cfg.sgd.momentum * v_b + d_b
                     loss_now.b -= lr_now * v_b
-                if sim_now.b_theta_learnable and cfg.method != "softmax_ce":
+                if sim_now.b_theta_learnable:
                     v_bt = cfg.sgd.momentum * v_bt + d_bt
-                    # project back onto the range SimilarityKind accepts
+                    # project back onto [0, 1); a zero d_bt leaves b_theta's bits as they are
                     sim_now.b_theta = min(max(sim_now.b_theta - lr_now * v_bt, 0.0), _BT_MAX)
                 if queue is not None:
                     ema_update(ema, enc, cfg.eta)

@@ -74,7 +74,7 @@ def test_invalid_config_key_is_validation_error(tmp_path, capsys):
 
 def test_proxy_b_theta_out_of_range_is_validation_error(tmp_path, capsys):
     # proxy_gip_ce uses b_theta in its logits even when the similarity kind
-    # ignores it, so [0, 1) is checked before the run starts
+    # ignores it; every kind holds it to [0, 1) before the run starts
     cfg = write_quick(
         tmp_path,
         "train.method = proxy_gip_ce\nsimilarity.kind = cosine\nsimilarity.b_theta = 1.5\n",
@@ -216,16 +216,25 @@ def test_bad_eval_settings_are_validation_errors(tmp_path, capsys, setting, word
         ("data.num_classes = 0", "num_classes must be >= 1"),
         ("data.family = spiral", "unknown family 'spiral'"),
         ("data.samples_per_class = 1", "samples_per_class must be >= 2, got 1"),
+        ("data.family = concentric_rings\ndata.input_dim = 1",
+         "concentric_rings needs input_dim >= 2"),
+        ("data.family = hypercube_corners\ndata.num_classes = 5\ndata.input_dim = 2",
+         "5 classes need 5 distinct corners but a 2-cube has only 4"),
+        # the score ignores b_theta, but every kind holds it to [0, 1)
+        ("similarity.kind = cosine\nsimilarity.b_theta = 1.5",
+         "b_theta must lie in [0, 1), got 1.5"),
     ],
 )
 def test_bad_train_settings_are_validation_errors(tmp_path, capsys, setting, words):
-    # each of these used to fail only once the run had started (exit 2);
-    # eval and ablate check the same settings before they start
-    key = setting.split(" = ")[0]
-    base = [line for line in QUICK.splitlines() if not line.startswith(key + " = ")]
+    # each of these used to fail only once the run had started (exit 2), or
+    # not at all; eval and ablate check the same settings before they start,
+    # and gen-data checks the data.* ones
+    keys = {line.split(" = ")[0] for line in setting.splitlines()}
+    base = [line for line in QUICK.splitlines() if line.split(" = ")[0] not in keys]
     cfg = tmp_path / "train.cfg"
     cfg.write_text("\n".join([*base, setting, f"eval.checkpoint = {tmp_path / 'ckpt.bin'}\n"]))
-    for command in ("train", "eval", "ablate"):
+    commands = ("train", "eval", "ablate")
+    for command in ("gen-data", *commands) if setting.startswith("data.") else commands:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert words in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -241,6 +250,14 @@ def test_bad_train_settings_are_validation_errors(tmp_path, capsys, setting, wor
         ("ablate", QUICK, ["--jobs", "0"], "--jobs must be >= 1"),
         ("train", QUICK, ["--seed", "-1"], "seed must be an unsigned 64-bit int, got -1"),
         ("train", QUICK, ["--seed", str(2**64)], f"unsigned 64-bit int, got {2**64}"),
+        # a config's seeds are held to the range --seed is: -1 does not wrap to 2**64 - 1
+        ("train", QUICK + "seed = -1\n", [], "seed must be an unsigned 64-bit int, got -1"),
+        ("gen-data", QUICK + f"seed = {2**64}\n", [],
+         f"seed must be an unsigned 64-bit int, got {2**64}"),
+        ("gen-data", '{"seed": 1e20}\n', [],
+         f"seed must be an unsigned 64-bit int, got {10**20}"),
+        ("train", QUICK + "data.seed = -1\n", [],
+         "data.seed must be an unsigned 64-bit int, got -1"),
     ],
 )
 def test_bad_config_files_and_flags_are_validation_errors(

@@ -96,10 +96,11 @@ def test_generate_validation_errors():
         small_spec(noise_scale=-0.5)
     with pytest.raises(ConfigError):
         small_spec(family="moons")
-    with pytest.raises(ConfigError):
-        generate(small_spec(family="concentric_rings", input_dim=1))
-    with pytest.raises(ConfigError):
-        generate(small_spec(family="hypercube_corners", num_classes=5, input_dim=2))
+    # the family limits are the spec's own, checked before anything is drawn
+    with pytest.raises(ConfigError, match="concentric_rings needs input_dim >= 2"):
+        small_spec(family="concentric_rings", input_dim=1)
+    with pytest.raises(ConfigError, match="5 classes need 5 distinct corners but a 2-cube"):
+        small_spec(family="hypercube_corners", num_classes=5, input_dim=2)
 
 
 def test_genspec_defaults_are_the_desk_task():

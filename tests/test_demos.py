@@ -1,4 +1,8 @@
-"""Every demo script runs to completion (the demos use the public API)."""
+"""Every demo script runs to completion (the demos use the public API).
+
+Each demo runs in a child process, where pytest's warning filter does not
+reach, so the child is started with ``-W error``: a warning fails it too.
+"""
 
 import os
 import subprocess
@@ -31,7 +35,7 @@ def test_demo_runs(demo, tmp_path):
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
     )
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+        [sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

@@ -122,10 +122,11 @@ def test_zero_vector_rejected_for_normalized_kinds():
 
 
 def test_b_theta_range_enforced():
-    with pytest.raises(ConfigError):
-        SimilarityKind(kind="generalized_inner", b_theta=1.0)
-    with pytest.raises(ConfigError):
-        SimilarityKind(kind="generalized_inner", b_theta=-0.1)
+    # every kind holds b_theta to [0, 1), including those whose score ignores it
+    for name in ("generalized_inner", "inner", "cosine", "angular"):
+        for bad in (1.0, -0.1, 1.5, float("nan")):
+            with pytest.raises(ConfigError, match=r"b_theta must lie in \[0, 1\)"):
+                SimilarityKind(kind=name, b_theta=bad)
     with pytest.raises(ConfigError):
         SimilarityKind(kind="nope")
 

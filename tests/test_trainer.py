@@ -275,15 +275,31 @@ def test_proxy_ce_reads_the_b_theta_of_the_last_update(monkeypatch):
     assert len({got for got, _ in seen}) == len(seen)  # it moved every step
 
 
-@pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalize_proxies"])
-def test_softmax_ce_run_ignores_b_theta_learnable(tmp_path, normalize):
-    # softmax_ce has no b_theta, so making it learnable changes no byte
+def assert_b_theta_learnable_changes_no_byte(tmp_path, kind="generalized_inner", **kw):
+    # the score gives b_theta a zero gradient, so making it learnable changes
+    # no byte and leaves it at the configured 0.3
     for learnable in (False, True):
-        loss = LossConfig(similarity=SimilarityKind(b_theta_learnable=learnable))
-        cfg = quick_cfg(method="softmax_ce", loss=loss, normalize_proxies=normalize)
-        save_runlog(train(cfg, small_ds()), tmp_path / str(learnable))
+        loss = LossConfig(similarity=SimilarityKind(kind=kind, b_theta_learnable=learnable))
+        log = train(quick_cfg(loss=loss, **kw), small_ds())
+        assert log.b_theta == 0.3
+        save_runlog(log, tmp_path / str(learnable))
     for fname in ("runlog.jsonl", "summary.json", "checkpoint.bin"):
         assert (tmp_path / "False" / fname).read_bytes() == (tmp_path / "True" / fname).read_bytes()
+
+
+@pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalize_proxies"])
+def test_softmax_ce_run_ignores_b_theta_learnable(tmp_path, normalize):
+    # softmax_ce has no b_theta
+    assert_b_theta_learnable_changes_no_byte(
+        tmp_path, method="softmax_ce", normalize_proxies=normalize
+    )
+
+
+@pytest.mark.parametrize("kind", ["inner", "cosine", "angular"])
+@pytest.mark.parametrize("method", ["simple", "contrastive", "triplet"])
+def test_queue_run_ignores_b_theta_learnable_where_the_score_does(tmp_path, method, kind):
+    # only generalized_inner reads b_theta; the others hold it to [0, 1)
+    assert_b_theta_learnable_changes_no_byte(tmp_path, kind, method=method)
 
 
 def test_divergence_names_step_epoch_and_method():
@@ -327,6 +343,15 @@ def test_eer_improves_on_separable_task():
     log = train(cfg, ds)
     eers = [erec["eval"]["eer"] for erec in log.epochs if "eval" in erec]
     assert eers[-1] < eers[0]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_batch_over_queue_capacity_is_rejected_only_where_there_is_a_queue(method):
+    if method in ("softmax_ce", "proxy_gip_ce"):  # no queue to exceed
+        assert TrainConfig(method=method, batch_size=512, queue_capacity=256).batch_size == 512
+    else:
+        with pytest.raises(ConfigError, match="batch_size 512 exceeds queue_capacity 256"):
+            TrainConfig(method=method, batch_size=512, queue_capacity=256)
 
 
 def test_config_validation():
