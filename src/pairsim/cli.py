@@ -21,8 +21,8 @@ Each run writes ``manifest.json`` with the fully resolved configuration into
 its output directory and writes nothing anywhere else; feeding a manifest
 back as ``--config`` reproduces the run bit for bit.
 
-Exit codes: 0 success, 1 flag/config validation error (before the run
-starts), 2 runtime failure.
+Exit codes: 0 success, 1 flag, config or grid value error (before the run
+starts: a bad ``ablate`` grid value fails before any cell runs), 2 runtime failure.
 
 Without an explicit grid, ``ablate`` sweeps r in {1, 2, 3} crossed with
 alpha in {2e-4, 5e-4, 1e-3, 2e-3}, and defaults the report columns to
@@ -54,7 +54,9 @@ from .errors import ConfigError, DegenerateInputError, ParseError
 from .evaluation import _check_threshold, evaluate, report_to_json
 from .gradcheck import component_checks
 from .plotting import render_roc_svg
-from .trainer import ablate, ablate_csv, encode, final_report, save_runlog, train
+from .trainer import (
+    GRID_AXES, ablate, ablate_csv, ablation_cells, encode, final_report, save_runlog, train,
+)
 
 COMMANDS = ("gen-data", "train", "eval", "ablate", "grad-check", "plot-roc")
 TABLE_GRID = {"r": (1.0, 2.0, 3.0), "alpha": (0.0002, 0.0005, 0.001, 0.002)}
@@ -110,22 +112,23 @@ def _precheck(command: str, conf: dict, overrides: dict, args) -> None:
         if names and len(names) != len(conf["plot.reports"]):
             raise ConfigError("plot.names must match plot.reports in length")
     if command == "ablate":
-        for axis in ("r", "alpha", "b_theta"):
-            vals = conf[f"grid.{axis}"]
-            if vals is not None and len(vals) == 0:
-                raise ConfigError(f"grid.{axis} is empty")
         if getattr(args, "jobs", 1) < 1:
             raise ConfigError("--jobs must be >= 1")
         # no explicit grid: sweep the standard (r, alpha) table, reporting
         # TPR at the table's FAR columns from the table's negative count
         # unless the config chose its own
-        if all(conf[f"grid.{axis}"] is None for axis in ("r", "alpha", "b_theta")):
-            conf["grid.r"] = TABLE_GRID["r"]
-            conf["grid.alpha"] = TABLE_GRID["alpha"]
+        if not _grid(conf):
+            conf.update({f"grid.{axis}": vals for axis, vals in TABLE_GRID.items()})
         if "eval.far_targets" not in overrides:
             conf["eval.far_targets"] = TABLE_FARS
         if "eval.num_neg" not in overrides:
             conf["eval.num_neg"] = TABLE_NUM_NEG
+        ablation_cells(_grid(conf), to_train_config(conf))  # every cell, before any runs
+
+
+def _grid(conf) -> dict:
+    """The ablate grid: each grid.* key the config sets, by axis name."""
+    return {axis: conf[f"grid.{axis}"] for axis in GRID_AXES if conf[f"grid.{axis}"] is not None}
 
 
 def _cmd_gen_data(conf, out, args):
@@ -173,12 +176,7 @@ def _cmd_eval(conf, out, args):
 
 
 def _cmd_ablate(conf, out, args):
-    grid = {
-        axis: list(conf[f"grid.{axis}"])
-        for axis in ("r", "alpha", "b_theta")
-        if conf[f"grid.{axis}"] is not None
-    }
-    rows = ablate(grid, to_train_config(conf), _load_dataset(conf), jobs=args.jobs)
+    rows = ablate(_grid(conf), to_train_config(conf), _load_dataset(conf), jobs=args.jobs)
     path = os.path.join(out, "ablation.csv")
     with open(path, "w", newline="\n") as f:
         f.write(ablate_csv(rows))
@@ -251,9 +249,9 @@ def main(argv=None) -> int:
             overrides["seed"] = args.seed
         conf = resolve(overrides)
         _precheck(args.command, conf, overrides, args)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing config, a directory, no read permission
         sys.stderr.write(parser.format_usage())
-        sys.stderr.write(f"pairsim: error: config not found: {exc.filename}\n")
+        sys.stderr.write(f"pairsim: error: config not found or unreadable: {exc}\n")
         return 1
     except (ConfigError, ParseError) as exc:
         sys.stderr.write(f"pairsim: error: {exc}\n")

@@ -22,8 +22,9 @@ from .data import GenSpec
 from .encoder import SgdConfig
 from .errors import ConfigError, ParseError
 from .losses import LossConfig
+from .numkit import check_seed
 from .similarity import SimilarityKind
-from .trainer import TrainConfig
+from .trainer import GRID_AXES, TrainConfig
 
 # Each field of these dataclasses is the config key `<section>.<field>`: its
 # annotation is the type tag (a tuple is "ints" or "floats" by its default's
@@ -80,9 +81,7 @@ SCHEMA = {
     "data.csv": ("str", None),
     "eval.checkpoint": ("str", None),
     "eval.threshold": ("float", None),
-    "grid.r": ("floats", None),
-    "grid.alpha": ("floats", None),
-    "grid.b_theta": ("floats", None),
+    **{f"grid.{axis}": ("floats", None) for axis in GRID_AXES},
     "plot.reports": ("strs", None),
     "plot.names": ("strs", None),
 }
@@ -182,8 +181,11 @@ def parse_config_json(doc) -> dict:
 
 def load_config(path) -> dict:
     """Read overrides from a config file, sniffing JSON versus flat text."""
-    with open(path, "r") as f:
-        text = f.read()
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     if text.lstrip().startswith(("{", "[")):
         try:
             doc = json.loads(text)
@@ -203,8 +205,7 @@ def resolve(overrides: dict) -> dict:
     if conf["data.seed"] is None:
         conf["data.seed"] = conf["seed"]
     for key in ("seed", "data.seed"):
-        if not 0 <= conf[key] < 2**64:
-            raise ConfigError(f"{key} must be an unsigned 64-bit int, got {conf[key]}")
+        check_seed(conf[key], key)
     return conf
 
 

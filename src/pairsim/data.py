@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ParseError, ShapeError
-from .numkit import Rng, as_matrix, class_ids
+from .numkit import Rng, as_matrix, check_seed, class_ids
 
 FAMILIES = ("gaussian_blobs", "concentric_rings", "hypercube_corners")
 
@@ -104,6 +104,7 @@ class GenSpec:
             )
         if not 0 <= self.noise_scale < np.inf:
             raise ConfigError(f"noise_scale must be >= 0 and finite, got {self.noise_scale}")
+        check_seed(self.seed)
 
 
 def _sphere_point(rng: Rng, dim: int) -> np.ndarray:

@@ -86,6 +86,13 @@ def sigmoid(t):
     return out
 
 
+def check_seed(seed, what: str = "seed") -> int:
+    """``seed`` as an int if it lies in [0, 2**64), else ConfigError naming ``what``."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{what} must be an unsigned 64-bit int, got {seed}")
+    return int(seed)
+
+
 class Rng(np.random.Generator):
     """Seeded counter-based random stream with deterministic substreams.
 
@@ -97,11 +104,11 @@ class Rng(np.random.Generator):
     """
 
     def __init__(self, seed: int, _path: tuple = ()):
-        self.seed = int(seed)
+        self.seed = check_seed(seed)
         self._path = _path
         # The path length disambiguates trailing zero keys (SeedSequence
         # zero-pads its entropy, so [s] and [s, 0] would otherwise collide).
-        entropy = [self.seed & 0xFFFFFFFFFFFFFFFF, len(_path)]
+        entropy = [self.seed, len(_path)]
         entropy += [_key_to_int(k) for k in _path]
         super().__init__(np.random.Philox(np.random.SeedSequence(entropy)))
 

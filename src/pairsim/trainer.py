@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import os
 from dataclasses import dataclass, field, replace
@@ -62,7 +63,7 @@ from .encoder import (
 from .errors import ConfigError, DegenerateInputError
 from .evaluation import _pair_totals, evaluate
 from .losses import LossConfig, batch_loss
-from .numkit import Rng, as_matrix, check_finite, unit_rows, unit_rows_grad
+from .numkit import Rng, as_matrix, check_finite, check_seed, unit_rows, unit_rows_grad
 from .pair_queue import FeatureQueue, enqueue_batch, form_pairs, pos_neg_ratio
 from .similarity import score_matrix_grad_left
 
@@ -143,6 +144,7 @@ class TrainConfig:
             )
         if not 0 <= self.proxy_margin < np.inf:
             raise ConfigError(f"proxy_margin must be >= 0, got {self.proxy_margin}")
+        check_seed(self.seed)
 
 
 @dataclass
@@ -405,21 +407,41 @@ def save_runlog(log: RunLog, out_dir) -> None:
         f.write("\n")
 
 
-_GRID_AXES = ("r", "alpha", "b_theta")
+GRID_AXES = ("r", "alpha", "b_theta")
 
 
-def _ablate_cell(cell) -> dict:
-    """One sweep cell: train the base config at the row's (r, alpha, b_theta)
-    and add its EER/TPR, or its error, to the row."""
-    row, base_cfg, ds = cell
+def _grid_point(cfg: TrainConfig) -> tuple:
+    return cfg.loss.r, cfg.loss.alpha, cfg.loss.similarity.b_theta  # in GRID_AXES order
+
+
+def ablation_cells(grid: dict, base_cfg: TrainConfig) -> list:
+    """``base_cfg`` at each (r, alpha, b_theta) of ``grid``, sorted by (b_theta, r,
+    alpha); an axis the grid leaves out keeps the base value.  Building checks each
+    cell: an unknown or empty axis, or a value a cell rejects, raises ConfigError."""
+    unknown = set(grid) - set(GRID_AXES)
+    if unknown:
+        raise ConfigError(f"unknown grid axes {sorted(unknown)}; expected {GRID_AXES}")
+    axes = [sorted({float(v) for v in grid.get(name, [base])})
+            for name, base in zip(GRID_AXES, _grid_point(base_cfg))]
+    if [] in axes:
+        raise ConfigError(f"grid.{GRID_AXES[axes.index([])]} is empty")
+    rs, alphas, b_thetas = axes
+    loss, sim = base_cfg.loss, base_cfg.loss.similarity
+    return [
+        replace(base_cfg, loss=replace(loss, r=r, alpha=a, similarity=replace(sim, b_theta=bt)))
+        for bt, r, a in itertools.product(b_thetas, rs, alphas)
+    ]
+
+
+def _ablate_cell(cfg: TrainConfig, ds: Dataset) -> dict:
+    """Train one sweep cell: its (r, alpha, b_theta) row, with the EER/TPR or the error."""
+    row = dict(zip(GRID_AXES, _grid_point(cfg)))
     try:
-        sim = replace(base_cfg.loss.similarity, b_theta=row["b_theta"])
-        loss = replace(base_cfg.loss, r=row["r"], alpha=row["alpha"], similarity=sim)
-        rep = final_report(train(replace(base_cfg, loss=loss), ds))
+        rep = final_report(train(cfg, ds))
         row["eer"] = rep["eer"]
         row["tpr_at_far"] = dict(rep["tpr_at_far"])
         row["status"] = "ok"
-    except Exception as exc:  # a failed cell must not kill the sweep
+    except Exception as exc:  # a cell whose run fails must not kill the sweep
         row["eer"] = None
         row["tpr_at_far"] = {}
         row["status"] = f"{type(exc).__name__}: {exc}"
@@ -427,40 +449,19 @@ def _ablate_cell(cell) -> dict:
 
 
 def ablate(grid: dict, base_cfg: TrainConfig, ds: Dataset, jobs: int = 1) -> list:
-    """Sweep (r, alpha, b_theta) cells; one seeded run each.
-
-    Rows come back sorted by (b_theta, r, alpha), whatever ``jobs`` (the
-    number of worker processes).  A failing cell records its error in
-    "status" and the sweep continues; missing axes fall back to the base
-    config's value.
-    """
-    unknown = set(grid) - set(_GRID_AXES)
-    if unknown:
-        raise ConfigError(f"unknown grid axes {sorted(unknown)}; expected {_GRID_AXES}")
+    """Train the `ablation_cells` on ``ds``, in up to ``jobs`` worker processes
+    (one per cell); rows sorted by (b_theta, r, alpha), whatever ``jobs``.  All
+    cells are built, and so checked, before any trains; a cell whose run
+    fails, say by diverging, records its error in "status"."""
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    axes = {}
-    base_vals = {
-        "r": base_cfg.loss.r,
-        "alpha": base_cfg.loss.alpha,
-        "b_theta": base_cfg.loss.similarity.b_theta,
-    }
-    for name in _GRID_AXES:
-        vals = [float(v) for v in grid.get(name, [base_vals[name]])]
-        if not vals:
-            raise ConfigError(f"grid axis {name!r} is empty")
-        axes[name] = sorted(set(vals))
-    cells = [
-        ({"r": r, "alpha": alpha, "b_theta": bt}, base_cfg, ds)
-        for bt in axes["b_theta"]
-        for r in axes["r"]
-        for alpha in axes["alpha"]
-    ]
-    if jobs == 1:
-        return [_ablate_cell(cell) for cell in cells]
+    cfgs = ablation_cells(grid, base_cfg)
+    workers = min(jobs, len(cfgs))
+    if workers == 1:
+        return [_ablate_cell(cfg, ds) for cfg in cfgs]
     from concurrent.futures import ProcessPoolExecutor  # only a fan-out needs multiprocessing
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_ablate_cell, cells))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_ablate_cell, cfgs, itertools.repeat(ds)))
 
 
 def ablate_csv(rows) -> str:
@@ -470,14 +471,12 @@ def ablate_csv(rows) -> str:
     so no column shows a TPR taken at a looser FAR than its heading.
     """
     targets = sorted({float(k) for row in rows for k in row.get("tpr_at_far", {})})
-    cols = ["r", "alpha", "b_theta", "eer"]
-    cols += [f"tpr_at_far_{t:g}" for t in targets]
-    cols += ["status"]
+    cols = [*GRID_AXES, "eer", *(f"tpr_at_far_{t:g}" for t in targets), "status"]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(cols)
     for row in rows:
-        vals = ["%.17g" % row[k] for k in ("r", "alpha", "b_theta")]
+        vals = ["%.17g" % row[k] for k in GRID_AXES]
         vals.append("" if row["eer"] is None else "%.17g" % row["eer"])
         for t in targets:
             op = row["tpr_at_far"].get(str(t))

@@ -258,13 +258,24 @@ def test_bad_train_settings_are_validation_errors(tmp_path, capsys, setting, wor
          f"seed must be an unsigned 64-bit int, got {10**20}"),
         ("train", QUICK + "data.seed = -1\n", [],
          "data.seed must be an unsigned 64-bit int, got -1"),
+        # a config that cannot be read as text: bytes that are not UTF-8, a directory
+        ("train", b"seed = 1\n\xff\n", [], "run.cfg: not UTF-8 text: invalid start byte"),
+        ("train", None, [], "config not found or unreadable: "),
+        # every grid cell is checked before any runs, as the config's own values are
+        ("ablate", QUICK + "similarity.kind = cosine\ngrid.b_theta = 0.3, 1.5\n", [],
+         "b_theta must lie in [0, 1), got 1.5"),
+        ("ablate", QUICK + "grid.alpha = 1.5\n", [], "alpha must lie strictly in (0, 1), got 1.5"),
+        ("ablate", QUICK + "grid.r = -1\n", [], "r must be positive and finite, got -1.0"),
     ],
 )
 def test_bad_config_files_and_flags_are_validation_errors(
     tmp_path, capsys, command, text, flags, words
 ):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(text)
+    if text is None:
+        cfg.mkdir()
+    else:
+        cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), *flags]) == 1
     assert words in capsys.readouterr().err
     assert not (tmp_path / "o").exists()

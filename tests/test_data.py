@@ -101,6 +101,9 @@ def test_generate_validation_errors():
         small_spec(family="concentric_rings", input_dim=1)
     with pytest.raises(ConfigError, match="5 classes need 5 distinct corners but a 2-cube"):
         small_spec(family="hypercube_corners", num_classes=5, input_dim=2)
+    # the seed too: -1 must not draw the data of seed 2**64 - 1
+    with pytest.raises(ConfigError, match="seed must be an unsigned 64-bit int, got -1"):
+        small_spec(seed=-1)
 
 
 def test_genspec_defaults_are_the_desk_task():

@@ -115,6 +115,15 @@ def test_rng_streams_distinct():
     assert not np.array_equal(a, Rng(7).normal(size=100))
 
 
+def test_rng_seed_is_an_unsigned_64_bit_int():
+    # no wrapping: -1 is not 2**64 - 1, and 2**64 is not 0
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError, match=f"seed must be an unsigned 64-bit int, got {seed}"):
+            Rng(seed)
+    assert Rng(2**64 - 1).bytes(16).hex() == "663df27596219b97f3372f7e61b408f1"
+    assert Rng(2**64 - 1).stream("x").bytes(8).hex() == "0c9731d1a8215285"
+
+
 def test_rng_pickles_as_itself_at_its_draw_position():
     r = Rng(7).stream("init")
     r.normal(size=3)

@@ -367,6 +367,8 @@ def test_config_validation():
         TrainConfig(val_fraction=1.0)
     with pytest.raises(ConfigError):
         TrainConfig(lr_decay_at=(0.6, 1.5))
+    with pytest.raises(ConfigError, match="seed must be an unsigned 64-bit int, got -1"):
+        TrainConfig(seed=-1)
     with pytest.raises(ConfigError):
         train(quick_cfg(batch_size=140, queue_capacity=256), small_ds())
 
@@ -420,20 +422,60 @@ def test_ablate_csv_leaves_clamped_cells_empty():
     ]
 
 
-def test_ablate_tolerates_failed_cells():
+def test_ablate_tolerates_failed_cells(monkeypatch):
     cfg = quick_cfg(epochs=1, eval_num_pos=30, eval_num_neg=30)
-    rows = ablate({"r": [1.0, -1.0]}, cfg, small_ds())
+    # r = 1e308 is a valid setting whose loss overflows at the first step:
+    # only the run can find that
+    rows = ablate({"r": [1.0, 1e308]}, cfg, small_ds())
     by_r = {row["r"]: row for row in rows}
     assert by_r[1.0]["status"] == "ok"
-    assert "ConfigError" in by_r[-1.0]["status"]
-    assert by_r[-1.0]["eer"] is None
+    assert by_r[1e308]["status"] == (
+        "FloatingPointError: step 0 (epoch 1) of simple: loss contains NaN or Inf"
+    )
+    assert by_r[1e308]["eer"] is None
     # the failed row renders as empty metric cells, not a crash
     assert ablate_csv(rows).count("\n") == 3
     # worker processes return the same rows, failed cell included
-    assert ablate({"r": [1.0, -1.0]}, cfg, small_ds(), jobs=2) == rows
-    with pytest.raises(ConfigError):
+    assert ablate({"r": [1.0, 1e308]}, cfg, small_ds(), jobs=2) == rows
+    # a value a cell's config rejects fails the sweep before any cell trains
+    trained = []
+    monkeypatch.setattr(trainer_module, "train", lambda *args: trained.append(args))
+    for grid, words in [
+        ({"r": [1.0, -1.0]}, "r must be positive and finite, got -1.0"),
+        ({"b_theta": [0.3, 1.5]}, r"b_theta must lie in \[0, 1\), got 1.5"),
+        ({"alpha": [0.1, 1.5]}, r"alpha must lie strictly in \(0, 1\), got 1.5"),
+        ({"r": []}, "grid.r is empty"),
+        ({"gamma": [1.0]}, "unknown grid axes"),
+    ]:
+        with pytest.raises(ConfigError, match=words):
+            ablate(grid, cfg, small_ds())
+    with pytest.raises(ConfigError, match="jobs must be >= 1"):
         ablate({"r": [1.0]}, cfg, small_ds(), jobs=0)
-    with pytest.raises(ConfigError):
-        ablate({"gamma": [1.0]}, cfg, small_ds())
-    with pytest.raises(ConfigError):
-        ablate({"r": []}, cfg, small_ds())
+    assert trained == []
+
+
+def test_ablate_starts_no_more_workers_than_cells(monkeypatch):
+    # ProcessPoolExecutor forks all of max_workers at its first submit, so
+    # jobs=1000 on two cells must ask for two; the fake runs them in-process
+    class FakePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    pools = []
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
+    cfg = quick_cfg(epochs=1, eval_num_pos=30, eval_num_neg=30)
+    rows = ablate({"r": [1.0, 2.0]}, cfg, small_ds(), jobs=1000)
+    assert pools == [2]
+    assert rows == ablate({"r": [1.0, 2.0]}, cfg, small_ds())
+    # a single cell runs in this process, whatever jobs asks for
+    ablate({"r": [1.0]}, cfg, small_ds(), jobs=1000)
+    assert pools == [2]
