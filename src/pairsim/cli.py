@@ -11,12 +11,11 @@ Subcommands::
 
 Every command takes ``--config <path>`` (flat `key = value` text or JSON)
 and ``--out <dir>``, plus ``--seed`` to override the config seed and
-``--jobs`` (ablate only) to fan grid cells out across processes, each of
-which loads scipy at its first eval.  The config dataclasses declare the
-settings: each ``data.*``, ``loss.*``, ``similarity.*``, ``sgd.*`` and
-``train.*`` key is the field of that name in ``GenSpec``, ``LossConfig``,
-``SimilarityKind``, ``SgdConfig`` or ``TrainConfig``, with its default (see
-config.SCHEMA for the exceptions).
+``--jobs`` (ablate only) to fan grid cells out across processes.  The
+config dataclasses declare the settings: each ``data.*``, ``loss.*``,
+``similarity.*``, ``sgd.*`` and ``train.*`` key is the field of that name
+in ``GenSpec``, ``LossConfig``, ``SimilarityKind``, ``SgdConfig`` or
+``TrainConfig``, with its default (see config.SCHEMA for the exceptions).
 Each run writes ``manifest.json`` with the fully resolved configuration into
 its output directory and writes nothing anywhere else; feeding a manifest
 back as ``--config`` reproduces the run bit for bit.

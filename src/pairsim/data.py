@@ -249,7 +249,7 @@ _PLAIN = b"0123456789+-.eE,\n"
 _LABEL_MAX = int(np.iinfo(np.int64).max)
 
 
-def _parse_plain(head: str, body: str) -> Dataset | None:
+def _parse_plain(head: bytes, body: bytes) -> Dataset | None:
     """One vectorized pass over a body in the `_PLAIN` alphabet, or None.
 
     None means the line parser must decide: the text is outside the
@@ -259,16 +259,14 @@ def _parse_plain(head: str, body: str) -> Dataset | None:
     some numpy releases read a non-integer int64 cell (`1.5`, `9e18`) as a
     float and cast it, with only a DeprecationWarning.
     """
-    d = head.count(",")
-    if head != _header(d) or not body.isascii():
-        return None
-    if not body or body.isspace() or body.encode("ascii").translate(None, _PLAIN):
+    d = head.count(b",")
+    if head != _header(d).encode() or not body or body.isspace() or body.translate(None, _PLAIN):
         return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rows = np.loadtxt(
-                io.StringIO(body), delimiter=",", comments=None, ndmin=1,
+                io.BytesIO(body), delimiter=",", comments=None, ndmin=1, encoding="ascii",
                 dtype=[("label", np.int64), ("x", np.float64, (d,))],
             )
     except (ValueError, Warning):
@@ -325,8 +323,7 @@ def load_csv(path) -> Dataset:
     file takes one vectorized pass; any other goes through the line parser,
     which names the first bad line in its `ParseError`.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    head, _, body = text.partition("\n")
-    ds = _parse_plain(head, body)
-    return ds if ds is not None else _parse_lines(text.splitlines())
+    with open(path, "rb") as fh:  # read apart, so a clean body is never copied
+        head, body = fh.readline(), fh.read()
+    ds = _parse_plain(head.removesuffix(b"\n"), body)
+    return ds if ds is not None else _parse_lines((head + body).decode("utf-8").splitlines())

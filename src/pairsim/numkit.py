@@ -9,6 +9,7 @@ reproducible streams can be derived by name regardless of call order.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -87,10 +88,14 @@ def sigmoid(t):
 
 
 def check_seed(seed, what: str = "seed") -> int:
-    """``seed`` as an int if it lies in [0, 2**64), else ConfigError naming ``what``."""
-    if not 0 <= seed < 2**64:
+    """``seed`` as an int if it is an integer in [0, 2**64), else ConfigError naming ``what``."""
+    try:
+        value = operator.index(seed)  # a float, even 2.0, is refused, not truncated
+    except TypeError:
+        value = -1
+    if not 0 <= value < 2**64:
         raise ConfigError(f"{what} must be an unsigned 64-bit int, got {seed}")
-    return int(seed)
+    return value
 
 
 class Rng(np.random.Generator):

@@ -457,19 +457,26 @@ def test_divergence_is_one_named_error_without_numpy_warnings(tmp_path):
     assert "(epoch 1) of simple: " in lines[0]
 
 
-def test_a_process_that_never_clusters_loads_neither_scipy_nor_a_process_pool(tmp_path):
-    # importing scipy.optimize is most of a cold start, so it waits for the
-    # first clustering_accuracy call, and the pool for ablate --jobs > 1.
-    # A child process, since this one has imported both already
-    cfg, out = write_quick(tmp_path), str(tmp_path / "o")
-    proc = run_child(["-c", (
-        "import sys\n"
-        "from pairsim.cli import main\n"
-        f"assert main(['gen-data', '--config', {cfg!r}, '--out', {out!r}]) == 0\n"
-        "print([m for m in ('scipy', 'concurrent.futures.process') if m in sys.modules])\n"
-    )])
+def test_gen_data_train_and_eval_run_on_numpy_alone(tmp_path):
+    # numpy is the only runtime dependency: train and eval cluster and score
+    # the clustering without scipy, and only ablate --jobs > 1 starts a
+    # process pool.  A child process, since this one has imported both already
+    cfg, run = write_quick(tmp_path), tmp_path / "t"
+    evalcfg = tmp_path / "eval.cfg"
+    evalcfg.write_text(QUICK + f"eval.checkpoint = {run / 'checkpoint.bin'}\n")
+    commands = [("gen-data", cfg, tmp_path / "g"), ("train", cfg, run),
+                ("eval", evalcfg, tmp_path / "e")]
+    script = "import sys\nfrom pairsim.cli import main\nloaded = []\n"
+    for cmd, c, o in commands:
+        script += (
+            f"assert main([{cmd!r}, '--config', {str(c)!r}, '--out', {str(o)!r}]) == 0\n"
+            "loaded.append([m for m in ('scipy', 'concurrent.futures.process')"
+            " if m in sys.modules])\n"
+        )
+    proc = run_child(["-c", script + "print(loaded)\n"])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
+    assert proc.stdout.splitlines()[-1] == "[[], [], []]", proc.stdout
+    assert json.loads((tmp_path / "e" / "report.json").read_text())["clustering_accuracy"] > 0
 
 
 def test_ablate_serial_equals_parallel(tmp_path):

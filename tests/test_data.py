@@ -104,6 +104,11 @@ def test_generate_validation_errors():
     # the seed too: -1 must not draw the data of seed 2**64 - 1
     with pytest.raises(ConfigError, match="seed must be an unsigned 64-bit int, got -1"):
         small_spec(seed=-1)
+    # nor 1.5 the data of seed 1
+    with pytest.raises(ConfigError, match=r"seed must be an unsigned 64-bit int, got 1\.5"):
+        small_spec(seed=1.5)
+    np_seed = generate(small_spec(seed=np.int64(1)))
+    assert np_seed.inputs.tobytes() == generate(small_spec(seed=1)).inputs.tobytes()
 
 
 def test_genspec_defaults_are_the_desk_task():

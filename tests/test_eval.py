@@ -11,7 +11,9 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from numpy.testing import assert_allclose
+from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -807,6 +809,18 @@ def test_clustering_accuracy_more_clusters_than_classes():
     truth = np.array([0, 0, 0, 1, 1, 1])
     pred = np.array([0, 0, 1, 2, 2, 2])
     assert clustering_accuracy(pred, truth) == 5 / 6
+
+
+# small entries, so tied rows, columns and matchings are common
+@settings(max_examples=400, deadline=None)
+@given(arrays(np.int64, array_shapes(min_dims=2, max_dims=2, max_side=12),
+              elements=st.integers(0, 3)))
+@example(np.array([[0, 2, 1, 2]]))
+@example(np.array([[0], [2], [1], [2]]))
+@example(np.zeros((3, 5), dtype=np.int64))
+def test_matched_total_is_scipys_optimal_assignment_total(table):
+    rows, cols = linear_sum_assignment(table, maximize=True)
+    assert ev._matched_total(table) == table[rows, cols].sum()
 
 
 # ----- report ----------------------------------------------------------

@@ -124,6 +124,16 @@ def test_rng_seed_is_an_unsigned_64_bit_int():
     assert Rng(2**64 - 1).stream("x").bytes(8).hex() == "0c9731d1a8215285"
 
 
+def test_rng_seed_is_an_integer_never_a_truncated_float():
+    # 1.9 is not seed 1, and 2.0 is not seed 2; numpy integers are integers
+    for seed in (1.9, 2.0, np.float64(3.0), "4", None):
+        with pytest.raises(ConfigError, match=f"seed must be an unsigned 64-bit int, got {seed}"):
+            Rng(seed)
+    for seed in (np.int64(7), np.uint64(7), np.uint8(7)):
+        assert type(Rng(seed).seed) is int
+        assert Rng(seed).bytes(16) == Rng(7).bytes(16)
+
+
 def test_rng_pickles_as_itself_at_its_draw_position():
     r = Rng(7).stream("init")
     r.normal(size=3)

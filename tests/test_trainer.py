@@ -369,6 +369,9 @@ def test_config_validation():
         TrainConfig(lr_decay_at=(0.6, 1.5))
     with pytest.raises(ConfigError, match="seed must be an unsigned 64-bit int, got -1"):
         TrainConfig(seed=-1)
+    with pytest.raises(ConfigError, match=r"seed must be an unsigned 64-bit int, got 2\.5"):
+        TrainConfig(seed=2.5)
+    TrainConfig(seed=np.uint64(2))
     with pytest.raises(ConfigError):
         train(quick_cfg(batch_size=140, queue_capacity=256), small_ds())
 

@@ -1,7 +1,9 @@
 """Every name a pairsim module, test or demo imports is used in that file,
 every private name a pairsim module defines is read in the package, and
 every public name the package exports is read by a pairsim module, a demo
-or a traced perfbench boundary.
+or a traced perfbench boundary.  The package imports nothing at run time
+but the standard library, numpy and itself, and numpy is its one declared
+dependency.
 
 No linter ships with the toolchain, so this parses each file with `ast`.
 `__init__.py` is left out of the import check: its imports are the
@@ -9,6 +11,7 @@ package's public names.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -130,3 +133,37 @@ def test_every_export_is_read_by_the_package_a_demo_or_a_traced_boundary():
     sources = [p.read_text() for p in (*modules, *(ROOT / "demos").glob("*.py"))]
     traced = traced_attributes((ROOT / "perfbench" / "tracing.py").read_text())
     assert unread_exports(init, sources, traced) == []
+
+
+def foreign_imports(source: str) -> list:
+    """Imports of ``source`` from outside the standard library, numpy and
+    its own package (relative imports, or ``pairsim``)."""
+    allowed = sys.stdlib_module_names | {"numpy", "pairsim"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {n}" for n in names if n.split(".")[0] not in allowed]
+    return found
+
+
+def test_the_check_sees_a_foreign_import():
+    source = "import os, scipy.sparse\nfrom numpy import ones\nfrom . import data\n"
+    source += "def f():\n    from scipy.optimize import linear_sum_assignment\n"
+    assert foreign_imports(source) == ["line 1: scipy.sparse", "line 5: scipy.optimize"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_the_package_imports_only_the_standard_library_and_numpy(module):
+    assert foreign_imports((PACKAGE / module).read_text()) == []
+
+
+def test_numpy_is_the_only_declared_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert [dep.split(">")[0] for dep in project["dependencies"]] == ["numpy"]
