@@ -7,9 +7,9 @@ each weight matrix row-major. `weights[l]` (d_l x d_{l+1}) and `biases[l]`
 are views into `theta`, so writing a layer writes `theta`; update them in
 place and never rebind them or `theta`. `backward` returns a gradient vector
 of the same layout, so `sgd_step`, `ema_update` and the checkpoint each act
-on one vector. `forward` caches what `backward` needs; `sgd_step` and
-`ema_update` mutate in place and are the only mutating entry points.
-Checkpoints round-trip bit-exactly.
+on one vector. `forward` caches what `backward` needs, or nothing when
+asked not to; `sgd_step` and `ema_update` mutate in place and are the only
+mutating entry points. Checkpoints round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -102,12 +102,13 @@ def init_encoder(layer_dims, rng: Rng, activation: str = "relu") -> EncoderNet:
     return net
 
 
-def forward(net: EncoderNet, batch: np.ndarray):
+def forward(net: EncoderNet, batch: np.ndarray, cache: bool = True):
     """Encode a batch (n x d0) into features (n x d_feat).
 
     Returns (features, cache); the cache is the list of each layer's input,
     which is exactly what `backward` consumes: a hidden layer's activation
-    is the next layer's input, and its derivative is taken from it.
+    is the next layer's input, and its derivative is taken from it.  Without
+    ``cache`` the list stays empty and two activations at most are live.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != net.layer_dims[0]:
@@ -118,8 +119,10 @@ def forward(net: EncoderNet, batch: np.ndarray):
     inputs = []
     last = net.num_layers() - 1
     for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        inputs.append(h)
-        h = h @ w + b
+        if cache:
+            inputs.append(h)
+        h = h @ w
+        h += b
         if l < last:
             h = np.maximum(h, 0.0, out=h) if net.activation == "relu" else np.tanh(h, out=h)
     check_finite(h, "encoder features")

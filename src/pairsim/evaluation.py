@@ -32,8 +32,8 @@ score) certifies that any threshold inside the margin reproduces the
 classes exactly; `cluster_by_threshold` realizes that guarantee.
 
 Both run on one walk over the upper triangle (i < j) in row blocks of
-`_BLOCK` rows: each unordered pair is scored once, from rows folded once per
-walk, and memory stays O(block * n) however many pairs clear the threshold.
+`_BLOCK` rows: each unordered pair is scored once, one score block at a time,
+so memory stays O(block * n) however many pairs clear the threshold.
 With labels the rows are walked in class order, so a block's same-class
 pairs lie in one narrow column band; right of it one column max per block
 gives the max cross-class score and the few columns with a pair above the
@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ShapeError
 from .numkit import Rng, check_finite, class_ids
-from .similarity import SimilarityKind, _angular, _fold, score_matrix, score_rows
+from .similarity import SimilarityKind, _angular, _fold_left, _fold_right, score_matrix, score_rows
 
 
 def _pair_totals(labels):
@@ -193,6 +193,7 @@ def roc_points(pos, neg) -> list:
 # rows per block took 80.7 and 85.7 ms, 64 rows 90.1 and 93.0 ms, 256 rows
 # 89.6 and 93.4 ms.
 _BLOCK = 128
+_HOT_SLICE = 1024  # hot columns per gather, so a low cut copies no second score block
 
 
 def _audit_inputs(features, labels):
@@ -278,9 +279,10 @@ def _upper_walk(features, sim: SimilarityKind, labels=None, threshold=None):
     order when it already is one), so the same-class partners of a block's
     rows all lie in one column band: from the block's first row to the end
     of its last row's class (without labels the band is the leading square).
-    The rows are folded once (`similarity._fold`), and block [lo, hi) is one
-    `score_matrix` product of the folded rows [lo, hi) and [lo, n); the
-    diagonal and lower part of its leading square are masked out.  Every
+    The right-hand rows are folded once (`similarity._fold_right`), a
+    block's left rows as the walk reaches them (`_fold_left`); block [lo, hi)
+    is one `score_matrix` product of the folds of rows [lo, hi) and [lo, n),
+    the diagonal and lower part of its leading square masked out.  Every
     pair right of the band is cross-class, so there a block costs one
     column max, which gives its max cross-class score and the few "hot"
     columns whose max clears ``threshold``; the rest of its work is narrow:
@@ -297,14 +299,16 @@ def _upper_walk(features, sim: SimilarityKind, labels=None, threshold=None):
 
     Returns (margin or None, component labels or None, (false rejects,
     false accepts) or None), the components numbered in order of their
-    smallest input row.  Memory is O(block * n) whatever the number of edges.
+    smallest input row.  Each block is freed before the next product, so one
+    score block, the right fold, a block's left fold and its edge mask are
+    live: O(block * n) whatever the number of edges.
     """
     n = features.shape[0]
     order = None
     if labels is not None and np.any(labels[1:] < labels[:-1]):
         order = np.argsort(labels, kind="stable")
         features, labels = features[order], labels[order]
-    left, right = _fold(sim, features, features)  # their plain products are the scores
+    right = _fold_right(sim, features)  # a block's scores: its left fold times these
     plain = SimilarityKind("inner")
     lower = np.tri(_BLOCK, dtype=bool)  # j <= i inside a leading square
     min_intra, max_inter = np.inf, -np.inf
@@ -313,7 +317,7 @@ def _upper_walk(features, sim: SimilarityKind, labels=None, threshold=None):
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
         square = lower[: hi - lo, : hi - lo]
-        rows = score_matrix(plain, left[lo:hi], right[lo:])
+        rows = score_matrix(plain, _fold_left(sim, features[lo:hi]), right[lo:])
         if sim.kind == "angular":
             _angular(rows)
         np.copyto(rows[:, : hi - lo], -np.inf, where=square)
@@ -321,9 +325,13 @@ def _upper_walk(features, sim: SimilarityKind, labels=None, threshold=None):
         band = rows[:, : end - lo]
         top = rows[:, end - lo :].max(axis=0)  # one pass over the cross-class rest
         if threshold is not None:
-            hot = np.flatnonzero(top > threshold)
-            edges = np.hstack((band > threshold, rows[:, end - lo + hot] > threshold))
-            _merge_block(parent, edges, np.concatenate((np.arange(lo, end), end + hot)))
+            hot = end + np.flatnonzero(top > threshold)
+            edges = np.empty((hi - lo, end - lo + hot.size), dtype=bool)
+            np.greater(band, threshold, out=edges[:, : end - lo])
+            for k in range(0, hot.size, _HOT_SLICE):  # a bounded float copy at a time
+                out = edges[:, end - lo + k :][:, :_HOT_SLICE]
+                np.greater(rows[:, hot[k : k + _HOT_SLICE] - lo], threshold, out=out)
+            _merge_block(parent, edges, np.concatenate((np.arange(lo, end), hot)))
         if labels is not None:
             same = labels[lo:hi, None] == labels[None, lo:end]
             same[:, : hi - lo] &= ~square
@@ -334,6 +342,7 @@ def _upper_walk(features, sim: SimilarityKind, labels=None, threshold=None):
                 accepts += np.count_nonzero(edges) - np.count_nonzero(same) + low
             np.copyto(band, -np.inf, where=same)  # the edges above were read first
             max_inter = max(max_inter, band.max(), top.max(initial=-np.inf))
+        rows = band = edges = None  # free the block before the next product
     margin = None if labels is None else float(min_intra - max_inter)
     if threshold is None:
         return margin, None, None

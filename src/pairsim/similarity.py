@@ -121,29 +121,26 @@ def decision_boundary(sim: SimilarityKind, b: float, x1, x2) -> float:
     return score(sim, x1, x2) + b
 
 
-def _row_norms(a, norms):
-    return np.linalg.norm(a, axis=1) if norms is None else norms
-
-
-def _with_norms(q, qn):
-    """``[q, |q|]``: ``qn`` when the caller holds it, else built here."""
-    return np.column_stack((q, np.linalg.norm(q, axis=1))) if qn is None else qn
-
-
-def _fold(sim: SimilarityKind, a, q, na=None, qn=None):
-    """Rows ``(left, right)`` whose inner products are the kind's scores
-    (angular's before its arccos map)."""
+def _fold_left(sim: SimilarityKind, a, na=None):
+    """Rows whose plain products with `_fold_right`'s are the kind's scores
+    (angular's before arccos); a block folds to its rows of the whole fold."""
     if sim.kind == "inner":
-        return a, q
-    na = _row_norms(a, na)
+        return a
+    na = np.linalg.norm(a, axis=1) if na is None else na
     if sim.kind == "generalized_inner":
         # <a,q> - b_theta |a||q| = [a, -b_theta |a|] . [q, |q|]; b_theta and
         # the sign sit on the left, so the right side is [q, |q|] as it stands
-        return np.column_stack((a, -sim.b_theta * na)), _with_norms(q, qn)
-    nq = np.linalg.norm(q, axis=1) if qn is None else qn[:, -1]
-    if np.any(na == 0.0) or np.any(nq == 0.0):
+        return np.column_stack((a, -sim.b_theta * na))
+    if np.any(na == 0.0):
         raise DegenerateInputError(f"{sim.kind} similarity of a zero vector")
-    return a / na[:, None], q / nq[:, None]
+    return a / na[:, None]
+
+
+def _fold_right(sim: SimilarityKind, q, qn=None):
+    """``[q, |q|]`` (``qn``, if the caller holds it), or the kind's left fold."""
+    if sim.kind == "generalized_inner":
+        return np.column_stack((q, np.linalg.norm(q, axis=1))) if qn is None else qn
+    return _fold_left(sim, q, None if qn is None else qn[:, -1])
 
 
 def _angular(cos) -> np.ndarray:
@@ -167,8 +164,7 @@ def score_matrix(sim: SimilarityKind, a, q, na=None, qn=None) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
     if a.ndim != 2 or q.ndim != 2 or a.shape[1] != q.shape[1]:
         raise ShapeError(f"score_matrix expects (m,d) and (n,d), got {a.shape} and {q.shape}")
-    left, right = _fold(sim, a, q, na, qn)
-    scores = left @ right.T
+    scores = _fold_left(sim, a, na) @ _fold_right(sim, q, qn).T
     return _angular(scores) if sim.kind == "angular" else scores
 
 
@@ -181,8 +177,7 @@ def score_rows(sim: SimilarityKind, a, b) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or a.shape != b.shape:
         raise ShapeError(f"score_rows expects equal (n,d) shapes, got {a.shape} and {b.shape}")
-    left, right = _fold(sim, a, b)
-    scores = np.einsum("ij,ij->i", left, right)
+    scores = np.einsum("ij,ij->i", _fold_left(sim, a), _fold_right(sim, b))
     return _angular(scores) if sim.kind == "angular" else scores
 
 
@@ -203,13 +198,13 @@ def score_matrix_grad_left(sim: SimilarityKind, a, q, d_scores, na=None, qn=None
         )
     if sim.kind == "inner":
         return d_scores @ q, 0.0
-    na = _row_norms(a, na)
+    na = np.linalg.norm(a, axis=1) if na is None else na
     if sim.kind == "generalized_inner":
         # one product gives d_scores @ q and, as its last column, each row's
         # sum_j dS_ij ||q_j||: the bias term's gradient is -b_theta times that
         # sum times a_i/||a_i||, dropped at zero-norm rows to match
         # score_grad; with no such row, every row takes it without a gather
-        g = d_scores @ _with_norms(q, qn)
+        g = d_scores @ _fold_right(sim, q, qn)
         d_a, coef = g[:, :-1], g[:, -1]
         safe = na > 0.0
         rows = slice(None) if safe.all() else safe
@@ -217,7 +212,7 @@ def score_matrix_grad_left(sim: SimilarityKind, a, q, d_scores, na=None, qn=None
         return d_a, -float(na @ coef)
     # cosine and angular score the unit rows: backprop onto the left unit
     # rows, then through their normalization
-    left, right = _fold(sim, a, q, na, qn)
+    left, right = _fold_left(sim, a, na), _fold_right(sim, q, qn)
     if sim.kind == "angular":
         # dS/dcos = 1/(pi*sqrt(1-cos^2)); flat (0) once the clamp engages
         cos = np.clip(left @ right.T, -1.0, 1.0)

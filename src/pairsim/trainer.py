@@ -180,8 +180,8 @@ def lr_at(cfg: TrainConfig, step: int, total_steps: int) -> float:
 
 
 def encode(net: EncoderNet, inputs, normalize: bool = False) -> np.ndarray:
-    """Features for a batch of inputs (no gradient bookkeeping)."""
-    feats, _ = forward(net, as_matrix(inputs))
+    """Features for a batch of inputs; `forward` keeps no backprop cache."""
+    feats, _ = forward(net, as_matrix(inputs), cache=False)
     if normalize:
         feats, _ = unit_rows(feats, "feature vector")
     return feats

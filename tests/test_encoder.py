@@ -21,6 +21,7 @@ from pairsim.encoder import (
 from pairsim.errors import ConfigError, ShapeError
 from pairsim.gradcheck import max_rel_err, numerical_grad
 from pairsim.numkit import Rng
+from pairsim.trainer import encode
 
 
 def zero_net(dims, activation="relu"):
@@ -59,6 +60,23 @@ def test_forward_matches_scalar_hand_evaluation():
     for k in range(2):
         out.append(sum(hidden[j] * net.weights[1][j, k] for j in range(3)) + net.biases[1][k])
     assert_allclose(feats[0], out, rtol=1e-14)
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_encode_keeps_the_bits_of_forward(activation):
+    # encode runs forward's layer loop without its cache, and forward adds
+    # each bias in place; both must give the bits of h @ w + b, layer by layer
+    net = init_encoder([5, 16, 16, 3], Rng(3), activation)
+    x = Rng(4).normal(size=(37, 5)) * 3.0
+    want = x
+    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+        want = want @ w + b
+        if l < net.num_layers() - 1:
+            want = np.maximum(want, 0.0) if activation == "relu" else np.tanh(want)
+    feats, cache = forward(net, x)
+    assert len(cache) == net.num_layers()
+    assert forward(net, x, cache=False)[1] == []
+    assert encode(net, x).tobytes() == feats.tobytes() == want.tobytes()
 
 
 def test_forward_deterministic():

@@ -35,8 +35,11 @@ from pairsim import (
     tpr_at_far,
 )
 import pairsim.evaluation as ev
+from pairsim.encoder import init_encoder
 from pairsim.evaluation import _BLOCK, _upper_walk
-from pairsim.similarity import KINDS, _angular, score_matrix
+from pairsim.numkit import Rng
+from pairsim.similarity import KINDS, _angular, _fold_left, score_matrix
+from pairsim.trainer import encode
 
 
 # ----- oracles ---------------------------------------------------------
@@ -605,6 +608,26 @@ def test_hot_column_cases_take_their_paths():
     assert 0 < hot == outside
 
 
+@pytest.mark.parametrize("case", ["some", "all"])
+def test_hot_columns_compared_in_slices_match_the_dense_oracle(monkeypatch, case):
+    # the walk compares a block's hot columns `_HOT_SLICE` at a time; these
+    # blocks have fewer hot columns than one slice, so a 7-column slice
+    # makes several per block, the last one short
+    feats, labels, sim, full, t = walk_case(**HOT_CASES[case])
+    assert hot_columns(labels, full, t)[0] > 7
+    n = labels.size
+    ii, jj = np.triu_indices(n, 1)
+    upper, same = full[ii, jj], labels[ii] == labels[jj]
+    adj = full > t
+    np.fill_diagonal(adj, False)
+    _, want_comp = connected_components(csr_matrix(adj), directed=False)
+    monkeypatch.setattr(ev, "_HOT_SLICE", 7)
+    _, comp, (rejects, accepts) = _upper_walk(feats, sim, labels=labels, threshold=t)
+    assert np.array_equal(comp, want_comp)
+    assert rejects == np.count_nonzero(upper[same] <= t)
+    assert accepts == np.count_nonzero(upper[~same] > t)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     kind=st.sampled_from(KINDS),
@@ -710,27 +733,80 @@ def test_walk_block_scores_equal_score_matrix_of_the_unfolded_rows(monkeypatch, 
         assert got.tobytes() == want.tobytes()
 
 
+def traced_peak(run):
+    """(run's result, the peak MiB tracemalloc saw while it ran)."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def test_audit_and_clustering_memory_stays_blockwise():
     # One dense float64 score matrix for 4,000 rows is 128 MB.  The walk
-    # holds a few (block x n) arrays at a time: the block's scores and the
-    # temporaries `score_matrix` makes, 4 MB each, and a boolean mask; its
-    # union-find forest is O(n) and a block adds at most one edge per later
-    # row and root.  The peak is about 12 MB here, where the threshold
-    # makes every pair an edge.  48 MB leaves room for allocator and
-    # library differences while staying far below one dense matrix.
+    # holds one (block x n) block of scores at a time, 4 MB, and its edge
+    # mask; its union-find forest is O(n) and a block adds at most one edge
+    # per later row and root.  The peak is about 6 MB here, where the
+    # threshold makes every pair an edge.  48 MB leaves room for allocator
+    # and library differences while staying far below one dense matrix.
     rng = np.random.default_rng(12)
     feats = rng.normal(size=(4000, 8))
     labels = rng.integers(0, 4, size=4000)
     sim = SimilarityKind()
-    tracemalloc.start()
-    try:
+
+    def walks():
         comp = cluster_by_threshold(feats, sim, -1e9)
         desideratum_audit(feats, labels, sim)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return comp
+
+    comp, peak = traced_peak(walks)
     assert np.all(comp == 0)
-    assert peak < 48 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert peak < 48, f"peak {peak:.1f} MB"
+
+
+def test_eval_holds_one_score_block_and_two_activations():
+    # `pairsim eval` encodes its rows, then walks their pairs.  On 6,400
+    # rows one (128 x n) float64 score block is 6.25 MiB.  The walk may hold
+    # that block, the right fold of all rows (n x 33 floats, 1.6 MiB), the
+    # class-order copy of the shuffled rows (n x 32 floats, 1.6 MiB) and
+    # 2 MiB of slack (one 1,024-column slice of hot scores is 1 MiB; a
+    # block's left fold, masks and column maxima and the forest take the
+    # rest), but never a second block.  The default encoder holds one
+    # layer's input and output, two (n x 64) activations of 3.1 MiB, plus
+    # 256 KiB of slack, but no backprop cache.
+    rng = np.random.default_rng(4)
+    n, d = 6400, 32
+    labels = np.repeat(np.arange(16), n // 16)
+    feats = 3.0 * rng.normal(size=(16, d))[labels] + rng.normal(size=(n, d))
+    perm = rng.permutation(n)
+    feats, labels = feats[perm], labels[perm]
+    sim = SimilarityKind()
+    sub = score_matrix(sim, feats[::8], feats[::8])
+    cross = labels[::8, None] != labels[None, ::8]
+    cut = float(np.quantile(sub[cross], 0.9999))  # few cross-class pairs clear it
+    net = init_encoder([d, 64, 64, d], Rng(0), "tanh")
+    walk, walk_peak = traced_peak(lambda: _upper_walk(feats, sim, labels=labels, threshold=cut))
+    enc, enc_peak = traced_peak(lambda: encode(net, feats))
+    walk_bound = (_BLOCK * n + n * (d + 1) + n * d) * 8 / 2**20 + 2.0
+    enc_bound = 2 * n * 64 * 8 / 2**20 + 0.25
+    assert walk_peak < walk_bound, f"walk peak {walk_peak:.2f} MiB, bound {walk_bound:.2f}"
+    assert enc_peak < enc_bound, f"encode peak {enc_peak:.2f} MiB, bound {enc_bound:.2f}"
+    assert 1 < walk[1].max() + 1 < n and enc.shape == (n, d)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_block_left_fold_keeps_the_bits_of_the_whole_fold(kind):
+    # the walk folds each block's left rows when it reaches them; every
+    # block must fold to the bits of its rows in the whole array's fold,
+    # which the dense oracle, scoring exact features, cannot see
+    rng = np.random.default_rng(8)
+    sim = SimilarityKind(kind, b_theta=0.37)
+    for d in (1, 7, 8, 33):
+        feats = rng.normal(size=(2 * _BLOCK + 9, d)) * rng.uniform(0.01, 100.0, size=(1, d))
+        whole = _fold_left(sim, feats)
+        for lo in range(0, feats.shape[0], _BLOCK):
+            block = _fold_left(sim, feats[lo : lo + _BLOCK])
+            assert block.tobytes() == whole[lo : lo + _BLOCK].tobytes()
 
 
 # ----- threshold clustering --------------------------------------------

@@ -21,7 +21,9 @@ from pairsim import (
     score,
 )
 from pairsim.evaluation import _upper_walk
-from pairsim.similarity import KINDS, _fold, score_matrix, score_matrix_grad_left, score_rows
+from pairsim.similarity import (
+    KINDS, _fold_left, _fold_right, score_matrix, score_matrix_grad_left, score_rows,
+)
 
 
 def feats(rng, m, d=4):
@@ -103,7 +105,7 @@ def old_fold(sim, a, q):
     [q, -|q|]``, as it was before the queue kept ``[q, |q|]`` rows; the
     other kinds' folds did not change."""
     if sim.kind != "generalized_inner":
-        return _fold(sim, a, q)
+        return _fold_left(sim, a), _fold_right(sim, q)
     na, nq = np.linalg.norm(a, axis=1), np.linalg.norm(q, axis=1)
     return np.column_stack((a, sim.b_theta * na)), np.column_stack((q, -nq))
 
@@ -190,7 +192,11 @@ def test_stored_rows_are_the_folded_right_side(capacity, d, batch_sizes, mb, b_t
         )
         labels = q.labels()
         t = float(np.median(score_matrix(sim, stored, stored)))
-        with mock.patch.object(ev, "_fold", old_fold):
+        with mock.patch.multiple(
+            ev,
+            _fold_left=lambda sim, a: old_fold(sim, a, a)[0],
+            _fold_right=lambda sim, q: old_fold(sim, q, q)[1],
+        ):
             want = _upper_walk(stored, sim, labels=labels, threshold=t)
         got = _upper_walk(stored, sim, labels=labels, threshold=t)
         assert repr(got[0]) == repr(want[0])
