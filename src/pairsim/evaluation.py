@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ShapeError
 from .numkit import Rng, check_finite, class_ids
-from .similarity import SimilarityKind, _angular, _fold_left, _fold_right, score_matrix, score_rows
+from .similarity import SimilarityKind, _fold_left, _fold_right, score_matrix, score_rows
 
 
 def _pair_totals(labels):
@@ -280,10 +280,11 @@ def _upper_walk(features, sim: SimilarityKind, labels=None, threshold=None):
     rows all lie in one column band: from the block's first row to the end
     of its last row's class (without labels the band is the leading square).
     The right-hand rows are folded once (`similarity._fold_right`), a
-    block's left rows as the walk reaches them (`_fold_left`); block [lo, hi)
-    is one `score_matrix` product of the folds of rows [lo, hi) and [lo, n),
-    the diagonal and lower part of its leading square masked out.  Every
-    pair right of the band is cross-class, so there a block costs one
+    block's left rows as the walk reaches them (`_fold_left`), both from the
+    input rows, so no class-order copy of them is kept; block [lo, hi) is
+    one `score_matrix` product of the folds of walk positions [lo, hi) and
+    [lo, n), the diagonal and lower part of its leading square masked out.
+    Every pair right of the band is cross-class, so there a block costs one
     column max, which gives its max cross-class score and the few "hot"
     columns whose max clears ``threshold``; the rest of its work is narrow:
 
@@ -307,8 +308,8 @@ def _upper_walk(features, sim: SimilarityKind, labels=None, threshold=None):
     order = None
     if labels is not None and np.any(labels[1:] < labels[:-1]):
         order = np.argsort(labels, kind="stable")
-        features, labels = features[order], labels[order]
-    right = _fold_right(sim, features)  # a block's scores: its left fold times these
+        labels = labels[order]
+    right = _fold_right(sim, features if order is None else features[order])
     plain = SimilarityKind("inner")
     lower = np.tri(_BLOCK, dtype=bool)  # j <= i inside a leading square
     min_intra, max_inter = np.inf, -np.inf
@@ -317,9 +318,8 @@ def _upper_walk(features, sim: SimilarityKind, labels=None, threshold=None):
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
         square = lower[: hi - lo, : hi - lo]
-        rows = score_matrix(plain, _fold_left(sim, features[lo:hi]), right[lo:])
-        if sim.kind == "angular":
-            _angular(rows)
+        left = features[lo:hi] if order is None else features[order[lo:hi]]
+        rows = score_matrix(plain, _fold_left(sim, left), right[lo:])
         np.copyto(rows[:, : hi - lo], -np.inf, where=square)
         end = hi if labels is None else int(np.searchsorted(labels, labels[hi - 1], side="right"))
         band = rows[:, : end - lo]
@@ -370,6 +370,8 @@ def cluster_by_threshold(features, sim: SimilarityKind, threshold: float) -> np.
     """Connected components of the strictly-above-threshold score graph."""
     threshold = _check_threshold(threshold)
     features = check_finite(np.asarray(features, dtype=np.float64), "features")
+    if features.ndim != 2:
+        raise ShapeError(f"features must be an (n, d) matrix, got shape {features.shape}")
     return _upper_walk(features, sim, threshold=threshold)[1]
 
 

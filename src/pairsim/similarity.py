@@ -1,27 +1,26 @@
 """Pairwise similarity scores and their gradients.
 
-Four interchangeable score functions over feature vectors:
+Three interchangeable score functions over feature vectors:
 
 * ``generalized_inner`` -- ||x1||*||x2||*(cos - b_theta), evaluated as
   ``<x1,x2> - b_theta*||x1||*||x2||`` so no arccos/cos round trip (and none
   of its endpoint singularities) enters the gradient path.
 * ``inner``   -- plain dot product.
 * ``cosine``  -- dot product of the normalized vectors.
-* ``angular`` -- 1 - arccos(cosine)/pi, mapped to [0, 1].
 
 Scalar entry points (`score`, `score_grad`, `decision_boundary`) implement the
 per-pair contract and are the reference the tests pin the batched forms to.
 `score_matrix` and `score_rows` fold each kind into rows whose plain inner
 products are its scores, so a batch of scores is one matmul (one row-wise
 product for `score_rows`): ``generalized_inner`` appends a norm column,
-``[a, -b_theta*||a||] . [q, ||q||]``, and ``cosine``/``angular`` normalize the
-rows first.  The minus sign and b_theta sit on the left, so the right side
+``[a, -b_theta*||a||] . [q, ||q||]``, and ``cosine`` normalizes the rows
+first.  The minus sign and b_theta sit on the left, so the right side
 ``[q, ||q||]`` is the rows with their norms, which a caller that keeps its
 rows that way (the feature queue) hands over as it stands.
 `score_matrix_grad_left` backprops the batched scores through the same
 fold: one product with ``[q, ||q||]`` for ``generalized_inner``; for
-``cosine``/``angular`` one with the right unit rows, which
-`numkit.unit_rows_grad` carries back through the left rows' normalization.
+``cosine`` one with the right unit rows, which `numkit.unit_rows_grad`
+carries back through the left rows' normalization.
 """
 
 from __future__ import annotations
@@ -33,12 +32,12 @@ import numpy as np
 from .errors import ConfigError, DegenerateInputError, ShapeError
 from .numkit import unit_rows_grad
 
-KINDS = ("generalized_inner", "inner", "cosine", "angular")
+KINDS = ("generalized_inner", "inner", "cosine")
 
 
 @dataclass
 class SimilarityKind:
-    """Which score function to use, with its angular-bias setting.
+    """Which score function to use, with its bias setting ``b_theta``.
 
     ``b_theta`` shifts the cosine term inside the generalized inner product
     and must stay in [0, 1) so positive similarities remain reachable; the
@@ -78,11 +77,7 @@ def score(sim: SimilarityKind, x1, x2) -> float:
         return dot - sim.b_theta * (n1 * n2)
     if n1 == 0.0 or n2 == 0.0:
         raise DegenerateInputError(f"{sim.kind} similarity of a zero vector")
-    cos = dot / (n1 * n2)
-    if sim.kind == "cosine":
-        return cos
-    # Rounding can push |cos| past 1; clamp before arccos.
-    return 1.0 - float(np.arccos(np.clip(cos, -1.0, 1.0))) / np.pi
+    return dot / (n1 * n2)
 
 
 def score_grad(sim: SimilarityKind, x1, x2):
@@ -103,17 +98,9 @@ def score_grad(sim: SimilarityKind, x1, x2):
     if n1 == 0.0 or n2 == 0.0:
         raise DegenerateInputError(f"{sim.kind} similarity of a zero vector")
     cos = float(x1 @ x2) / (n1 * n2)
-    d1_cos = x2 / (n1 * n2) - cos * x1 / n1**2
-    d2_cos = x1 / (n1 * n2) - cos * x2 / n2**2
-    if sim.kind == "cosine":
-        return d1_cos, d2_cos, 0.0
-    # angular: dS/dcos = 1/(pi*sqrt(1-cos^2)); flat (0) once the clamp engages.
-    c = min(1.0, max(-1.0, cos))
-    if abs(c) >= 1.0:
-        scale = 0.0
-    else:
-        scale = 1.0 / (np.pi * np.sqrt(1.0 - c * c))
-    return scale * d1_cos, scale * d2_cos, 0.0
+    d1 = x2 / (n1 * n2) - cos * x1 / n1**2
+    d2 = x1 / (n1 * n2) - cos * x2 / n2**2
+    return d1, d2, 0.0
 
 
 def decision_boundary(sim: SimilarityKind, b: float, x1, x2) -> float:
@@ -122,8 +109,8 @@ def decision_boundary(sim: SimilarityKind, b: float, x1, x2) -> float:
 
 
 def _fold_left(sim: SimilarityKind, a, na=None):
-    """Rows whose plain products with `_fold_right`'s are the kind's scores
-    (angular's before arccos); a block folds to its rows of the whole fold."""
+    """Rows whose plain products with `_fold_right`'s are the kind's scores;
+    a block folds to its rows of the whole fold."""
     if sim.kind == "inner":
         return a
     na = np.linalg.norm(a, axis=1) if na is None else na
@@ -143,14 +130,6 @@ def _fold_right(sim: SimilarityKind, q, qn=None):
     return _fold_left(sim, q, None if qn is None else qn[:, -1])
 
 
-def _angular(cos) -> np.ndarray:
-    """1 - arccos(cos)/pi, in place; rounding can push |cos| past 1."""
-    np.clip(cos, -1.0, 1.0, out=cos)
-    np.arccos(cos, out=cos)
-    cos /= np.pi
-    return np.subtract(1.0, cos, out=cos)
-
-
 def score_matrix(sim: SimilarityKind, a, q, na=None, qn=None) -> np.ndarray:
     """All pairwise scores between rows of ``a`` (m x d) and ``q`` (n x d).
 
@@ -164,8 +143,7 @@ def score_matrix(sim: SimilarityKind, a, q, na=None, qn=None) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
     if a.ndim != 2 or q.ndim != 2 or a.shape[1] != q.shape[1]:
         raise ShapeError(f"score_matrix expects (m,d) and (n,d), got {a.shape} and {q.shape}")
-    scores = _fold_left(sim, a, na) @ _fold_right(sim, q, qn).T
-    return _angular(scores) if sim.kind == "angular" else scores
+    return _fold_left(sim, a, na) @ _fold_right(sim, q, qn).T
 
 
 def score_rows(sim: SimilarityKind, a, b) -> np.ndarray:
@@ -177,8 +155,7 @@ def score_rows(sim: SimilarityKind, a, b) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or a.shape != b.shape:
         raise ShapeError(f"score_rows expects equal (n,d) shapes, got {a.shape} and {b.shape}")
-    scores = np.einsum("ij,ij->i", _fold_left(sim, a), _fold_right(sim, b))
-    return _angular(scores) if sim.kind == "angular" else scores
+    return np.einsum("ij,ij->i", _fold_left(sim, a), _fold_right(sim, b))
 
 
 def score_matrix_grad_left(sim: SimilarityKind, a, q, d_scores, na=None, qn=None):
@@ -210,14 +187,7 @@ def score_matrix_grad_left(sim: SimilarityKind, a, q, d_scores, na=None, qn=None
         rows = slice(None) if safe.all() else safe
         d_a[rows] -= sim.b_theta * (coef[rows] / na[rows])[:, None] * a[rows]
         return d_a, -float(na @ coef)
-    # cosine and angular score the unit rows: backprop onto the left unit
-    # rows, then through their normalization
-    left, right = _fold_left(sim, a, na), _fold_right(sim, q, qn)
-    if sim.kind == "angular":
-        # dS/dcos = 1/(pi*sqrt(1-cos^2)); flat (0) once the clamp engages
-        cos = np.clip(left @ right.T, -1.0, 1.0)
-        interior = np.abs(cos) < 1.0
-        slope = np.zeros_like(cos)
-        slope[interior] = 1.0 / (np.pi * np.sqrt(1.0 - cos[interior] ** 2))
-        d_scores = d_scores * slope
-    return unit_rows_grad(left, na, d_scores @ right), 0.0
+    # cosine scores the unit rows: backprop onto the left unit rows, then
+    # through their normalization
+    left = _fold_left(sim, a, na)
+    return unit_rows_grad(left, na, d_scores @ _fold_right(sim, q, qn)), 0.0

@@ -15,6 +15,7 @@ from pairsim import (
     SimilarityKind,
     TrainConfig,
     backward,
+    cluster_by_threshold,
     clustering_accuracy,
     compute_eer,
     enqueue_batch,
@@ -23,7 +24,6 @@ from pairsim import (
     init_encoder,
     norm_blowup_probe,
     score,
-    score_grad,
     score_matrix,
     score_matrix_grad_left,
     score_rows,
@@ -82,6 +82,12 @@ ERRORS = {
     "accuracy_lengths": (
         lambda: clustering_accuracy([0, 1], [0, 1, 1]), ShapeError,
         "predicted and truth label lengths differ"),
+    "cluster_features_1d": (
+        lambda: cluster_by_threshold(np.ones(3), GI, 0.5), ShapeError,
+        "features must be an (n, d) matrix, got shape (3,)"),
+    "cluster_features_3d": (
+        lambda: cluster_by_threshold(np.ones((2, 3, 4)), GI, 0.5), ShapeError,
+        "features must be an (n, d) matrix, got shape (2, 3, 4)"),
     "accuracy_empty": (
         lambda: clustering_accuracy([], []), DegenerateInputError, "no labels to score"),
     "as_matrix_1d": (
@@ -148,11 +154,6 @@ def _corners_of_a_square():
     return sorted(map(tuple, _corner_means(Rng(0).stream(spec.family), spec).tolist()))
 
 
-def _angular_grads(x1, x2):
-    d1, d2, d_bt = score_grad(SimilarityKind("angular"), x1, x2)
-    return d1.tolist(), d2.tolist(), d_bt
-
-
 BRANCHES = {
     # scale = 4 * noise / sqrt(2) = 1, so the means are the sign rows
     "corner_means_skip_a_repeated_corner": (
@@ -162,13 +163,6 @@ BRANCHES = {
     "eer_threshold_at_the_upper_cut": (
         lambda: compute_eer([0.0], [0.0, 1.0]), (pytest.approx(2 / 3, rel=1e-15), 0.5)),
     "far_floor_all_zero": (lambda: _far_floor([("a", [(0.0, 0.0), (0.0, 1.0)])]), 1e-3),
-    # at cos = +-1 the angular slope 1/(pi sqrt(1 - cos^2)) is clamped to 0
-    "angular_grad_parallel": (
-        lambda: _angular_grads(np.array([3.0, 4.0]), np.array([6.0, 8.0])),
-        ([0.0, 0.0], [0.0, 0.0], 0.0)),
-    "angular_grad_antiparallel": (
-        lambda: _angular_grads(np.array([3.0, 4.0]), np.array([-3.0, -4.0])),
-        ([-0.0, -0.0], [-0.0, -0.0], 0.0)),
 }
 
 

@@ -38,7 +38,7 @@ import pairsim.evaluation as ev
 from pairsim.encoder import init_encoder
 from pairsim.evaluation import _BLOCK, _upper_walk
 from pairsim.numkit import Rng
-from pairsim.similarity import KINDS, _angular, _fold_left, score_matrix
+from pairsim.similarity import KINDS, _fold_left, score_matrix
 from pairsim.trainer import encode
 
 
@@ -105,8 +105,8 @@ def exact_features(rng, n):
 
     The scores fold the bias term and the norms into one matmul, whose
     rounding depends on how BLAS tiles the rows.  Here every step is exact
-    (the dot products, the norms, the normalized rows of cosine and angular,
-    and the bias term under `EXACT_B_THETA`), so a pair's score does not
+    (the dot products, the norms, the normalized rows of cosine, and the
+    bias term under `EXACT_B_THETA`), so a pair's score does not
     depend on its block or on which of its rows comes first."""
     signs = rng.choice([-1.0, 1.0], size=(n, 8))
     four = np.argsort(rng.random((n, 8)), axis=1) < 4
@@ -482,7 +482,7 @@ def test_margin_positive_for_separated_point_clusters():
     a, b = np.array([3.0, 0.0]), np.array([0.0, 3.0])
     feats = np.vstack([a, a, a, b, b, b])
     labels = [0, 0, 0, 1, 1, 1]
-    for name in ("generalized_inner", "cosine", "angular"):
+    for name in ("generalized_inner", "cosine"):
         assert desideratum_audit(feats, labels, SimilarityKind(name)) > 0
 
 
@@ -587,9 +587,12 @@ HOT_CASES = {
                  layout="sorted"),
     "none": dict(kind="cosine", n=3 * _BLOCK + 9, classes=6, seed=12, cut=1.0,
                  layout="shuffled"),
-    "all": dict(kind="angular", n=2 * _BLOCK + 40, classes=5, seed=13, cut=-1.0,
+    "all": dict(kind="cosine", n=2 * _BLOCK + 40, classes=5, seed=13, cut=-1.0,
                 layout="descending"),
 }
+# labels in reverse class order: the walk takes its rows in a permuted order
+DESCENDING = dict(kind="cosine", n=2 * _BLOCK + 7, classes=5, seed=5, cut=0.6,
+                  layout="descending")
 
 
 def test_hot_column_cases_take_their_paths():
@@ -606,6 +609,8 @@ def test_hot_column_cases_take_their_paths():
     _, labels, _, full, t = walk_case(**HOT_CASES["all"])
     hot, outside = hot_columns(labels, full, t)
     assert 0 < hot == outside
+    labels = walk_case(**DESCENDING)[1]
+    assert np.any(labels[1:] < labels[:-1])  # the walk's test for a permutation
 
 
 @pytest.mark.parametrize("case", ["some", "all"])
@@ -639,12 +644,12 @@ def test_hot_columns_compared_in_slices_match_the_dense_oracle(monkeypatch, case
 )
 @example(kind="generalized_inner", n=_BLOCK, classes=3, seed=0, cut=0.5, layout="shuffled")
 @example(kind="cosine", n=3 * _BLOCK, classes=4, seed=1, cut=0.9, layout="shuffled")
-@example(kind="angular", n=2 * _BLOCK + 1, classes=2, seed=2, cut=0.99, layout="shuffled")
+@example(kind="cosine", n=2 * _BLOCK + 1, classes=2, seed=2, cut=0.99, layout="shuffled")
 # many small classes: a block spans dozens of class runs and several roots
 @example(kind="generalized_inner", n=3 * _BLOCK + 5, classes=90, seed=3, cut=0.8, layout="sorted")
 @example(kind="cosine", n=2 * _BLOCK + 3, classes=60, seed=4, cut=0.7, layout="shuffled")
 # the permutation path on labels walked in reverse class order
-@example(kind="angular", n=2 * _BLOCK + 7, classes=5, seed=5, cut=0.6, layout="descending")
+@example(**DESCENDING)
 @example(kind="inner", n=3 * _BLOCK, classes=40, seed=6, cut=0.9, layout="descending")
 # cuts below every score (one component) and above every score (singletons)
 @example(kind="cosine", n=2 * _BLOCK + 11, classes=3, seed=7, cut=-1.0, layout="shuffled")
@@ -727,8 +732,6 @@ def test_walk_block_scores_equal_score_matrix_of_the_unfolded_rows(monkeypatch, 
     _upper_walk(feats, sim, labels=labels, threshold=0.5)
     assert [b.shape for b in blocks] == [(_BLOCK, 2 * _BLOCK + 9), (_BLOCK, _BLOCK + 9), (9, 9)]
     for lo, got in zip(range(0, walked.shape[0], _BLOCK), blocks):
-        if kind == "angular":  # the block's cosines; the walk maps them in place
-            _angular(got)
         want = score_matrix(sim, walked[lo : lo + _BLOCK], walked[lo:])
         assert got.tobytes() == want.tobytes()
 
@@ -766,12 +769,12 @@ def test_audit_and_clustering_memory_stays_blockwise():
 
 def test_eval_holds_one_score_block_and_two_activations():
     # `pairsim eval` encodes its rows, then walks their pairs.  On 6,400
-    # rows one (128 x n) float64 score block is 6.25 MiB.  The walk may hold
-    # that block, the right fold of all rows (n x 33 floats, 1.6 MiB), the
-    # class-order copy of the shuffled rows (n x 32 floats, 1.6 MiB) and
-    # 2 MiB of slack (one 1,024-column slice of hot scores is 1 MiB; a
-    # block's left fold, masks and column maxima and the forest take the
-    # rest), but never a second block.  The default encoder holds one
+    # shuffled rows one (128 x n) float64 score block is 6.25 MiB.  The walk
+    # may hold that block, the right fold of all rows (n x 33 floats,
+    # 1.6 MiB) and 2 MiB of slack (one 1,024-column slice of hot scores is
+    # 1 MiB; a block's left fold, masks and column maxima and the forest
+    # take the rest), but never a second block, and no class-order copy of
+    # the rows once they are folded.  The default encoder holds one
     # layer's input and output, two (n x 64) activations of 3.1 MiB, plus
     # 256 KiB of slack, but no backprop cache.
     rng = np.random.default_rng(4)
@@ -787,7 +790,7 @@ def test_eval_holds_one_score_block_and_two_activations():
     net = init_encoder([d, 64, 64, d], Rng(0), "tanh")
     walk, walk_peak = traced_peak(lambda: _upper_walk(feats, sim, labels=labels, threshold=cut))
     enc, enc_peak = traced_peak(lambda: encode(net, feats))
-    walk_bound = (_BLOCK * n + n * (d + 1) + n * d) * 8 / 2**20 + 2.0
+    walk_bound = (_BLOCK * n + n * (d + 1)) * 8 / 2**20 + 2.0
     enc_bound = 2 * n * 64 * 8 / 2**20 + 0.25
     assert walk_peak < walk_bound, f"walk peak {walk_peak:.2f} MiB, bound {walk_bound:.2f}"
     assert enc_peak < enc_bound, f"encode peak {enc_peak:.2f} MiB, bound {enc_bound:.2f}"

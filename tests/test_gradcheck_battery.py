@@ -1,12 +1,11 @@
 from pairsim.gradcheck import component_checks
 
 EXPECTED = {
-    "score_generalized_inner", "score_inner", "score_cosine", "score_angular",
+    "score_generalized_inner", "score_inner", "score_cosine",
     "pair_loss_naive", "pair_loss_balanced", "pair_loss_simple_final",
     "batch_loss_naive", "batch_loss_balanced", "batch_loss_simple_final",
     "encoder_backward",
-    "composition_generalized_inner", "composition_inner",
-    "composition_cosine", "composition_angular",
+    "composition_generalized_inner", "composition_inner", "composition_cosine",
     "softmax_ce", "proxy_gip_ce", "proxy_gip_ce_raw_proxies",
     "contrastive_loss", "triplet_loss",
 }
@@ -18,7 +17,7 @@ def test_battery_covers_every_component():
 
 
 def test_battery_within_tolerance_over_seeds():
-    for seed in range(4):
+    for seed in range(20):
         for name, err, tol in component_checks(seed):
             assert err < tol, f"{name} at seed {seed}: {err:.3e} >= {tol:g}"
 

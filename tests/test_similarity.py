@@ -38,13 +38,6 @@ def test_generalized_inner_unit_examples():
     assert score(kind("generalized_inner"), E1, E2) == pytest.approx(-0.3, abs=1e-15)
 
 
-def test_angular_endpoints():
-    ang = kind("angular")
-    assert score(ang, E1, -E1) == pytest.approx(0.0, abs=1e-15)
-    assert score(ang, E1, E1) == pytest.approx(1.0, abs=1e-15)
-    assert score(ang, E1, E2) == pytest.approx(0.5, abs=1e-15)
-
-
 def test_generalized_inner_matches_arccos_path():
     # Oracle: evaluate ||x1||*||x2||*(cos(theta) - b_theta) literally, going
     # through arccos and back through cos.
@@ -71,11 +64,9 @@ def test_scale_behavior():
     rng = np.random.default_rng(2)
     x1, x2 = random_nonzero(rng), random_nonzero(rng)
     for c in (0.5, 2.0, 7.3):
-        gi = kind("generalized_inner")
+        gi, cos = kind("generalized_inner"), kind("cosine")
         assert score(gi, c * x1, x2) == pytest.approx(c * score(gi, x1, x2), rel=1e-12)
-        for name in ("cosine", "angular"):
-            sim = kind(name)
-            assert score(sim, c * x1, x2) == pytest.approx(score(sim, x1, x2), rel=1e-12)
+        assert score(cos, c * x1, x2) == pytest.approx(score(cos, x1, x2), rel=1e-12)
 
 
 def test_angular_bias_redundant_on_unit_vectors():
@@ -89,41 +80,27 @@ def test_angular_bias_redundant_on_unit_vectors():
         assert abs(score(gi, u, v) - (score(cos, u, v) - 0.3)) < 1e-12
 
 
-def test_angular_distance_triangle_inequality():
-    # d(v1,v2) = arccos(cos)/pi is a metric on the unit sphere.
-    rng = np.random.default_rng(4)
-
-    def d(a, b):
-        return math.acos(np.clip(a @ b, -1.0, 1.0)) / math.pi
-
-    for _ in range(200):
-        v = rng.standard_normal((3, 6))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        assert d(v[0], v[1]) <= d(v[0], v[2]) + d(v[1], v[2]) + 1e-12
-
-
 def test_zero_vector_rejected_for_normalized_kinds():
-    z = np.zeros(3)
-    for name in ("cosine", "angular"):
-        with pytest.raises(DegenerateInputError):
-            score(kind(name), z, E1)
-        with pytest.raises(DegenerateInputError):
-            score_grad(kind(name), E1, z)
-        with pytest.raises(DegenerateInputError):
-            score_matrix(kind(name), np.stack([E1, z]), np.stack([E2]))
-        with pytest.raises(DegenerateInputError):
-            score_matrix(kind(name), np.stack([E1]), np.stack([E2, z]))
-        with pytest.raises(DegenerateInputError):
-            score_rows(kind(name), np.stack([E1, z]), np.stack([E2, E1]))
-        with pytest.raises(DegenerateInputError):
-            score_rows(kind(name), np.stack([E1, E2]), np.stack([E2, z]))
+    z, cos = np.zeros(3), kind("cosine")
+    with pytest.raises(DegenerateInputError):
+        score(cos, z, E1)
+    with pytest.raises(DegenerateInputError):
+        score_grad(cos, E1, z)
+    with pytest.raises(DegenerateInputError):
+        score_matrix(cos, np.stack([E1, z]), np.stack([E2]))
+    with pytest.raises(DegenerateInputError):
+        score_matrix(cos, np.stack([E1]), np.stack([E2, z]))
+    with pytest.raises(DegenerateInputError):
+        score_rows(cos, np.stack([E1, z]), np.stack([E2, E1]))
+    with pytest.raises(DegenerateInputError):
+        score_rows(cos, np.stack([E1, E2]), np.stack([E2, z]))
     # generalized_inner and inner accept zero vectors
     assert score(kind("generalized_inner"), z, E1) == 0.0
 
 
 def test_b_theta_range_enforced():
     # every kind holds b_theta to [0, 1), including those whose score ignores it
-    for name in ("generalized_inner", "inner", "cosine", "angular"):
+    for name in KINDS:
         for bad in (1.0, -0.1, 1.5, float("nan")):
             with pytest.raises(ConfigError, match=r"b_theta must lie in \[0, 1\)"):
                 SimilarityKind(kind=name, b_theta=bad)
@@ -198,7 +175,7 @@ def test_score_matrix_matches_scalar(name):
     a = (rng.standard_normal((4, 5)) + 0.1) * np.logspace(-3, 3, 4)[:, None]
     q = (rng.standard_normal((6, 5)) + 0.1) * np.logspace(3, -3, 6)[:, None]
     scale = np.outer(np.linalg.norm(a, axis=1), np.linalg.norm(q, axis=1))
-    if name in ("cosine", "angular"):
+    if name == "cosine":
         scale[:] = 1.0
     for b_theta in (0.0, 0.3, 0.999):
         sim = kind(name, b_theta)

@@ -295,7 +295,7 @@ def test_softmax_ce_run_ignores_b_theta_learnable(tmp_path, normalize):
     )
 
 
-@pytest.mark.parametrize("kind", ["inner", "cosine", "angular"])
+@pytest.mark.parametrize("kind", ["inner", "cosine"])
 @pytest.mark.parametrize("method", ["simple", "contrastive", "triplet"])
 def test_queue_run_ignores_b_theta_learnable_where_the_score_does(tmp_path, method, kind):
     # only generalized_inner reads b_theta; the others hold it to [0, 1)
