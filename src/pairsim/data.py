@@ -36,9 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ParseError, ShapeError
-from .numkit import Rng, as_matrix, check_seed, class_ids
+from .numkit import Rng, as_matrix, check_seed, class_ids, row_norms
 
 FAMILIES = ("gaussian_blobs", "concentric_rings", "hypercube_corners")
+_CSV_CHUNK = 1024  # rows per `%` operation in save_csv, which bounds the text it holds
 
 
 @dataclass
@@ -173,8 +174,7 @@ def generate(spec: GenSpec) -> Dataset:
             z = rng.stream(("noise", k)).normal(size=(n_per, d))
             z_in = z @ proj
             z_out = z - z_in
-            norms = np.linalg.norm(z_in, axis=1, keepdims=True)
-            z_in *= np.minimum(1.0, _SPAN_CLIP / np.maximum(norms, 1e-300))
+            z_in *= np.minimum(1.0, _SPAN_CLIP / np.maximum(row_norms(z_in), 1e-300))[:, None]
             noise = z_in + _NUISANCE_GAIN * z_out
             rows[k * n_per : (k + 1) * n_per] = means[k] + spec.noise_scale * noise
     elif spec.family == "hypercube_corners":
@@ -233,10 +233,13 @@ def _header(d: int) -> str:
 
 def save_csv(ds: Dataset, path) -> None:
     """Write `label,f0,...` rows; 17 significant digits round-trip exactly."""
+    row = "%d," + ",".join(["%.17g"] * ds.input_dim) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_header(ds.input_dim) + "\n")
-        for y, row in zip(ds.labels, ds.inputs):
-            fh.write("%d,%s\n" % (y, ",".join("%.17g" % v for v in row)))
+        for lo in range(0, len(ds), _CSV_CHUNK):
+            labels, inputs = (a[lo : lo + _CSV_CHUNK].tolist() for a in (ds.labels, ds.inputs))
+            values = [v for y, r in zip(labels, inputs) for v in (y, *r)]
+            fh.write(row * len(labels) % tuple(values))
 
 
 # Characters of the body `_parse_plain` hands to `np.loadtxt`: save_csv's
@@ -280,12 +283,9 @@ def _parse_plain(head: bytes, body: bytes) -> Dataset | None:
 def _parse_lines(lines) -> Dataset:
     if not lines:
         raise ParseError("empty file", line=0)
-    header = lines[0].split(",")
-    if header[0] != "label" or any(
-        name != f"f{i}" for i, name in enumerate(header[1:])
-    ):
+    d = lines[0].count(",")
+    if lines[0] not in (_header(d), "label"):
         raise ParseError("malformed header, expected label,f0,f1,...", line=1)
-    d = len(header) - 1
     if d < 1:
         raise ParseError("header names no feature columns", line=1)
     rows, labels = [], []
@@ -310,10 +310,7 @@ def _parse_lines(lines) -> Dataset:
         rows.append(values)
     if not rows:
         raise DegenerateInputError("file holds a header but no data rows")
-    return Dataset(
-        inputs=np.asarray(rows, dtype=np.float64),
-        labels=np.asarray(labels, dtype=np.int64),
-    )
+    return Dataset(inputs=rows, labels=labels)  # which converts both lists
 
 
 def load_csv(path) -> Dataset:

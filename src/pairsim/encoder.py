@@ -135,20 +135,19 @@ def backward(net: EncoderNet, cache, grad_features: np.ndarray) -> np.ndarray:
     The gradient vector has `theta`'s layout; each layer is written straight
     into its slice.
     """
-    inputs = cache
     g = np.asarray(grad_features, dtype=np.float64)
-    if g.shape != (inputs[0].shape[0], net.layer_dims[-1]):
+    if g.shape != (cache[0].shape[0], net.layer_dims[-1]):
         raise ShapeError(f"grad_features shape {g.shape} does not match forward output")
     grad = np.empty_like(net.theta)
     d_weights, d_biases = _layers(net.layer_dims, grad)
     for l in range(net.num_layers() - 1, -1, -1):
-        np.matmul(inputs[l].T, g, out=d_weights[l])
-        g.sum(axis=0, out=d_biases[l])
+        np.matmul(cache[l].T, g, out=d_weights[l])
+        np.add.reduce(g, axis=0, out=d_biases[l])
         if l > 0:
             g = g @ net.weights[l].T
-            # the activation derivative, from the layer's output h = inputs[l]:
+            # the activation derivative, from the layer's output h = cache[l]:
             # h > 0 for relu (as z > 0), 1 - h**2 for tanh (h is tanh(z))
-            h = inputs[l]
+            h = cache[l]
             if net.activation == "relu":
                 g *= h > 0.0
             else:

@@ -49,10 +49,15 @@ def check_finite(a, what: str = "array"):
     return a
 
 
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """||a_i|| for the rows of a 2-D array: ``np.linalg.norm(a, axis=1)``'s bits."""
+    return np.sqrt(np.add.reduce(a * a, axis=1))
+
+
 def unit_rows(a: np.ndarray, what: str = "row"):
     """(a / ||a_i||, ||a_i||) for the rows of a 2-D array."""
-    norms = np.linalg.norm(a, axis=1)
-    if np.any(norms == 0.0):
+    norms = row_norms(a)
+    if not norms.all():
         raise DegenerateInputError(f"cannot normalize a zero {what}")
     return a / norms[:, None], norms
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ShapeError
 from .losses import PairBatch
-from .numkit import as_matrix, class_ids
+from .numkit import as_matrix, class_ids, row_norms
 from .similarity import SimilarityKind, score_matrix
 
 
@@ -112,10 +112,7 @@ def enqueue_batch(queue: FeatureQueue, features, labels) -> None:
     new = slice(end, end + m)
     rows[new, :-1] = features
     label[new] = labels
-    # the rows' norms, as np.linalg.norm(features, axis=1) computes them
-    norm = rows[new, -1]
-    np.add.reduce(features * features, axis=1, out=norm)
-    np.sqrt(norm, out=norm)
+    rows[new, -1] = row_norms(features)
     queue._next_step += m
     queue._view(end - keep, end + m)
 
@@ -131,9 +128,8 @@ def form_pairs(
 
     Returns a PairBatch of exactly m * queue.size pairs in row-major
     order (batch row varies slowest).  y_p = 1 iff the class ids match.
-    The queue side is its stored ``[f, |f|]`` rows; ``batch_norms``, when
-    given, are the batch rows' norms (as ``np.linalg.norm(.., axis=1)``
-    gives them).  Does not mutate the queue.
+    The queue side is its stored ``[f, |f|]`` rows; ``batch_norms``, when given,
+    are the batch rows' norms (as `numkit.row_norms` gives them).  Does not mutate the queue.
     """
     if queue.size == 0:
         raise DegenerateInputError("cannot form pairs against an empty queue")

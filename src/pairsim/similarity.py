@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ShapeError
-from .numkit import unit_rows_grad
+from .numkit import row_norms, unit_rows_grad
 
 KINDS = ("generalized_inner", "inner", "cosine")
 
@@ -113,7 +113,7 @@ def _fold_left(sim: SimilarityKind, a, na=None):
     a block folds to its rows of the whole fold."""
     if sim.kind == "inner":
         return a
-    na = np.linalg.norm(a, axis=1) if na is None else na
+    na = row_norms(a) if na is None else na
     if sim.kind == "generalized_inner":
         # <a,q> - b_theta |a||q| = [a, -b_theta |a|] . [q, |q|]; b_theta and
         # the sign sit on the left, so the right side is [q, |q|] as it stands
@@ -126,7 +126,7 @@ def _fold_left(sim: SimilarityKind, a, na=None):
 def _fold_right(sim: SimilarityKind, q, qn=None):
     """``[q, |q|]`` (``qn``, if the caller holds it), or the kind's left fold."""
     if sim.kind == "generalized_inner":
-        return np.column_stack((q, np.linalg.norm(q, axis=1))) if qn is None else qn
+        return np.column_stack((q, row_norms(q))) if qn is None else qn
     return _fold_left(sim, q, None if qn is None else qn[:, -1])
 
 
@@ -134,7 +134,7 @@ def score_matrix(sim: SimilarityKind, a, q, na=None, qn=None) -> np.ndarray:
     """All pairwise scores between rows of ``a`` (m x d) and ``q`` (n x d).
 
     One matmul over the folded rows (see the module docstring).  ``na`` are
-    the rows' Euclidean norms (as ``np.linalg.norm(.., axis=1)`` gives them)
+    the rows' Euclidean norms (as `numkit.row_norms` gives them)
     and ``qn`` is ``[q, |q|]``, each row of ``q`` followed by its norm, if the
     caller has them; otherwise they are computed here, when the kind needs
     them.
@@ -175,7 +175,7 @@ def score_matrix_grad_left(sim: SimilarityKind, a, q, d_scores, na=None, qn=None
         )
     if sim.kind == "inner":
         return d_scores @ q, 0.0
-    na = np.linalg.norm(a, axis=1) if na is None else na
+    na = row_norms(a) if na is None else na
     if sim.kind == "generalized_inner":
         # one product gives d_scores @ q and, as its last column, each row's
         # sum_j dS_ij ||q_j||: the bias term's gradient is -b_theta times that

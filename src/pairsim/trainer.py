@@ -63,7 +63,7 @@ from .encoder import (
 from .errors import ConfigError, DegenerateInputError
 from .evaluation import _pair_totals, evaluate
 from .losses import LossConfig, batch_loss
-from .numkit import Rng, as_matrix, check_finite, check_seed, unit_rows, unit_rows_grad
+from .numkit import Rng, as_matrix, check_finite, check_seed, row_norms, unit_rows, unit_rows_grad
 from .pair_queue import FeatureQueue, enqueue_batch, form_pairs, pos_neg_ratio
 from .similarity import score_matrix_grad_left
 
@@ -215,10 +215,10 @@ def _step_grads(cfg, loss_cfg, enc, x, y, rec, queue=None, proxies=None, trng=No
     feats, cache = forward(enc, x)
     # the scored rows' norms serve both score passes (the queue's are stored
     # at enqueue); raw_norms are the encoder output's
-    raw_norms = f_norms = np.linalg.norm(feats, axis=1)
+    raw_norms = f_norms = row_norms(feats)
     if cfg.normalize_features:
         feats = unit_rows(feats, "feature vector")[0]
-        f_norms = np.linalg.norm(feats, axis=1)
+        f_norms = row_norms(feats)
     m = feats.shape[0]
     d_b, d_w, correct = 0.0, None, 0
     sim = loss_cfg.similarity

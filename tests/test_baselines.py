@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from pairsim import (
@@ -27,6 +28,7 @@ from pairsim.baselines import (
 )
 from pairsim.errors import ConfigError, DegenerateInputError, ShapeError
 from pairsim.gradcheck import max_rel_err, numerical_grad
+from pairsim.numkit import unit_rows_grad
 
 
 # ----- direct-summation oracles -----------------------------------------
@@ -104,6 +106,20 @@ def test_ce_validates_label_and_shape():
         softmax_ce(W, np.ones((2, 3)), [0, 1.5])
     with pytest.raises(ConfigError, match=r"got 0.5"):
         proxy_gip_ce(W, np.ones((2, 3)), [0.5, 1], 0.3)
+
+
+@pytest.mark.parametrize("ce", [softmax_ce, lambda W, x, y: proxy_gip_ce(W, x, y, 0.3, 0.2)],
+                         ids=["softmax_ce", "proxy_gip_ce"])
+@pytest.mark.parametrize("labels, label, row", [
+    ([0, 1, 3, 2, 7], 3, 2),
+    ([0, -1, 5], -1, 1),
+    ([1] * 999 + [10**15], 10**15, 999),
+], ids=["above", "negative", "last_of_1000"])
+def test_ce_names_the_first_out_of_range_label_and_its_row(ce, labels, label, row):
+    x = np.ones((len(labels), 3))
+    with pytest.raises(ConfigError) as err:
+        ce(np.eye(3), x, labels)
+    assert str(err.value) == f"label {label} of row {row} out of range [0, 3)"
 
 
 @pytest.mark.parametrize("ce", [
@@ -285,6 +301,91 @@ def test_ce_predictions_are_the_margin_free_argmax(normalize):
         else:
             _, _, predicted = proxy_gip_ce(W, x, y, 0.3, 0.9, normalize)
         assert np.array_equal(predicted, want)
+
+
+def matrix_bias_ce(W, x, y, b_theta, margin, normalize):
+    """The CE step as first written, kept as the bit-for-bit reference: an
+    (m, K) bias matrix even without a margin, np.linalg.norm row norms,
+    np.outer, np.mean, and ``coef * bias`` formed once per use."""
+    m = x.shape[0]
+    rows = np.arange(m)
+    if normalize:
+        raw_norms = np.linalg.norm(W, axis=1)
+        w_eff = W / raw_norms[:, None]
+        w_norm = np.ones(len(W))
+    else:
+        w_eff = W
+        w_norm = np.linalg.norm(w_eff, axis=1)
+    x_norm = np.linalg.norm(x, axis=1)
+    bias = np.full((m, len(W)), b_theta + margin)
+    bias[rows, y] = b_theta
+    dots = x @ w_eff.T
+    scale = np.outer(x_norm, w_norm)
+    logits = dots - bias * scale
+    predicted = np.argmax(logits if margin == 0.0 else dots - b_theta * scale, axis=1)
+    diffs = logits - logits[rows, y][:, None]
+    top = diffs.max(axis=1)
+    terms = np.exp(diffs - top[:, None])
+    total = terms.sum(axis=1)
+    loss = float(np.mean(top + np.log(total)))
+    coef = terms / (m * total[:, None])
+    coef[rows, y] = 0.0
+    coef[rows, y] = -coef.sum(axis=1)
+    inv_x = np.divide(1.0, x_norm, out=np.zeros(m), where=x_norm > 0.0)
+    d_x = coef @ w_eff - ((coef * bias) @ w_norm * inv_x)[:, None] * x
+    d_weff = coef.T @ x
+    if normalize:
+        d_w = unit_rows_grad(w_eff, raw_norms, d_weff)
+    else:
+        inv_w = np.divide(1.0, w_norm, out=np.zeros_like(w_norm), where=w_norm > 0.0)
+        d_w = d_weff - ((coef * bias).T @ x_norm * inv_w)[:, None] * w_eff
+    return loss, d_x, d_w, -float(x_norm @ coef @ w_norm), predicted
+
+
+def ce_bits(loss, d_x, d_w, d_btheta, predicted):
+    return [np.float64(v).tobytes() for v in (loss, d_btheta)] + [
+        np.asarray(a).tobytes() for a in (d_x, d_w, predicted)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(2, 12),
+    m=st.integers(1, 24),
+    d=st.integers(1, 12),
+    b_theta=st.one_of(st.sampled_from([0.0, -0.0, 0.3]), st.floats(0.0, 0.999)),
+    margin=st.one_of(st.sampled_from([0.0, -0.0, 0.2]), st.floats(0.0, 2.0)),
+    normalize=st.booleans(),
+    zero_rows=st.integers(0, 3),
+    zero_cols=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(k=3, m=4, d=1, b_theta=-0.0, margin=0.0, normalize=False, zero_rows=2,
+         zero_cols=0, seed=0)
+@example(k=2, m=1, d=1, b_theta=0.0, margin=0.0, normalize=True, zero_rows=1,
+         zero_cols=0, seed=1)
+def test_ce_keeps_the_bits_of_the_bias_matrix_form(
+    k, m, d, b_theta, margin, normalize, zero_rows, zero_cols, seed
+):
+    rng = np.random.default_rng(seed)
+    W = rng.normal(size=(k, d)) * 10.0 ** rng.integers(-3, 4)
+    x = rng.normal(size=(m, d)) * 10.0 ** rng.integers(-3, 4)
+    x[rng.integers(0, m, size=zero_rows)] = 0.0
+    x[:, rng.integers(0, d, size=zero_cols)] = 0.0
+    W[:, rng.integers(0, d, size=zero_cols)] = 0.0
+    y = rng.integers(0, k, size=m)
+    if normalize and not np.linalg.norm(W, axis=1).all():
+        W[:, 0] += 1.0
+    if (b_theta != 0.0 or margin != 0.0) and not np.linalg.norm(x, axis=1).all():
+        with pytest.raises(DegenerateInputError, match="zero feature has no direction"):
+            proxy_gip_ce(W, x, y, b_theta, margin, normalize)
+    else:
+        loss, g, predicted = proxy_gip_ce(W, x, y, b_theta, margin, normalize)
+        want = matrix_bias_ce(W, x, y, b_theta, margin, normalize)
+        assert ce_bits(loss, *g, predicted) == ce_bits(*want)
+    loss, g, predicted = softmax_ce(W, x, y, normalize)
+    want = matrix_bias_ce(W, x, y, 0.0, 0.0, normalize)
+    assert ce_bits(loss, *g, predicted) == ce_bits(*want[:3], 0.0, want[4])
 
 
 def test_init_proxy_bank_shapes():

@@ -529,3 +529,40 @@ def test_csv_round_trip_is_bit_exact_property(tmp_path_factory, values, d, label
     assert back.inputs.view(np.int64).tobytes() == vals.view(np.int64).tobytes()
     assert back.labels.tobytes() == ds.labels.tobytes()
     assert back.num_classes == ds.num_classes
+
+
+def per_value_csv(ds):
+    """The text of `save_csv` formatted one value at a time: the reference
+    for the chunked formatting."""
+    text = "label," + ",".join(f"f{i}" for i in range(ds.input_dim)) + "\n"
+    return text + "".join(
+        "%d,%s\n" % (y, ",".join("%.17g" % v for v in row))
+        for y, row in zip(ds.labels, ds.inputs)
+    )
+
+
+_CHUNK = pairsim.data._CSV_CHUNK
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]),
+    d=st.integers(1, 5),
+    edges=st.lists(st.sampled_from(_EDGES), max_size=8),
+    label_max=st.sampled_from([1, 15, 2**63 - 1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1, d=1, edges=[], label_max=2**63 - 1, seed=0)
+@example(n=_CHUNK + 1, d=1, edges=_EDGES, label_max=2**63 - 1, seed=1)
+def test_save_csv_bytes_equal_per_value_formatting_property(
+    tmp_path_factory, n, d, edges, label_max, seed
+):
+    rng = np.random.default_rng(seed)
+    vals = rng.normal(size=n * d) * 10.0 ** rng.integers(-300, 300, size=n * d)
+    vals[rng.permutation(n * d)[: len(edges)]] = edges[: n * d]
+    labels = rng.integers(0, label_max, size=n, endpoint=True)
+    labels[rng.integers(0, n)] = label_max
+    ds = Dataset(inputs=vals.reshape(n, d), labels=labels)
+    path = tmp_path_factory.mktemp("csv") / "ds.csv"
+    save_csv(ds, path)
+    assert path.read_bytes() == per_value_csv(ds).encode()

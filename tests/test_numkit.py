@@ -4,11 +4,11 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from pairsim.errors import ConfigError
-from pairsim.numkit import Rng, class_ids, sigmoid, softplus
+from pairsim.numkit import Rng, class_ids, row_norms, sigmoid, softplus
 
 
 def test_softplus_at_zero():
@@ -89,6 +89,28 @@ def test_sigmoid_bit_identical_to_two_exp_form_on_edges():
 def test_sigmoid_bit_identical_to_two_exp_form(t):
     assert np.float64(sigmoid(t)).tobytes() == two_exp_sigmoid(t).tobytes()
 
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(0, 40),
+    d=st.integers(1, 40),
+    exponent=st.integers(-300, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=0, d=3, exponent=0, seed=0)
+@example(n=5, d=1, exponent=300, seed=0)
+@example(n=5, d=1, exponent=-300, seed=0)
+def test_row_norms_have_the_bits_of_linalg_norm(n, d, exponent, seed):
+    rng = np.random.default_rng(seed)
+    # magnitudes spread over up to 40 decades around 10**exponent, so rows
+    # whose squares overflow to inf or underflow to zero come up as well
+    scale = 10.0 ** np.clip(exponent + rng.integers(-20, 21, size=(n, d)), -300, 300)
+    a = rng.normal(size=(n, d)) * scale
+    with np.errstate(over="ignore", under="ignore"):
+        want = np.linalg.norm(a, axis=1)
+        got = row_norms(a)
+    assert got.shape == (n,) and got.tobytes() == want.tobytes()
 
 
 def test_rng_determinism():

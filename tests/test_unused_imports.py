@@ -3,7 +3,7 @@ every private name a pairsim module defines is read in the package, and
 every public name the package exports is read by a pairsim module, a demo
 or a traced perfbench boundary.  The package imports nothing at run time
 but the standard library, numpy and itself, and numpy is its one declared
-dependency.
+dependency.  Every row norm in the package goes through `numkit.row_norms`.
 
 No linter ships with the toolchain, so this parses each file with `ast`.
 `__init__.py` is left out of the import check: its imports are the
@@ -167,3 +167,56 @@ def test_numpy_is_the_only_declared_dependency():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert [dep.split(">")[0] for dep in project["dependencies"]] == ["numpy"]
+
+
+
+def _callee(node) -> str:
+    """The source text of a call's function (``np.linalg.norm``), '' for a non-call."""
+    return ast.unparse(node.func) if isinstance(node, ast.Call) else ""
+
+
+def _on_rows(call) -> bool:
+    return any(
+        kw.arg == "axis" and ast.unparse(kw.value) in ("1", "-1") for kw in call.keywords
+    )
+
+
+def hand_row_norms(source: str) -> list:
+    """Row norms ``source`` takes other than through `row_norms`: calls of
+    ``np.linalg.norm(.., axis=1)``, and ``np.sqrt`` of an ``axis=1`` sum
+    outside the function named ``row_norms``."""
+    found = []
+
+    def visit(node, inside):
+        for child in ast.iter_child_nodes(node):
+            here = inside or (isinstance(child, ast.FunctionDef) and child.name == "row_norms")
+            if _callee(child).endswith("linalg.norm") and _on_rows(child):
+                found.append(f"line {child.lineno}: linalg.norm")
+            elif _callee(child).endswith("sqrt") and not here and any(
+                _callee(arg).endswith(("add.reduce", "sum")) and _on_rows(arg)
+                for arg in child.args
+            ):
+                found.append(f"line {child.lineno}: sqrt of a row sum")
+            visit(child, here)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def test_the_check_sees_a_hand_written_row_norm():
+    source = (
+        "def row_norms(a):\n    return np.sqrt(np.add.reduce(a * a, axis=1))\n"
+        "n = np.linalg.norm(x, axis=1)\nv = np.linalg.norm(x)\n"
+        "k = numpy.linalg.norm(x, axis=-1, keepdims=True)\n"
+        "def f(a):\n    np.sqrt(np.add.reduce(a * a, axis=1), out=o)\n"
+        "    return np.sqrt((a * a).sum(axis=1)), np.sqrt(np.sum(a * a, axis=0))\n"
+    )
+    assert hand_row_norms(source) == [
+        "line 3: linalg.norm", "line 5: linalg.norm",
+        "line 7: sqrt of a row sum", "line 8: sqrt of a row sum",
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_every_row_norm_goes_through_row_norms(module):
+    assert hand_row_norms((PACKAGE / module).read_text()) == []
