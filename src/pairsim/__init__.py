@@ -54,8 +54,6 @@ from .baselines import (
     init_proxy_bank,
     softmax_ce,
     proxy_gip_ce,
-    contrastive_loss,
-    triplet_loss,
     norm_blowup_probe,
 )
 from .trainer import (

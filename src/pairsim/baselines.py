@@ -1,5 +1,4 @@
-"""Comparator losses: proxy softmax CE, its generalized-inner variants,
-and proxy-free contrastive / triplet hinges.
+"""Comparator losses: proxy softmax CE and its generalized-inner variants.
 
 The CE family is the log(1 + sum_{i != y} exp(z_i - z_y)) form.  Plain
 ``softmax_ce`` uses raw inner-product logits z_i = w_i . x, which on
@@ -18,7 +17,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ShapeError
-from .losses import PairBatch
 from .numkit import check_finite, class_ids, row_norms, unit_rows, unit_rows_grad
 
 
@@ -45,8 +43,10 @@ def _check_batch(proxies, features, labels):
     y = np.atleast_1d(np.asarray(labels))
     if y.shape != (x.shape[0],):
         raise ShapeError(f"{x.shape[0]} feature rows but labels of shape {y.shape}")
+    if not y.size:
+        raise DegenerateInputError("empty batch: the mean CE of no rows is undefined")
     y = class_ids(y)
-    if y.size and (y.min() < 0 or y.max() >= len(w)):
+    if y.min() < 0 or y.max() >= len(w):
         row = int(np.argmax((y < 0) | (y >= len(w))))
         raise ConfigError(f"label {y[row]} of row {row} out of range [0, {len(w)})")
     return w, x, y
@@ -140,60 +140,6 @@ def proxy_gip_ce(proxies, features, labels, b_theta: float, margin: float = 0.0,
         raise ConfigError(f"margin must be >= 0 and finite, got {margin}")
     w, x, y = _check_batch(proxies, features, labels)
     return _gip_ce(w, normalize_proxies, x, y, float(b_theta), float(margin))
-
-
-def contrastive_loss(pairs: PairBatch, margin: float):
-    """Two-sided hinge in score space, mean-pooled; (loss, d_scores).
-
-    Positives pay (margin - s)+ and negatives (s + margin)+, i.e. the
-    pull/push targets sit at +margin and -margin. Exactly at the hinge the
-    loss is 0 with subgradient 0.
-    """
-    if not 0 < margin < np.inf:
-        raise ConfigError(f"margin must be positive and finite, got {margin}")
-    if len(pairs) == 0:
-        raise DegenerateInputError("empty pair batch")
-    s = pairs.scores
-    y = pairs.labels
-    gap = np.where(y, margin - s, s + margin)
-    active = gap > 0.0
-    loss = float(np.where(active, gap, 0.0).mean())
-    d_scores = np.where(active, np.where(y, -1.0, 1.0), 0.0) / len(pairs)
-    return loss, d_scores
-
-
-def triplet_loss(pairs: PairBatch, anchors: int, margin: float, rng):
-    """Per-anchor triplet hinge in score space; (loss, d_scores, used).
-
-    ``pairs`` holds ``anchors`` batch rows times the queue in row-major
-    order.  Each anchor whose row has both a positive and a negative slot
-    draws one of each from ``rng`` (positive first) and pays
-    (margin + s_an - s_ap)+; the loss is the mean over the ``used`` anchors.
-    Exactly at the hinge the loss is 0 with subgradient 0.
-    """
-    if not 0 < margin < np.inf:
-        raise ConfigError(f"margin must be positive and finite, got {margin}")
-    s = pairs.scores.reshape(anchors, -1)
-    pos = pairs.labels.reshape(anchors, -1)
-    d_scores = np.zeros_like(s)
-    loss_sum = 0.0
-    used = 0
-    for i in range(anchors):
-        same = np.flatnonzero(pos[i])
-        diff = np.flatnonzero(~pos[i])
-        if same.size == 0 or diff.size == 0:
-            continue
-        p = same[int(rng.integers(0, same.size))]
-        n = diff[int(rng.integers(0, diff.size))]
-        gap = margin + float(s[i, n]) - float(s[i, p])
-        used += 1
-        if gap > 0.0:
-            loss_sum += gap
-            d_scores[i, n] = 1.0
-            d_scores[i, p] = -1.0
-    if used == 0:
-        raise DegenerateInputError("queue offers no (positive, negative) draws")
-    return loss_sum / used, d_scores.ravel() / used, used
 
 
 def norm_blowup_probe(run) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Central finite-difference gradient checking helpers.
 
 `component_checks` runs the standard battery of named fixtures (scores,
-losses, encoder, full pipeline, baselines) and reports a max relative error
+pair losses, encoder, full pipeline, proxy cross entropies) and reports a max relative error
 per component; the command line front end prints these and the test suite
 holds them to their tolerances.  Every check in it, of an array or of a
 scalar parameter such as b or b_theta, goes through `numerical_grad`.  The
@@ -66,25 +66,12 @@ def component_checks(seed: int = 0) -> list:
     step per similarity kind).  Hidden activations in the finite-difference
     fixtures are tanh, so no relu kink sits inside the perturbation window.
     """
-    from .baselines import (
-        contrastive_loss,
-        init_proxy_bank,
-        proxy_gip_ce,
-        softmax_ce,
-        triplet_loss,
-    )
+    from .baselines import init_proxy_bank, proxy_gip_ce, softmax_ce
     from .encoder import backward, forward, init_encoder
     from .losses import LossConfig, PairBatch, batch_loss, pair_loss, pair_loss_grad
     from .numkit import Rng
     from .pair_queue import FeatureQueue, enqueue_batch
-    from .similarity import (
-        KINDS,
-        SimilarityKind,
-        score,
-        score_grad,
-        score_matrix,
-        score_matrix_grad_left,
-    )
+    from .similarity import KINDS, SimilarityKind, score, score_grad
     from .trainer import TrainConfig, _step_grads
 
     rng = Rng(seed)
@@ -194,32 +181,4 @@ def component_checks(seed: int = 0) -> list:
         if name != "softmax_ce":
             checks.append((g.d_btheta, lambda t: ce(t=t)[0], b_theta))
         out.append((name, _fd_err(1e-3, *checks), 1e-6))
-
-    # contrastive hinge away from its kinks
-    hrng = rng.stream("contrastive")
-    margin = 0.5
-    scores = np.array([0.9, -0.8, 0.2, -0.1]) + 0.01 * hrng.normal(size=4)
-    labels = np.array([1, 0, 0, 1])
-    _, d_scores = contrastive_loss(PairBatch(scores, labels), margin)
-    err = _fd_err(
-        1e-3,
-        (d_scores, lambda v: contrastive_loss(PairBatch(v, labels), margin)[0], scores.copy()),
-    )
-    out.append(("contrastive_loss", err, 1e-6))
-
-    # triplet through the score matrix onto the anchors; a wide margin keeps
-    # most hinges active, and each evaluation re-derives the same draws
-    trng = rng.stream("triplet")
-    sim = SimilarityKind("generalized_inner", 0.3)
-    a = trng.normal(size=(3, 4))
-    qfeat = trng.normal(size=(6, 4))
-    y = np.array([[1, 0, 0, 1, 0, 1]] * 3)
-
-    def f_trip(v):
-        pairs = PairBatch(score_matrix(sim, v, qfeat), y)
-        return triplet_loss(pairs, 3, 5.0, trng.stream("draws"))
-
-    _, d_scores, _ = f_trip(a)
-    d_a, _ = score_matrix_grad_left(sim, a, qfeat, d_scores.reshape(3, 6))
-    out.append(("triplet_loss", _fd_err(1e-3, (d_a, lambda v: f_trip(v)[0], a.copy())), 1e-6))
     return out

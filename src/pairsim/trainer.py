@@ -12,12 +12,10 @@ updates.  The gradient audit (`gradcheck.component_checks`) runs the same
 `_step_grads`.
 
 `method` selects what happens between encode and backprop.  The queue
-methods score the batch against the queue, take a loss on those pair scores
-and backprop it through the batch side of the score matrix:
+method scores the batch against the queue, takes a loss on those pair scores
+and backprops it through the batch side of the score matrix:
 
-* simple       -- weighted softplus pair loss
-* contrastive  -- two-sided score hinge
-* triplet      -- per-anchor (pos, neg) draws from the queue, score hinge
+* simple       -- weighted softplus pair loss (`losses.batch_loss`)
 
 The proxy methods take one batched cross entropy against a learned (K, d)
 proxy matrix, one row per class, trained by the same SGD rule as the encoder
@@ -41,13 +39,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .baselines import (
-    contrastive_loss,
-    init_proxy_bank,
-    proxy_gip_ce,
-    softmax_ce,
-    triplet_loss,
-)
+from .baselines import init_proxy_bank, proxy_gip_ce, softmax_ce
 from .data import Dataset, split
 from .encoder import (
     EncoderNet,
@@ -67,8 +59,7 @@ from .numkit import Rng, as_matrix, check_finite, check_seed, row_norms, unit_ro
 from .pair_queue import FeatureQueue, enqueue_batch, form_pairs, pos_neg_ratio
 from .similarity import score_matrix_grad_left
 
-METHODS = ("simple", "contrastive", "triplet", "softmax_ce", "proxy_gip_ce")
-_QUEUE_METHODS = ("simple", "contrastive", "triplet")
+METHODS = ("simple", "softmax_ce", "proxy_gip_ce")
 _BT_MAX = float(np.nextafter(1.0, 0.0))  # b_theta must stay below 1
 
 
@@ -101,8 +92,6 @@ class TrainConfig:
     eval_num_neg: int = 2000
     far_targets: tuple = (0.1, 0.01)
     # baseline knobs
-    contrastive_margin: float = 0.5
-    triplet_margin: float = 0.2
     proxy_margin: float = 0.0
     normalize_proxies: bool = False
 
@@ -113,7 +102,7 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.queue_capacity < 1:
             raise ConfigError(f"queue_capacity must be >= 1, got {self.queue_capacity}")
-        if self.method in _QUEUE_METHODS and self.batch_size > self.queue_capacity:
+        if self.method == "simple" and self.batch_size > self.queue_capacity:
             raise ConfigError(
                 f"batch_size {self.batch_size} exceeds queue_capacity {self.queue_capacity}"
             )
@@ -137,11 +126,6 @@ class TrainConfig:
             raise ConfigError(f"lr_decay_at fractions must lie in (0, 1), got {self.lr_decay_at}")
         if not 0.0 < self.lr_decay_factor <= 1.0:
             raise ConfigError(f"lr_decay_factor must lie in (0, 1], got {self.lr_decay_factor}")
-        if not (0 < self.contrastive_margin < np.inf and 0 < self.triplet_margin < np.inf):
-            raise ConfigError(
-                "contrastive_margin and triplet_margin must be > 0 and finite, got "
-                f"{self.contrastive_margin} and {self.triplet_margin}"
-            )
         if not 0 <= self.proxy_margin < np.inf:
             raise ConfigError(f"proxy_margin must be >= 0, got {self.proxy_margin}")
         check_seed(self.seed)
@@ -202,15 +186,15 @@ def _eval_on_pairs(cfg, enc, val_ds, sim, bias) -> dict:
     )
 
 
-def _step_grads(cfg, loss_cfg, enc, x, y, rec, queue=None, proxies=None, trng=None):
+def _step_grads(cfg, loss_cfg, enc, x, y, rec, queue=None, proxies=None):
     """The gradient half of a step on batch (x, y): encode, normalize, the
     method's loss (pairs against ``queue`` at ``loss_cfg``'s b and
-    similarity, triplets drawn from ``trng``, or the CE against the
-    ``proxies`` matrix at ``loss_cfg``'s b_theta and ``cfg``'s proxy margin
-    and normalization) and backprop to the encoder; no update.  Returns
-    (loss, d_theta, d_b, d_btheta, d_proxies, mean raw feature norm, correct
-    predictions), d_b 0.0 and d_proxies None where the method has none;
-    writes the pair fields (pos_ratio, triplets) into the step record ``rec``.
+    similarity, or the CE against the ``proxies`` matrix at ``loss_cfg``'s
+    b_theta and ``cfg``'s proxy margin and normalization) and backprop to the
+    encoder; no update.  Returns (loss, d_theta, d_b, d_btheta, d_proxies,
+    mean raw feature norm, correct predictions), d_b 0.0 and d_proxies None
+    where the method has none; writes the queue's pos_ratio into the step
+    record ``rec``.
     """
     feats, cache = forward(enc, x)
     # the scored rows' norms serve both score passes (the queue's are stored
@@ -224,12 +208,7 @@ def _step_grads(cfg, loss_cfg, enc, x, y, rec, queue=None, proxies=None, trng=No
     sim = loss_cfg.similarity
     if queue is not None:
         pairs = form_pairs(queue, feats, y, sim, batch_norms=f_norms)
-        if cfg.method == "simple":
-            loss, d_scores, d_b = batch_loss(loss_cfg, pairs)
-        elif cfg.method == "contrastive":
-            loss, d_scores = contrastive_loss(pairs, cfg.contrastive_margin)
-        else:
-            loss, d_scores, rec["triplets"] = triplet_loss(pairs, m, cfg.triplet_margin, trng)
+        loss, d_scores, d_b = batch_loss(loss_cfg, pairs)
         # backprop onto the batch side only, against the queue's [f, |f|] rows
         d_feats, d_bt = score_matrix_grad_left(
             sim, feats, queue._feat, d_scores.reshape(m, queue.size), na=f_norms, qn=queue._rows
@@ -298,7 +277,7 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
         raise DegenerateInputError("validation split lacks same-class or cross-class pairs")
 
     queue = ema = proxies = v_proxies = None
-    if cfg.method in _QUEUE_METHODS:
+    if cfg.method == "simple":
         queue = FeatureQueue(cfg.queue_capacity, cfg.feature_dim)
         ema = enc.copy()
 
@@ -325,11 +304,9 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
                 rows = order[s * m : (s + 1) * m]
                 lr_now = sgd_now.lr = lr_at(cfg, gstep, total_steps)
                 rec = {"step": gstep, "epoch": epoch, "lr": lr_now}
-                trng = rng.stream(("triplet", gstep)) if cfg.method == "triplet" else None
                 loss, d_theta, d_b, d_bt, d_w, norm, hits = _step_grads(
                     cfg, loss_now, enc, train_ds.inputs[rows], train_ds.labels[rows], rec,
-                    queue, proxies, trng,
-                )
+                    queue, proxies)
                 sgd_step(enc.theta, d_theta, sgd_now, v_enc)
                 if proxies is not None:
                     # proxies follow the same momentum/decay rule as the encoder

@@ -1,4 +1,4 @@
-"""Baseline losses: CE family oracles, hinge mechanics, gradient checks."""
+"""Baseline losses: CE family oracles, bit pins, gradient checks."""
 
 import math
 
@@ -7,25 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from pairsim import (
-    FeatureQueue,
-    PairBatch,
-    Rng,
-    SimilarityKind,
-    enqueue_batch,
-    form_pairs,
-    score,
-    score_grad,
-    score_matrix,
-    score_matrix_grad_left,
-)
-from pairsim.baselines import (
-    contrastive_loss,
-    init_proxy_bank,
-    proxy_gip_ce,
-    softmax_ce,
-    triplet_loss,
-)
+from pairsim import Rng, SimilarityKind, score
+from pairsim.baselines import init_proxy_bank, proxy_gip_ce, softmax_ce
 from pairsim.errors import ConfigError, DegenerateInputError, ShapeError
 from pairsim.gradcheck import max_rel_err, numerical_grad
 from pairsim.numkit import unit_rows_grad
@@ -137,6 +120,16 @@ def test_ce_rejects_bad_proxy_matrix(ce, proxies, error, message):
         ce(proxies, np.ones((1, 2)), [0])
 
 
+@pytest.mark.parametrize("ce", [
+    lambda W, x, y: softmax_ce(W, x, y),
+    lambda W, x, y: proxy_gip_ce(W, x, y, 0.3, 0.2),
+], ids=["softmax_ce", "proxy_gip_ce"])
+def test_ce_rejects_an_empty_batch(ce):
+    # the mean over no rows is 0/0: named up front, not as a NaN loss after it
+    with pytest.raises(DegenerateInputError, match=r"^empty batch"):
+        ce(np.eye(3), np.ones((0, 3)), [])
+
+
 @pytest.mark.parametrize("margin", [-0.1, float("nan"), float("inf")])
 def test_proxy_gip_ce_rejects_bad_margin(margin):
     # a NaN margin would turn the first batch's proxy CE loss into nan, and
@@ -160,22 +153,6 @@ def test_ce_rejects_a_non_finite_proxy(ce, bad, normalize):
         W[row, 0] = bad
         with pytest.raises(FloatingPointError, match=r"contains NaN or Inf"):
             ce(W, x, [0, 2], normalize)
-
-
-@pytest.mark.parametrize("margin", [0.0, -0.1, float("nan"), float("inf")])
-@pytest.mark.parametrize(
-    "loss",
-    [
-        lambda pairs, margin: contrastive_loss(pairs, margin),
-        lambda pairs, margin: triplet_loss(pairs, 2, margin, Rng(0)),
-    ],
-    ids=["contrastive", "triplet"],
-)
-def test_pair_baselines_reject_bad_margin(loss, margin):
-    # an infinite margin would make both hinge losses inf
-    pairs = PairBatch([0.2, -0.1, 0.3, 0.0], [1, 0, 1, 0])
-    with pytest.raises(ConfigError, match=r"margin must be positive and finite"):
-        loss(pairs, margin)
 
 
 # ----- proxy_gip_ce ------------------------------------------------------
@@ -392,153 +369,3 @@ def test_init_proxy_bank_shapes():
     proxies = init_proxy_bank(Rng(0), 5, 8)
     assert proxies.shape == (5, 8) and proxies.dtype == np.float64
     assert np.array_equal(proxies, Rng(0).normal(size=(5, 8)) / np.sqrt(8))
-
-
-# ----- contrastive -------------------------------------------------------
-
-
-def test_contrastive_satisfied_hinges_are_free():
-    pairs = PairBatch([5.0, -5.0], [1, 0])
-    loss, d = contrastive_loss(pairs, margin=0.3)
-    assert loss == 0.0
-    assert np.array_equal(d, [0.0, 0.0])
-
-
-def test_contrastive_boundary_has_zero_subgradient():
-    pairs = PairBatch([0.3, -0.3], [1, 0])
-    loss, d = contrastive_loss(pairs, margin=0.3)
-    assert loss == 0.0
-    assert np.array_equal(d, [0.0, 0.0])
-
-
-def test_contrastive_active_hinges_hand_example():
-    pairs = PairBatch([0.1, -0.5], [1, 0])
-    loss, d = contrastive_loss(pairs, margin=0.3)
-    assert_allclose(loss, 0.1)  # (0.3 - 0.1)/2, negative side inactive
-    assert_allclose(d, [-0.5, 0.0])
-
-
-def test_contrastive_gradient_matches_fd_away_from_kinks():
-    rng = np.random.default_rng(5)
-    scores = rng.normal(size=12)
-    labels = rng.integers(0, 2, size=12)
-    margin = 0.25
-    # keep every score at least 1e-3 from its hinge
-    hinge = np.where(labels == 1, margin, -margin)
-    scores = np.where(np.abs(scores - hinge) < 1e-3, scores + 0.01, scores)
-    _, d = contrastive_loss(PairBatch(scores, labels), margin)
-    num = numerical_grad(
-        lambda s: contrastive_loss(PairBatch(s, labels), margin)[0], scores.copy()
-    )
-    assert max_rel_err(d, num, floor=1e-3) < 1e-5
-
-
-def test_contrastive_validates():
-    with pytest.raises(ConfigError):
-        contrastive_loss(PairBatch([0.1], [1]), margin=0.0)
-    with pytest.raises(DegenerateInputError):
-        contrastive_loss(PairBatch(np.zeros(0), np.zeros(0, dtype=int)), margin=0.1)
-
-
-# ----- triplet -----------------------------------------------------------
-
-
-def trip_pairs(sim, anchors, qfeat, qlabels, alabels):
-    q = FeatureQueue(capacity=len(qlabels), d_feat=qfeat.shape[1])
-    enqueue_batch(q, qfeat, qlabels)
-    return form_pairs(q, anchors, alabels, sim)
-
-
-def test_triplet_satisfied_is_zero_with_zero_grads():
-    pairs = PairBatch([[5.0, -5.0, 4.0], [-5.0, 3.0, -6.0]], [[1, 0, 1], [0, 1, 0]])
-    loss, d, used = triplet_loss(pairs, 2, 0.2, Rng(0))
-    assert loss == 0.0
-    assert used == 2
-    assert np.array_equal(d, np.zeros(6))
-
-
-def test_triplet_anchor_equals_positive_plugin():
-    sim = SimilarityKind("cosine")
-    a = np.array([1.0, 0.0])
-    n = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    # one positive (a itself) and one negative slot, so the draws are forced
-    pairs = trip_pairs(sim, a[None, :], np.vstack([a, n]), [0, 1], [0])
-    loss, _, used = triplet_loss(pairs, 1, 0.5, Rng(0))
-    # S(a,a) = 1 under cosine, so loss = margin - 1 + S(a,n)
-    assert used == 1
-    assert_allclose(loss, 0.20710678118654757, rtol=1e-15)
-    assert_allclose(loss, 0.5 - 1.0 + score(sim, a, n), rtol=1e-15)
-
-
-def test_triplet_gradients_match_fd_away_from_kink():
-    # fixed draws: every call re-derives the same stream; no gap of these
-    # fixtures lies within a finite-difference step of its hinge
-    rng = np.random.default_rng(6)
-    qlabels = np.array([0, 1, 0, 2, 1, 2])
-    alabels = np.array([0, 1, 2])
-    y = (alabels[:, None] == qlabels[None, :]).astype(int)
-    for name in ("generalized_inner", "cosine", "inner"):
-        sim = SimilarityKind(name)
-        for trial in range(4):
-            anchors = rng.normal(size=(3, 4))
-            qfeat = rng.normal(size=(6, 4))
-
-            def loss_of_scores(s):
-                return triplet_loss(PairBatch(s, y), 3, 1.0, Rng(trial))
-
-            _, d_scores, _ = loss_of_scores(score_matrix(sim, anchors, qfeat))
-            num_s = numerical_grad(
-                lambda s: loss_of_scores(s)[0], score_matrix(sim, anchors, qfeat)
-            )
-            assert max_rel_err(d_scores, num_s, floor=1e-2) < 1e-6
-            d_a, _ = score_matrix_grad_left(sim, anchors, qfeat, d_scores.reshape(3, 6))
-            num_a = numerical_grad(
-                lambda v: loss_of_scores(score_matrix(sim, v, qfeat))[0], anchors.copy()
-            )
-            assert max_rel_err(d_a, num_a, floor=1e-2) < 1e-6
-
-
-def test_triplet_step_matches_per_anchor_score_grad_oracle():
-    # the trainer's triplet step (form_pairs, triplet_loss, one
-    # score_matrix_grad_left) against a per-anchor loop over score/score_grad
-    rng = np.random.default_rng(8)
-    sim = SimilarityKind("generalized_inner", b_theta=0.3)
-    qfeat = rng.normal(size=(12, 5))
-    qlabels = rng.integers(0, 3, size=12)
-    anchors = rng.normal(size=(6, 5))
-    alabels = np.array([0, 1, 2, 0, 1, 7])  # the last anchor has no positive
-    margin = 2.0
-    pairs = trip_pairs(sim, anchors, qfeat, qlabels, alabels)
-    loss, d_scores, used = triplet_loss(pairs, 6, margin, Rng(3).stream(("triplet", 0)))
-    d_feats, _ = score_matrix_grad_left(sim, anchors, qfeat, d_scores.reshape(6, 12))
-
-    draws = Rng(3).stream(("triplet", 0))
-    oracle = np.zeros_like(anchors)
-    loss_sum = 0.0
-    n_used = 0
-    for i in range(6):
-        same = np.flatnonzero(qlabels == alabels[i])
-        diff = np.flatnonzero(qlabels != alabels[i])
-        if same.size == 0 or diff.size == 0:
-            continue
-        p = same[int(draws.integers(0, same.size))]
-        n = diff[int(draws.integers(0, diff.size))]
-        gap = margin + score(sim, anchors[i], qfeat[n]) - score(sim, anchors[i], qfeat[p])
-        n_used += 1
-        if gap > 0.0:
-            loss_sum += gap
-            oracle[i] = score_grad(sim, anchors[i], qfeat[n])[0] - score_grad(
-                sim, anchors[i], qfeat[p]
-            )[0]
-    assert used == n_used == 5
-    assert_allclose(loss, loss_sum / n_used, rtol=1e-10)
-    assert np.count_nonzero(oracle.any(axis=1)) >= 2  # some hinges are active
-    assert_allclose(d_feats, oracle / n_used, rtol=1e-10, atol=1e-12)
-
-
-def test_triplet_validates():
-    pairs = PairBatch([0.1, -0.2], [1, 0])
-    with pytest.raises(ConfigError):
-        triplet_loss(pairs, 1, 0.0, Rng(0))
-    with pytest.raises(DegenerateInputError):
-        triplet_loss(PairBatch([0.1, 0.2], [1, 1]), 1, 0.1, Rng(0))

@@ -157,12 +157,12 @@ def test_schema_keys_are_pinned():
         "seed",
         "sgd.lr", "sgd.momentum", "sgd.weight_decay",
         "similarity.b_theta", "similarity.b_theta_learnable", "similarity.kind",
-        "train.activation", "train.batch_size", "train.contrastive_margin",
+        "train.activation", "train.batch_size",
         "train.epochs", "train.eta", "train.eval_every", "train.feature_dim",
         "train.hidden_dims", "train.lr_decay_at", "train.lr_decay_factor",
         "train.lr_warmup_steps", "train.method", "train.normalize_features",
         "train.normalize_proxies", "train.proxy_margin", "train.queue_capacity",
-        "train.triplet_margin", "train.val_fraction",
+        "train.val_fraction",
     ]
     assert SCHEMA["train.hidden_dims"] == ("ints", (64, 64))
     assert SCHEMA["train.lr_decay_at"] == ("floats", (0.6, 0.8))

@@ -7,7 +7,6 @@ EXPECTED = {
     "encoder_backward",
     "composition_generalized_inner", "composition_inner", "composition_cosine",
     "softmax_ce", "proxy_gip_ce", "proxy_gip_ce_raw_proxies",
-    "contrastive_loss", "triplet_loss",
 }
 
 

@@ -13,7 +13,7 @@ from pairsim.evaluation import evaluate
 from pairsim.gradcheck import max_rel_err, numerical_grad
 from pairsim.losses import LossConfig
 from pairsim.numkit import Rng
-from pairsim.pair_queue import FeatureQueue, enqueue_batch, form_pairs
+from pairsim.pair_queue import FeatureQueue, enqueue_batch
 from pairsim import trainer as trainer_module
 from pairsim.similarity import SimilarityKind
 from pairsim.trainer import (
@@ -82,7 +82,6 @@ def test_report_fields_present():
 
 @pytest.mark.parametrize("method, normalize", [
     pytest.param("simple", False, id="simple"),
-    pytest.param("contrastive", False, id="contrastive"),
     pytest.param("simple", True, id="simple-normalize_features"),
     pytest.param("proxy_gip_ce", True, id="proxy_gip_ce-normalize_features"),
 ])
@@ -102,33 +101,18 @@ def test_train_report_equals_evaluate_on_val_split(method, normalize):
 def _step_fixture(method, normalize):
     """A step on a 4 -> 5 -> 3 tanh net and a 3-row batch: against a full
     6-entry queue that gives every row a positive and a negative, or a
-    3-class proxy matrix (with a proxy margin of 0.2 for proxy_gip_ce).  The hinge methods take the first draw whose hinges
-    all sit at least 0.05 from their kinks, over every (positive, negative)
-    choice a triplet draw could make."""
+    3-class proxy matrix (with a proxy margin of 0.2 for proxy_gip_ce)."""
     y = np.array([0, 1, 2])
     cfg = TrainConfig(method=method, normalize_features=normalize,
-                      contrastive_margin=0.5, triplet_margin=0.5,
                       proxy_margin=0.2 if method == "proxy_gip_ce" else 0.0)
-    for attempt in range(32):
-        rng = Rng(7).stream((method, normalize, attempt))
-        enc = init_encoder([4, 5, 3], rng.stream("init"), "tanh")
-        x = rng.normal(size=(3, 4))
-        if method in ("softmax_ce", "proxy_gip_ce"):
-            return cfg, enc, x, y, None, init_proxy_bank(rng.stream("bank"), 3, 3)
-        queue = FeatureQueue(6, 3)
-        enqueue_batch(queue, encode(enc, rng.normal(size=(6, 4)), normalize), np.tile(y, 2))
-        s = form_pairs(queue, encode(enc, x, normalize), y, SimilarityKind()).scores.reshape(3, 6)
-        pos = y[:, None] == queue.labels()[None, :]
-        if method == "contrastive":
-            gaps = np.where(pos, 0.5 - s, s + 0.5)
-        elif method == "triplet":
-            gaps = np.concatenate([(0.5 + s[i, ~pos[i], None] - s[i, pos[i]]).ravel()
-                                   for i in range(3)])
-        else:
-            gaps = np.ones(1)
-        if np.min(np.abs(gaps)) > 0.05:
-            return cfg, enc, x, y, queue, None
-    raise AssertionError("no fixture clear of the hinge kinks")
+    rng = Rng(7).stream((method, normalize, 0))
+    enc = init_encoder([4, 5, 3], rng.stream("init"), "tanh")
+    x = rng.normal(size=(3, 4))
+    if method != "simple":
+        return cfg, enc, x, y, None, init_proxy_bank(rng.stream("bank"), 3, 3)
+    queue = FeatureQueue(6, 3)
+    enqueue_batch(queue, encode(enc, rng.normal(size=(6, 4)), normalize), np.tile(y, 2))
+    return cfg, enc, x, y, queue, None
 
 
 @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalize_features"])
@@ -137,16 +121,14 @@ def test_step_gradients_match_finite_differences(method, normalize):
     # the step `train` runs, end to end: the encoder gradient through the
     # loss, the scores and (with normalize_features) the unit rows, plus b,
     # b_theta (the similarity's, which the proxy CE reads too) and the
-    # proxies; each evaluation re-derives the same triplet draws
+    # proxies
     cfg, enc, x, y, queue, proxies = _step_fixture(method, normalize)
 
     def step(b=0.1, b_theta=0.3):
         loss = LossConfig(alpha=0.1, b=b, similarity=SimilarityKind(b_theta=b_theta))
-        trng = Rng(0).stream("draws")
         rec = {}
-        out = _step_grads(cfg, loss, enc, x, y, rec, queue, proxies, trng)
+        out = _step_grads(cfg, loss, enc, x, y, rec, queue, proxies)
         assert ("pos_ratio" in rec) == (queue is not None)
-        assert ("triplets" in rec) == (method == "triplet")
         return out
 
     _, d_theta, d_b, d_bt, d_proxies, _, _ = step()
@@ -222,10 +204,8 @@ def test_runlog_files_round_trip(tmp_path):
 
 
 def test_pair_stats_logged_per_method():
-    pair_log = train(quick_cfg(method="contrastive"), small_ds())
+    pair_log = train(quick_cfg(method="simple"), small_ds())
     assert all(0.0 < rec["pos_ratio"] < 1.0 for rec in pair_log.steps)
-    trip_log = train(quick_cfg(method="triplet"), small_ds())
-    assert all(1 <= rec["triplets"] <= 16 for rec in trip_log.steps)
     ce_log = train(quick_cfg(method="softmax_ce"), small_ds())
     assert all("pos_ratio" not in rec for rec in ce_log.steps)
 
@@ -243,7 +223,7 @@ def test_learnable_b_theta_stays_in_range():
     # momentum can carry b_theta past 1; the update projects it back into
     # [0, 1), where SimilarityKind accepts it
     loss = LossConfig(similarity=SimilarityKind(b_theta_learnable=True))
-    for method in ("simple", "contrastive", "triplet", "proxy_gip_ce"):
+    for method in ("simple", "proxy_gip_ce"):
         log = train(quick_cfg(method=method, loss=loss), small_ds())
         assert 0.0 <= log.b_theta < 1.0, method
         assert log.b_theta != 0.3, method
@@ -296,7 +276,7 @@ def test_softmax_ce_run_ignores_b_theta_learnable(tmp_path, normalize):
 
 
 @pytest.mark.parametrize("kind", ["inner", "cosine"])
-@pytest.mark.parametrize("method", ["simple", "contrastive", "triplet"])
+@pytest.mark.parametrize("method", ["simple"])
 def test_queue_run_ignores_b_theta_learnable_where_the_score_does(tmp_path, method, kind):
     # only generalized_inner reads b_theta; the others hold it to [0, 1)
     assert_b_theta_learnable_changes_no_byte(tmp_path, kind, method=method)
@@ -323,8 +303,8 @@ def test_divergence_in_evaluation_names_the_step_before(monkeypatch):
 
     monkeypatch.setattr(trainer_module, "_eval_on_pairs", diverged)
     with pytest.raises(FloatingPointError, match=r"^evaluation after step 7 \(epoch 1\) of "
-                       r"contrastive: encoder features contains NaN or Inf$"):
-        train(quick_cfg(method="contrastive"), small_ds())  # 8 steps per epoch
+                       r"softmax_ce: encoder features contains NaN or Inf$"):
+        train(quick_cfg(method="softmax_ce"), small_ds())  # 8 steps per epoch
 
 
 def test_norm_probe_reads_runlog():

@@ -4,6 +4,8 @@ every public name the package exports is read by a pairsim module, a demo
 or a traced perfbench boundary.  The package imports nothing at run time
 but the standard library, numpy and itself, and numpy is its one declared
 dependency.  Every row norm in the package goes through `numkit.row_norms`.
+Every field of a config section's dataclass is read somewhere in the
+package besides its own class's checks.
 
 No linter ships with the toolchain, so this parses each file with `ast`.
 `__init__.py` is left out of the import check: its imports are the
@@ -12,9 +14,12 @@ package's public names.
 
 import ast
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from pairsim.config import _SECTIONS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "pairsim"
@@ -220,3 +225,41 @@ def test_the_check_sees_a_hand_written_row_norm():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_every_row_norm_goes_through_row_norms(module):
     assert hand_row_norms((PACKAGE / module).read_text()) == []
+
+
+def unread_fields(sources: dict, declared: dict) -> list:
+    """``Class.field`` for each field of ``declared`` ({class name: field
+    names}) that no attribute load in ``sources`` ({file name: source})
+    reads, leaving out the loads in that class's own ``__post_init__``."""
+    reads = {name: set() for name in declared}
+    for source in sources.values():
+        tree = ast.parse(source)
+        checks = {}  # id of a node -> the class whose __post_init__ holds it
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name in declared:
+                for fn in cls.body:
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__":
+                        checks.update((id(node), cls.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                for name in declared:
+                    if checks.get(id(node)) != name:
+                        reads[name].add(node.attr)
+    return [f"{name}.{f}" for name, names in declared.items() for f in names
+            if f not in reads[name]]
+
+
+def test_the_check_sees_a_dead_config_field():
+    sources = {
+        "a.py": "class C:\n    x: int = 0\n    y: int = 0\n    z: int = 0\n"
+                "    def __post_init__(self):\n        assert self.x >= 0 and self.y >= 0\n"
+                "def f(c):\n    c.x = c.y\n",
+        "b.py": "class D:\n    def __post_init__(self):\n        print(self.z)\n",
+    }
+    assert unread_fields(sources, {"C": ["x", "y", "z"]}) == ["C.x"]
+
+
+def test_every_config_field_is_read_outside_its_checks():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    declared = {cls.__name__: [f.name for f in fields(cls)] for cls in _SECTIONS}
+    assert unread_fields(sources, declared) == []
