@@ -60,7 +60,7 @@ print(f"formed {len(pairs)} pairs, positive fraction {pos_neg_ratio(pairs):.4f}"
 print("that imbalance is what the loss weight alpha compensates for")
 
 # backprop through the batch side only; queue features are constants
-cfg = LossConfig(variant="simple_final", r=3.0, alpha=0.001, similarity=sim)
+cfg = LossConfig(r=3.0, alpha=0.001, similarity=sim)
 loss, d_scores, d_b = batch_loss(cfg, pairs)
 print(f"batch loss {loss:.4f}, d_loss/d_b {d_b:+.4f}")
 

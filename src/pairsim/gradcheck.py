@@ -1,12 +1,13 @@
 """Central finite-difference gradient checking helpers.
 
 `component_checks` runs the standard battery of named fixtures (scores,
-pair losses, encoder, full pipeline, proxy cross entropies) and reports a max relative error
-per component; the command line front end prints these and the test suite
-holds them to their tolerances.  Every check in it, of an array or of a
-scalar parameter such as b or b_theta, goes through `numerical_grad`.  The
-full-pipeline rows run the gradient half of the step `train` runs (encode,
-queue pairs, loss, backprop), `trainer._step_grads`, and rebuild none of it.
+the pair loss and its batched form, encoder, full pipeline, proxy cross
+entropies) and reports a max relative error per component; the command line
+front end prints these and the test suite holds them to their tolerances.
+Every check in it, of an array or of a scalar parameter such as b or b_theta,
+goes through `numerical_grad`.  The full-pipeline rows run the gradient half
+of the step `train` runs (encode, queue pairs, loss, backprop),
+`trainer._step_grads`, and rebuild none of it.
 """
 
 from __future__ import annotations
@@ -90,29 +91,35 @@ def component_checks(seed: int = 0) -> list:
             checks.append((dbt, lambda b: score(SimilarityKind(kind, b_theta=b), x1, x2), 0.3))
         out.append((f"score_{kind}", _fd_err(1.0, *checks), 1e-6))
 
-    # scalar pair losses, every variant
-    for variant in ("naive", "balanced", "simple_final"):
-        cfg = LossConfig(variant=variant, r=3.0, alpha=0.2, b=0.1)
-        checks = [
-            (pair_loss_grad(cfg, s, y)[0], lambda v, y=y: pair_loss(cfg, v, y), s)
-            for s in (-1.5, -0.2, 0.4, 2.0)
-            for y in (0, 1)
-        ]
-        out.append((f"pair_loss_{variant}", _fd_err(1e-3, *checks), 1e-6))
+    # the pair loss at r = 3, at r = 1 (the balanced loss) and at r = 1,
+    # alpha = 0.5 (half the plain pair logistic loss): one row each for the
+    # scalar and the batched form, the worst over the three points
+    points = ((3.0, 0.2), (1.0, 0.2), (1.0, 0.5))
+    checks = [
+        (pair_loss_grad(cfg, s, y)[0], lambda v, cfg=cfg, y=y: pair_loss(cfg, v, y), s)
+        for cfg in (LossConfig(r=r, alpha=a, b=0.1) for r, a in points)
+        for s in (-1.5, -0.2, 0.4, 2.0)
+        for y in (0, 1)
+    ]
+    out.append(("pair_loss", _fd_err(1e-3, *checks), 1e-6))
 
-    # batched loss: gradients w.r.t. all scores and the shared bias
-    for variant in ("naive", "balanced", "simple_final"):
-        cfg = LossConfig(variant=variant, r=2.0, alpha=0.1, b=0.05)
-        srng = rng.stream(("batch", variant))
+    # batched: gradients w.r.t. all scores and the shared bias, each point on
+    # its own fixture stream
+    checks = []
+    for name, r, alpha in (("simple_final", 2.0, 0.1), ("balanced", 1.0, 0.1),
+                           ("naive", 1.0, 0.5)):
+        cfg = LossConfig(r=r, alpha=alpha, b=0.05)
+        srng = rng.stream(("batch", name))
         scores = srng.normal(size=12)
         labels = (srng.uniform(size=12) < 0.4).astype(int)
         _, d_scores, d_b = batch_loss(cfg, PairBatch(scores, labels))
-        err = _fd_err(
-            1e-3,
-            (d_scores, lambda v: batch_loss(cfg, PairBatch(v, labels))[0], scores.copy()),
-            (d_b, lambda b: batch_loss(replace(cfg, b=b), PairBatch(scores, labels))[0], cfg.b),
-        )
-        out.append((f"batch_loss_{variant}", err, 1e-6))
+        checks += [
+            (d_scores, lambda v, cfg=cfg, labels=labels: batch_loss(cfg, PairBatch(v, labels))[0],
+             scores.copy()),
+            (d_b, lambda b, cfg=cfg, scores=scores, labels=labels:
+             batch_loss(replace(cfg, b=b), PairBatch(scores, labels))[0], cfg.b),
+        ]
+    out.append(("batch_loss", _fd_err(1e-3, *checks), 1e-6))
 
     # encoder backward against a fixed linear readout; numerical_grad
     # perturbs the net's own theta entry by entry and restores each entry
@@ -134,7 +141,7 @@ def component_checks(seed: int = 0) -> list:
     step_cfg = TrainConfig()
     for kind in KINDS:
         crng = rng.stream(("composition", kind))
-        cfg = LossConfig(variant="simple_final", r=3.0, alpha=0.1)
+        cfg = LossConfig(r=3.0, alpha=0.1)
         pnet = init_encoder([4, 5, 3], crng.stream("init"), activation="tanh")
         px = crng.normal(size=(3, 4))
         qfeat = crng.normal(size=(6, 3))

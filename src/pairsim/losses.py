@@ -1,16 +1,17 @@
 """Pair-classification losses over similarity scores.
 
-Three variants of the same binary cross-entropy kernel on s + b:
+One weighted binary cross-entropy on t = s + b, with reverse-direction
+mining of strength r:
 
-* ``naive``        -- y*softplus(-(s+b)) + (1-y)*softplus(s+b)
-* ``balanced``     -- alpha and (1-alpha) weights on the two branches
-* ``simple_final`` -- balanced plus reverse-direction mining: the positive
-  branch sees (s+b)/r, the negative branch r*(s+b), so growing r emphasizes
-  easy positives and hard negatives at the same time.
+    y * alpha * softplus(-t/r) + (1-y) * (1-alpha) * softplus(r*t)
 
-The reductions are definitional: simple_final at r=1 is balanced, and
-balanced at alpha=0.5 is naive halved. All exponentials go through the
-stable softplus/sigmoid forms; raw exp(r*(s+b)) never appears.
+The positive branch sees t/r and the negative branch r*t, so growing r
+emphasizes easy positives and hard negatives at the same time.  The paper's
+earlier steps are values of this formula: at r = 1 it is the class-balanced
+pair loss, alpha*softplus(-t) and (1-alpha)*softplus(t); at r = 1 and
+alpha = 0.5 it is half the plain pair logistic loss softplus(-t) and
+softplus(t).  All exponentials go through the stable softplus/sigmoid forms;
+raw exp(r*(s+b)) never appears.
 
 `batch_loss` is the kernel of the queue step. Each pair gets its own branch
 argument u (r*t on the negatives, which are most pairs, then -t/r patched in
@@ -19,7 +20,6 @@ and the branch weights go on the same way: the negative weight over the
 whole batch, the positive one patched in by index. Every value is the one
 `softplus`, `sigmoid` and the two-branch formulas give, bit for bit.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -30,35 +30,21 @@ from .errors import ConfigError, ShapeError
 from .numkit import sigmoid, softplus
 from .similarity import SimilarityKind
 
-VARIANTS = ("naive", "balanced", "simple_final")
-
 
 @dataclass
 class LossConfig:
-    variant: str = "simple_final"
     r: float = 3.0
     alpha: float = 0.001
     b: float = 0.0
-    b_learnable: bool = True
     similarity: SimilarityKind = field(default_factory=SimilarityKind)
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown loss variant {self.variant!r}")
         if not 0 < self.r < np.inf:
             raise ConfigError(f"r must be positive and finite, got {self.r}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie strictly in (0, 1), got {self.alpha}")
         if not np.isfinite(self.b):
             raise ConfigError(f"b must be finite, got {self.b}")
-
-    def _resolved(self):
-        """(w_pos, w_neg, r) actually applied by this variant."""
-        if self.variant == "simple_final":
-            return self.alpha, 1.0 - self.alpha, self.r
-        if self.variant == "balanced":
-            return self.alpha, 1.0 - self.alpha, 1.0
-        return 1.0, 1.0, 1.0  # naive
 
 
 @dataclass
@@ -93,21 +79,20 @@ class PairBatch:
 
 def pair_loss(cfg: LossConfig, s: float, y_p: int) -> float:
     """Loss of a single pair with score ``s`` and label ``y_p`` in {0, 1}."""
-    w_pos, w_neg, r = cfg._resolved()
     t = s + cfg.b
     if y_p:
-        return w_pos * softplus(-t / r)
-    return w_neg * softplus(r * t)
+        return cfg.alpha * softplus(-t / cfg.r)
+    return (1.0 - cfg.alpha) * softplus(cfg.r * t)
 
 
 def pair_loss_grad(cfg: LossConfig, s: float, y_p: int):
     """(d_loss/d_s, d_loss/d_b) for a single pair; the two are equal."""
-    w_pos, w_neg, r = cfg._resolved()
+    r = cfg.r
     t = s + cfg.b
     if y_p:
-        d = -(w_pos / r) * sigmoid(-t / r)
+        d = -(cfg.alpha / r) * sigmoid(-t / r)
     else:
-        d = w_neg * r * sigmoid(r * t)
+        d = (1.0 - cfg.alpha) * r * sigmoid(r * t)
     return d, d
 
 
@@ -121,7 +106,7 @@ def batch_loss(cfg: LossConfig, pairs: PairBatch):
     n = len(pairs)
     if n == 0:
         raise ShapeError("batch_loss over an empty PairBatch")
-    w_pos, w_neg, r = cfg._resolved()
+    w_pos, w_neg, r = cfg.alpha, 1.0 - cfg.alpha, cfg.r
     t = pairs.scores + cfg.b
     pos = np.flatnonzero(pairs.labels)
     # each step gives the bits of the two-branch formulas (see the module

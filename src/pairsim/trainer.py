@@ -311,9 +311,8 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
                 if proxies is not None:
                     # proxies follow the same momentum/decay rule as the encoder
                     sgd_step(proxies, d_w, sgd_now, v_proxies)
-                if cfg.loss.b_learnable:
-                    v_b = cfg.sgd.momentum * v_b + d_b
-                    loss_now.b -= lr_now * v_b
+                v_b = cfg.sgd.momentum * v_b + d_b
+                loss_now.b -= lr_now * v_b
                 if sim_now.b_theta_learnable:
                     v_bt = cfg.sgd.momentum * v_bt + d_bt
                     # project back onto [0, 1); a zero d_bt leaves b_theta's bits as they are

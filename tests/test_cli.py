@@ -226,6 +226,9 @@ def test_bad_eval_settings_are_validation_errors(tmp_path, capsys, setting, word
         ("train.method = triplet", "unknown method 'triplet'"),
         ("train.contrastive_margin = 0.5", "unknown config key 'train.contrastive_margin'"),
         ("train.triplet_margin = 0.2", "unknown config key 'train.triplet_margin'"),
+        # the removed loss variant and b_learnable settings
+        ("loss.variant = balanced", "unknown config key 'loss.variant'"),
+        ("loss.b_learnable = false", "unknown config key 'loss.b_learnable'"),
     ],
 )
 def test_bad_train_settings_are_validation_errors(tmp_path, capsys, setting, words):
@@ -244,10 +247,13 @@ def test_bad_train_settings_are_validation_errors(tmp_path, capsys, setting, wor
 
 
 @pytest.mark.parametrize("key, value", [("train.contrastive_margin", 0.5),
-                                        ("train.triplet_margin", 0.2)])
-def test_manifest_with_a_removed_margin_key_is_rejected(tmp_path, capsys, key, value):
-    # a manifest written while the pair hinges existed holds their margins at
-    # these defaults; re-fed as a config, it names the key and writes nothing
+                                        ("train.triplet_margin", 0.2),
+                                        ("loss.variant", "simple_final"),
+                                        ("loss.b_learnable", True)])
+def test_manifest_with_a_removed_key_is_rejected(tmp_path, capsys, key, value):
+    # a manifest written while the pair hinges, or the loss variant and
+    # b_learnable settings, existed holds these keys at their defaults;
+    # re-fed as a config, it names the key and writes nothing
     conf = resolve(parse_config_text(QUICK))
     conf["eval.checkpoint"] = str(tmp_path / "ckpt.bin")
     doc = json.loads(manifest_json("train", conf))
@@ -558,7 +564,7 @@ def test_grad_check_prints_components(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "composition_generalized_inner: max rel err" in stdout
     assert "PASS" in stdout
-    assert (out / "gradcheck.txt").read_text().count("max rel err") == 16
+    assert (out / "gradcheck.txt").read_text().count("max rel err") == 12
 
 
 def test_grad_check_holds_each_row_to_its_own_tolerance(tmp_path, capsys, monkeypatch):

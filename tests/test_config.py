@@ -50,7 +50,7 @@ def test_parse_rejects_unknown_and_malformed():
     with pytest.raises(ConfigError, match="expects int"):
         parse_config_text("train.epochs = five")
     with pytest.raises(ConfigError, match="expects bool"):
-        parse_config_text("loss.b_learnable = yes")
+        parse_config_text("train.normalize_features = yes")
 
 
 def test_resolve_fills_defaults_and_data_seed():
@@ -95,7 +95,7 @@ def test_json_type_checks():
     with pytest.raises(ConfigError, match="expects int"):
         resolve_loaded(bad)
     with pytest.raises(ConfigError, match="expects bool"):
-        resolve_loaded({"loss.b_learnable": 1})
+        resolve_loaded({"train.normalize_features": 1})
     # json reads NaN and Infinity (and 1e999) as floats, none of them an int
     for text in ('{"seed": NaN}', '{"seed": Infinity}', '{"seed": 1e999}'):
         with pytest.raises(ConfigError, match="expects int"):
@@ -152,7 +152,7 @@ def test_schema_keys_are_pinned():
         "eval.checkpoint", "eval.far_targets", "eval.num_neg", "eval.num_pos",
         "eval.threshold",
         "grid.alpha", "grid.b_theta", "grid.r",
-        "loss.alpha", "loss.b", "loss.b_learnable", "loss.r", "loss.variant",
+        "loss.alpha", "loss.b", "loss.r",
         "plot.names", "plot.reports",
         "seed",
         "sgd.lr", "sgd.momentum", "sgd.weight_decay",

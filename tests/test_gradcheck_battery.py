@@ -2,8 +2,7 @@ from pairsim.gradcheck import component_checks
 
 EXPECTED = {
     "score_generalized_inner", "score_inner", "score_cosine",
-    "pair_loss_naive", "pair_loss_balanced", "pair_loss_simple_final",
-    "batch_loss_naive", "batch_loss_balanced", "batch_loss_simple_final",
+    "pair_loss", "batch_loss",
     "encoder_backward",
     "composition_generalized_inner", "composition_inner", "composition_cosine",
     "softmax_ce", "proxy_gip_ce", "proxy_gip_ce_raw_proxies",

@@ -12,8 +12,8 @@ from pairsim.pair_queue import FeatureQueue, enqueue_batch, form_pairs
 from pairsim.similarity import SimilarityKind
 
 
-def cfg(variant="simple_final", r=3.0, alpha=0.001, b=0.0):
-    return LossConfig(variant=variant, r=r, alpha=alpha, b=b)
+def cfg(r=3.0, alpha=0.001, b=0.0):
+    return LossConfig(r=r, alpha=alpha, b=b)
 
 
 # --- pair_loss -------------------------------------------------------------
@@ -36,15 +36,19 @@ def test_loss_high_precision_oracle():
 
 @given(st.floats(-50.0, 50.0), st.integers(0, 1))
 def test_r_equal_one_reduces_to_balanced(s, y):
-    a = pair_loss(cfg("simple_final", r=1.0, alpha=0.3, b=0.2), s, y)
-    b = pair_loss(cfg("balanced", r=5.0, alpha=0.3, b=0.2), s, y)
+    # alpha * softplus(-t) on positives, (1 - alpha) * softplus(t) on negatives
+    a = pair_loss(cfg(r=1.0, alpha=0.3, b=0.2), s, y)
+    t = s + 0.2
+    b = 0.3 * softplus(-t) if y else (1 - 0.3) * softplus(t)
     assert abs(a - b) <= 1e-15 * max(1.0, abs(a))
 
 
 @given(st.floats(-50.0, 50.0), st.integers(0, 1))
 def test_balanced_half_alpha_is_half_naive(s, y):
-    bal = pair_loss(cfg("balanced", alpha=0.5, b=-0.7), s, y)
-    nai = pair_loss(cfg("naive", alpha=0.5, b=-0.7), s, y)
+    # at r = 1, alpha = 0.5: half the plain softplus(-t) and softplus(t)
+    bal = pair_loss(cfg(r=1.0, alpha=0.5, b=-0.7), s, y)
+    t = s - 0.7
+    nai = softplus(-t) if y else softplus(t)
     assert abs(bal - 0.5 * nai) <= 1e-15 * max(1.0, abs(bal))
 
 
@@ -64,8 +68,6 @@ def test_config_validation():
         cfg(alpha=0.0)
     with pytest.raises(ConfigError):
         cfg(alpha=1.0)
-    with pytest.raises(ConfigError):
-        cfg(variant="softmax")
     cfg(r=1.0)  # r = 1 must be accepted
 
 
@@ -92,7 +94,7 @@ def test_grad_matches_finite_differences():
         d_s, d_b = pair_loss_grad(c, s, y)
         fd_s = numerical_grad(lambda v: pair_loss(c, v, y), s)
         fd_b = numerical_grad(
-            lambda v: pair_loss(LossConfig("simple_final", r, alpha, v), s, y), b
+            lambda v: pair_loss(LossConfig(r, alpha, v), s, y), b
         )
         assert d_s == pytest.approx(fd_s, rel=1e-8)
         assert d_b == pytest.approx(fd_b, rel=1e-8)
@@ -148,19 +150,18 @@ def test_batch_loss_hand_summed():
 def two_branch_batch_loss(c, pairs):
     """The two-branch form: both softplus and both sigmoid branches on every
     pair, then a select.  Oracle for the single-branch kernel."""
-    w_pos, w_neg, r = c._resolved()
+    alpha, r = c.alpha, c.r
     t = pairs.scores + c.b
     pos = pairs.labels == 1
-    losses = np.where(pos, w_pos * softplus(-t / r), w_neg * softplus(r * t))
-    d = np.where(pos, -(w_pos / r) * sigmoid(-t / r), w_neg * r * sigmoid(r * t))
+    losses = np.where(pos, alpha * softplus(-t / r), (1.0 - alpha) * softplus(r * t))
+    d = np.where(pos, -(alpha / r) * sigmoid(-t / r), (1.0 - alpha) * r * sigmoid(r * t))
     d_scores = d / len(pairs)
     return float(np.mean(losses)), d_scores, float(np.sum(d_scores))
 
 
 @given(
-    st.sampled_from(["naive", "balanced", "simple_final"]),
-    st.floats(0.05, 20.0),
-    st.floats(0.001, 0.999),
+    st.just(1.0) | st.floats(0.05, 20.0),
+    st.just(0.5) | st.floats(0.001, 0.999),
     st.floats(-5.0, 5.0),
     st.lists(
         st.tuples(st.floats(-400.0, 400.0, allow_subnormal=True), st.integers(0, 1)),
@@ -168,9 +169,10 @@ def two_branch_batch_loss(c, pairs):
         max_size=64,
     ),
 )
-def test_batch_loss_bit_identical_to_two_branch_form(variant, r, alpha, b, pairs):
-    # scores up to 400 with r up to 20 put |u| far into both tails of softplus
-    c = cfg(variant, r=r, alpha=alpha, b=b)
+def test_batch_loss_bit_identical_to_two_branch_form(r, alpha, b, pairs):
+    # scores up to 400 with r up to 20 put |u| far into both tails of
+    # softplus; r = 1 and alpha = 0.5 are drawn as points of their own
+    c = cfg(r=r, alpha=alpha, b=b)
     pb = PairBatch(scores=[p[0] for p in pairs], labels=[p[1] for p in pairs])
     loss, d_scores, d_b = batch_loss(c, pb)
     want_loss, want_d, want_db = two_branch_batch_loss(c, pb)
@@ -179,20 +181,21 @@ def test_batch_loss_bit_identical_to_two_branch_form(variant, r, alpha, b, pairs
 
 
 def test_batch_loss_bit_identical_past_the_softplus_cut():
-    # fixed grid straddling u = +-30 on both branches, every variant
+    # fixed grid straddling u = +-30 on both branches, at r = 3, r = 1 and
+    # r = 1, alpha = 0.5
     scores = np.concatenate([np.linspace(-150.0, 150.0, 601), [-30.0, 30.0, -10.0, 10.0]])
     labels = np.arange(scores.size) % 2
     pb = PairBatch(scores=scores, labels=labels)
-    for variant in ("naive", "balanced", "simple_final"):
-        c = cfg(variant, r=3.0, alpha=0.2, b=0.1)
+    for r, alpha in ((3.0, 0.2), (1.0, 0.2), (1.0, 0.5)):
+        c = cfg(r=r, alpha=alpha, b=0.1)
         loss, d_scores, d_b = batch_loss(c, pb)
         want_loss, want_d, want_db = two_branch_batch_loss(c, pb)
         assert loss == want_loss and d_b == want_db
         assert d_scores.tobytes() == want_d.tobytes()
 
 
-@pytest.mark.parametrize("variant", ["naive", "balanced", "simple_final"])
-def test_batch_loss_bit_identical_at_the_train_simple_shape(variant):
+@pytest.mark.parametrize("r, alpha", [(3.0, 0.1), (1.0, 0.1), (1.0, 0.5)])
+def test_batch_loss_bit_identical_at_the_train_simple_shape(r, alpha):
     # 32 batch rows x a 256-entry queue over 16 classes, as train_simple pairs
     # them: above 128 pairs numpy's pairwise summation changes the order in
     # which the loss and d_b are summed, so the small hypothesis cases above
@@ -209,8 +212,7 @@ def test_batch_loss_bit_identical_at_the_train_simple_shape(variant):
     assert 0.03 < np.count_nonzero(pairs.labels) / (m * q) < 0.1
     # wide scores put u past +-30 (both tails of softplus) on both branches
     pairs.scores[:] = rng.stream("scores").normal(scale=60.0, size=m * q)
-    c = cfg(variant, r=3.0, alpha=0.1, b=0.2)
-    w_pos, w_neg, r = c._resolved()
+    c = cfg(r=r, alpha=alpha, b=0.2)
     t = pairs.scores + c.b
     for u in (-t[pairs.labels] / r, r * t[~pairs.labels]):
         assert u.min() < -30.0 and u.max() > 30.0
