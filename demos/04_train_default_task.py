@@ -44,13 +44,13 @@ for rec in log.epochs:
               f"   {e['desideratum_margin']:+.3f}")
 
 final = final_report(log)
-print(f"\nfinal EER {final['eer']:.4f}, held-out margin "
+print(f"\nfinal EER {final['eer']:.4f}, validation-row margin "
       f"{final['desideratum_margin']:+.3f}")
 if final["desideratum_margin"] > 0:
     print("margin is positive: every same-class pair outscores every "
           "cross-class pair, so one threshold separates them all")
 
-# cash that guarantee in: audit the gap on the held-out features and
+# cash that guarantee in: audit the gap on the validation-row features and
 # cluster at its midpoint.  (The trained bias -b is also a threshold
 # candidate, but at alpha = 0.1 its equilibrium sits below the gap, so
 # the audited midpoint is the calibrated choice.)
@@ -76,7 +76,7 @@ from pairsim import save_runlog
 save_runlog(log, "desk_run")
 print("\nwrote desk_run/{runlog.jsonl,summary.json,checkpoint.bin}")
 
-# before/after ROC on the same held-out pairs.  train() carves its val
+# before/after ROC on the same validation-row pairs.  train() carves its val
 # split with the run seed, so the split above recovers exactly that set.
 pairs = sample_pair_indices(va.labels, 2000, 2000, seed=cfg.seed)
 raw = score_pairs(sim, va.inputs / np.linalg.norm(va.inputs, axis=1, keepdims=True), *pairs)

@@ -1,4 +1,4 @@
-"""pairsim: pairwise similarity learning on desk-scale synthetic tasks.
+"""pairsim: pairwise similarity learning on a desk-scale synthetic task.
 
 A small numpy library covering the full loop: feature encoder with manual
 backprop, generalized inner-product similarity, pair-classification losses

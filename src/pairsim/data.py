@@ -1,20 +1,12 @@
 """Synthetic labeled datasets, stratified splits, and a CSV format.
 
-Three controllable families, all scaled so the class-structure radius is
-4x the noise scale (separation stays comparable across families):
-
-* ``gaussian_blobs``    -- class means uniform on a radius-R sphere.
-                           Gaussian noise is split by subspace: the part
-                           inside the span of the means is clipped to a
-                           fixed radius, the part in the orthogonal
-                           complement is amplified.  Raw inputs look
-                           noisy, but classes keep a strict geometric
-                           margin inside the span, so a learned
-                           projection can separate them perfectly.
-* ``concentric_rings``  -- class k on a circle of radius R*(k+1) in the
-                           first two coordinates (input_dim >= 2), noise in all.
-* ``hypercube_corners`` -- class means on distinct corners of a signed
-                           hypercube scaled to norm R (K <= 2**input_dim).
+One task, ``gaussian_blobs``: class means uniform on a sphere of radius
+R = 4x the noise scale, rows grouped by class in class order.  Gaussian
+noise is split by subspace: the part inside the span of the means is
+clipped to norm 1.5, the part in the orthogonal complement is multiplied
+by 1.5 (in units of the noise scale).  Raw inputs look noisy, but classes
+keep a strict geometric margin inside the span, so a learned projection
+can separate them perfectly.
 
 The default task (16 classes, 200 samples each, 32 dims, unit noise) is
 calibrated so raw-input verification sits around 15-25% EER while the
@@ -38,7 +30,6 @@ import numpy as np
 from .errors import ConfigError, DegenerateInputError, ParseError, ShapeError
 from .numkit import Rng, as_matrix, check_seed, class_ids, row_norms
 
-FAMILIES = ("gaussian_blobs", "concentric_rings", "hypercube_corners")
 _CSV_CHUNK = 1024  # rows per `%` operation in save_csv, which bounds the text it holds
 
 
@@ -75,9 +66,8 @@ class Dataset:
 
 @dataclass(frozen=True)
 class GenSpec:
-    """The settings of `generate`, each family's limits included."""
+    """The settings of `generate`."""
 
-    family: str = "gaussian_blobs"
     num_classes: int = 16
     samples_per_class: int = 200
     input_dim: int = 32
@@ -85,8 +75,6 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ConfigError(f"unknown family {self.family!r}")
         if self.num_classes < 1:
             raise ConfigError("num_classes must be >= 1")
         if self.samples_per_class < 2:
@@ -95,14 +83,6 @@ class GenSpec:
             )
         if self.input_dim < 1:
             raise ConfigError("input_dim must be >= 1")
-        d = self.input_dim
-        if self.family == "concentric_rings" and d < 2:
-            raise ConfigError("concentric_rings needs input_dim >= 2")
-        if self.family == "hypercube_corners" and d < 63 and self.num_classes > 2**d:
-            raise ConfigError(
-                f"{self.num_classes} classes need {self.num_classes} distinct corners "
-                f"but a {d}-cube has only {2**d}"
-            )
         if not 0 <= self.noise_scale < np.inf:
             raise ConfigError(f"noise_scale must be >= 0 and finite, got {self.noise_scale}")
         check_seed(self.seed)
@@ -142,57 +122,25 @@ def _span_projector(means: np.ndarray) -> np.ndarray:
     return basis @ basis.T
 
 
-def _corner_means(rng: Rng, spec: GenSpec) -> np.ndarray:
-    d = spec.input_dim
-    scale = 4.0 * spec.noise_scale / np.sqrt(d)
-    seen = set()
-    means = np.empty((spec.num_classes, d))
-    draw = rng.stream("corners")
-    k = 0
-    while k < spec.num_classes:
-        signs = 2.0 * draw.integers(0, 2, size=d) - 1.0
-        key = signs.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        means[k] = scale * signs
-        k += 1
-    return means
-
-
 def generate(spec: GenSpec) -> Dataset:
-    """Sample a dataset; bit-identical for identical specs."""
-    rng = Rng(spec.seed).stream(spec.family)
+    """Sample a dataset; bit-identical for identical specs.
+
+    Class k draws its mean direction from the ``("mean", k)`` substream and
+    its noise from ``("noise", k)``, both of ``Rng(seed).stream("gaussian_blobs")``.
+    """
+    rng = Rng(spec.seed).stream("gaussian_blobs")  # a new key would change every dataset
     n_per, d = spec.samples_per_class, spec.input_dim
     rows = np.empty((spec.num_classes * n_per, d))
     labels = np.repeat(np.arange(spec.num_classes, dtype=np.int64), n_per)
-
-    if spec.family == "gaussian_blobs":
-        means = _blob_means(rng, spec)
-        proj = _span_projector(means)
-        for k in range(spec.num_classes):
-            z = rng.stream(("noise", k)).normal(size=(n_per, d))
-            z_in = z @ proj
-            z_out = z - z_in
-            z_in *= np.minimum(1.0, _SPAN_CLIP / np.maximum(row_norms(z_in), 1e-300))[:, None]
-            noise = z_in + _NUISANCE_GAIN * z_out
-            rows[k * n_per : (k + 1) * n_per] = means[k] + spec.noise_scale * noise
-    elif spec.family == "hypercube_corners":
-        means = _corner_means(rng, spec)
-        for k in range(spec.num_classes):
-            noise = rng.stream(("noise", k)).normal(size=(n_per, d))
-            rows[k * n_per : (k + 1) * n_per] = means[k] + spec.noise_scale * noise
-    else:  # concentric_rings
-        base = 4.0 * spec.noise_scale
-        for k in range(spec.num_classes):
-            sub = rng.stream(("ring", k))
-            phi = sub.uniform(0.0, 2.0 * np.pi, size=n_per)
-            block = spec.noise_scale * sub.normal(size=(n_per, d))
-            radius = base * (k + 1)
-            block[:, 0] += radius * np.cos(phi)
-            block[:, 1] += radius * np.sin(phi)
-            rows[k * n_per : (k + 1) * n_per] = block
-
+    means = _blob_means(rng, spec)
+    proj = _span_projector(means)
+    for k in range(spec.num_classes):
+        z = rng.stream(("noise", k)).normal(size=(n_per, d))
+        z_in = z @ proj
+        z_out = z - z_in
+        z_in *= np.minimum(1.0, _SPAN_CLIP / np.maximum(row_norms(z_in), 1e-300))[:, None]
+        noise = z_in + _NUISANCE_GAIN * z_out
+        rows[k * n_per : (k + 1) * n_per] = means[k] + spec.noise_scale * noise
     return Dataset(inputs=rows, labels=labels)
 
 

@@ -64,6 +64,7 @@ class EncoderNet:
     biases: list = field(init=False, repr=False)  # views: (layer_dims[l+1],)
 
     def __post_init__(self):
+        self.layer_dims = _architecture(self.layer_dims, self.activation)
         self.theta = np.ascontiguousarray(self.theta, dtype=np.float64)
         if self.theta.shape != (_num_params(self.layer_dims),):
             raise ShapeError(

@@ -282,7 +282,7 @@ def test_default_task_trains_to_low_eer_with_positive_margin():
         5,
         ok,
         f"default task: EER {first['eer']:.4f} -> {last['eer']:.4f} (<= 0.02), "
-        f"held-out margin {last['desideratum_margin']:+.3f} (> 0)",
+        f"validation-row margin {last['desideratum_margin']:+.3f} (> 0)",
         time.time() - t0,
         300.0,
     )

@@ -211,12 +211,7 @@ def test_bad_eval_settings_are_validation_errors(tmp_path, capsys, setting, word
         ("train.proxy_margin = inf", "proxy_margin must be >= 0, got inf"),
         ("data.noise_scale = inf", "noise_scale must be >= 0 and finite, got inf"),
         ("data.num_classes = 0", "num_classes must be >= 1"),
-        ("data.family = spiral", "unknown family 'spiral'"),
         ("data.samples_per_class = 1", "samples_per_class must be >= 2, got 1"),
-        ("data.family = concentric_rings\ndata.input_dim = 1",
-         "concentric_rings needs input_dim >= 2"),
-        ("data.family = hypercube_corners\ndata.num_classes = 5\ndata.input_dim = 2",
-         "5 classes need 5 distinct corners but a 2-cube has only 4"),
         # the score ignores b_theta, but every kind holds it to [0, 1)
         ("similarity.kind = cosine\nsimilarity.b_theta = 1.5",
          "b_theta must lie in [0, 1), got 1.5"),
@@ -229,6 +224,9 @@ def test_bad_eval_settings_are_validation_errors(tmp_path, capsys, setting, word
         # the removed loss variant and b_learnable settings
         ("loss.variant = balanced", "unknown config key 'loss.variant'"),
         ("loss.b_learnable = false", "unknown config key 'loss.b_learnable'"),
+        # the removed task families: the key is gone, so even its old default fails
+        ("data.family = gaussian_blobs", "unknown config key 'data.family'"),
+        ("data.family = concentric_rings", "unknown config key 'data.family'"),
     ],
 )
 def test_bad_train_settings_are_validation_errors(tmp_path, capsys, setting, words):
@@ -249,18 +247,19 @@ def test_bad_train_settings_are_validation_errors(tmp_path, capsys, setting, wor
 @pytest.mark.parametrize("key, value", [("train.contrastive_margin", 0.5),
                                         ("train.triplet_margin", 0.2),
                                         ("loss.variant", "simple_final"),
-                                        ("loss.b_learnable", True)])
+                                        ("loss.b_learnable", True),
+                                        ("data.family", "gaussian_blobs")])
 def test_manifest_with_a_removed_key_is_rejected(tmp_path, capsys, key, value):
-    # a manifest written while the pair hinges, or the loss variant and
-    # b_learnable settings, existed holds these keys at their defaults;
-    # re-fed as a config, it names the key and writes nothing
+    # a manifest written while the pair hinges, the loss variant and
+    # b_learnable settings, or the task families existed holds these keys at
+    # their defaults; re-fed as a config, it names the key and writes nothing
     conf = resolve(parse_config_text(QUICK))
     conf["eval.checkpoint"] = str(tmp_path / "ckpt.bin")
     doc = json.loads(manifest_json("train", conf))
     doc["config"][key] = value
     cfg = tmp_path / "old_manifest.json"
     cfg.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    for command in ("train", "eval", "ablate"):
+    for command in ("gen-data", "train", "eval", "ablate"):
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert f"unknown config key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()

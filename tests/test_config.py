@@ -147,7 +147,7 @@ def test_schema_keys_are_pinned():
     # the dataclasses declare these keys; a new field is a new key, so it
     # must show up here too
     assert sorted(SCHEMA) == [
-        "data.csv", "data.family", "data.input_dim", "data.noise_scale",
+        "data.csv", "data.input_dim", "data.noise_scale",
         "data.num_classes", "data.samples_per_class", "data.seed",
         "eval.checkpoint", "eval.far_targets", "eval.num_neg", "eval.num_pos",
         "eval.threshold",

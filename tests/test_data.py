@@ -5,7 +5,6 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from numpy.testing import assert_allclose
 
 import pairsim.data
 from pairsim import (
@@ -24,7 +23,6 @@ from pairsim import (
 
 def small_spec(**kw):
     base = dict(
-        family="gaussian_blobs",
         num_classes=4,
         samples_per_class=100,
         input_dim=8,
@@ -43,13 +41,42 @@ def test_generate_row_counts():
 
 
 def test_generate_deterministic_per_family():
-    for family in ("gaussian_blobs", "concentric_rings", "hypercube_corners"):
-        a = generate(small_spec(family=family))
-        b = generate(small_spec(family=family))
-        assert np.array_equal(a.inputs, b.inputs)
-        assert np.array_equal(a.labels, b.labels)
-        c = generate(small_spec(family=family, seed=12))
-        assert not np.array_equal(a.inputs, c.inputs)
+    a = generate(small_spec())
+    b = generate(small_spec())
+    assert np.array_equal(a.inputs, b.inputs)
+    assert np.array_equal(a.labels, b.labels)
+    c = generate(small_spec(seed=12))
+    assert not np.array_equal(a.inputs, c.inputs)
+
+
+def oracle_generate(spec):
+    """The recipe `generate` states, kept as the reference its bits must match."""
+    task = Rng(spec.seed).stream("gaussian_blobs")
+    n, d, K = spec.samples_per_class, spec.input_dim, spec.num_classes
+    means = []
+    for k in range(K):
+        v = task.stream(("mean", k)).normal(size=d)
+        means.append(4.0 * spec.noise_scale * (v / np.linalg.norm(v)))
+    q, r = np.linalg.qr(np.array(means).T)
+    basis = q[:, np.abs(np.diag(r)) > 1e-9 * np.abs(r).max()]
+    span = basis @ basis.T
+    rows = []
+    for k in range(K):
+        z = task.stream(("noise", k)).normal(size=(n, d))
+        inside = z @ span
+        outside = z - inside
+        inside *= np.minimum(1.0, 1.5 / np.linalg.norm(inside, axis=1))[:, None]
+        rows.append(means[k] + spec.noise_scale * (inside + 1.5 * outside))
+    return np.concatenate(rows), np.repeat(np.arange(K), n)
+
+
+@pytest.mark.parametrize("spec", [GenSpec(), small_spec(noise_scale=0.5)],
+                         ids=["default", "small"])
+def test_generate_matches_oracle_bit_for_bit(spec):
+    ds = generate(spec)
+    inputs, labels = oracle_generate(spec)
+    assert ds.inputs.tobytes() == inputs.tobytes()
+    assert ds.labels.tobytes() == labels.astype(np.int64).tobytes()
 
 
 def test_zero_noise_blobs_collapse_within_class():
@@ -68,39 +95,11 @@ def test_blob_means_sit_on_the_stated_sphere():
         assert abs(np.linalg.norm(mean) - 2.0) < 0.15
 
 
-def test_ring_radii_scale_with_class_index():
-    spec = small_spec(family="concentric_rings", noise_scale=0.01, input_dim=6)
-    ds = generate(spec)
-    for k in range(4):
-        radii = np.linalg.norm(ds.inputs[ds.labels == k][:, :2], axis=1)
-        assert_allclose(radii, 0.04 * (k + 1), atol=0.05)
-
-
-def test_corner_means_have_equal_magnitude_coordinates():
-    spec = small_spec(family="hypercube_corners", num_classes=8, input_dim=6,
-                      samples_per_class=400, seed=9)
-    ds = generate(spec)
-    want = 4.0 / np.sqrt(6)
-    patterns = set()
-    for k in range(8):
-        mean = ds.inputs[ds.labels == k].mean(axis=0)
-        assert_allclose(np.abs(mean), want, atol=0.25)
-        patterns.add(tuple(np.sign(mean).astype(int)))
-    assert len(patterns) == 8  # corners are distinct
-
-
 def test_generate_validation_errors():
     with pytest.raises(ConfigError):
         small_spec(samples_per_class=1)
     with pytest.raises(ConfigError):
         small_spec(noise_scale=-0.5)
-    with pytest.raises(ConfigError):
-        small_spec(family="moons")
-    # the family limits are the spec's own, checked before anything is drawn
-    with pytest.raises(ConfigError, match="concentric_rings needs input_dim >= 2"):
-        small_spec(family="concentric_rings", input_dim=1)
-    with pytest.raises(ConfigError, match="5 classes need 5 distinct corners but a 2-cube"):
-        small_spec(family="hypercube_corners", num_classes=5, input_dim=2)
     # the seed too: -1 must not draw the data of seed 2**64 - 1
     with pytest.raises(ConfigError, match="seed must be an unsigned 64-bit int, got -1"):
         small_spec(seed=-1)

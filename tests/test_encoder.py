@@ -418,3 +418,15 @@ def test_checkpoint_bad_header_is_named_config_error(tmp_path, edit, body_floats
 def test_encoder_net_rejects_theta_of_the_wrong_size():
     with pytest.raises(ShapeError):
         EncoderNet([2, 3], np.zeros(8))
+
+
+@pytest.mark.parametrize("dims, activation, words", [
+    # a net with an unknown activation would compute tanh features, and
+    # save_encoder would write a checkpoint that load_encoder refuses
+    ([3, 4, 2], "Relu", "unknown activation 'Relu'"),
+    ([2, 0, 2], "relu", "need at least input and output dims, each >= 1"),
+    ([3], "relu", "need at least input and output dims, each >= 1"),
+], ids=["unknown-activation", "zero-dim", "one-dim"])
+def test_encoder_net_holds_the_checkpoint_header_rules(dims, activation, words):
+    with pytest.raises(ConfigError, match=words):
+        zero_net(dims, activation)

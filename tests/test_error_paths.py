@@ -31,7 +31,6 @@ from pairsim import (
     softmax_ce,
 )
 from pairsim.config import parse_config_json
-from pairsim.data import _corner_means
 from pairsim.errors import ConfigError, DegenerateInputError, ShapeError
 from pairsim.numkit import Rng, as_matrix, unit_rows
 from pairsim.plotting import _far_floor
@@ -144,20 +143,7 @@ def test_error_path(name):
     assert fragment in str(err.value)
 
 
-def _corners_of_a_square():
-    # four classes on a 2-cube need all four corners; seed 0's first four
-    # draws repeat one, so the loop skips it and keeps drawing
-    spec = GenSpec(family="hypercube_corners", num_classes=4, input_dim=2,
-                   noise_scale=np.sqrt(2.0) / 4.0)
-    first = Rng(0).stream(spec.family).stream("corners").integers(0, 2, size=(4, 2))
-    assert len({tuple(row) for row in first}) < 4
-    return sorted(map(tuple, _corner_means(Rng(0).stream(spec.family), spec).tolist()))
-
-
 BRANCHES = {
-    # scale = 4 * noise / sqrt(2) = 1, so the means are the sign rows
-    "corner_means_skip_a_repeated_corner": (
-        _corners_of_a_square, [(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)]),
     # the lowest score is the one positive's and a negative's: the EER
     # crossing lies between the -inf cut and the first midpoint, which it takes
     "eer_threshold_at_the_upper_cut": (
