@@ -22,6 +22,7 @@ val) rows, so a small class may give val no rows.
 from __future__ import annotations
 
 import io
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -75,14 +76,14 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_classes < 1:
-            raise ConfigError("num_classes must be >= 1")
-        if self.samples_per_class < 2:
-            raise ConfigError(
-                f"samples_per_class must be >= 2, got {self.samples_per_class}"
-            )
-        if self.input_dim < 1:
-            raise ConfigError("input_dim must be >= 1")
+        for name, low in (("num_classes", 1), ("samples_per_class", 2), ("input_dim", 1)):
+            value = getattr(self, name)
+            try:
+                operator.index(value)  # a float, even 2.0, is refused, not truncated
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+            if value < low:
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
         if not 0 <= self.noise_scale < np.inf:
             raise ConfigError(f"noise_scale must be >= 0 and finite, got {self.noise_scale}")
         check_seed(self.seed)

@@ -16,9 +16,10 @@ them:
   scores strictly above the threshold, components become clusters, and
   accuracy is scored under the optimal one-to-one cluster/class matching.
   The cut is exact only up to rounding: a folded `generalized_inner`
-  score's last bits depend on which row is on the left and, for every kind
-  but `inner`, on where BLAS tiles the pair, so a pair scoring within
-  rounding of the cut can land on either side under another row order.
+  score's last bits depend on which row is on the left, and any score's on
+  the product it is computed in (BLAS may sum a column of a narrow or
+  ragged product in another order), so a pair scoring within rounding of
+  the cut can land on either side under another row order.
 * The error counts at that cut follow the same strict rule over all pairs:
   a same-class pair scoring at or below it is a false reject, a cross-class
   pair scoring above it a false accept; ``cut_errors`` gives each count
@@ -32,12 +33,15 @@ score) certifies that any threshold inside the margin reproduces the
 classes exactly; `cluster_by_threshold` realizes that guarantee.
 
 Both run on one walk over the upper triangle (i < j) in row blocks of
-`_BLOCK` rows: each unordered pair is scored once, one score block at a time,
-so memory stays O(block * n) however many pairs clear the threshold.
-With labels the rows are walked in class order, so a block's same-class
-pairs lie in one narrow column band; right of it one column max per block
-gives the max cross-class score and the few columns with a pair above the
-cut.  The clusters grow in a union-find forest, one block at a time.
+`_BLOCK` rows: each unordered pair is scored once, one band or tile of
+scores at a time, so memory stays O(block * n) however many pairs clear the
+threshold.  With labels the rows are walked in class order, so a block's
+same-class pairs lie in one narrow column band, scored as one product, and
+the block's class runs split the band into its same-class and cross-class
+pairs.  Right of the band every pair is cross-class; it is scored in tiles
+of `_TILE` columns, each reduced while it is in cache to its max score and
+the few columns with a pair above the cut.  The clusters grow in a
+union-find forest, one block at a time.
 `evaluate` takes the margin, the clusters and the error counts at the cut
 from a single walk, and returns the report as the report.json document: a
 dict of floats, ints, lists and str-keyed dicts that `report_to_json` writes
@@ -185,15 +189,21 @@ def roc_points(pos, neg) -> list:
     return list(zip(far[keep].tolist(), tpr[keep].tolist()))
 
 
-# Rows per block of the upper-triangle walk.  Timed with rows folded once
-# and one column max right of each block's class band, on 6,400 rows x 32
-# features in 16 classes, cut at a trained model's learned -b (the walk that
-# yields the margin, the clusters and the error counts; one BLAS thread,
-# 2-core x86-64 VM, median of 15 interleaved runs, two trained models): 128
-# rows per block took 80.7 and 85.7 ms, 64 rows 90.1 and 93.0 ms, 256 rows
-# 89.6 and 93.4 ms.
+# Rows per block of the upper-triangle walk, and columns per cross-class
+# tile.  Median ms of the walk that yields the margin, the clusters and the
+# error counts, on 6,400 rows x 32 features in 16 classes cut at a trained
+# model's learned -b, for two trained models (15 interleaved runs, one BLAS
+# thread, 2-core x86-64 VM with 2 MiB of L2 a core):
+#
+#   block \ tile    256          512          1,024
+#   64              58.3, 57.8   57.7, 56.8   57.5, 55.1
+#   128             49.6, 49.1   49.3, 48.0   49.5, 49.1
+#   256             48.3, 49.7   50.1, 49.7   53.4, 52.7
+#
+# A (128 x 512) float64 tile is 512 KiB, so it is still in cache when it is
+# reduced.
 _BLOCK = 128
-_HOT_SLICE = 1024  # hot columns per gather, so a low cut copies no second score block
+_TILE = 512
 
 
 def _audit_inputs(features, labels):
@@ -245,16 +255,24 @@ def _merge_block(parent, edges, cols):
     ``parent`` is flat (every row points at its root) on entry and on exit;
     ``edges`` is the block's (b, k) above-threshold mask over the walk
     positions ``cols``, the first b of which are the block's own rows.  The
-    leading square's pairs go in first, less those already inside one tree.
-    After that, rows sharing a root share their edges to later rows, so the
-    rest of the mask is OR-reduced over the rows of each root (rows with no
-    such edge left out), and each root adds at most one edge per column.
+    leading square goes in first: each row hooks to its smallest neighbour
+    there, which joins a dense square in one shallow union, and then the
+    square's pairs still split between two trees go in.  After that, rows
+    sharing a root share their edges to later rows, so the rest of the mask
+    is OR-reduced over the rows of each root (rows with no such edge left
+    out), and each root adds at most one edge per column.
     """
     b = edges.shape[0]
     block = cols[:b]
     roots = parent[block]
-    if np.any(roots != roots[0]):
-        r, c = np.nonzero(edges[:, :b] & (roots[:, None] != roots[None, :]))
+    split = np.any(roots != roots[0])  # the block's rows span several trees
+    if split:
+        square = edges[:, :b]
+        near = square | square.T
+        np.fill_diagonal(near, True)
+        _union(parent, block, block[near.argmax(axis=1)])  # each row's first True
+        roots = _roots(parent, block)
+        r, c = np.divmod(np.flatnonzero(square & (roots[:, None] != roots[None, :])), b)
         _union(parent, block[r], block[c])
         roots = _roots(parent, block)
     rest, cols = edges[:, b:], cols[b:]
@@ -267,9 +285,10 @@ def _merge_block(parent, edges, cols):
         for k, h in enumerate(heads):
             rest[live & (roots == h)].any(axis=0, out=reach[k])
     reach &= parent[cols] != heads[:, None]  # columns already in the tree
-    g, c = np.nonzero(reach)
-    _union(parent, heads[g], cols[c])
-    parent[:] = _roots(parent, parent)
+    g, c = np.divmod(np.flatnonzero(reach), reach.shape[1])
+    if split or g.size:
+        _union(parent, heads[g], cols[c])
+        parent[:] = _roots(parent, parent)
 
 
 def _upper_walk(features, sim: SimilarityKind, labels=None, threshold=None):
@@ -281,28 +300,33 @@ def _upper_walk(features, sim: SimilarityKind, labels=None, threshold=None):
     of its last row's class (without labels the band is the leading square).
     The right-hand rows are folded once (`similarity._fold_right`), a
     block's left rows as the walk reaches them (`_fold_left`), both from the
-    input rows, so no class-order copy of them is kept; block [lo, hi) is
-    one `score_matrix` product of the folds of walk positions [lo, hi) and
-    [lo, n), the diagonal and lower part of its leading square masked out.
-    Every pair right of the band is cross-class, so there a block costs one
-    column max, which gives its max cross-class score and the few "hot"
-    columns whose max clears ``threshold``; the rest of its work is narrow:
+    input rows, so no class-order copy of them is kept.  Block [lo, hi)
+    scores its band [lo, end) as one `score_matrix` product of the folds of
+    walk positions [lo, hi) and [lo, end), the diagonal and lower part of
+    its leading square left out, and the cross-class rest [end, n) as a run
+    of products of at most `_TILE` columns.  Each tile is reduced while it
+    is in cache: its max is a cross-class score, and only a tile whose max
+    clears ``threshold`` takes a column max, whose "hot" columns give the
+    tile's edges.
 
-    * with ``labels``, the band's min same-class score, and the max of its
-      cross-class scores;
-    * with ``threshold``, the edges of the band and of the hot columns, which
-      `_merge_block` joins in a union-find forest whose roots are the
-      smallest rows of their trees.
-
-    With both, each block also counts its false rejects (same-class pairs
-    at or below ``threshold``, all inside the band) and its false accepts
-    (its edges less its same-class edges).
+    In class order a block's rows form runs, one class each.  A run's
+    same-class partners are the rest of its run, in the upper triangle of
+    its square, and, for the block's last run, the whole band right of the
+    leading square; every other pair of the band is cross-class.  So with
+    ``labels`` the block's labels split its leading square, the last run's
+    first row splits the rest of the band, and those parts give the min
+    same-class score and the max cross-class score.  With ``threshold`` the
+    edges of the band and of the hot columns go to `_merge_block`, which
+    joins them in a union-find forest whose roots are the smallest rows of
+    their trees.  With both, the walk counts the edges and the same-class
+    edges among them: the false rejects are the same-class pairs less the
+    latter, the false accepts the edges less the latter.
 
     Returns (margin or None, component labels or None, (false rejects,
     false accepts) or None), the components numbered in order of their
-    smallest input row.  Each block is freed before the next product, so one
-    score block, the right fold, a block's left fold and its edge mask are
-    live: O(block * n) whatever the number of edges.
+    smallest input row.  A band or a tile is freed before the next product,
+    so one band or tile, the right fold, a block's left fold and its edge
+    mask are live: O(block * n) whatever the number of edges.
     """
     n = features.shape[0]
     order = None
@@ -311,38 +335,47 @@ def _upper_walk(features, sim: SimilarityKind, labels=None, threshold=None):
         labels = labels[order]
     right = _fold_right(sim, features if order is None else features[order])
     plain = SimilarityKind("inner")
-    lower = np.tri(_BLOCK, dtype=bool)  # j <= i inside a leading square
+    upper = ~np.tri(_BLOCK, dtype=bool)  # j > i inside a leading square
     min_intra, max_inter = np.inf, -np.inf
-    rejects = accepts = 0
+    edge_count = same_edges = 0
     parent = np.arange(n)  # union-find forest over walk positions
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
-        square = lower[: hi - lo, : hi - lo]
-        left = features[lo:hi] if order is None else features[order[lo:hi]]
-        rows = score_matrix(plain, _fold_left(sim, left), right[lo:])
-        np.copyto(rows[:, : hi - lo], -np.inf, where=square)
+        b = hi - lo
+        left = _fold_left(sim, features[lo:hi] if order is None else features[order[lo:hi]])
         end = hi if labels is None else int(np.searchsorted(labels, labels[hi - 1], side="right"))
-        band = rows[:, : end - lo]
-        top = rows[:, end - lo :].max(axis=0)  # one pass over the cross-class rest
-        if threshold is not None:
-            hot = end + np.flatnonzero(top > threshold)
-            edges = np.empty((hi - lo, end - lo + hot.size), dtype=bool)
-            np.greater(band, threshold, out=edges[:, : end - lo])
-            for k in range(0, hot.size, _HOT_SLICE):  # a bounded float copy at a time
-                out = edges[:, end - lo + k :][:, :_HOT_SLICE]
-                np.greater(rows[:, hot[k : k + _HOT_SLICE] - lo], threshold, out=out)
-            _merge_block(parent, edges, np.concatenate((np.arange(lo, end), hot)))
+        band = score_matrix(plain, left, right[lo:end])
+        square, rest = band[:, :b], band[:, b:]
         if labels is not None:
-            same = labels[lo:hi, None] == labels[None, lo:end]
-            same[:, : hi - lo] &= ~square
-            min_intra = np.min(band, where=same, initial=min_intra)
-            if threshold is not None:
-                low = np.count_nonzero(same & (band <= threshold))
-                rejects += low
-                accepts += np.count_nonzero(edges) - np.count_nonzero(same) + low
-            np.copyto(band, -np.inf, where=same)  # the edges above were read first
-            max_inter = max(max_inter, band.max(), top.max(initial=-np.inf))
-        rows = band = edges = None  # free the block before the next product
+            run = labels[lo:hi]
+            last = int(np.searchsorted(run, run[-1]))  # where the block's last run starts
+            cross = run[None, :] > run[:, None]  # j > i and another class
+            same = upper[:b, :b] & ~cross
+            min_intra = min(min_intra, square.min(where=same, initial=np.inf),
+                            rest[last:].min(initial=np.inf))
+            max_inter = max(max_inter, square.max(where=cross, initial=-np.inf),
+                            rest[:last].max(initial=-np.inf))
+        if threshold is not None:
+            edges, cols = [band > threshold], [np.arange(lo, end)]
+            edges[0][:, :b] &= upper[:b, :b]
+            if labels is not None:
+                same_edges += np.count_nonzero(edges[0][:, :b] & same)
+                same_edges += np.count_nonzero(edges[0][last:, b:])
+        band = square = rest = None  # free the band before the first tile
+        for start in range(end, n, _TILE):
+            tile = score_matrix(plain, left, right[start : start + _TILE])
+            top = tile.max()  # every pair here is cross-class
+            max_inter = max(max_inter, top)
+            if threshold is not None and top > threshold:
+                hot = np.flatnonzero(tile.max(axis=0) > threshold)
+                edges.append(tile[:, hot] > threshold)
+                cols.append(start + hot)
+            tile = None  # free it before the next product
+        if threshold is not None:
+            edges = np.concatenate(edges, axis=1)
+            edge_count += np.count_nonzero(edges)
+            _merge_block(parent, edges, np.concatenate(cols))
+            edges = None
     margin = None if labels is None else float(min_intra - max_inter)
     if threshold is None:
         return margin, None, None
@@ -352,7 +385,10 @@ def _upper_walk(features, sim: SimilarityKind, labels=None, threshold=None):
     _, first, comp = np.unique(parent, return_index=True, return_inverse=True)
     rank = np.empty(first.size, dtype=np.int64)
     rank[np.argsort(first)] = np.arange(first.size)
-    counts = None if labels is None else (int(rejects), int(accepts))
+    counts = None
+    if labels is not None:
+        intra = _pair_totals(labels)[0]
+        counts = (int(intra - same_edges), int(edge_count - same_edges))
     return margin, rank[comp], counts
 
 

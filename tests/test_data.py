@@ -108,6 +108,20 @@ def test_generate_validation_errors():
         small_spec(seed=1.5)
     np_seed = generate(small_spec(seed=np.int64(1)))
     assert np_seed.inputs.tobytes() == generate(small_spec(seed=1)).inputs.tobytes()
+    # numpy integer counts are integers
+    np_counts = generate(small_spec(num_classes=np.int64(3), input_dim=np.int32(5)))
+    counts = generate(small_spec(num_classes=3, input_dim=5))
+    assert np_counts.inputs.tobytes() == counts.inputs.tobytes()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("num_classes", 2.5), ("samples_per_class", 3.5), ("input_dim", 2.0), ("num_classes", "4")],
+)
+def test_genspec_names_a_non_integer_count(field, value):
+    # a count is refused up front, not truncated or left to fail inside generate
+    with pytest.raises(ConfigError, match=rf"{field} must be an integer, got {value!r}"):
+        small_spec(**{field: value})
 
 
 def test_genspec_defaults_are_the_desk_task():

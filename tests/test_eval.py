@@ -36,7 +36,7 @@ from pairsim import (
 )
 import pairsim.evaluation as ev
 from pairsim.encoder import init_encoder
-from pairsim.evaluation import _BLOCK, _upper_walk
+from pairsim.evaluation import _BLOCK, _TILE, _upper_walk
 from pairsim.numkit import Rng
 from pairsim.similarity import KINDS, _fold_left, score_matrix
 from pairsim.trainer import encode
@@ -615,9 +615,10 @@ def test_hot_column_cases_take_their_paths():
 
 @pytest.mark.parametrize("case", ["some", "all"])
 def test_hot_columns_compared_in_slices_match_the_dense_oracle(monkeypatch, case):
-    # the walk compares a block's hot columns `_HOT_SLICE` at a time; these
-    # blocks have fewer hot columns than one slice, so a 7-column slice
-    # makes several per block, the last one short
+    # the walk scores a block's cross-class rest `_TILE` columns at a time
+    # and takes each tile's hot columns from it; these blocks are narrower
+    # than one tile, so a 7-column tile makes several per block, the last
+    # one short
     feats, labels, sim, full, t = walk_case(**HOT_CASES[case])
     assert hot_columns(labels, full, t)[0] > 7
     n = labels.size
@@ -626,7 +627,7 @@ def test_hot_columns_compared_in_slices_match_the_dense_oracle(monkeypatch, case
     adj = full > t
     np.fill_diagonal(adj, False)
     _, want_comp = connected_components(csr_matrix(adj), directed=False)
-    monkeypatch.setattr(ev, "_HOT_SLICE", 7)
+    monkeypatch.setattr(ev, "_TILE", 7)
     _, comp, (rejects, accepts) = _upper_walk(feats, sim, labels=labels, threshold=t)
     assert np.array_equal(comp, want_comp)
     assert rejects == np.count_nonzero(upper[same] <= t)
@@ -713,26 +714,37 @@ def test_walk_gives_the_same_margin_and_partition_in_any_row_order(kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_walk_block_scores_equal_score_matrix_of_the_unfolded_rows(monkeypatch, kind):
-    # the walk folds its rows once and hands each block's score_matrix call
-    # slices of the folded rows; every block must keep the bits score_matrix
-    # gives for the block's own rows against rows [lo, n) in walk order
+    # the walk folds its rows once and hands each product, a block's class
+    # band [lo, end) and then its cross-class tiles, slices of the folded
+    # rows; the products' columns run through [lo, n) in walk order, and
+    # each keeps the bits score_matrix gives for the block's own rows
+    # against the unfolded rows of its columns.  (Not those of one product
+    # over all of [lo, n): BLAS may round a column differently in a product
+    # of another width, e.g. OpenBLAS in a tail of a few columns.)
     rng = np.random.default_rng(5)
-    feats = rng.normal(size=(2 * _BLOCK + 9, 7)) * rng.uniform(0.1, 10, size=(1, 7))
-    labels = rng.integers(0, 3, size=feats.shape[0])
+    feats = rng.normal(size=(3 * _BLOCK + 9, 7)) * rng.uniform(0.1, 10, size=(1, 7))
+    labels = rng.integers(0, 6, size=feats.shape[0])
     walked = feats[np.argsort(labels, kind="stable")]
+    ends = np.searchsorted(np.sort(labels), np.sort(labels), side="right")
     sim = SimilarityKind(kind)
-    blocks = []
+    products = []
 
     def spy(*args, **kwargs):
-        out = score_matrix(*args, **kwargs)
-        blocks.append(out.copy())  # the walk masks its block in place
-        return out
+        products.append(score_matrix(*args, **kwargs))
+        return products[-1]
 
     monkeypatch.setattr(ev, "score_matrix", spy)
+    monkeypatch.setattr(ev, "_TILE", 40)  # several tiles a block, the last one short
     _upper_walk(feats, sim, labels=labels, threshold=0.5)
-    assert [b.shape for b in blocks] == [(_BLOCK, 2 * _BLOCK + 9), (_BLOCK, _BLOCK + 9), (9, 9)]
-    for lo, got in zip(range(0, walked.shape[0], _BLOCK), blocks):
-        want = score_matrix(sim, walked[lo : lo + _BLOCK], walked[lo:])
+    n, spans = walked.shape[0], []
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        end = ends[hi - 1]
+        spans += [(lo, hi, lo, end)] + [(lo, hi, s, min(s + 40, n)) for s in range(end, n, 40)]
+    assert [p.shape for p in products] == [(hi - lo, stop - start) for lo, hi, start, stop in spans]
+    assert [lo for lo, _, start, _ in spans if start > lo].count(_BLOCK) > 1  # a full block's tiles
+    for (lo, hi, start, stop), got in zip(spans, products):
+        want = score_matrix(sim, walked[lo:hi], walked[start:stop])
         assert got.tobytes() == want.tobytes()
 
 
@@ -767,16 +779,17 @@ def test_audit_and_clustering_memory_stays_blockwise():
     assert peak < 48, f"peak {peak:.1f} MB"
 
 
-def test_eval_holds_one_score_block_and_two_activations():
+def test_eval_holds_one_score_tile_and_two_activations():
     # `pairsim eval` encodes its rows, then walks their pairs.  On 6,400
-    # shuffled rows one (128 x n) float64 score block is 6.25 MiB.  The walk
-    # may hold that block, the right fold of all rows (n x 33 floats,
-    # 1.6 MiB) and 2 MiB of slack (one 1,024-column slice of hot scores is
-    # 1 MiB; a block's left fold, masks and column maxima and the forest
-    # take the rest), but never a second block, and no class-order copy of
-    # the rows once they are folded.  The default encoder holds one
-    # layer's input and output, two (n x 64) activations of 3.1 MiB, plus
-    # 256 KiB of slack, but no backprop cache.
+    # shuffled rows in 16 classes of 400, a block's class band is at most
+    # 527 columns and a cross-class tile `_TILE` columns: each product is
+    # about 0.5 MiB of float64.  The walk may hold one band, one tile,
+    # the right fold of all rows (n x 33 floats, 1.6 MiB) and 1 MiB of slack
+    # (a block's left fold, edge mask, label masks and column maxima, the
+    # forest and the final numbering take it), but never a (128 x n) score
+    # block, and no class-order copy of the rows once they are folded.  The
+    # default encoder holds one layer's input and output, two (n x 64)
+    # activations of 3.1 MiB, plus 256 KiB of slack, but no backprop cache.
     rng = np.random.default_rng(4)
     n, d = 6400, 32
     labels = np.repeat(np.arange(16), n // 16)
@@ -790,7 +803,8 @@ def test_eval_holds_one_score_block_and_two_activations():
     net = init_encoder([d, 64, 64, d], Rng(0), "tanh")
     walk, walk_peak = traced_peak(lambda: _upper_walk(feats, sim, labels=labels, threshold=cut))
     enc, enc_peak = traced_peak(lambda: encode(net, feats))
-    walk_bound = (_BLOCK * n + n * (d + 1)) * 8 / 2**20 + 2.0
+    band = _BLOCK - 1 + 400  # at widest, the block's last row starts a class
+    walk_bound = (_BLOCK * (band + _TILE) + n * (d + 1)) * 8 / 2**20 + 1.0
     enc_bound = 2 * n * 64 * 8 / 2**20 + 0.25
     assert walk_peak < walk_bound, f"walk peak {walk_peak:.2f} MiB, bound {walk_bound:.2f}"
     assert enc_peak < enc_bound, f"encode peak {enc_peak:.2f} MiB, bound {enc_bound:.2f}"

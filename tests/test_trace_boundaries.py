@@ -70,11 +70,15 @@ def test_queue_step_boundaries_are_looked_up_at_call_time(tracing, tmp_path):
 
 def test_eval_boundaries_see_each_layer_and_every_row_block(tracing, tmp_path):
     # `pairsim eval` on a CSV with the tracer's wrappers installed: the pair
-    # walk scores each row block through `evaluation.score_matrix`, so that
-    # span sees ceil(n / _BLOCK) calls; load, encode and pair sampling each
+    # walk scores each row block's class band and then its cross-class rest,
+    # `_TILE` columns at a time, through `evaluation.score_matrix`, so that
+    # span sees one call per product; load, encode and pair sampling each
     # see theirs
+    import numpy as np
+
     from pairsim.cli import main
-    from pairsim.evaluation import _BLOCK
+    from pairsim.data import load_csv
+    from pairsim.evaluation import _BLOCK, _TILE
 
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -90,8 +94,13 @@ def test_eval_boundaries_see_each_layer_and_every_row_block(tracing, tmp_path):
         cfg.read_text()
         + f"data.csv = {csv}\neval.checkpoint = {tmp_path / 'run' / 'checkpoint.bin'}\n"
     )
-    rows = len(csv.read_text().splitlines()) - 1
+    labels = np.sort(load_csv(str(csv)).labels)
+    rows = labels.size
     assert rows > 2 * _BLOCK
+    ends = [np.searchsorted(labels, labels[min(lo + _BLOCK, rows) - 1], side="right")
+            for lo in range(0, rows, _BLOCK)]
+    products = sum(1 + -(-(rows - end) // _TILE) for end in ends)
+    assert products > len(ends)  # some block has a cross-class tile
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -100,6 +109,6 @@ def test_eval_boundaries_see_each_layer_and_every_row_block(tracing, tmp_path):
     finally:
         tracer.restore()
     assert rc == 0
-    assert tracer.calls["similarity.score_matrix"] == -(-rows // _BLOCK)
+    assert tracer.calls["similarity.score_matrix"] == products
     for name in ("data.load_csv", "encoder.encode", "evaluation.sample_pairs"):
         assert tracer.calls[name] == 1, name
