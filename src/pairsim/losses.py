@@ -17,8 +17,11 @@ raw exp(r*(s+b)) never appears.
 argument u (r*t on the negatives, which are most pairs, then -t/r patched in
 at the positives), one e = exp(-|u|) serves both softplus(u) and sigmoid(u),
 and the branch weights go on the same way: the negative weight over the
-whole batch, the positive one patched in by index. Every value is the one
-`softplus`, `sigmoid` and the two-branch formulas give, bit for bit.
+whole batch, the positive one patched in by index. The hard pairs, u >= 0,
+are patched the same way: u is flipped to -|u| in place at them, and only
+they take the max(u, 0) of softplus and the 1 of sigmoid's numerator. Every
+value is the one `softplus`, `sigmoid` and the two-branch formulas give,
+bit for bit.
 """
 from __future__ import annotations
 
@@ -114,19 +117,21 @@ def batch_loss(cfg: LossConfig, pairs: PairBatch):
     t_pos = t[pos]
     u = np.multiply(t, r, out=t)
     u[pos] = -t_pos / r
-    e = np.abs(u)
-    np.negative(e, out=e)
-    np.exp(e, out=e)  # exp(-|u|), shared by softplus and sigmoid
-    nonneg = u >= 0.0
+    # the hard pairs (u >= 0: hard negatives, violating positives) are few;
+    # flip them so u holds -|u|, and patch their terms in by index below
+    hard = np.flatnonzero(u >= 0.0)
+    u_hard = u[hard]
+    u[hard] = -u_hard
+    e = np.exp(u, out=u)  # exp(-|u|), shared by softplus and sigmoid
     # softplus(u) = max(u, 0) + log1p(e), times the branch weight
     losses = np.log1p(e)
-    losses += np.maximum(u, 0.0, out=u)
+    losses[hard] += u_hard
     losses_pos = losses[pos]
     losses *= w_neg
     losses[pos] = w_pos * losses_pos
     # sigmoid(u) = (1 if u >= 0 else e) / (1 + e), times the branch slope
     denom = e + 1.0
-    np.maximum(e, nonneg, out=e)  # e lies in [0, 1]: 1 where u >= 0, else e
+    e[hard] = 1.0
     d = np.divide(e, denom, out=e)
     d_pos = d[pos]
     d *= w_neg * r

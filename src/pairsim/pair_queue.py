@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateInputError, ShapeError
 from .losses import PairBatch
 from .numkit import as_matrix, class_ids, row_norms
-from .similarity import SimilarityKind, score_matrix
+from .similarity import SimilarityKind, _check_given, score_matrix
 
 
 class FeatureQueue:
@@ -129,7 +129,8 @@ def form_pairs(
     Returns a PairBatch of exactly m * queue.size pairs in row-major
     order (batch row varies slowest).  y_p = 1 iff the class ids match.
     The queue side is its stored ``[f, |f|]`` rows; ``batch_norms``, when given,
-    are the batch rows' norms (as `numkit.row_norms` gives them).  Does not mutate the queue.
+    are the batch rows' norms (as `numkit.row_norms` gives them), of shape (m,).
+    Does not mutate the queue.
     """
     if queue.size == 0:
         raise DegenerateInputError("cannot form pairs against an empty queue")
@@ -138,6 +139,7 @@ def form_pairs(
     m = batch_features.shape[0]
     if m != batch_labels.size:
         raise ShapeError(f"{m} feature rows but {batch_labels.size} labels")
+    _check_given("batch_norms", batch_norms, (m,))
     scores = score_matrix(sim, batch_features, queue._feat, na=batch_norms, qn=queue._rows)
     return PairBatch(scores=scores, labels=batch_labels[:, None] == queue._label[None, :])
 

@@ -108,6 +108,12 @@ def decision_boundary(sim: SimilarityKind, b: float, x1, x2) -> float:
     return score(sim, x1, x2) + b
 
 
+def _check_given(name, given, shape):
+    """Raise ShapeError unless the caller-supplied ``given`` (if any) has ``shape``."""
+    if given is not None and np.shape(given) != shape:
+        raise ShapeError(f"{name} has shape {np.shape(given)}, expected {shape}")
+
+
 def _fold_left(sim: SimilarityKind, a, na=None):
     """Rows whose plain products with `_fold_right`'s are the kind's scores;
     a block folds to its rows of the whole fold."""
@@ -116,8 +122,12 @@ def _fold_left(sim: SimilarityKind, a, na=None):
     na = row_norms(a) if na is None else na
     if sim.kind == "generalized_inner":
         # <a,q> - b_theta |a||q| = [a, -b_theta |a|] . [q, |q|]; b_theta and
-        # the sign sit on the left, so the right side is [q, |q|] as it stands
-        return np.column_stack((a, -sim.b_theta * na))
+        # the sign sit on the left, so the right side is [q, |q|] as it stands;
+        # filled in place, with np.column_stack's bits and no temporary column
+        out = np.empty((a.shape[0], a.shape[1] + 1))
+        out[:, :-1] = a
+        np.multiply(na, -sim.b_theta, out=out[:, -1])
+        return out
     if np.any(na == 0.0):
         raise DegenerateInputError(f"{sim.kind} similarity of a zero vector")
     return a / na[:, None]
@@ -137,12 +147,14 @@ def score_matrix(sim: SimilarityKind, a, q, na=None, qn=None) -> np.ndarray:
     the rows' Euclidean norms (as `numkit.row_norms` gives them)
     and ``qn`` is ``[q, |q|]``, each row of ``q`` followed by its norm, if the
     caller has them; otherwise they are computed here, when the kind needs
-    them.
+    them.  A given ``na`` or ``qn`` of another shape raises ShapeError.
     """
     a = np.asarray(a, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if a.ndim != 2 or q.ndim != 2 or a.shape[1] != q.shape[1]:
         raise ShapeError(f"score_matrix expects (m,d) and (n,d), got {a.shape} and {q.shape}")
+    _check_given("na", na, a.shape[:1])
+    _check_given("qn", qn, (q.shape[0], q.shape[1] + 1))
     return _fold_left(sim, a, na) @ _fold_right(sim, q, qn).T
 
 
@@ -173,6 +185,8 @@ def score_matrix_grad_left(sim: SimilarityKind, a, q, d_scores, na=None, qn=None
         raise ShapeError(
             f"d_scores shape {d_scores.shape} does not match ({a.shape[0]}, {q.shape[0]})"
         )
+    _check_given("na", na, a.shape[:1])
+    _check_given("qn", qn, (q.shape[0], q.shape[1] + 1))
     if sim.kind == "inner":
         return d_scores @ q, 0.0
     na = row_norms(a) if na is None else na

@@ -281,15 +281,15 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
         queue = FeatureQueue(cfg.queue_capacity, cfg.feature_dim)
         ema = enc.copy()
 
-        def enqueue_ema(rows):
-            feats = encode(ema, train_ds.inputs[rows], cfg.normalize_features)
-            enqueue_batch(queue, feats, train_ds.labels[rows])
+        def enqueue_ema(x, y):
+            enqueue_batch(queue, encode(ema, x, cfg.normalize_features), y)
 
         # warmup: fill the queue from the momentum encoder, no updates yet
         need = -(-cfg.queue_capacity // m) * m
         warm_rows = np.resize(rng.stream("warmup").permutation(n_train), need)
         for i in range(0, need, m):
-            enqueue_ema(warm_rows[i : i + m])
+            rows = warm_rows[i : i + m]
+            enqueue_ema(train_ds.inputs[rows], train_ds.labels[rows])
     else:
         proxies = init_proxy_bank(rng.stream("proxies"), classes.size, cfg.feature_dim)
         v_proxies = np.zeros_like(proxies)
@@ -302,11 +302,12 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
             losses, norms, correct = [], [], 0
             for s in range(steps_per_epoch):
                 rows = order[s * m : (s + 1) * m]
+                # the step's one gather: the online step and the EMA enqueue share it
+                x, y = train_ds.inputs[rows], train_ds.labels[rows]
                 lr_now = sgd_now.lr = lr_at(cfg, gstep, total_steps)
                 rec = {"step": gstep, "epoch": epoch, "lr": lr_now}
                 loss, d_theta, d_b, d_bt, d_w, norm, hits = _step_grads(
-                    cfg, loss_now, enc, train_ds.inputs[rows], train_ds.labels[rows], rec,
-                    queue, proxies)
+                    cfg, loss_now, enc, x, y, rec, queue, proxies)
                 sgd_step(enc.theta, d_theta, sgd_now, v_enc)
                 if proxies is not None:
                     # proxies follow the same momentum/decay rule as the encoder
@@ -319,7 +320,7 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
                     sim_now.b_theta = min(max(sim_now.b_theta - lr_now * v_bt, 0.0), _BT_MAX)
                 if queue is not None:
                     ema_update(ema, enc, cfg.eta)
-                    enqueue_ema(rows)
+                    enqueue_ema(x, y)
 
                 rec["loss"] = loss
                 steps.append(rec)

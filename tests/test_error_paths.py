@@ -119,6 +119,38 @@ ERRORS = {
     "grad_left_shapes": (
         lambda: score_matrix_grad_left(GI, np.ones((2, 3)), np.ones((4, 3)), np.ones((2, 3))),
         ShapeError, "d_scores shape (2, 3) does not match (2, 4)"),
+    # a caller-supplied norm of the wrong shape is named, whatever the kind
+    "score_matrix_na_shape": (
+        lambda: score_matrix(GI, np.ones((2, 3)), np.ones((4, 3)), na=np.ones(3)), ShapeError,
+        "na has shape (3,), expected (2,)"),
+    "score_matrix_na_column": (
+        lambda: score_matrix(GI, np.ones((2, 3)), np.ones((4, 3)), na=np.ones((2, 1))),
+        ShapeError, "na has shape (2, 1), expected (2,)"),
+    "score_matrix_na_inner": (
+        lambda: score_matrix(SimilarityKind("inner"), np.ones((2, 3)), np.ones((4, 3)),
+                             na=np.ones(3)),
+        ShapeError, "na has shape (3,), expected (2,)"),
+    "score_matrix_qn_shape": (
+        lambda: score_matrix(GI, np.ones((2, 3)), np.ones((4, 3)), qn=np.ones((4, 3))),
+        ShapeError, "qn has shape (4, 3), expected (4, 4)"),
+    "score_matrix_qn_cosine": (
+        lambda: score_matrix(SimilarityKind("cosine"), np.ones((2, 3)), np.ones((4, 3)),
+                             qn=np.ones((3, 4))),
+        ShapeError, "qn has shape (3, 4), expected (4, 4)"),
+    "grad_left_na_shape": (
+        lambda: score_matrix_grad_left(GI, np.ones((2, 3)), np.ones((4, 3)), np.ones((2, 4)),
+                                       na=np.ones(4)),
+        ShapeError, "na has shape (4,), expected (2,)"),
+    "grad_left_qn_shape": (
+        lambda: score_matrix_grad_left(GI, np.ones((2, 3)), np.ones((4, 3)), np.ones((2, 4)),
+                                       qn=np.ones((4, 5))),
+        ShapeError, "qn has shape (4, 5), expected (4, 4)"),
+    "form_pairs_batch_norms_column": (
+        lambda: form_pairs(_queue(), np.ones((2, 3)), [0, 1], GI, batch_norms=np.ones((2, 1))),
+        ShapeError, "batch_norms has shape (2, 1), expected (2,)"),
+    "form_pairs_batch_norms_length": (
+        lambda: form_pairs(_queue(), np.ones((2, 3)), [0, 1], GI, batch_norms=np.ones(3)),
+        ShapeError, "batch_norms has shape (3,), expected (2,)"),
     "train_batch_size": (
         lambda: TrainConfig(batch_size=0), ConfigError, "batch_size must be >= 1, got 0"),
     "train_queue_capacity": (

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -194,32 +195,79 @@ def test_batch_loss_bit_identical_past_the_softplus_cut():
         assert d_scores.tobytes() == want_d.tobytes()
 
 
-@pytest.mark.parametrize("r, alpha", [(3.0, 0.1), (1.0, 0.1), (1.0, 0.5)])
-def test_batch_loss_bit_identical_at_the_train_simple_shape(r, alpha):
-    # 32 batch rows x a 256-entry queue over 16 classes, as train_simple pairs
-    # them: above 128 pairs numpy's pairwise summation changes the order in
-    # which the loss and d_b are summed, so the small hypothesis cases above
-    # do not reach it
-    rng = Rng(17)
+def _train_shape_pairs(seed):
+    # 32 batch rows x a 256-entry queue over 16 classes, as train_simple pairs them
+    rng = Rng(seed)
     m, q, classes = 32, 256, 16
     queue = FeatureQueue(q, 8)
     enqueue_batch(queue, rng.normal(size=(q, 8)), rng.integers(0, classes, size=q))
-    pairs = form_pairs(
+    return form_pairs(
         queue, rng.normal(size=(m, 8)), rng.integers(0, classes, size=m), SimilarityKind()
     )
+
+
+def _assert_two_branch_bits(c, pairs):
+    # the call raises no warning, leaves the scores as they were and gives the
+    # two-branch form's bits
+    before = pairs.scores.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss, d_scores, d_b = batch_loss(c, pairs)
+    assert pairs.scores.tobytes() == before
+    want_loss, want_d, want_db = two_branch_batch_loss(c, pairs)
+    assert loss == want_loss and d_b == want_db
+    assert d_scores.tobytes() == want_d.tobytes()
+
+
+@pytest.mark.parametrize("r, alpha", [(3.0, 0.1), (1.0, 0.1), (1.0, 0.5)])
+def test_batch_loss_bit_identical_at_the_train_simple_shape(r, alpha):
+    # above 128 pairs numpy's pairwise summation changes the order in which
+    # the loss and d_b are summed, so the small hypothesis cases above do not
+    # reach it
+    pairs = _train_shape_pairs(17)
+    m, q = 32, 256
     # the tracer counts pairs with len(pairs.labels): one flat bool per pair
     assert pairs.labels.dtype == np.bool_ and pairs.labels.shape == (m * q,)
     assert 0.03 < np.count_nonzero(pairs.labels) / (m * q) < 0.1
     # wide scores put u past +-30 (both tails of softplus) on both branches
-    pairs.scores[:] = rng.stream("scores").normal(scale=60.0, size=m * q)
+    pairs.scores[:] = Rng(17).stream("scores").normal(scale=60.0, size=m * q)
     c = cfg(r=r, alpha=alpha, b=0.2)
     t = pairs.scores + c.b
     for u in (-t[pairs.labels] / r, r * t[~pairs.labels]):
         assert u.min() < -30.0 and u.max() > 30.0
-    loss, d_scores, d_b = batch_loss(c, pairs)
-    want_loss, want_d, want_db = two_branch_batch_loss(c, pairs)
-    assert loss == want_loss and d_b == want_db
-    assert d_scores.tobytes() == want_d.tobytes()
+    _assert_two_branch_bits(c, pairs)
+
+
+@pytest.mark.parametrize("hard_share", [0.0, 0.02, 0.5, 1.0])
+def test_batch_loss_hard_pairs_at_the_train_simple_shape(hard_share):
+    # batch_loss patches the hard pairs (u >= 0: hard negatives and violating
+    # positives) by index; pin it at none, a few, half and all of them
+    pairs = _train_shape_pairs(23)
+    rng = Rng(29).stream("hard")
+    n = len(pairs)
+    hard = np.zeros(n, dtype=bool)
+    hard[rng.permutation(n)[: round(hard_share * n)]] = True
+    # t stays at least 0.01 from 0: a hard negative has t > 0, a hard
+    # positive t < 0
+    size = np.abs(rng.normal(scale=3.0, size=n)) + 0.01
+    c = cfg(r=3.0, alpha=0.1, b=0.2)
+    pairs.scores[:] = np.where(hard != pairs.labels, size, -size) - c.b
+    t = pairs.scores + c.b
+    u = np.where(pairs.labels, -t / c.r, c.r * t)
+    assert np.count_nonzero(u >= 0.0) == np.count_nonzero(hard) == round(hard_share * n)
+    _assert_two_branch_bits(c, pairs)
+
+
+@pytest.mark.parametrize("b", [0.0, -0.0])
+def test_batch_loss_signed_zeros_infinities_and_far_tails(b):
+    # u = +-0.0 on both branches (-0.0 counts as hard), u = +-inf, and |u|
+    # past 710, where exp(|u|) would overflow: the kernel only takes exp(-|u|)
+    scores = np.array([0.0, -0.0, 0.0, -0.0, np.inf, -np.inf, np.inf, -np.inf,
+                       240.0, -240.0, 240.0, -240.0, 800.0, -800.0, 800.0, -800.0])
+    labels = np.arange(scores.size) // 2 % 2
+    pairs = PairBatch(scores=scores, labels=labels)
+    for r in (3.0, 1.0):
+        _assert_two_branch_bits(cfg(r=r, alpha=0.1, b=b), pairs)
 
 
 @pytest.mark.parametrize("bad", [2, -1, 0.5])

@@ -6,9 +6,11 @@ from numpy.testing import assert_allclose
 
 from pairsim.errors import ConfigError, DegenerateInputError
 from pairsim.gradcheck import max_rel_err, numerical_grad
+from pairsim.numkit import row_norms
 from pairsim.similarity import (
     KINDS,
     SimilarityKind,
+    _fold_left,
     decision_boundary,
     score,
     score_grad,
@@ -228,3 +230,22 @@ def test_score_matrix_grad_left_zero_row_drops_its_bias_term():
     assert_allclose(d_a, expect, rtol=1e-10, atol=1e-12)
     assert_allclose(d_a[2], ds[2] @ q, rtol=1e-12)  # the plain inner-product part
     assert d_bt == pytest.approx(expect_bt, rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("b_theta", [0.0, 0.3])
+@pytest.mark.parametrize("m, zero_row", [(7, None), (4, 1), (1, None), (0, None)])
+def test_fold_left_bits_match_column_stack(b_theta, m, zero_row):
+    # the generalized-inner fold fills [a, -b_theta |a|] in place; its bits
+    # are np.column_stack's, including the -0.0 column at b_theta 0 and the
+    # zero row's -0.0 norm term
+    a = np.random.default_rng(10).standard_normal((m, 5))
+    if zero_row is not None:
+        a[zero_row] = 0.0
+    sim = kind("generalized_inner", b_theta)
+    na = row_norms(a)
+    want = np.column_stack((a, -sim.b_theta * na))
+    for got in (_fold_left(sim, a), _fold_left(sim, a, na)):
+        assert got.shape == want.shape == (a.shape[0], 6)
+        assert got.tobytes() == want.tobytes()
+    if b_theta == 0.0:
+        assert np.signbit(want[:, -1]).all()  # the -0.0 column
