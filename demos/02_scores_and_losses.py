@@ -22,18 +22,20 @@ from pairsim import (
 
 # the generalized inner product: dot(x1, x2) - b_theta * |x1| * |x2|.
 # At b_theta = 0 it is the plain dot product; raising b_theta charges a
-# norm-scaled rent that only well-aligned pairs can pay off.
+# norm-scaled rent that only well-aligned pairs can pay off.  Over unit
+# vectors it is the cosine, shifted by -b_theta.
 x1 = np.array([1.0, 2.0, 0.5])
 x2 = np.array([0.5, 1.5, -1.0])
 for bt in (0.0, 0.3, 0.9):
-    sim = SimilarityKind(kind="generalized_inner", b_theta=bt)
+    sim = SimilarityKind(b_theta=bt)
     print(f"b_theta={bt:>3}: score {score(sim, x1, x2):+.4f}")
-print(f" cosine   : score {score(SimilarityKind(kind='cosine'), x1, x2):+.4f}")
+u1, u2 = x1 / np.linalg.norm(x1), x2 / np.linalg.norm(x2)
+print(f" cosine   : score {score(SimilarityKind(b_theta=0.0), u1, u2):+.4f}")
 
 # the decision rule is sign(score + b): a trained bias doubles as the
 # universal verification threshold at -b
 cfg = LossConfig(r=3.0, alpha=0.01, b=-0.8)
-gi = SimilarityKind(kind="generalized_inner", b_theta=0.3)
+gi = SimilarityKind(b_theta=0.3)
 d = decision_boundary(gi, cfg.b, x1, x2)
 print(f"decision value at b={cfg.b}: {d:+.4f} -> "
       f"{'same class' if d > 0 else 'different class'}")

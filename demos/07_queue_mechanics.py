@@ -52,7 +52,7 @@ while queue.size < queue.capacity:
 print(f"queue full after {k} warmup batches ({queue.size} entries)")
 
 # one real step: encode with the live encoder, pair against the queue
-sim = SimilarityKind(kind="generalized_inner", b_theta=0.3)
+sim = SimilarityKind(b_theta=0.3)
 inputs, labels = fresh_batch(k)
 feats, cache = forward(enc, inputs)
 pairs = form_pairs(queue, feats, labels, sim)
@@ -68,7 +68,7 @@ print(f"batch loss {loss:.4f}, d_loss/d_b {d_b:+.4f}")
 # does: the generalized inner product's bias term adds to the plain
 # d_scores @ queue (pairs are row-major: batch row i x queue slot j)
 d_scores = d_scores.reshape(m, queue.size)
-d_feats, _ = score_matrix_grad_left(sim, feats, queue.features(), d_scores)
+d_feats = score_matrix_grad_left(sim, feats, queue.features(), d_scores)
 grads = backward(enc, cache, d_feats)  # one vector, laid out like enc.theta
 velocity = np.zeros_like(enc.theta)
 sgd_step(enc.theta, grads, SgdConfig(lr=0.05), velocity)

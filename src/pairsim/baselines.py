@@ -28,7 +28,6 @@ def init_proxy_bank(rng, num_classes: int, d_feat: int) -> np.ndarray:
 class CeGrads(NamedTuple):
     d_feature: np.ndarray
     d_proxies: np.ndarray
-    d_btheta: float
 
 
 def _check_batch(proxies, features, labels):
@@ -55,10 +54,9 @@ def _check_batch(proxies, features, labels):
 def softmax_ce(proxies, features, labels, normalize_proxies: bool = False):
     """Mean CE over raw inner-product logits against the (K, d) proxy matrix
     (unit rows under ``normalize_proxies``); (loss, CeGrads, predicted
-    classes), with d_btheta 0, as no b_theta or margin applies."""
+    classes)."""
     w, x, y = _check_batch(proxies, features, labels)
-    loss, g, predicted = _gip_ce(w, normalize_proxies, x, y, 0.0, 0.0)
-    return loss, g._replace(d_btheta=0.0), predicted
+    return _gip_ce(w, normalize_proxies, x, y, 0.0, 0.0)
 
 
 # a NaN or Inf proxy ends in the named error below, with no numpy warnings
@@ -80,7 +78,10 @@ def _gip_ce(proxies, normalize_proxies: bool, x, y, b_theta: float, margin: floa
         w_norm = np.ones(len(proxies))
     else:
         w_eff = proxies
-        w_norm = row_norms(w_eff)
+        w_norm = raw_norms = row_norms(w_eff)
+    # with the features finite, a NaN or Inf proxy has a non-finite norm,
+    # which names it even where the loss stays finite
+    check_finite(raw_norms, "proxy norm")
     x_norm = row_norms(x)
     if (b_theta != 0.0 or margin != 0.0) and not x_norm.all():
         raise DegenerateInputError("zero feature has no direction for the b_theta/margin term")
@@ -117,12 +118,8 @@ def _gip_ce(proxies, normalize_proxies: bool, x, y, b_theta: float, margin: floa
     else:
         inv_w = np.divide(1.0, w_norm, out=np.zeros_like(w_norm), where=w_norm > 0.0)
         d_w = d_weff - (coef_bias.T @ x_norm * inv_w)[:, None] * w_eff
-    d_btheta = -float(x_norm @ coef @ w_norm)
-    # with the features finite, a NaN or Inf proxy makes the loss NaN or, by
-    # its raw norm, d_btheta non-finite, so no scan of the matrix is needed
     check_finite(loss, "loss")
-    check_finite(d_btheta, "proxy norm term")
-    return loss, CeGrads(d_x, d_w, d_btheta), predicted
+    return loss, CeGrads(d_x, d_w), predicted
 
 
 def proxy_gip_ce(proxies, features, labels, b_theta: float, margin: float = 0.0,

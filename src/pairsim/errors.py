@@ -10,7 +10,7 @@ class ConfigError(ValueError):
 
 
 class DegenerateInputError(ValueError):
-    """Input is outside the operation's domain (e.g. zero vector under cosine)."""
+    """Input is outside the operation's domain (e.g. a zero vector to normalize)."""
 
 
 class ParseError(ValueError):

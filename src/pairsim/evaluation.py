@@ -15,11 +15,11 @@ them:
 * Clustering is a single-linkage threshold cut: connect every pair that
   scores strictly above the threshold, components become clusters, and
   accuracy is scored under the optimal one-to-one cluster/class matching.
-  The cut is exact only up to rounding: a folded `generalized_inner`
-  score's last bits depend on which row is on the left, and any score's on
-  the product it is computed in (BLAS may sum a column of a narrow or
-  ragged product in another order), so a pair scoring within rounding of
-  the cut can land on either side under another row order.
+  The cut is exact only up to rounding: a folded score's last bits depend
+  on which row is on the left, and on the product it is computed in (BLAS
+  may sum a column of a narrow or ragged product in another order), so a
+  pair scoring within rounding of the cut can land on either side under
+  another row order.
 * The error counts at that cut follow the same strict rule over all pairs:
   a same-class pair scoring at or below it is a false reject, a cross-class
   pair scoring above it a false accept; ``cut_errors`` gives each count
@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ShapeError
 from .numkit import Rng, check_finite, class_ids
-from .similarity import SimilarityKind, _fold_left, _fold_right, score_matrix, score_rows
+from .similarity import SimilarityKind, _fold_left, _fold_right, score_rows
 
 
 def _pair_totals(labels):
@@ -301,7 +301,7 @@ def _upper_walk(features, sim: SimilarityKind, labels=None, threshold=None):
     The right-hand rows are folded once (`similarity._fold_right`), a
     block's left rows as the walk reaches them (`_fold_left`), both from the
     input rows, so no class-order copy of them is kept.  Block [lo, hi)
-    scores its band [lo, end) as one `score_matrix` product of the folds of
+    scores its band [lo, end) as one plain product of the folds of
     walk positions [lo, hi) and [lo, end), the diagonal and lower part of
     its leading square left out, and the cross-class rest [end, n) as a run
     of products of at most `_TILE` columns.  Each tile is reduced while it
@@ -333,8 +333,7 @@ def _upper_walk(features, sim: SimilarityKind, labels=None, threshold=None):
     if labels is not None and np.any(labels[1:] < labels[:-1]):
         order = np.argsort(labels, kind="stable")
         labels = labels[order]
-    right = _fold_right(sim, features if order is None else features[order])
-    plain = SimilarityKind("inner")
+    right = _fold_right(features if order is None else features[order])
     upper = ~np.tri(_BLOCK, dtype=bool)  # j > i inside a leading square
     min_intra, max_inter = np.inf, -np.inf
     edge_count = same_edges = 0
@@ -344,7 +343,7 @@ def _upper_walk(features, sim: SimilarityKind, labels=None, threshold=None):
         b = hi - lo
         left = _fold_left(sim, features[lo:hi] if order is None else features[order[lo:hi]])
         end = hi if labels is None else int(np.searchsorted(labels, labels[hi - 1], side="right"))
-        band = score_matrix(plain, left, right[lo:end])
+        band = left @ right[lo:end].T
         square, rest = band[:, :b], band[:, b:]
         if labels is not None:
             run = labels[lo:hi]
@@ -363,7 +362,7 @@ def _upper_walk(features, sim: SimilarityKind, labels=None, threshold=None):
                 same_edges += np.count_nonzero(edges[0][last:, b:])
         band = square = rest = None  # free the band before the first tile
         for start in range(end, n, _TILE):
-            tile = score_matrix(plain, left, right[start : start + _TILE])
+            tile = left @ right[start : start + _TILE].T
             top = tile.max()  # every pair here is cross-class
             max_inter = max(max_inter, top)
             if threshold is not None and top > threshold:

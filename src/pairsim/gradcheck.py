@@ -1,13 +1,13 @@
 """Central finite-difference gradient checking helpers.
 
-`component_checks` runs the standard battery of named fixtures (scores,
+`component_checks` runs the standard battery of named fixtures (the score,
 the pair loss and its batched form, encoder, full pipeline, proxy cross
 entropies) and reports a max relative error per component; the command line
 front end prints these and the test suite holds them to their tolerances.
-Every check in it, of an array or of a scalar parameter such as b or b_theta,
-goes through `numerical_grad`.  The full-pipeline rows run the gradient half
-of the step `train` runs (encode, queue pairs, loss, backprop),
-`trainer._step_grads`, and rebuild none of it.
+Every check in it, of an array or of the scalar bias b, goes through
+`numerical_grad`.  The full-pipeline row runs the gradient half of the step
+`train` runs (encode, queue pairs, loss, backprop), `trainer._step_grads`,
+and rebuilds none of it.
 """
 
 from __future__ import annotations
@@ -64,32 +64,29 @@ def component_checks(seed: int = 0) -> list:
 
     Tolerances follow the per-kind rule: 1e-6 for closed-form scalar maps,
     1e-4 for whole-pipeline compositions through the encoder (one `simple`
-    step per similarity kind).  Hidden activations in the finite-difference
-    fixtures are tanh, so no relu kink sits inside the perturbation window.
+    step).  Hidden activations in the finite-difference fixtures are tanh,
+    so no relu kink sits inside the perturbation window.
     """
     from .baselines import init_proxy_bank, proxy_gip_ce, softmax_ce
     from .encoder import backward, forward, init_encoder
     from .losses import LossConfig, PairBatch, batch_loss, pair_loss, pair_loss_grad
     from .numkit import Rng
     from .pair_queue import FeatureQueue, enqueue_batch
-    from .similarity import KINDS, SimilarityKind, score, score_grad
+    from .similarity import SimilarityKind, score, score_grad
     from .trainer import TrainConfig, _step_grads
 
     rng = Rng(seed)
     out = []
 
-    # scalar score gradients, every kind
-    for kind in KINDS:
-        sim = SimilarityKind(kind, b_theta=0.3)
-        x1, x2 = rng.stream(("score", kind)).normal(size=(2, 5))
-        d1, d2, dbt = score_grad(sim, x1, x2)
-        checks = [
-            (d1, lambda v: score(sim, v, x2), x1.copy()),
-            (d2, lambda v: score(sim, x1, v), x2.copy()),
-        ]
-        if kind == "generalized_inner":
-            checks.append((dbt, lambda b: score(SimilarityKind(kind, b_theta=b), x1, x2), 0.3))
-        out.append((f"score_{kind}", _fd_err(1.0, *checks), 1e-6))
+    # scalar score gradients
+    sim = SimilarityKind(b_theta=0.3)
+    x1, x2 = rng.stream(("score", "generalized_inner")).normal(size=(2, 5))
+    d1, d2 = score_grad(sim, x1, x2)
+    out.append(("score_generalized_inner", _fd_err(
+        1.0,
+        (d1, lambda v: score(sim, v, x2), x1.copy()),
+        (d2, lambda v: score(sim, x1, v), x2.copy()),
+    ), 1e-6))
 
     # the pair loss at r = 3, at r = 1 (the balanced loss) and at r = 1,
     # alpha = 0.5 (half the plain pair logistic loss): one row each for the
@@ -139,32 +136,28 @@ def component_checks(seed: int = 0) -> list:
     # full pipeline: params -> features -> queue pairs -> batch loss and
     # back, in the trainer's own step function
     step_cfg = TrainConfig()
-    for kind in KINDS:
-        crng = rng.stream(("composition", kind))
-        cfg = LossConfig(r=3.0, alpha=0.1)
-        pnet = init_encoder([4, 5, 3], crng.stream("init"), activation="tanh")
-        px = crng.normal(size=(3, 4))
-        qfeat = crng.normal(size=(6, 3))
-        qlabels = crng.integers(0, 2, size=6)
-        blabels = crng.integers(0, 2, size=3)
-        queue = FeatureQueue(6, 3)
-        enqueue_batch(queue, qfeat, qlabels)
+    crng = rng.stream(("composition", "generalized_inner"))
+    cfg = LossConfig(r=3.0, alpha=0.1, similarity=SimilarityKind(b_theta=0.3))
+    pnet = init_encoder([4, 5, 3], crng.stream("init"), activation="tanh")
+    px = crng.normal(size=(3, 4))
+    qfeat = crng.normal(size=(6, 3))
+    qlabels = crng.integers(0, 2, size=6)
+    blabels = crng.integers(0, 2, size=3)
+    queue = FeatureQueue(6, 3)
+    enqueue_batch(queue, qfeat, qlabels)
 
-        def step(b=0.1, b_theta=0.3):
-            c = replace(cfg, b=b, similarity=SimilarityKind(kind, b_theta=b_theta))
-            return _step_grads(step_cfg, c, pnet, px, blabels, {}, queue)
+    def step(b=0.1):
+        return _step_grads(step_cfg, replace(cfg, b=b), pnet, px, blabels, {}, queue)
 
-        _, d_theta, d_b, d_btheta, *_ = step()
-        checks = [
-            (d_theta, lambda _theta: step()[0], pnet.theta),
-            (d_b, lambda b: step(b=b)[0], 0.1),
-        ]
-        if kind == "generalized_inner":
-            checks.append((d_btheta, lambda t: step(b_theta=t)[0], 0.3))
-        out.append((f"composition_{kind}", _fd_err(1e-3, *checks), 1e-4))
+    _, d_theta, d_b, *_ = step()
+    out.append(("composition_generalized_inner", _fd_err(
+        1e-3,
+        (d_theta, lambda _theta: step()[0], pnet.theta),
+        (d_b, lambda b: step(b=b)[0], 0.1),
+    ), 1e-4))
 
-    # proxy cross entropies over a 3-row batch: features, proxies and b_theta,
-    # with the generalized-inner logits over unit and over raw proxies
+    # proxy cross entropies over a 3-row batch: features and proxies, with
+    # the generalized-inner logits over unit and over raw proxies
     for name, normalize, b_theta, margin in (
         ("softmax_ce", False, 0.0, 0.0),
         ("proxy_gip_ce", True, 0.3, 0.2),
@@ -175,17 +168,15 @@ def component_checks(seed: int = 0) -> list:
         feat = prng.normal(size=(3, 5))
         label = np.array([2, 0, 2])
 
-        def ce(v=feat, w=proxies, t=b_theta):
+        def ce(v=feat, w=proxies):
             if name == "softmax_ce":
                 return softmax_ce(w, v, label, normalize)
-            return proxy_gip_ce(w, v, label, t, margin, normalize)
+            return proxy_gip_ce(w, v, label, b_theta, margin, normalize)
 
         g = ce()[1]
-        checks = [
+        out.append((name, _fd_err(
+            1e-3,
             (g.d_feature, lambda v: ce(v=v)[0], feat.copy()),
             (g.d_proxies, lambda w: ce(w=w)[0], proxies.copy()),
-        ]
-        if name != "softmax_ce":
-            checks.append((g.d_btheta, lambda t: ce(t=t)[0], b_theta))
-        out.append((name, _fd_err(1e-3, *checks), 1e-6))
+        ), 1e-6))
     return out

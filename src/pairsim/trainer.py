@@ -3,10 +3,10 @@
 One optimization step runs the fixed eight-stage cycle: sample a mini-batch,
 encode it with the online encoder, pair it against the queue, compute the
 loss, backprop through the batch-side scores only, apply SGD (including the
-scalar bias b and, when learnable, b_theta), EMA-update the momentum encoder,
-then re-encode the batch with the momentum encoder and enqueue it.  The queue
-is filled from EMA features before the first update so every step sees a full
-complement of pairs.  `_step_grads` holds the gradient half of a step, from
+scalar bias b), EMA-update the momentum encoder, then re-encode the batch
+with the momentum encoder and enqueue it.  The queue is filled from EMA
+features before the first update so every step sees a full complement of
+pairs.  `_step_grads` holds the gradient half of a step, from
 encode to the encoder backprop, for every method; `train` applies the
 updates.  The gradient audit (`gradcheck.component_checks`) runs the same
 `_step_grads`.
@@ -60,7 +60,6 @@ from .pair_queue import FeatureQueue, enqueue_batch, form_pairs, pos_neg_ratio
 from .similarity import score_matrix_grad_left
 
 METHODS = ("simple", "softmax_ce", "proxy_gip_ce")
-_BT_MAX = float(np.nextafter(1.0, 0.0))  # b_theta must stay below 1
 
 
 @dataclass
@@ -139,8 +138,8 @@ class RunLog:
     Each step record carries at least {step, epoch, lr, loss}; each epoch
     record carries {epoch, train_loss, mean_feature_norm} plus an "eval" dict
     on evaluation epochs (always the last) and "train_accuracy" for the proxy
-    methods.  The parameter handles (encoder, ema, bias, b_theta) stay in
-    memory; save_runlog writes the records without the evals' ROCs.
+    methods.  The parameter handles (encoder, ema, bias) stay in memory;
+    save_runlog writes the records without the evals' ROCs.
     """
 
     steps: list = field(default_factory=list)
@@ -148,7 +147,6 @@ class RunLog:
     encoder: EncoderNet | None = None
     ema: EncoderNet | None = None
     bias: float = 0.0
-    b_theta: float = 0.0
 
 
 def lr_at(cfg: TrainConfig, step: int, total_steps: int) -> float:
@@ -191,8 +189,8 @@ def _step_grads(cfg, loss_cfg, enc, x, y, rec, queue=None, proxies=None):
     method's loss (pairs against ``queue`` at ``loss_cfg``'s b and
     similarity, or the CE against the ``proxies`` matrix at ``loss_cfg``'s
     b_theta and ``cfg``'s proxy margin and normalization) and backprop to the
-    encoder; no update.  Returns (loss, d_theta, d_b, d_btheta, d_proxies,
-    mean raw feature norm, correct predictions), d_b 0.0 and d_proxies None
+    encoder; no update.  Returns (loss, d_theta, d_b, d_proxies, mean raw
+    feature norm, correct predictions), d_b 0.0 and d_proxies None
     where the method has none; writes the queue's pos_ratio into the step
     record ``rec``.
     """
@@ -210,7 +208,7 @@ def _step_grads(cfg, loss_cfg, enc, x, y, rec, queue=None, proxies=None):
         pairs = form_pairs(queue, feats, y, sim, batch_norms=f_norms)
         loss, d_scores, d_b = batch_loss(loss_cfg, pairs)
         # backprop onto the batch side only, against the queue's [f, |f|] rows
-        d_feats, d_bt = score_matrix_grad_left(
+        d_feats = score_matrix_grad_left(
             sim, feats, queue._feat, d_scores.reshape(m, queue.size), na=f_norms, qn=queue._rows
         )
         rec["pos_ratio"] = pos_neg_ratio(pairs)
@@ -220,14 +218,14 @@ def _step_grads(cfg, loss_cfg, enc, x, y, rec, queue=None, proxies=None):
         else:
             out = proxy_gip_ce(proxies, feats, y, sim.b_theta, cfg.proxy_margin,
                                cfg.normalize_proxies)
-        loss, (d_feats, d_w, d_bt), predicted = out
+        loss, (d_feats, d_w), predicted = out
         correct = int(np.count_nonzero(predicted == y))
     check_finite(loss, "loss")
     if cfg.normalize_features:
         d_feats = unit_rows_grad(feats, raw_norms, d_feats)
     d_theta = backward(enc, cache, d_feats)
     # np.add.reduce(..) / m gives np.mean's bits
-    return loss, d_theta, d_b, d_bt, d_w, float(np.add.reduce(raw_norms) / m), correct
+    return loss, d_theta, d_b, d_w, float(np.add.reduce(raw_norms) / m), correct
 
 
 # a diverging run stops at the first non-finite loss or features, with one
@@ -265,12 +263,12 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
         enc.weights[0] /= rms
     v_enc = np.zeros_like(enc.theta)
     # the run's own copies of the configs: the schedule's lr and the learned
-    # b and b_theta are written into them as they change, so the step loop
-    # neither rebuilds nor re-validates them
-    sim_now = replace(cfg.loss.similarity, b_theta=float(cfg.loss.similarity.b_theta))
-    loss_now = replace(cfg.loss, b=float(cfg.loss.b), similarity=sim_now)
+    # b are written into them as they change, so the step loop neither
+    # rebuilds nor re-validates them
+    sim = replace(cfg.loss.similarity, b_theta=float(cfg.loss.similarity.b_theta))
+    loss_now = replace(cfg.loss, b=float(cfg.loss.b), similarity=sim)
     sgd_now = replace(cfg.sgd)
-    v_b = v_bt = 0.0
+    v_b = 0.0
 
     intra, inter = _pair_totals(val_ds.labels)
     if intra == 0 or inter == 0:
@@ -306,7 +304,7 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
                 x, y = train_ds.inputs[rows], train_ds.labels[rows]
                 lr_now = sgd_now.lr = lr_at(cfg, gstep, total_steps)
                 rec = {"step": gstep, "epoch": epoch, "lr": lr_now}
-                loss, d_theta, d_b, d_bt, d_w, norm, hits = _step_grads(
+                loss, d_theta, d_b, d_w, norm, hits = _step_grads(
                     cfg, loss_now, enc, x, y, rec, queue, proxies)
                 sgd_step(enc.theta, d_theta, sgd_now, v_enc)
                 if proxies is not None:
@@ -314,10 +312,6 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
                     sgd_step(proxies, d_w, sgd_now, v_proxies)
                 v_b = cfg.sgd.momentum * v_b + d_b
                 loss_now.b -= lr_now * v_b
-                if sim_now.b_theta_learnable:
-                    v_bt = cfg.sgd.momentum * v_bt + d_bt
-                    # project back onto [0, 1); a zero d_bt leaves b_theta's bits as they are
-                    sim_now.b_theta = min(max(sim_now.b_theta - lr_now * v_bt, 0.0), _BT_MAX)
                 if queue is not None:
                     ema_update(ema, enc, cfg.eta)
                     enqueue_ema(x, y)
@@ -337,7 +331,7 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
             if proxies is not None:
                 erec["train_accuracy"] = correct / (m * steps_per_epoch)
             if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
-                erec["eval"] = _eval_on_pairs(cfg, enc, val_ds, sim_now, loss_now.b)
+                erec["eval"] = _eval_on_pairs(cfg, enc, val_ds, sim, loss_now.b)
             epochs.append(erec)
     except FloatingPointError as exc:
         # name where the run diverged: a step, or the evaluation that follows
@@ -346,7 +340,7 @@ def train(cfg: TrainConfig, ds: Dataset) -> RunLog:
         where = f"evaluation after step {gstep - 1}" if evaluating else f"step {gstep}"
         raise FloatingPointError(f"{where} (epoch {epoch}) of {cfg.method}: {exc}") from exc
 
-    return RunLog(steps, epochs, enc, ema, loss_now.b, sim_now.b_theta)
+    return RunLog(steps, epochs, enc, ema, loss_now.b)
 
 
 def final_report(log: RunLog) -> dict:
@@ -377,7 +371,6 @@ def save_runlog(log: RunLog, out_dir) -> None:
         "epochs": epochs,
         "checkpoint": checkpoint,
         "final_bias": log.bias,
-        "final_b_theta": log.b_theta,
     }
     with open(os.path.join(out_dir, "summary.json"), "w", newline="\n") as f:
         json.dump(summary, f, sort_keys=True, indent=2)

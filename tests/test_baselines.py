@@ -146,7 +146,7 @@ def test_proxy_gip_ce_rejects_bad_margin(margin):
 ], ids=["softmax_ce", "proxy_gip_ce"])
 def test_ce_rejects_a_non_finite_proxy(ce, bad, normalize):
     # the proxies are not scanned: a NaN or Inf entry in any row, a target's
-    # or not, shows in the loss or, through that row's norm, in d_btheta
+    # or not, shows in the loss or in that row's norm
     x = np.array([[1.0, 1.0, 0.5], [0.5, -1.0, 1.0]])
     for row in range(3):
         W = np.eye(3)
@@ -207,13 +207,8 @@ def test_gip_ce_gradients_match_finite_differences():
             def loss_of_w(M):
                 return proxy_gip_ce(M, x, y, 0.3, margin, normalize)[0]
 
-            def loss_of_b(t):
-                return proxy_gip_ce(W, x, y, t, margin, normalize)[0]
-
             assert max_rel_err(grads.d_feature, numerical_grad(loss_of_x, x.copy())) < 1e-5
             assert max_rel_err(grads.d_proxies, numerical_grad(loss_of_w, W.copy())) < 1e-5
-            num_b = numerical_grad(loss_of_b, 0.3)
-            assert max_rel_err([grads.d_btheta], [num_b]) < 1e-5
 
 
 def test_gip_ce_normalized_is_scale_invariant_in_proxies():
@@ -253,10 +248,6 @@ def test_ce_batch_equals_mean_of_one_row_calls():
                                 rtol=1e-12, atol=1e-15)
                 assert_allclose(g.d_proxies, np.mean([r[1].d_proxies for r in rows], axis=0),
                                 rtol=1e-12, atol=1e-15)
-                assert_allclose(g.d_btheta, np.mean([r[1].d_btheta for r in rows]),
-                                rtol=1e-12, atol=1e-15)
-                if not gip:
-                    assert g.d_btheta == 0.0
 
 
 @pytest.mark.parametrize("normalize", [False, True])
@@ -316,11 +307,11 @@ def matrix_bias_ce(W, x, y, b_theta, margin, normalize):
     else:
         inv_w = np.divide(1.0, w_norm, out=np.zeros_like(w_norm), where=w_norm > 0.0)
         d_w = d_weff - ((coef * bias).T @ x_norm * inv_w)[:, None] * w_eff
-    return loss, d_x, d_w, -float(x_norm @ coef @ w_norm), predicted
+    return loss, d_x, d_w, predicted
 
 
-def ce_bits(loss, d_x, d_w, d_btheta, predicted):
-    return [np.float64(v).tobytes() for v in (loss, d_btheta)] + [
+def ce_bits(loss, d_x, d_w, predicted):
+    return [np.float64(loss).tobytes()] + [
         np.asarray(a).tobytes() for a in (d_x, d_w, predicted)
     ]
 
@@ -362,7 +353,7 @@ def test_ce_keeps_the_bits_of_the_bias_matrix_form(
         assert ce_bits(loss, *g, predicted) == ce_bits(*want)
     loss, g, predicted = softmax_ce(W, x, y, normalize)
     want = matrix_bias_ce(W, x, y, 0.0, 0.0, normalize)
-    assert ce_bits(loss, *g, predicted) == ce_bits(*want[:3], 0.0, want[4])
+    assert ce_bits(loss, *g, predicted) == ce_bits(*want)
 
 
 def test_init_proxy_bank_shapes():

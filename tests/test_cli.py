@@ -74,12 +74,9 @@ def test_invalid_config_key_is_validation_error(tmp_path, capsys):
 
 
 def test_proxy_b_theta_out_of_range_is_validation_error(tmp_path, capsys):
-    # proxy_gip_ce uses b_theta in its logits even when the similarity kind
-    # ignores it; every kind holds it to [0, 1) before the run starts
-    cfg = write_quick(
-        tmp_path,
-        "train.method = proxy_gip_ce\nsimilarity.kind = cosine\nsimilarity.b_theta = 1.5\n",
-    )
+    # proxy_gip_ce uses b_theta in its logits; it is held to [0, 1) before
+    # the run starts
+    cfg = write_quick(tmp_path, "train.method = proxy_gip_ce\nsimilarity.b_theta = 1.5\n")
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "b_theta" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
@@ -212,10 +209,13 @@ def test_bad_eval_settings_are_validation_errors(tmp_path, capsys, setting, word
         ("data.noise_scale = inf", "noise_scale must be >= 0 and finite, got inf"),
         ("data.num_classes = 0", "num_classes must be >= 1"),
         ("data.samples_per_class = 1", "samples_per_class must be >= 2, got 1"),
-        # the score ignores b_theta, but every kind holds it to [0, 1)
-        ("similarity.kind = cosine\nsimilarity.b_theta = 1.5",
-         "b_theta must lie in [0, 1), got 1.5"),
-        ("similarity.kind = angular", "unknown similarity kind 'angular'"),
+        ("similarity.b_theta = 1.5", "b_theta must lie in [0, 1), got 1.5"),
+        # the removed score kinds and learnable b_theta: the keys are gone, so
+        # even their old defaults fail
+        ("similarity.kind = cosine", "unknown config key 'similarity.kind'"),
+        ("similarity.kind = generalized_inner", "unknown config key 'similarity.kind'"),
+        ("similarity.b_theta_learnable = true",
+         "unknown config key 'similarity.b_theta_learnable'"),
         # the removed pair hinges and their margins
         ("train.method = contrastive", "unknown method 'contrastive'"),
         ("train.method = triplet", "unknown method 'triplet'"),
@@ -248,11 +248,15 @@ def test_bad_train_settings_are_validation_errors(tmp_path, capsys, setting, wor
                                         ("train.triplet_margin", 0.2),
                                         ("loss.variant", "simple_final"),
                                         ("loss.b_learnable", True),
-                                        ("data.family", "gaussian_blobs")])
+                                        ("data.family", "gaussian_blobs"),
+                                        ("similarity.kind", "generalized_inner"),
+                                        ("similarity.kind", "cosine"),
+                                        ("similarity.b_theta_learnable", True)])
 def test_manifest_with_a_removed_key_is_rejected(tmp_path, capsys, key, value):
     # a manifest written while the pair hinges, the loss variant and
-    # b_learnable settings, or the task families existed holds these keys at
-    # their defaults; re-fed as a config, it names the key and writes nothing
+    # b_learnable settings, the task families, or the score kinds and the
+    # learnable b_theta existed holds these keys (at their defaults, unless
+    # set); re-fed as a config, it names the key and writes nothing
     conf = resolve(parse_config_text(QUICK))
     conf["eval.checkpoint"] = str(tmp_path / "ckpt.bin")
     doc = json.loads(manifest_json("train", conf))
@@ -287,7 +291,7 @@ def test_manifest_with_a_removed_key_is_rejected(tmp_path, capsys, key, value):
         ("train", b"seed = 1\n\xff\n", [], "run.cfg: not UTF-8 text: invalid start byte"),
         ("train", None, [], "config not found or unreadable: "),
         # every grid cell is checked before any runs, as the config's own values are
-        ("ablate", QUICK + "similarity.kind = cosine\ngrid.b_theta = 0.3, 1.5\n", [],
+        ("ablate", QUICK + "train.normalize_features = true\ngrid.b_theta = 0.3, 1.5\n", [],
          "b_theta must lie in [0, 1), got 1.5"),
         ("ablate", QUICK + "grid.alpha = 1.5\n", [], "alpha must lie strictly in (0, 1), got 1.5"),
         ("ablate", QUICK + "grid.r = -1\n", [], "r must be positive and finite, got -1.0"),
@@ -383,7 +387,7 @@ def test_eval_with_sparse_class_ids_matches_dense_ids(tmp_path):
     [
         ("", False),
         ("train.method = proxy_gip_ce\n", False),
-        ("similarity.kind = cosine\ntrain.normalize_features = true\n", False),
+        ("similarity.b_theta = 0\ntrain.normalize_features = true\n", False),
         ("", True),
     ],
     ids=["simple", "proxy_gip_ce", "cosine_normalized", "simple_sparse_ids"],
@@ -436,8 +440,8 @@ def test_eval_of_identical_features_names_the_tied_score(tmp_path, capsys):
     zeros.write_text("\n".join(["label," + ",".join(f"f{k}" for k in range(8)), *rows]) + "\n")
     evalcfg = tmp_path / "eval.cfg"
     evalcfg.write_text(
-        QUICK + f"similarity.kind = cosine\ndata.csv = {zeros}\n"
-        f"eval.checkpoint = {run / 'checkpoint.bin'}\n"
+        QUICK + "similarity.b_theta = 0\ntrain.normalize_features = true\n"
+        f"data.csv = {zeros}\neval.checkpoint = {run / 'checkpoint.bin'}\n"
     )
     capsys.readouterr()
     assert main(["eval", "--config", str(evalcfg), "--out", str(tmp_path / "e")]) == 2
@@ -563,16 +567,16 @@ def test_grad_check_prints_components(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "composition_generalized_inner: max rel err" in stdout
     assert "PASS" in stdout
-    assert (out / "gradcheck.txt").read_text().count("max rel err") == 12
+    assert (out / "gradcheck.txt").read_text().count("max rel err") == 8
 
 
 def test_grad_check_holds_each_row_to_its_own_tolerance(tmp_path, capsys, monkeypatch):
     # 5e-5 is under the loosest tolerance (1e-4), so a single gate would
-    # pass score_cosine; its own tolerance is 1e-6
+    # pass batch_loss; its own tolerance is 1e-6
     import pairsim.cli
 
-    rows = [("score_inner", 8e-11, 1e-6), ("score_cosine", 5e-5, 1e-6),
-            ("composition_inner", 5e-5, 1e-4), ("proxy_gip_ce", float("nan"), 1e-6)]
+    rows = [("score_generalized_inner", 8e-11, 1e-6), ("batch_loss", 5e-5, 1e-6),
+            ("composition_generalized_inner", 5e-5, 1e-4), ("proxy_gip_ce", float("nan"), 1e-6)]
     monkeypatch.setattr(pairsim.cli, "component_checks", lambda seed: rows)
     cfg = tmp_path / "empty.cfg"
     cfg.write_text("")
@@ -582,13 +586,13 @@ def test_grad_check_holds_each_row_to_its_own_tolerance(tmp_path, capsys, monkey
     lines = (out / "gradcheck.txt").read_text().splitlines()
     assert captured.out.splitlines() == lines
     assert lines == [
-        "score_inner: max rel err 8.000e-11 (tol 1e-06)",
-        "score_cosine: max rel err 5.000e-05 (tol 1e-06)",
-        "composition_inner: max rel err 5.000e-05 (tol 0.0001)",
+        "score_generalized_inner: max rel err 8.000e-11 (tol 1e-06)",
+        "batch_loss: max rel err 5.000e-05 (tol 1e-06)",
+        "composition_generalized_inner: max rel err 5.000e-05 (tol 0.0001)",
         "proxy_gip_ce: max rel err nan (tol 1e-06)",
-        "FAIL: over tolerance: score_cosine, proxy_gip_ce",
+        "FAIL: over tolerance: batch_loss, proxy_gip_ce",
     ]
-    assert captured.err == "pairsim: error: gradient check failed: score_cosine, proxy_gip_ce\n"
+    assert captured.err == "pairsim: error: gradient check failed: batch_loss, proxy_gip_ce\n"
 
 
 def test_plot_roc_from_eval_reports(tmp_path, capsys):

@@ -19,7 +19,7 @@ SAMPLE = """
 # ablation cell
 loss.r = 3
 loss.alpha = 0.002
-similarity.kind = cosine
+train.method = proxy_gip_ce
 train.epochs = 5          # short run
 train.hidden_dims = 32, 32
 eval.far_targets = 0.0001, 0.001, 0.01
@@ -32,7 +32,7 @@ def test_parse_text_types_and_comments():
     conf = parse_config_text(SAMPLE)
     assert conf["loss.r"] == 3.0
     assert conf["loss.alpha"] == 0.002
-    assert conf["similarity.kind"] == "cosine"
+    assert conf["train.method"] == "proxy_gip_ce"
     assert conf["train.epochs"] == 5
     assert conf["train.hidden_dims"] == (32, 32)
     assert conf["eval.far_targets"] == (0.0001, 0.001, 0.01)
@@ -70,7 +70,7 @@ def test_config_builds_dataclasses():
     assert spec.num_classes == 16 and spec.seed == 7
     cfg = to_train_config(conf)
     assert cfg.loss.alpha == 0.002
-    assert cfg.loss.similarity.kind == "cosine"
+    assert cfg.method == "proxy_gip_ce"
     assert cfg.epochs == 5
     assert cfg.hidden_dims == (32, 32)
     assert cfg.far_targets == (0.0001, 0.001, 0.01)
@@ -156,7 +156,7 @@ def test_schema_keys_are_pinned():
         "plot.names", "plot.reports",
         "seed",
         "sgd.lr", "sgd.momentum", "sgd.weight_decay",
-        "similarity.b_theta", "similarity.b_theta_learnable", "similarity.kind",
+        "similarity.b_theta",
         "train.activation", "train.batch_size",
         "train.epochs", "train.eta", "train.eval_every", "train.feature_dim",
         "train.hidden_dims", "train.lr_decay_at", "train.lr_decay_factor",

@@ -37,9 +37,21 @@ from pairsim import (
 import pairsim.evaluation as ev
 from pairsim.encoder import init_encoder
 from pairsim.evaluation import _BLOCK, _TILE, _upper_walk
-from pairsim.numkit import Rng
-from pairsim.similarity import KINDS, _fold_left, score_matrix
+from pairsim.numkit import Rng, unit_rows
+from pairsim.similarity import _fold_left, score_matrix
 from pairsim.trainer import encode
+
+# three forms of the one score: the generalized inner product, the plain
+# inner product (b_theta 0) and the cosine (b_theta 0 over unit rows, as
+# under train.normalize_features)
+FORMS = ("generalized_inner", "inner", "cosine")
+
+
+def in_form(form, feats, b_theta=0.3):
+    """(rows, sim) that score ``feats`` in ``form``, one of `FORMS`."""
+    if form == "cosine":
+        feats = unit_rows(np.asarray(feats, dtype=np.float64))[0]
+    return feats, SimilarityKind(b_theta if form == "generalized_inner" else 0.0)
 
 
 # ----- oracles ---------------------------------------------------------
@@ -105,8 +117,8 @@ def exact_features(rng, n):
 
     The scores fold the bias term and the norms into one matmul, whose
     rounding depends on how BLAS tiles the rows.  Here every step is exact
-    (the dot products, the norms, the normalized rows of cosine, and the
-    bias term under `EXACT_B_THETA`), so a pair's score does not
+    (the dot products, the norms, the unit rows of the cosine form, and
+    the bias term under `EXACT_B_THETA`), so a pair's score does not
     depend on its block or on which of its rows comes first."""
     signs = rng.choice([-1.0, 1.0], size=(n, 8))
     four = np.argsort(rng.random((n, 8)), axis=1) < 4
@@ -315,7 +327,8 @@ def test_sample_and_score_pairs_minimal_case():
     la = np.asarray(labels)
     assert la[pos[0, 0]] == la[pos[0, 1]]
     assert la[neg[0, 0]] != la[neg[0, 1]]
-    pos_scores, neg_scores = score_pairs(SimilarityKind("cosine"), feats, pos, neg)
+    unit, sim = in_form("cosine", feats)
+    pos_scores, neg_scores = score_pairs(sim, unit, pos, neg)
     assert pos_scores.shape == (1,) and neg_scores.shape == (1,)
     assert pos_scores[0] > neg_scores[0]
 
@@ -483,20 +496,21 @@ def test_margin_positive_for_separated_point_clusters():
     feats = np.vstack([a, a, a, b, b, b])
     labels = [0, 0, 0, 1, 1, 1]
     for name in ("generalized_inner", "cosine"):
-        assert desideratum_audit(feats, labels, SimilarityKind(name)) > 0
+        rows, sim = in_form(name, feats)
+        assert desideratum_audit(rows, labels, sim) > 0
 
 
 def test_margin_zero_when_all_features_identical():
-    feats = np.tile([1.0, 2.0], (6, 1))
+    feats, sim = in_form("cosine", np.tile([1.0, 2.0], (6, 1)))
     labels = [0, 0, 0, 1, 1, 1]
-    assert desideratum_audit(feats, labels, SimilarityKind("cosine")) == 0.0
+    assert desideratum_audit(feats, labels, sim) == 0.0
 
 
 def test_margin_ignores_self_pairs():
     # under the plain inner product row 0 scores 1 with itself, below its
     # same-class pair score 2; only i < j pairs enter the margin
     feats = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
-    assert desideratum_audit(feats, [0, 0, 1], SimilarityKind("inner")) == 2.0
+    assert desideratum_audit(feats, [0, 0, 1], SimilarityKind(0.0)) == 2.0
 
 
 def test_margin_matches_exhaustive_oracle():
@@ -507,10 +521,10 @@ def test_margin_matches_exhaustive_oracle():
         labels = rng.integers(0, 3, size=n)
         if len(np.unique(labels)) < 2 or np.bincount(labels).max() < 2:
             continue
-        for name in ("generalized_inner", "inner", "cosine"):
-            sim = SimilarityKind(name)
-            got = desideratum_audit(feats, labels, sim)
-            assert_allclose(got, margin_oracle(feats, labels, sim), rtol=1e-12)
+        for name in FORMS:
+            rows, sim = in_form(name, feats)
+            got = desideratum_audit(rows, labels, sim)
+            assert_allclose(got, margin_oracle(rows, labels, sim), rtol=1e-12)
 
 
 def test_margin_negative_for_shuffled_labels_on_clusters():
@@ -520,7 +534,7 @@ def test_margin_negative_for_shuffled_labels_on_clusters():
         rng.normal(loc=(0.0, 6.0), scale=0.1, size=(10, 2)),
     ])
     labels = rng.permutation(np.repeat([0, 1], 10))
-    sim = SimilarityKind("cosine")
+    feats, sim = in_form("cosine", feats)
     got = desideratum_audit(feats, labels, sim)
     assert got < 0
     assert_allclose(got, margin_oracle(feats, labels, sim), rtol=1e-12)
@@ -540,12 +554,12 @@ def test_margin_blocking_matches_single_block():
     feats = rng.normal(size=(600, 3))
     labels = rng.integers(0, 4, size=600)
     assert 600 > 4 * _BLOCK and 600 % _BLOCK
-    for name in KINDS:
-        sim = SimilarityKind(name)
-        full, ii, jj = dense_upper(feats, sim)
+    for name in FORMS:
+        rows, sim = in_form(name, feats)
+        full, ii, jj = dense_upper(rows, sim)
         same = labels[ii] == labels[jj]
         want = full[ii, jj][same].min() - full[ii, jj][~same].max()
-        assert_allclose(desideratum_audit(feats, labels, sim), want, rtol=1e-12)
+        assert_allclose(desideratum_audit(rows, labels, sim), want, rtol=1e-12)
 
 
 def walk_case(kind, n, classes, seed, cut, layout):
@@ -554,11 +568,10 @@ def walk_case(kind, n, classes, seed, cut, layout):
     A threshold equal to an observed score pins the strict inequality;
     cut < 0 and cut > 1 put it below and above every score."""
     rng = np.random.default_rng(seed)
-    feats = exact_features(rng, n)
+    feats, sim = in_form(kind, exact_features(rng, n), EXACT_B_THETA)
     labels = rng.integers(0, classes, size=n)
     if layout != "shuffled":
         labels = np.sort(labels)[:: -1 if layout == "descending" else 1]
-    sim = SimilarityKind(kind, b_theta=EXACT_B_THETA)
     full, ii, jj = dense_upper(feats, sim)
     upper = full[ii, jj]
     t = float(np.quantile(upper, min(max(cut, 0.0), 1.0), method="lower")) if upper.size else 0.0
@@ -636,7 +649,7 @@ def test_hot_columns_compared_in_slices_match_the_dense_oracle(monkeypatch, case
 
 @settings(max_examples=40, deadline=None)
 @given(
-    kind=st.sampled_from(KINDS),
+    kind=st.sampled_from(FORMS),
     n=st.integers(1, 3 * _BLOCK + 17),
     classes=st.integers(1, 6),
     seed=st.integers(0, 2**32 - 1),
@@ -686,7 +699,7 @@ def test_block_walk_matches_dense_oracle(kind, n, classes, seed, cut, layout):
     assert accepts == np.count_nonzero(upper[~same] > t)
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", FORMS)
 def test_walk_gives_the_same_margin_and_partition_in_any_row_order(kind):
     # float rows in class order, then a shuffled copy: the shuffled walk
     # sorts its rows back into class order, so every score keeps its bits;
@@ -695,7 +708,7 @@ def test_walk_gives_the_same_margin_and_partition_in_any_row_order(kind):
     n = 3 * _BLOCK + 21
     feats = rng.normal(size=(n, 5)) + 2.0 * rng.normal(size=(7, 5))[np.arange(n) % 7]
     labels = np.sort(np.arange(n) % 7)
-    sim = SimilarityKind(kind)
+    feats, sim = in_form(kind, feats)
     t = float(np.quantile(score_matrix(sim, feats[::9], feats[::9]), 0.95))
     margin, comp, counts = _upper_walk(feats, sim, labels=labels, threshold=t)
     assert 1 < np.unique(comp).size < n
@@ -712,28 +725,35 @@ def test_walk_gives_the_same_margin_and_partition_in_any_row_order(kind):
     assert np.array_equal(got, cluster_by_threshold(feats[perm], sim, t))
 
 
-@pytest.mark.parametrize("kind", KINDS)
+class _RecordedLeft(np.ndarray):
+    """A block's left fold that records each product the walk takes with it."""
+
+    products = None  # the list a test collects them in
+
+    def __matmul__(self, other):
+        out = self.view(np.ndarray) @ other
+        self.products.append(out)
+        return out
+
+
+@pytest.mark.parametrize("kind", FORMS)
 def test_walk_block_scores_equal_score_matrix_of_the_unfolded_rows(monkeypatch, kind):
-    # the walk folds its rows once and hands each product, a block's class
-    # band [lo, end) and then its cross-class tiles, slices of the folded
-    # rows; the products' columns run through [lo, n) in walk order, and
-    # each keeps the bits score_matrix gives for the block's own rows
+    # the walk folds its rows once and takes each product, a block's class
+    # band [lo, end) and then its cross-class tiles, with slices of the
+    # folded rows; the products' columns run through [lo, n) in walk order,
+    # and each keeps the bits score_matrix gives for the block's own rows
     # against the unfolded rows of its columns.  (Not those of one product
     # over all of [lo, n): BLAS may round a column differently in a product
     # of another width, e.g. OpenBLAS in a tail of a few columns.)
     rng = np.random.default_rng(5)
     feats = rng.normal(size=(3 * _BLOCK + 9, 7)) * rng.uniform(0.1, 10, size=(1, 7))
+    feats, sim = in_form(kind, feats)
     labels = rng.integers(0, 6, size=feats.shape[0])
     walked = feats[np.argsort(labels, kind="stable")]
     ends = np.searchsorted(np.sort(labels), np.sort(labels), side="right")
-    sim = SimilarityKind(kind)
     products = []
-
-    def spy(*args, **kwargs):
-        products.append(score_matrix(*args, **kwargs))
-        return products[-1]
-
-    monkeypatch.setattr(ev, "score_matrix", spy)
+    monkeypatch.setattr(_RecordedLeft, "products", products)
+    monkeypatch.setattr(ev, "_fold_left", lambda *a: _fold_left(*a).view(_RecordedLeft))
     monkeypatch.setattr(ev, "_TILE", 40)  # several tiles a block, the last one short
     _upper_walk(feats, sim, labels=labels, threshold=0.5)
     n, spans = walked.shape[0], []
@@ -811,15 +831,15 @@ def test_eval_holds_one_score_tile_and_two_activations():
     assert 1 < walk[1].max() + 1 < n and enc.shape == (n, d)
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", FORMS)
 def test_block_left_fold_keeps_the_bits_of_the_whole_fold(kind):
     # the walk folds each block's left rows when it reaches them; every
     # block must fold to the bits of its rows in the whole array's fold,
     # which the dense oracle, scoring exact features, cannot see
     rng = np.random.default_rng(8)
-    sim = SimilarityKind(kind, b_theta=0.37)
     for d in (1, 7, 8, 33):
         feats = rng.normal(size=(2 * _BLOCK + 9, d)) * rng.uniform(0.01, 100.0, size=(1, d))
+        feats, sim = in_form(kind, feats, 0.37)
         whole = _fold_left(sim, feats)
         for lo in range(0, feats.shape[0], _BLOCK):
             block = _fold_left(sim, feats[lo : lo + _BLOCK])
@@ -840,8 +860,7 @@ def cluster_fixture():
 
 
 def test_cluster_threshold_extremes():
-    feats, _ = cluster_fixture()
-    sim = SimilarityKind("cosine")
+    feats, sim = in_form("cosine", cluster_fixture()[0])
     scores = [
         score(sim, feats[i], feats[j])
         for i in range(len(feats))
@@ -854,9 +873,9 @@ def test_cluster_threshold_extremes():
 
 
 def test_positive_margin_gives_perfect_clustering():
-    feats, labels = cluster_fixture()
+    raw, labels = cluster_fixture()
     for name in ("generalized_inner", "cosine"):
-        sim = SimilarityKind(name)
+        feats, sim = in_form(name, raw)
         margin = desideratum_audit(feats, labels, sim)
         assert margin > 0
         # any threshold strictly inside the margin interval works; compute
@@ -921,7 +940,8 @@ def test_matched_total_is_scipys_optimal_assignment_total(table):
 
 def test_evaluate_report_round_trip():
     feats, labels = cluster_fixture()
-    rep = evaluate(feats, labels, SimilarityKind("cosine"),
+    feats, sim = in_form("cosine", feats)
+    rep = evaluate(feats, labels, sim,
                    num_pos=40, num_neg=80, seed=2, far_targets=(0.1, 0.01))
     doc = json.loads(report_to_json(rep))
     assert set(doc) == {
@@ -946,7 +966,7 @@ def test_evaluate_report_round_trip():
     }
     # classes 0 and 1 sit 90 degrees apart and class 2 135 degrees from each,
     # so a cosine cut at -0.5 accepts the 49 pairs of classes 0 and 1
-    cut = evaluate(feats, labels, SimilarityKind("cosine"), num_pos=40, num_neg=80,
+    cut = evaluate(feats, labels, sim, num_pos=40, num_neg=80,
                    seed=2, threshold=-0.5)["cut_errors"]
     assert (cut["false_accepts"], cut["false_accept_rate"]) == (49, 49 / 147)
     assert (cut["false_rejects"], cut["false_reject_rate"]) == (0, 0.0)
@@ -1017,7 +1037,7 @@ def test_evaluate_ranks_sparse_class_ids():
     feats, labels = cluster_fixture()
     labels = np.asarray(labels)
     sparse = (labels + 1) * 10**15 + labels * 2**61  # same order, gaps ~2**61
-    for sim in (SimilarityKind("cosine"), SimilarityKind()):
+    for feats, sim in (in_form("cosine", feats), in_form("generalized_inner", feats)):
         dense_rep = evaluate(feats, labels, sim, num_pos=40, num_neg=80, seed=2)
         sparse_rep = evaluate(feats, sparse, sim, num_pos=40, num_neg=80, seed=2)
         assert report_to_json(sparse_rep) == report_to_json(dense_rep)
@@ -1044,7 +1064,7 @@ def test_public_eval_functions_accept_sparse_class_ids():
     # and the accuracy table come from the ids present, not the largest one
     feats, dense = cluster_fixture()
     sparse = dense * 10**15
-    sim = SimilarityKind("cosine")
+    feats, sim = in_form("cosine", feats)
     assert desideratum_audit(feats, sparse, sim) == desideratum_audit(feats, dense, sim)
     pred = cluster_by_threshold(feats, sim, 0.5)
     assert clustering_accuracy(pred, sparse) == clustering_accuracy(pred, dense)

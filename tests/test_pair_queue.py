@@ -21,9 +21,7 @@ from pairsim import (
     score,
 )
 from pairsim.evaluation import _upper_walk
-from pairsim.similarity import (
-    KINDS, _fold_left, _fold_right, score_matrix, score_matrix_grad_left, score_rows,
-)
+from pairsim.similarity import score_matrix, score_matrix_grad_left, score_rows
 
 
 def feats(rng, m, d=4):
@@ -102,31 +100,20 @@ def test_queue_matches_list_fifo_model(capacity, d, batch_sizes, seed):
 
 def old_fold(sim, a, q):
     """The fold with its minus sign on the right, ``[a, b_theta|a|] .
-    [q, -|q|]``, as it was before the queue kept ``[q, |q|]`` rows; the
-    other kinds' folds did not change."""
-    if sim.kind != "generalized_inner":
-        return _fold_left(sim, a), _fold_right(sim, q)
+    [q, -|q|]``, as it was before the queue kept ``[q, |q|]`` rows."""
     na, nq = np.linalg.norm(a, axis=1), np.linalg.norm(q, axis=1)
     return np.column_stack((a, sim.b_theta * na)), np.column_stack((q, -nq))
 
 
 def old_grad_left(sim, a, q, ds):
     """`score_matrix_grad_left` as it was before the queue kept ``[q, |q|]``
-    rows (for generalized_inner, one product for ds @ q and a second for the
-    bias term's ds @ |q|; no zero-norm rows here), and per row of ``a`` the
-    sum of the magnitudes of the terms its entries add up."""
+    rows (one product for ds @ q and a second for the bias term's
+    ds @ |q|; no zero-norm rows here), and per row of ``a`` the sum of the
+    magnitudes of the terms its entries add up."""
     na, nq = np.linalg.norm(a, axis=1), np.linalg.norm(q, axis=1)
-    if sim.kind in ("inner", "generalized_inner"):
-        scale = np.abs(ds) @ nq
-        if sim.kind == "inner":
-            return ds @ q, 0.0, scale
-        d_a = ds @ q
-        d_a -= sim.b_theta * ((ds @ nq) / na)[:, None] * a
-        return d_a, -float(na @ ds @ nq), scale
-    cos = (a @ q.T) * (1.0 / np.outer(na, nq))
-    d_a = (ds / nq[None, :]) @ q / na[:, None]
-    d_a -= ((ds * cos).sum(axis=1) / na**2)[:, None] * a
-    return d_a, 0.0, 2.0 * np.abs(ds).sum(axis=1) / na
+    d_a = ds @ q
+    d_a -= sim.b_theta * ((ds @ nq) / na)[:, None] * a
+    return d_a, np.abs(ds) @ nq
 
 
 @settings(max_examples=150, deadline=None)
@@ -158,15 +145,12 @@ def test_stored_rows_are_the_folded_right_side(capacity, d, batch_sizes, mb, b_t
         a = rng.normal(size=(mb, d)) * rng.uniform(0.1, 10.0, size=(mb, 1))
         na = np.linalg.norm(a, axis=1)
         ds = rng.normal(size=(mb, q.size))
-        for name in KINDS:
-            sim = SimilarityKind(name, b_theta=b_theta)
-            pairs = form_pairs(q, a, rng.integers(0, 3, size=mb), sim, batch_norms=na)
-            assert pairs.scores.tobytes() == score_matrix(sim, a, stored).ravel().tobytes()
-            d_a, d_bt = score_matrix_grad_left(sim, a, q._feat, ds, na=na, qn=q._rows)
-            want, want_bt, scale = old_grad_left(sim, a, stored, ds)
-            assert np.all(np.abs(d_a - want) <= 1e-14 * scale[:, None])
-            assert abs(d_bt - want_bt) <= 1e-14 * float(na @ scale)
-        sim = SimilarityKind("generalized_inner", b_theta=b_theta)
+        sim = SimilarityKind(b_theta=b_theta)
+        pairs = form_pairs(q, a, rng.integers(0, 3, size=mb), sim, batch_norms=na)
+        assert pairs.scores.tobytes() == score_matrix(sim, a, stored).ravel().tobytes()
+        d_a = score_matrix_grad_left(sim, a, q._feat, ds, na=na, qn=q._rows)
+        want, scale = old_grad_left(sim, a, stored, ds)
+        assert np.all(np.abs(d_a - want) <= 1e-14 * scale[:, None])
         k = min(mb, q.size)
         left, right = old_fold(sim, a[:k], stored[:k])
         assert (
@@ -178,7 +162,7 @@ def test_stored_rows_are_the_folded_right_side(capacity, d, batch_sizes, mb, b_t
         with mock.patch.multiple(
             ev,
             _fold_left=lambda sim, a: old_fold(sim, a, a)[0],
-            _fold_right=lambda sim, q: old_fold(sim, q, q)[1],
+            _fold_right=lambda q: old_fold(sim, q, q)[1],
         ):
             want = _upper_walk(stored, sim, labels=labels, threshold=t)
         got = _upper_walk(stored, sim, labels=labels, threshold=t)
@@ -224,7 +208,7 @@ def test_form_pairs_count_and_index_layout():
     qf = feats(rng, 4, 3)
     enqueue_batch(q, qf, [0, 1, 2, 3])
     bf = feats(rng, 2, 3)
-    pairs = form_pairs(q, bf, [1, 9], SimilarityKind("inner"))
+    pairs = form_pairs(q, bf, [1, 9], SimilarityKind(b_theta=0.0))
     assert len(pairs) == 8
     # row-major: pair p is (batch row, queue slot) = divmod(p, queue size)
     for p in range(8):
@@ -235,8 +219,8 @@ def test_form_pairs_count_and_index_layout():
 
 def test_form_pairs_scores_match_scalar_scores():
     rng = np.random.default_rng(5)
-    for name in KINDS:
-        sim = SimilarityKind(name)
+    for b_theta in (0.0, 0.3, 0.999):
+        sim = SimilarityKind(b_theta)
         q = FeatureQueue(capacity=8, d_feat=5)
         qf = rng.normal(size=(6, 5))
         enqueue_batch(q, qf, rng.integers(0, 3, size=6))
@@ -248,7 +232,7 @@ def test_form_pairs_scores_match_scalar_scores():
 
 
 def test_form_pairs_label_agreement():
-    sim = SimilarityKind("inner")
+    sim = SimilarityKind()
     rng = np.random.default_rng(2)
     q = FeatureQueue(capacity=4, d_feat=2)
     enqueue_batch(q, feats(rng, 4, 2), [7, 7, 7, 7])
@@ -263,7 +247,7 @@ def test_form_pairs_label_agreement():
 def test_form_pairs_empty_queue_rejected():
     q = FeatureQueue(capacity=4, d_feat=2)
     with pytest.raises(DegenerateInputError):
-        form_pairs(q, np.ones((1, 2)), [0], SimilarityKind("inner"))
+        form_pairs(q, np.ones((1, 2)), [0], SimilarityKind())
 
 
 def test_form_pairs_does_not_mutate_queue():
@@ -271,7 +255,7 @@ def test_form_pairs_does_not_mutate_queue():
     q = FeatureQueue(capacity=4, d_feat=2)
     enqueue_batch(q, feats(rng, 3, 2), [0, 1, 2])
     before_f, before_l = q.features(), q.labels()
-    form_pairs(q, feats(rng, 2, 2), [0, 1], SimilarityKind("cosine"))
+    form_pairs(q, feats(rng, 2, 2), [0, 1], SimilarityKind())
     assert np.array_equal(q.features(), before_f)
     assert np.array_equal(q.labels(), before_l)
 

@@ -15,6 +15,12 @@ import pytest
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
+# The one traced name pairsim no longer has: the eval walk takes its score
+# products inline, as plain products of the folded rows, so the walk's time
+# lands in `cli.self_ms` until the benchmark gives the walk a span of its
+# own and drops this boundary (ROADMAP item 6b).
+UNWRAPPED = ["pairsim.evaluation.score_matrix"]
+
 
 @pytest.fixture(scope="module")
 def tracing():
@@ -30,7 +36,7 @@ def test_every_traced_boundary_exists(tracing):
         for modname, attr, _, _ in tracing.BOUNDARIES
         if not callable(getattr(importlib.import_module(modname), attr, None))
     ]
-    assert missing == []
+    assert missing == UNWRAPPED
 
 
 def test_queue_step_boundaries_are_looked_up_at_call_time(tracing, tmp_path):
@@ -45,7 +51,7 @@ def test_queue_step_boundaries_are_looked_up_at_call_time(tracing, tmp_path):
         "train.feature_dim = 8\neval.num_pos = 50\neval.num_neg = 50\n"
     )
     tracer = tracing.Tracer()
-    assert tracer.missing == []
+    assert tracer.missing == UNWRAPPED
     tracer.install()
     try:
         rc, _ = tracer.run_op(0, lambda: main(["train", "--config", str(cfg),
@@ -68,17 +74,12 @@ def test_queue_step_boundaries_are_looked_up_at_call_time(tracing, tmp_path):
     assert names.count("similarity.grad_left") == tracer.calls["similarity.grad_left"] == steps
 
 
-def test_eval_boundaries_see_each_layer_and_every_row_block(tracing, tmp_path):
-    # `pairsim eval` on a CSV with the tracer's wrappers installed: the pair
-    # walk scores each row block's class band and then its cross-class rest,
-    # `_TILE` columns at a time, through `evaluation.score_matrix`, so that
-    # span sees one call per product; load, encode and pair sampling each
-    # see theirs
-    import numpy as np
-
+def test_eval_boundaries_see_each_layer(tracing, tmp_path):
+    # `pairsim eval` on a CSV with the tracer's wrappers installed: load,
+    # encode and pair sampling each see their call; the pair walk's
+    # products are not a boundary (see UNWRAPPED), so no score_matrix span
+    # opens during eval
     from pairsim.cli import main
-    from pairsim.data import load_csv
-    from pairsim.evaluation import _BLOCK, _TILE
 
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -94,13 +95,6 @@ def test_eval_boundaries_see_each_layer_and_every_row_block(tracing, tmp_path):
         cfg.read_text()
         + f"data.csv = {csv}\neval.checkpoint = {tmp_path / 'run' / 'checkpoint.bin'}\n"
     )
-    labels = np.sort(load_csv(str(csv)).labels)
-    rows = labels.size
-    assert rows > 2 * _BLOCK
-    ends = [np.searchsorted(labels, labels[min(lo + _BLOCK, rows) - 1], side="right")
-            for lo in range(0, rows, _BLOCK)]
-    products = sum(1 + -(-(rows - end) // _TILE) for end in ends)
-    assert products > len(ends)  # some block has a cross-class tile
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -109,6 +103,6 @@ def test_eval_boundaries_see_each_layer_and_every_row_block(tracing, tmp_path):
     finally:
         tracer.restore()
     assert rc == 0
-    assert tracer.calls["similarity.score_matrix"] == products
+    assert tracer.calls["similarity.score_matrix"] == 0
     for name in ("data.load_csv", "encoder.encode", "evaluation.sample_pairs"):
         assert tracer.calls[name] == 1, name

@@ -91,8 +91,7 @@ def test_train_report_equals_evaluate_on_val_split(method, normalize):
     cfg = quick_cfg(method=method, normalize_features=normalize)
     log = train(cfg, small_ds())
     _, val = split(small_ds(), cfg.val_fraction, seed=cfg.seed)
-    sim = SimilarityKind(b_theta=log.b_theta)
-    rep = evaluate(encode(log.encoder, val.inputs, normalize), val.labels, sim,
+    rep = evaluate(encode(log.encoder, val.inputs, normalize), val.labels, cfg.loss.similarity,
                    cfg.eval_num_pos, cfg.eval_num_neg, cfg.seed, cfg.far_targets,
                    threshold=-log.bias if method == "simple" else None)
     assert final_report(log) == rep
@@ -119,23 +118,21 @@ def _step_fixture(method, normalize):
 @pytest.mark.parametrize("method", METHODS)
 def test_step_gradients_match_finite_differences(method, normalize):
     # the step `train` runs, end to end: the encoder gradient through the
-    # loss, the scores and (with normalize_features) the unit rows, plus b,
-    # b_theta (the similarity's, which the proxy CE reads too) and the
-    # proxies
+    # loss, the scores and (with normalize_features) the unit rows, plus b
+    # and the proxies
     cfg, enc, x, y, queue, proxies = _step_fixture(method, normalize)
 
-    def step(b=0.1, b_theta=0.3):
-        loss = LossConfig(alpha=0.1, b=b, similarity=SimilarityKind(b_theta=b_theta))
+    def step(b=0.1):
+        loss = LossConfig(alpha=0.1, b=b, similarity=SimilarityKind(b_theta=0.3))
         rec = {}
         out = _step_grads(cfg, loss, enc, x, y, rec, queue, proxies)
         assert ("pos_ratio" in rec) == (queue is not None)
         return out
 
-    _, d_theta, d_b, d_bt, d_proxies, _, _ = step()
+    _, d_theta, d_b, d_proxies, _, _ = step()
     checks = [
         (d_theta, lambda _theta: step()[0], enc.theta),
         (d_b, lambda b: step(b=b)[0], 0.1),
-        (d_bt, lambda t: step(b_theta=t)[0], 0.3),
     ]
     if proxies is None:
         assert d_proxies is None
@@ -153,7 +150,7 @@ def _zero_lr():
 
 def test_lr_zero_freezes_everything():
     # with lr = 0 nothing moves: one epoch and three epochs land on the same
-    # parameters, b and b_theta stay at their configured values
+    # parameters, and b stays at its configured value
     a = train(quick_cfg(epochs=1, sgd=_zero_lr()), small_ds())
     b = train(quick_cfg(epochs=3, sgd=_zero_lr()), small_ds())
     assert nets_equal(a.encoder, b.encoder)
@@ -161,7 +158,6 @@ def test_lr_zero_freezes_everything():
     # frozen run matches its EMA to rounding, not bit-for-bit
     assert np.allclose(a.encoder.theta, a.ema.theta, rtol=1e-12, atol=0.0)
     assert a.bias == 0.0 and b.bias == 0.0
-    assert a.b_theta == 0.3 and b.b_theta == 0.3
 
 
 def test_ema_updates_only_through_decay():
@@ -217,69 +213,6 @@ def test_proxy_methods_learn_class_accuracy():
         assert all(0.0 <= a <= 1.0 for a in accs)
         assert accs[-1] > accs[0]
         assert log.ema is None
-
-
-def test_learnable_b_theta_stays_in_range():
-    # momentum can carry b_theta past 1; the update projects it back into
-    # [0, 1), where SimilarityKind accepts it
-    loss = LossConfig(similarity=SimilarityKind(b_theta_learnable=True))
-    for method in ("simple", "proxy_gip_ce"):
-        log = train(quick_cfg(method=method, loss=loss), small_ds())
-        assert 0.0 <= log.b_theta < 1.0, method
-        assert log.b_theta != 0.3, method
-
-
-def test_proxy_ce_reads_the_b_theta_of_the_last_update(monkeypatch):
-    # the trainer holds one copy of b_theta: with it learnable, the proxy CE
-    # of step s sees it as the update of step s - 1 left it
-    seen = []
-    real = trainer_module.proxy_gip_ce
-
-    def spy(proxies, features, labels, b_theta, *args):
-        out = real(proxies, features, labels, b_theta, *args)
-        seen.append((b_theta, out[1].d_btheta))
-        return out
-
-    monkeypatch.setattr(trainer_module, "proxy_gip_ce", spy)
-    loss = LossConfig(similarity=SimilarityKind(b_theta_learnable=True))
-    cfg = quick_cfg(method="proxy_gip_ce", loss=loss)
-    log = train(cfg, small_ds())
-    assert len(seen) == len(log.steps)
-    # replay the projected momentum update from the gradients the CE returned
-    b_theta, v = 0.3, 0.0
-    for (got, d_bt), rec in zip(seen, log.steps):
-        assert got == b_theta, rec["step"]
-        v = cfg.sgd.momentum * v + d_bt
-        b_theta = min(max(b_theta - rec["lr"] * v, 0.0), np.nextafter(1.0, 0.0))
-    assert log.b_theta == b_theta
-    assert len({got for got, _ in seen}) == len(seen)  # it moved every step
-
-
-def assert_b_theta_learnable_changes_no_byte(tmp_path, kind="generalized_inner", **kw):
-    # the score gives b_theta a zero gradient, so making it learnable changes
-    # no byte and leaves it at the configured 0.3
-    for learnable in (False, True):
-        loss = LossConfig(similarity=SimilarityKind(kind=kind, b_theta_learnable=learnable))
-        log = train(quick_cfg(loss=loss, **kw), small_ds())
-        assert log.b_theta == 0.3
-        save_runlog(log, tmp_path / str(learnable))
-    for fname in ("runlog.jsonl", "summary.json", "checkpoint.bin"):
-        assert (tmp_path / "False" / fname).read_bytes() == (tmp_path / "True" / fname).read_bytes()
-
-
-@pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalize_proxies"])
-def test_softmax_ce_run_ignores_b_theta_learnable(tmp_path, normalize):
-    # softmax_ce has no b_theta
-    assert_b_theta_learnable_changes_no_byte(
-        tmp_path, method="softmax_ce", normalize_proxies=normalize
-    )
-
-
-@pytest.mark.parametrize("kind", ["inner", "cosine"])
-@pytest.mark.parametrize("method", ["simple"])
-def test_queue_run_ignores_b_theta_learnable_where_the_score_does(tmp_path, method, kind):
-    # only generalized_inner reads b_theta; the others hold it to [0, 1)
-    assert_b_theta_learnable_changes_no_byte(tmp_path, kind, method=method)
 
 
 def test_divergence_names_step_epoch_and_method():
