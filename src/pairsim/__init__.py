@@ -52,7 +52,6 @@ from .evaluation import (
 )
 from .baselines import (
     init_proxy_bank,
-    softmax_ce,
     proxy_gip_ce,
     norm_blowup_probe,
 )

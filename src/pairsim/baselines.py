@@ -1,13 +1,13 @@
-"""Comparator losses: proxy softmax CE and its generalized-inner variants.
+"""Comparator loss: the proxy cross entropy over generalized-inner logits.
 
-The CE family is the log(1 + sum_{i != y} exp(z_i - z_y)) form.  Plain
-``softmax_ce`` uses raw inner-product logits z_i = w_i . x, which on
-separable data can be driven to zero by inflating ||x|| alone; that
-degenerate route is what `norm_blowup_probe` measures.  ``proxy_gip_ce``
-swaps in z_i = ||w_i|| ||x|| (cos - b_theta), minus a margin inside the
-non-target cosine when margin > 0 (without one, every logit's bias is the
-scalar b_theta).  The proxies w_i are the rows of a plain (K, d) matrix;
-b_theta, the margin and the normalization are arguments.
+The CE is the log(1 + sum_{i != y} exp(z_i - z_y)) form, over logits
+z_i = ||w_i|| ||x|| (cos - b_theta), minus a margin inside the non-target
+cosine when margin > 0 (without one, every logit's bias is the scalar
+b_theta).  At b_theta = 0 and margin 0 this is the plain softmax CE over raw
+inner products z_i = w_i . x, which on separable data can be driven to zero
+by inflating ||x|| alone; that degenerate route is what `norm_blowup_probe`
+measures.  The proxies w_i are the rows of a plain (K, d) matrix; b_theta,
+the margin and the normalization are arguments of `proxy_gip_ce`.
 """
 
 from __future__ import annotations
@@ -30,47 +30,44 @@ class CeGrads(NamedTuple):
     d_proxies: np.ndarray
 
 
-def _check_batch(proxies, features, labels):
-    w = np.asarray(proxies, dtype=np.float64)
-    if w.ndim != 2:
-        raise ShapeError(f"proxies must be a 2-D matrix, got ndim={w.ndim}")
-    if w.shape[0] < 2:
-        raise ConfigError(f"need at least 2 classes, got {w.shape[0]} proxy rows")
+# a NaN or Inf proxy ends in the named error below, with no numpy warnings
+@np.errstate(over="ignore", invalid="ignore")
+def proxy_gip_ce(proxies, features, labels, b_theta: float, margin: float = 0.0,
+                 normalize_proxies: bool = False):
+    """Mean CE of a batch over logits ||w|| ||x|| (cos - b_theta [- margin off target]).
+
+    ``proxies`` is the (K, d) proxy matrix, ``features`` (m, d) (one vector
+    counts as a batch of one) and ``labels`` (m,); each row's loss is
+    log(1 + sum_{c != y} exp(z_c - z_y)), and the gradients are those of the
+    mean over the rows.  ``margin`` (>= 0 and finite) is subtracted inside
+    each non-target cosine, as in CosFace; ``normalize_proxies`` takes unit
+    proxy rows.  b_theta = 0 and margin = 0 give the plain softmax CE over
+    raw inner products w_c . x.  Returns (loss, CeGrads, predicted),
+    ``predicted`` being each row's argmax over the margin-free logits
+    ||w|| ||x|| (cos - b_theta).  Without a margin, bias_ic is b_theta for
+    every logit: one scalar, not an (m, K) matrix.
+    """
+    if not 0 <= margin < np.inf:  # NaN fails this too
+        raise ConfigError(f"margin must be >= 0 and finite, got {margin}")
+    proxies = np.asarray(proxies, dtype=np.float64)
+    if proxies.ndim != 2:
+        raise ShapeError(f"proxies must be a 2-D matrix, got ndim={proxies.ndim}")
+    if proxies.shape[0] < 2:
+        raise ConfigError(f"need at least 2 classes, got {proxies.shape[0]} proxy rows")
     x = check_finite(np.atleast_2d(np.asarray(features, dtype=np.float64)), "features")
-    if x.ndim != 2 or x.shape[1] != w.shape[1]:
-        raise ShapeError(f"features of shape {x.shape} do not match proxy dim {w.shape[1]}")
+    if x.ndim != 2 or x.shape[1] != proxies.shape[1]:
+        raise ShapeError(f"features of shape {x.shape} do not match proxy dim {proxies.shape[1]}")
     y = np.atleast_1d(np.asarray(labels))
     if y.shape != (x.shape[0],):
         raise ShapeError(f"{x.shape[0]} feature rows but labels of shape {y.shape}")
     if not y.size:
         raise DegenerateInputError("empty batch: the mean CE of no rows is undefined")
     y = class_ids(y)
-    if y.min() < 0 or y.max() >= len(w):
-        row = int(np.argmax((y < 0) | (y >= len(w))))
-        raise ConfigError(f"label {y[row]} of row {row} out of range [0, {len(w)})")
-    return w, x, y
+    if y.min() < 0 or y.max() >= len(proxies):
+        row = int(np.argmax((y < 0) | (y >= len(proxies))))
+        raise ConfigError(f"label {y[row]} of row {row} out of range [0, {len(proxies)})")
+    b_theta, margin = float(b_theta), float(margin)
 
-
-def softmax_ce(proxies, features, labels, normalize_proxies: bool = False):
-    """Mean CE over raw inner-product logits against the (K, d) proxy matrix
-    (unit rows under ``normalize_proxies``); (loss, CeGrads, predicted
-    classes)."""
-    w, x, y = _check_batch(proxies, features, labels)
-    return _gip_ce(w, normalize_proxies, x, y, 0.0, 0.0)
-
-
-# a NaN or Inf proxy ends in the named error below, with no numpy warnings
-@np.errstate(over="ignore", invalid="ignore")
-def _gip_ce(proxies, normalize_proxies: bool, x, y, b_theta: float, margin: float):
-    """Mean CE of a batch over logits ||w|| ||x|| (cos - b_theta [- margin off target]).
-
-    ``proxies`` is (K, d), ``x`` (m, d) and ``y`` (m,); each row's loss is
-    log(1 + sum_{c != y} exp(z_c - z_y)), and the gradients are those of the
-    mean over the rows.  Returns (loss, CeGrads, predicted), ``predicted``
-    being each row's argmax over the margin-free logits
-    ||w|| ||x|| (cos - b_theta).  Without a margin, bias_ic is b_theta for
-    every logit: one scalar, not an (m, K) matrix.
-    """
     m = x.shape[0]
     rows = np.arange(m)
     if normalize_proxies:
@@ -120,23 +117,6 @@ def _gip_ce(proxies, normalize_proxies: bool, x, y, b_theta: float, margin: floa
         d_w = d_weff - (coef_bias.T @ x_norm * inv_w)[:, None] * w_eff
     check_finite(loss, "loss")
     return loss, CeGrads(d_x, d_w), predicted
-
-
-def proxy_gip_ce(proxies, features, labels, b_theta: float, margin: float = 0.0,
-                 normalize_proxies: bool = False):
-    """Mean CE over generalized-inner logits against the (K, d) proxy matrix.
-
-    ``features`` is (m, d) (one vector counts as a batch of one) and
-    ``labels`` (m,).  ``margin`` (>= 0 and finite) is subtracted inside each
-    non-target cosine, as in CosFace; ``normalize_proxies`` takes unit proxy
-    rows.  margin = 0 gives the plain generalized-inner CE; b_theta = 0 and
-    margin = 0 reduce to `softmax_ce` exactly.  Returns (loss, CeGrads,
-    predicted classes), as `_gip_ce` does.
-    """
-    if not 0 <= margin < np.inf:  # NaN fails this too
-        raise ConfigError(f"margin must be >= 0 and finite, got {margin}")
-    w, x, y = _check_batch(proxies, features, labels)
-    return _gip_ce(w, normalize_proxies, x, y, float(b_theta), float(margin))
 
 
 def norm_blowup_probe(run) -> np.ndarray:

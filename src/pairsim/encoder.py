@@ -1,15 +1,15 @@
 """Feedforward feature encoder with manual backprop.
 
-The encoder is a small MLP (hidden activations relu or tanh, linear output,
-deliberately no output normalization). All of its parameters live in one
-contiguous float64 vector `theta`, in checkpoint order: w0, b0, w1, b1, ...,
-each weight matrix row-major. `weights[l]` (d_l x d_{l+1}) and `biases[l]`
-are views into `theta`, so writing a layer writes `theta`; update them in
-place and never rebind them or `theta`. `backward` returns a gradient vector
-of the same layout, so `sgd_step`, `ema_update` and the checkpoint each act
-on one vector. `forward` caches what `backward` needs, or nothing when
-asked not to; `sgd_step` and `ema_update` mutate in place and are the only
-mutating entry points. Checkpoints round-trip bit-exactly.
+The encoder is a small MLP (hidden activations tanh, the default, or relu;
+linear output, deliberately no output normalization). All of its parameters
+live in one contiguous float64 vector `theta`, in checkpoint order: w0, b0,
+w1, b1, ..., each weight matrix row-major. `weights[l]` (d_l x d_{l+1}) and
+`biases[l]` are views into `theta`, so writing a layer writes `theta`;
+update them in place and never rebind them or `theta`. `backward` returns a
+gradient vector of the same layout, so `sgd_step`, `ema_update` and the
+checkpoint each act on one vector. `forward` caches what `backward` needs,
+or nothing when asked not to; `sgd_step` and `ema_update` mutate in place
+and are the only mutating entry points. Checkpoints round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def _num_params(dims) -> int:
 class EncoderNet:
     layer_dims: list[int]
     theta: np.ndarray  # every parameter, in checkpoint order
-    activation: str = "relu"
+    activation: str = "tanh"
     weights: list = field(init=False, repr=False)  # views: (layer_dims[l], layer_dims[l+1])
     biases: list = field(init=False, repr=False)  # views: (layer_dims[l+1],)
 
@@ -94,7 +94,7 @@ class SgdConfig:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
-def init_encoder(layer_dims, rng: Rng, activation: str = "relu") -> EncoderNet:
+def init_encoder(layer_dims, rng: Rng, activation: str = "tanh") -> EncoderNet:
     """He-style init: W ~ N(0, sqrt(2/fan_in)), biases zero."""
     dims = _architecture(layer_dims, activation)
     net = EncoderNet(dims, np.zeros(_num_params(dims)), activation)

@@ -493,7 +493,7 @@ def evaluate(
 
     ``threshold`` sets the clustering cut; default is the sampled pairs' EER
     threshold, so ``clustering_accuracy`` and ``cut_errors`` then depend on
-    the draw.  `train` cuts there for the proxy methods, which learn no ``b``.
+    the draw.  `train` cuts there for the proxy method, which learns no ``b``.
     Class ids may be gapped or sparse: nothing below sizes an array by them.
     The FAR targets are keyed by their ``str``, as JSON keys must be.
     """

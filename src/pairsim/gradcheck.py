@@ -2,7 +2,7 @@
 
 `component_checks` runs the standard battery of named fixtures (the score,
 the pair loss and its batched form, encoder, full pipeline, proxy cross
-entropies) and reports a max relative error per component; the command line
+entropy) and reports a max relative error per component; the command line
 front end prints these and the test suite holds them to their tolerances.
 Every check in it, of an array or of the scalar bias b, goes through
 `numerical_grad`.  The full-pipeline row runs the gradient half of the step
@@ -67,7 +67,7 @@ def component_checks(seed: int = 0) -> list:
     step).  Hidden activations in the finite-difference fixtures are tanh,
     so no relu kink sits inside the perturbation window.
     """
-    from .baselines import init_proxy_bank, proxy_gip_ce, softmax_ce
+    from .baselines import init_proxy_bank, proxy_gip_ce
     from .encoder import backward, forward, init_encoder
     from .losses import LossConfig, PairBatch, batch_loss, pair_loss, pair_loss_grad
     from .numkit import Rng
@@ -156,12 +156,13 @@ def component_checks(seed: int = 0) -> list:
         (d_b, lambda b: step(b=b)[0], 0.1),
     ), 1e-4))
 
-    # proxy cross entropies over a 3-row batch: features and proxies, with
-    # the generalized-inner logits over unit and over raw proxies
-    for name, normalize, b_theta, margin in (
-        ("softmax_ce", False, 0.0, 0.0),
-        ("proxy_gip_ce", True, 0.3, 0.2),
-        ("proxy_gip_ce_raw_proxies", False, 0.3, 0.2),
+    # the proxy cross entropy over a 3-row batch: features and proxies,
+    # without a margin (the scalar bias) over raw proxies, and with one over
+    # unit and over raw proxies
+    for name, normalize, margin in (
+        ("proxy_gip_ce_no_margin", False, 0.0),
+        ("proxy_gip_ce", True, 0.2),
+        ("proxy_gip_ce_raw_proxies", False, 0.2),
     ):
         prng = rng.stream(("proxy", name))
         proxies = init_proxy_bank(prng.stream("bank"), 4, 5)
@@ -169,9 +170,7 @@ def component_checks(seed: int = 0) -> list:
         label = np.array([2, 0, 2])
 
         def ce(v=feat, w=proxies):
-            if name == "softmax_ce":
-                return softmax_ce(w, v, label, normalize)
-            return proxy_gip_ce(w, v, label, b_theta, margin, normalize)
+            return proxy_gip_ce(w, v, label, 0.3, margin, normalize)
 
         g = ce()[1]
         out.append((name, _fd_err(

@@ -17,12 +17,12 @@ and backprops it through the batch side of the score matrix:
 
 * simple       -- weighted softplus pair loss (`losses.batch_loss`)
 
-The proxy methods take one batched cross entropy against a learned (K, d)
+The proxy method takes one batched cross entropy against a learned (K, d)
 proxy matrix, one row per class, trained by the same SGD rule as the encoder
 (no queue, no EMA):
 
-* softmax_ce   -- over raw inner products
-* proxy_gip_ce -- over generalized-inner logits
+* proxy_gip_ce -- over generalized-inner logits at the similarity's b_theta
+  (b_theta 0 and no proxy margin give the plain softmax CE)
 
 Everything downstream of the seed is deterministic: two runs with the same
 config and dataset produce byte-identical logs and checkpoints.
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .baselines import init_proxy_bank, proxy_gip_ce, softmax_ce
+from .baselines import init_proxy_bank, proxy_gip_ce
 from .data import Dataset, split
 from .encoder import (
     EncoderNet,
@@ -59,7 +59,7 @@ from .numkit import Rng, as_matrix, check_finite, check_seed, row_norms, unit_ro
 from .pair_queue import FeatureQueue, enqueue_batch, form_pairs, pos_neg_ratio
 from .similarity import score_matrix_grad_left
 
-METHODS = ("simple", "softmax_ce", "proxy_gip_ce")
+METHODS = ("simple", "proxy_gip_ce")
 
 
 @dataclass
@@ -138,7 +138,7 @@ class RunLog:
     Each step record carries at least {step, epoch, lr, loss}; each epoch
     record carries {epoch, train_loss, mean_feature_norm} plus an "eval" dict
     on evaluation epochs (always the last) and "train_accuracy" for the proxy
-    methods.  The parameter handles (encoder, ema, bias) stay in memory;
+    method.  The parameter handles (encoder, ema, bias) stay in memory;
     save_runlog writes the records without the evals' ROCs.
     """
 
@@ -170,8 +170,8 @@ def encode(net: EncoderNet, inputs, normalize: bool = False) -> np.ndarray:
 
 
 def _eval_on_pairs(cfg, enc, val_ds, sim, bias) -> dict:
-    # simple learns its own decision boundary (-b); the baselines have no
-    # such parameter, so evaluate clusters them at the EER operating point
+    # simple learns its own decision boundary (-b); the proxy CE has no
+    # such parameter, so evaluate clusters it at the EER operating point
     return evaluate(
         encode(enc, val_ds.inputs, cfg.normalize_features),
         val_ds.labels,
@@ -213,12 +213,8 @@ def _step_grads(cfg, loss_cfg, enc, x, y, rec, queue=None, proxies=None):
         )
         rec["pos_ratio"] = pos_neg_ratio(pairs)
     else:
-        if cfg.method == "softmax_ce":
-            out = softmax_ce(proxies, feats, y, cfg.normalize_proxies)
-        else:
-            out = proxy_gip_ce(proxies, feats, y, sim.b_theta, cfg.proxy_margin,
-                               cfg.normalize_proxies)
-        loss, (d_feats, d_w), predicted = out
+        loss, (d_feats, d_w), predicted = proxy_gip_ce(
+            proxies, feats, y, sim.b_theta, cfg.proxy_margin, cfg.normalize_proxies)
         correct = int(np.count_nonzero(predicted == y))
     check_finite(loss, "loss")
     if cfg.normalize_features:

@@ -353,21 +353,25 @@ def test_softmax_norm_blowup_vs_bounded_simple():
     ds = generate(GenSpec(samples_per_class=50, seed=0))
     ratios = {}
     acc = None
-    for method in ("softmax_ce", "simple"):
+    # the plain proxy CE is proxy_gip_ce at b_theta 0 with no margin: logits
+    # over raw inner products
+    for method, b_theta in (("proxy_gip_ce", 0.0), ("simple", 0.3)):
         # weight decay off so the loss alone drives the norm dynamics
         cfg = _desk_cfg(
+            loss={"similarity": SimilarityKind(b_theta=b_theta)},
             sgd={"weight_decay": 0.0}, method=method, epochs=100, eval_every=100, seed=0
         )
         log = train(cfg, ds)
         first = log.epochs[0]["mean_feature_norm"]
         ratios[method] = max(e["mean_feature_norm"] for e in log.epochs) / first
-        if method == "softmax_ce":
+        if method == "proxy_gip_ce":
             acc = log.epochs[-1]["train_accuracy"]
-    ok = ratios["softmax_ce"] > 2.0 and acc >= 0.99 and ratios["simple"] < 10.0
+    ok = ratios["proxy_gip_ce"] > 2.0 and acc >= 0.99 and ratios["simple"] < 10.0
     _verdict(
         8,
         ok,
-        f"norm blowup: softmax_ce {ratios['softmax_ce']:.2f}x (acc {acc:.2f}) "
+        f"norm blowup: plain proxy CE (proxy_gip_ce, b_theta 0) {ratios['proxy_gip_ce']:.2f}x "
+        f"(acc {acc:.2f}) "
         f"vs simple {ratios['simple']:.2f}x (< 10x)",
         time.time() - t0,
         180.0,

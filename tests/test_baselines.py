@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from pairsim import Rng, SimilarityKind, score
-from pairsim.baselines import init_proxy_bank, proxy_gip_ce, softmax_ce
+from pairsim.baselines import init_proxy_bank, proxy_gip_ce
 from pairsim.errors import ConfigError, DegenerateInputError, ShapeError
 from pairsim.gradcheck import max_rel_err, numerical_grad
 from pairsim.numkit import unit_rows_grad
@@ -37,29 +37,29 @@ FIX_W = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 FIX_X = np.array([0.5, -0.25])
 
 
-# ----- softmax_ce --------------------------------------------------------
+# ----- the plain CE: proxy_gip_ce at b_theta 0, no margin ---------------
 
 
 def test_ce_uniform_logits_give_log_k():
     for k in (2, 3, 7):
-        loss, _, _ = softmax_ce(np.tile([0.4, -0.2, 0.1], (k, 1)), [5.0, 1.0, -2.0], 0)
+        loss, _, _ = proxy_gip_ce(np.tile([0.4, -0.2, 0.1], (k, 1)), [5.0, 1.0, -2.0], 0, 0.0)
         assert_allclose(loss, math.log(k), rtol=1e-15)
 
 
 def test_ce_two_class_tie_gives_log_two():
-    loss, _, _ = softmax_ce(np.eye(2), [1.0, 1.0], 1)
+    loss, _, _ = proxy_gip_ce(np.eye(2), [1.0, 1.0], 1, 0.0)
     assert_allclose(loss, math.log(2.0), rtol=1e-15)
 
 
 def test_ce_three_class_fixture_matches_oracle():
-    loss, _, _ = softmax_ce(FIX_W, FIX_X, 0)
+    loss, _, _ = proxy_gip_ce(FIX_W, FIX_X, 0, 0.0)
     assert_allclose(loss, 0.81144889759451366, rtol=1e-15)
     assert_allclose(loss, ce_oracle(FIX_W, FIX_X, 0), rtol=1e-15)
 
 
 def test_ce_stable_for_huge_logits():
     x = np.array([0.0, 1e4])
-    loss, grads, _ = softmax_ce(np.eye(2), x, 0)
+    loss, grads, _ = proxy_gip_ce(np.eye(2), x, 0, 0.0)
     assert np.isfinite(loss)
     assert_allclose(loss, 1e4, rtol=1e-12)  # dominated by the one huge diff
     assert np.isfinite(grads.d_feature).all()
@@ -72,27 +72,29 @@ def test_ce_gradients_match_finite_differences():
         W = rng.normal(size=(4, 3))
         x = rng.normal(size=3)
         y = int(rng.integers(0, 4))
-        _, grads, _ = softmax_ce(W, x, y)
-        num_x = numerical_grad(lambda v: softmax_ce(W, v, y)[0], x.copy())
+        _, grads, _ = proxy_gip_ce(W, x, y, 0.0)
+        num_x = numerical_grad(lambda v: proxy_gip_ce(W, v, y, 0.0)[0], x.copy())
         assert max_rel_err(grads.d_feature, num_x) < 1e-5
-        num_w = numerical_grad(lambda M: softmax_ce(M, x, y)[0], W.copy())
+        num_w = numerical_grad(lambda M: proxy_gip_ce(M, x, y, 0.0)[0], W.copy())
         assert max_rel_err(grads.d_proxies, num_w) < 1e-5
 
 
 def test_ce_validates_label_and_shape():
     W = np.eye(3)
     with pytest.raises(ConfigError):
-        softmax_ce(W, np.ones(3), 3)
+        proxy_gip_ce(W, np.ones(3), 3, 0.0)
     with pytest.raises(ValueError):
-        softmax_ce(W, np.ones(2), 0)
+        proxy_gip_ce(W, np.ones(2), 0, 0.0)
     with pytest.raises(ConfigError, match=r"got 1.5"):
-        softmax_ce(W, np.ones((2, 3)), [0, 1.5])
+        proxy_gip_ce(W, np.ones((2, 3)), [0, 1.5], 0.0)
     with pytest.raises(ConfigError, match=r"got 0.5"):
         proxy_gip_ce(W, np.ones((2, 3)), [0.5, 1], 0.3)
 
 
-@pytest.mark.parametrize("ce", [softmax_ce, lambda W, x, y: proxy_gip_ce(W, x, y, 0.3, 0.2)],
-                         ids=["softmax_ce", "proxy_gip_ce"])
+@pytest.mark.parametrize("ce", [
+    lambda W, x, y: proxy_gip_ce(W, x, y, 0.0),
+    lambda W, x, y: proxy_gip_ce(W, x, y, 0.3, 0.2),
+], ids=["plain", "proxy_gip_ce"])
 @pytest.mark.parametrize("labels, label, row", [
     ([0, 1, 3, 2, 7], 3, 2),
     ([0, -1, 5], -1, 1),
@@ -106,9 +108,9 @@ def test_ce_names_the_first_out_of_range_label_and_its_row(ce, labels, label, ro
 
 
 @pytest.mark.parametrize("ce", [
-    lambda W, x, y: softmax_ce(W, x, y),
+    lambda W, x, y: proxy_gip_ce(W, x, y, 0.0),
     lambda W, x, y: proxy_gip_ce(W, x, y, 0.3, 0.2),
-], ids=["softmax_ce", "proxy_gip_ce"])
+], ids=["plain", "proxy_gip_ce"])
 @pytest.mark.parametrize("proxies, error, message", [
     (np.ones((1, 2)), ConfigError, r"need at least 2 classes, got 1 proxy rows"),
     (np.ones((0, 2)), ConfigError, r"need at least 2 classes, got 0 proxy rows"),
@@ -121,9 +123,9 @@ def test_ce_rejects_bad_proxy_matrix(ce, proxies, error, message):
 
 
 @pytest.mark.parametrize("ce", [
-    lambda W, x, y: softmax_ce(W, x, y),
+    lambda W, x, y: proxy_gip_ce(W, x, y, 0.0),
     lambda W, x, y: proxy_gip_ce(W, x, y, 0.3, 0.2),
-], ids=["softmax_ce", "proxy_gip_ce"])
+], ids=["plain", "proxy_gip_ce"])
 def test_ce_rejects_an_empty_batch(ce):
     # the mean over no rows is 0/0: named up front, not as a NaN loss after it
     with pytest.raises(DegenerateInputError, match=r"^empty batch"):
@@ -141,9 +143,9 @@ def test_proxy_gip_ce_rejects_bad_margin(margin):
 @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalize_proxies"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("ce", [
-    lambda W, x, y, n: softmax_ce(W, x, y, n),
+    lambda W, x, y, n: proxy_gip_ce(W, x, y, 0.0, 0.0, n),
     lambda W, x, y, n: proxy_gip_ce(W, x, y, 0.3, 0.2, n),
-], ids=["softmax_ce", "proxy_gip_ce"])
+], ids=["plain", "proxy_gip_ce"])
 def test_ce_rejects_a_non_finite_proxy(ce, bad, normalize):
     # the proxies are not scanned: a NaN or Inf entry in any row, a target's
     # or not, shows in the loss or in that row's norm
@@ -156,19 +158,6 @@ def test_ce_rejects_a_non_finite_proxy(ce, bad, normalize):
 
 
 # ----- proxy_gip_ce ------------------------------------------------------
-
-
-def test_gip_ce_reduces_to_softmax_ce():
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        W = rng.normal(size=(5, 4))
-        x = rng.normal(size=4)
-        y = int(rng.integers(0, 5))
-        plain, pg, _ = softmax_ce(W, x, y)
-        gip, gg, _ = proxy_gip_ce(W, x, y, 0.0, 0.0)
-        assert_allclose(gip, plain, rtol=1e-12)
-        assert_allclose(gg.d_feature, pg.d_feature, rtol=1e-12, atol=1e-12)
-        assert_allclose(gg.d_proxies, pg.d_proxies, rtol=1e-12, atol=1e-12)
 
 
 def test_gip_ce_fixture_matches_oracle():
@@ -229,15 +218,13 @@ def test_gip_ce_zero_feature_needs_zero_bias():
 def test_ce_batch_equals_mean_of_one_row_calls():
     rng = np.random.default_rng(7)
     m = 5
-    for gip in (False, True):
+    for b_theta in (0.0, 0.3):
         for normalize in (False, True):
             for margin in (0.0, 0.2):
                 W = rng.normal(size=(4, 3))
 
                 def ce(x, y):
-                    if gip:
-                        return proxy_gip_ce(W, x, y, 0.3, margin, normalize)
-                    return softmax_ce(W, x, y, normalize)
+                    return proxy_gip_ce(W, x, y, b_theta, margin, normalize)
 
                 x = rng.normal(size=(m, 3))
                 y = rng.integers(0, 4, size=m)
@@ -260,14 +247,11 @@ def test_ce_predictions_are_the_margin_free_argmax(normalize):
     W = rng.normal(size=(5, 4))
     x = rng.normal(size=(40, 4))
     w_eff = W / np.linalg.norm(W, axis=1, keepdims=True) if normalize else W
-    for ce, b_theta in ((softmax_ce, 0.0), (proxy_gip_ce, 0.3)):
+    for b_theta, margin in ((0.0, 0.0), (0.3, 0.9)):
         sim = SimilarityKind(b_theta=b_theta)
         want = np.array([np.argmax([score(sim, xi, w) for w in w_eff]) for xi in x])
         y = (want + 1) % W.shape[0]
-        if ce is softmax_ce:
-            _, _, predicted = softmax_ce(W, x, y, normalize)
-        else:
-            _, _, predicted = proxy_gip_ce(W, x, y, 0.3, 0.9, normalize)
+        _, _, predicted = proxy_gip_ce(W, x, y, b_theta, margin, normalize)
         assert np.array_equal(predicted, want)
 
 
@@ -351,7 +335,7 @@ def test_ce_keeps_the_bits_of_the_bias_matrix_form(
         loss, g, predicted = proxy_gip_ce(W, x, y, b_theta, margin, normalize)
         want = matrix_bias_ce(W, x, y, b_theta, margin, normalize)
         assert ce_bits(loss, *g, predicted) == ce_bits(*want)
-    loss, g, predicted = softmax_ce(W, x, y, normalize)
+    loss, g, predicted = proxy_gip_ce(W, x, y, 0.0, 0.0, normalize)
     want = matrix_bias_ce(W, x, y, 0.0, 0.0, normalize)
     assert ce_bits(loss, *g, predicted) == ce_bits(*want)
 

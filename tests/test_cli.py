@@ -221,6 +221,9 @@ def test_bad_eval_settings_are_validation_errors(tmp_path, capsys, setting, word
         ("train.method = triplet", "unknown method 'triplet'"),
         ("train.contrastive_margin = 0.5", "unknown config key 'train.contrastive_margin'"),
         ("train.triplet_margin = 0.2", "unknown config key 'train.triplet_margin'"),
+        # the removed plain softmax CE, which is proxy_gip_ce at similarity.b_theta 0
+        ("train.method = softmax_ce",
+         "unknown method 'softmax_ce'; expected one of ('simple', 'proxy_gip_ce')"),
         # the removed loss variant and b_learnable settings
         ("loss.variant = balanced", "unknown config key 'loss.variant'"),
         ("loss.b_learnable = false", "unknown config key 'loss.b_learnable'"),

@@ -48,7 +48,7 @@ def test_forward_identity_linear_layer():
 
 def test_forward_matches_scalar_hand_evaluation():
     # Independent oracle: evaluate the same net entry by entry in plain python.
-    net = init_encoder([2, 3, 2], Rng(0))
+    net = init_encoder([2, 3, 2], Rng(0), "relu")
     x = np.array([[1.0, 1.0]])
     feats, _ = forward(net, x)
 

@@ -23,12 +23,12 @@ from pairsim import (
     forward,
     init_encoder,
     norm_blowup_probe,
+    proxy_gip_ce,
     score,
     score_matrix,
     score_matrix_grad_left,
     score_rows,
     sgd_step,
-    softmax_ce,
 )
 from pairsim.config import parse_config_json
 from pairsim.errors import ConfigError, DegenerateInputError, ShapeError
@@ -52,7 +52,7 @@ GI = SimilarityKind()
 
 ERRORS = {
     "ce_labels_shape": (
-        lambda: softmax_ce(np.eye(3), np.ones((2, 3)), [0, 1, 2]),
+        lambda: proxy_gip_ce(np.eye(3), np.ones((2, 3)), [0, 1, 2], 0.0),
         ShapeError, "2 feature rows but labels of shape (3,)"),
     "blowup_probe_no_epochs": (
         lambda: norm_blowup_probe(RunLog()), DegenerateInputError, "run log holds no epochs"),

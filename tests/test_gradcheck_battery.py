@@ -5,7 +5,7 @@ EXPECTED = {
     "pair_loss", "batch_loss",
     "encoder_backward",
     "composition_generalized_inner",
-    "softmax_ce", "proxy_gip_ce", "proxy_gip_ce_raw_proxies",
+    "proxy_gip_ce_no_margin", "proxy_gip_ce", "proxy_gip_ce_raw_proxies",
 }
 
 

@@ -44,6 +44,12 @@ def quick_cfg(**kw):
     return TrainConfig(**base)
 
 
+def plain_ce_cfg(**kw):
+    """`quick_cfg` for the plain softmax CE: proxy_gip_ce at b_theta 0, no margin."""
+    return quick_cfg(method="proxy_gip_ce",
+                     loss=LossConfig(similarity=SimilarityKind(b_theta=0.0)), **kw)
+
+
 def nets_equal(a, b):
     return np.array_equal(a.theta, b.theta)
 
@@ -97,14 +103,16 @@ def test_train_report_equals_evaluate_on_val_split(method, normalize):
     assert final_report(log) == rep
 
 
-def _step_fixture(method, normalize):
+def _step_fixture(case, normalize):
     """A step on a 4 -> 5 -> 3 tanh net and a 3-row batch: against a full
     6-entry queue that gives every row a positive and a negative, or a
-    3-class proxy matrix (with a proxy margin of 0.2 for proxy_gip_ce)."""
+    3-class proxy matrix (with a proxy margin of 0.2 for proxy_gip_ce, and
+    none for the plain CE)."""
     y = np.array([0, 1, 2])
+    method = "simple" if case == "simple" else "proxy_gip_ce"
     cfg = TrainConfig(method=method, normalize_features=normalize,
-                      proxy_margin=0.2 if method == "proxy_gip_ce" else 0.0)
-    rng = Rng(7).stream((method, normalize, 0))
+                      proxy_margin=0.2 if case == "proxy_gip_ce" else 0.0)
+    rng = Rng(7).stream((case, normalize, 0))
     enc = init_encoder([4, 5, 3], rng.stream("init"), "tanh")
     x = rng.normal(size=(3, 4))
     if method != "simple":
@@ -115,15 +123,17 @@ def _step_fixture(method, normalize):
 
 
 @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalize_features"])
-@pytest.mark.parametrize("method", METHODS)
-def test_step_gradients_match_finite_differences(method, normalize):
+@pytest.mark.parametrize("case", ["simple", "proxy_gip_ce", "plain"])
+def test_step_gradients_match_finite_differences(case, normalize):
     # the step `train` runs, end to end: the encoder gradient through the
     # loss, the scores and (with normalize_features) the unit rows, plus b
-    # and the proxies
-    cfg, enc, x, y, queue, proxies = _step_fixture(method, normalize)
+    # and the proxies; "plain" is the plain softmax CE, proxy_gip_ce at
+    # b_theta 0 with no margin
+    cfg, enc, x, y, queue, proxies = _step_fixture(case, normalize)
+    b_theta = 0.0 if case == "plain" else 0.3
 
     def step(b=0.1):
-        loss = LossConfig(alpha=0.1, b=b, similarity=SimilarityKind(b_theta=0.3))
+        loss = LossConfig(alpha=0.1, b=b, similarity=SimilarityKind(b_theta=b_theta))
         rec = {}
         out = _step_grads(cfg, loss, enc, x, y, rec, queue, proxies)
         assert ("pos_ratio" in rec) == (queue is not None)
@@ -202,13 +212,13 @@ def test_runlog_files_round_trip(tmp_path):
 def test_pair_stats_logged_per_method():
     pair_log = train(quick_cfg(method="simple"), small_ds())
     assert all(0.0 < rec["pos_ratio"] < 1.0 for rec in pair_log.steps)
-    ce_log = train(quick_cfg(method="softmax_ce"), small_ds())
+    ce_log = train(plain_ce_cfg(), small_ds())
     assert all("pos_ratio" not in rec for rec in ce_log.steps)
 
 
 def test_proxy_methods_learn_class_accuracy():
-    for method in ("softmax_ce", "proxy_gip_ce"):
-        log = train(quick_cfg(method=method, epochs=4), small_ds())
+    for cfg in (plain_ce_cfg(epochs=4), quick_cfg(method="proxy_gip_ce", epochs=4)):
+        log = train(cfg, small_ds())
         accs = [erec["train_accuracy"] for erec in log.epochs]
         assert all(0.0 <= a <= 1.0 for a in accs)
         assert accs[-1] > accs[0]
@@ -236,8 +246,8 @@ def test_divergence_in_evaluation_names_the_step_before(monkeypatch):
 
     monkeypatch.setattr(trainer_module, "_eval_on_pairs", diverged)
     with pytest.raises(FloatingPointError, match=r"^evaluation after step 7 \(epoch 1\) of "
-                       r"softmax_ce: encoder features contains NaN or Inf$"):
-        train(quick_cfg(method="softmax_ce"), small_ds())  # 8 steps per epoch
+                       r"proxy_gip_ce: encoder features contains NaN or Inf$"):
+        train(plain_ce_cfg(), small_ds())  # 8 steps per epoch
 
 
 def test_norm_probe_reads_runlog():
@@ -260,7 +270,7 @@ def test_eer_improves_on_separable_task():
 
 @pytest.mark.parametrize("method", METHODS)
 def test_batch_over_queue_capacity_is_rejected_only_where_there_is_a_queue(method):
-    if method in ("softmax_ce", "proxy_gip_ce"):  # no queue to exceed
+    if method == "proxy_gip_ce":  # no queue to exceed
         assert TrainConfig(method=method, batch_size=512, queue_capacity=256).batch_size == 512
     else:
         with pytest.raises(ConfigError, match="batch_size 512 exceeds queue_capacity 256"):
